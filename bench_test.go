@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/cycleprof"
+	"repro/internal/diff"
 	"repro/internal/opt"
 	"repro/internal/pipeline"
 	"repro/internal/reuse"
@@ -386,51 +387,40 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkReuseOverhead pins the cost of the reuse-attribution probe,
-// mirroring BenchmarkTelemetryOverhead's shape. The probe has no
-// enabled/disabled gate: detached (Options.Reuse nil, the default for
-// every non-reuse run) costs exactly one nil check on the retirement
-// path, which is the <2% "off" bar; "attached" runs the full streaming
-// loop detector for reference on what the reuse experiment pays.
-func BenchmarkReuseOverhead(b *testing.B) {
+// BenchmarkProbeOverhead pins the cost of the engine probes, mirroring
+// BenchmarkTelemetryOverhead's shape. Probes have no enabled/disabled
+// gate: detached ("off", the default for every non-probe run) each
+// hook site pays one nil check, which must stay within noise of the
+// un-instrumented pipeline. The other variants attach the reuse
+// collector, the guest-cycle profiler, the diff probe, and all three
+// at once over one shared loop stack: the price each experiment pays.
+func BenchmarkProbeOverhead(b *testing.B) {
 	p, err := workload.ByName("gzip")
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, col *reuse.Collector) {
+	run := func(b *testing.B, probes func() []sim.Collector) {
 		for i := 0; i < b.N; i++ {
-			o := sim.Options{MaxInsts: 30_000, DisableCache: true, Reuse: col}
+			o := sim.Options{MaxInsts: 30_000, DisableCache: true, Probes: probes()}
 			if _, err := sim.RunWorkload(context.Background(), p, pipeline.ModeRePLayOpt, o); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	b.Run("off", func(b *testing.B) { run(b, nil) })
-	b.Run("attached", func(b *testing.B) { run(b, reuse.NewCollector()) })
-}
-
-// BenchmarkCycleProfOverhead pins the cost of the guest-cycle profiler,
-// mirroring BenchmarkReuseOverhead's shape. Detached (Options.CycleProf
-// nil, the default for every non-cycles run) the fetch stage pays one
-// nil check per charged cycle — the "off" bar, which must stay within
-// noise of the un-instrumented pipeline. "Attached" runs the full
-// per-PC attribution plus the embedded loop detector, the price of the
-// cycles experiment itself.
-func BenchmarkCycleProfOverhead(b *testing.B) {
-	p, err := workload.ByName("gzip")
-	if err != nil {
-		b.Fatal(err)
+	for _, v := range []struct {
+		name   string
+		probes func() []sim.Collector
+	}{
+		{"off", func() []sim.Collector { return nil }},
+		{"reuse", func() []sim.Collector { return []sim.Collector{reuse.NewCollector()} }},
+		{"cycles", func() []sim.Collector { return []sim.Collector{cycleprof.NewCollector()} }},
+		{"diff", func() []sim.Collector { return []sim.Collector{diff.NewCollector()} }},
+		{"all", func() []sim.Collector {
+			return []sim.Collector{reuse.NewCollector(), cycleprof.NewCollector(), diff.NewCollector()}
+		}},
+	} {
+		b.Run(v.name, func(b *testing.B) { run(b, v.probes) })
 	}
-	run := func(b *testing.B, col *cycleprof.Collector) {
-		for i := 0; i < b.N; i++ {
-			o := sim.Options{MaxInsts: 30_000, DisableCache: true, CycleProf: col}
-			if _, err := sim.RunWorkload(context.Background(), p, pipeline.ModeRePLayOpt, o); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("off", func(b *testing.B) { run(b, nil) })
-	b.Run("attached", func(b *testing.B) { run(b, cycleprof.NewCollector()) })
 }
 
 // BenchmarkTracingOverhead pins the cost of the span-tracing

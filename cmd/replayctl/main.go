@@ -349,17 +349,9 @@ func uploadTrace(client *http.Client, base, path string, jsonOut bool) error {
 // loops, and the ranked representative subset — the client-side twin of
 // replaysim's -experiment reuse table.
 func showReuse(client *http.Client, base, jobID string, jsonOut bool) error {
-	var buf bytes.Buffer
-	if err := get(client, base+"/debug/reuse?job="+jobID, &buf); err != nil {
-		return err
-	}
-	if jsonOut {
-		os.Stdout.Write(append(bytes.TrimRight(buf.Bytes(), "\n"), '\n'))
-		return nil
-	}
 	var rep sim.ReuseReport
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		return fmt.Errorf("decoding reuse report: %w", err)
+	if ok, err := fetchReport(client, base+"/debug/reuse?job="+jobID, jsonOut, &rep); !ok {
+		return err
 	}
 	renderReuse(&rep, fmt.Sprintf("reuse report for %s", jobID))
 	return nil
@@ -451,17 +443,9 @@ func renderReuse(rep *sim.ReuseReport, heading string) {
 // removal deltas, and the heaviest per-loop deltas with signed bars —
 // the client-side twin of replaysim's -experiment diff output.
 func showDiff(client *http.Client, base, jobID string, jsonOut bool) error {
-	var buf bytes.Buffer
-	if err := get(client, base+"/debug/diff?job="+jobID, &buf); err != nil {
-		return err
-	}
-	if jsonOut {
-		os.Stdout.Write(append(bytes.TrimRight(buf.Bytes(), "\n"), '\n'))
-		return nil
-	}
 	var rep sim.DiffReport
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		return fmt.Errorf("decoding diff report: %w", err)
+	if ok, err := fetchReport(client, base+"/debug/diff?job="+jobID, jsonOut, &rep); !ok {
+		return err
 	}
 	fmt.Printf("ablation diff for %s: %s vs %s (%d workloads)\n\n",
 		jobID, rep.Baseline, rep.Variant, len(rep.Rows))
@@ -483,10 +467,6 @@ func showDiff(client *http.Client, base, jobID string, jsonOut bool) error {
 // pprofOut it also fetches the format=pprof export and saves it for
 // `go tool pprof`.
 func showProfile(client *http.Client, base, jobID, pprofOut string, jsonOut bool) error {
-	var buf bytes.Buffer
-	if err := get(client, base+"/debug/profile?job="+jobID, &buf); err != nil {
-		return err
-	}
 	if pprofOut != "" {
 		var pb bytes.Buffer
 		if err := get(client, base+"/debug/profile?job="+jobID+"&format=pprof", &pb); err != nil {
@@ -496,13 +476,9 @@ func showProfile(client *http.Client, base, jobID, pprofOut string, jsonOut bool
 			return err
 		}
 	}
-	if jsonOut {
-		os.Stdout.Write(append(bytes.TrimRight(buf.Bytes(), "\n"), '\n'))
-		return nil
-	}
 	var rep sim.CycleReport
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		return fmt.Errorf("decoding cycle profile: %w", err)
+	if ok, err := fetchReport(client, base+"/debug/profile?job="+jobID, jsonOut, &rep); !ok {
+		return err
 	}
 	fmt.Printf("guest-cycle profile for %s (%d workloads)\n\n", jobID, len(rep.Rows))
 	order := []pipeline.Bin{pipeline.BinAssert, pipeline.BinMispred, pipeline.BinMiss,
@@ -613,6 +589,24 @@ func get(client *http.Client, url string, w io.Writer) error {
 	}
 	_, err = io.Copy(w, resp.Body)
 	return err
+}
+
+// fetchReport GETs a finished job's /debug report. With jsonOut it
+// prints the raw JSON and returns ok=false; otherwise it decodes the
+// report into v for rendering.
+func fetchReport(client *http.Client, url string, jsonOut bool, v any) (ok bool, err error) {
+	var buf bytes.Buffer
+	if err := get(client, url, &buf); err != nil {
+		return false, err
+	}
+	if jsonOut {
+		os.Stdout.Write(append(bytes.TrimRight(buf.Bytes(), "\n"), '\n'))
+		return false, nil
+	}
+	if err := json.Unmarshal(buf.Bytes(), v); err != nil {
+		return false, fmt.Errorf("decoding %s: %w", url, err)
+	}
+	return true, nil
 }
 
 // post sends the request to path with a fresh client traceparent (so

@@ -47,45 +47,33 @@ func (c *pcCell) add(o *pcCell) {
 	c.covered += o.covered
 }
 
-// Detector is the per-engine streaming profiler. It implements both
-// pipeline.CycleProbe (per-PC cycle attribution) and, via the embedded
-// reuse.Detector, pipeline.ReuseProbe (loop structure plus per-PC
-// retired-work counts for IPC and coverage). Single-goroutine, like the
-// engine that drives it.
-type Detector struct {
-	reuse.Detector
+// probe is the per-engine streaming profiler: per-PC cycle charges
+// plus per-PC retired-work counts, so loop rollups can report IPC and
+// frame coverage. Single-goroutine, like the engine that drives it.
+type probe struct {
+	pipeline.NopProbe
 	pcs   map[uint32]*pcCell
 	order []uint32 // insertion order, for deterministic folds
 }
 
-// NewDetector returns an empty detector.
-func NewDetector() *Detector {
-	return &Detector{Detector: *reuse.NewDetector(), pcs: make(map[uint32]*pcCell)}
-}
-
-func (d *Detector) cell(pc uint32) *pcCell {
-	c := d.pcs[pc]
+func (p *probe) cell(pc uint32) *pcCell {
+	c := p.pcs[pc]
 	if c == nil {
 		c = &pcCell{}
-		d.pcs[pc] = c
-		d.order = append(d.order, pc)
+		p.pcs[pc] = c
+		p.order = append(p.order, pc)
 	}
 	return c
 }
 
-// CycleCharge implements pipeline.CycleProbe.
-func (d *Detector) CycleCharge(pc uint32, bin pipeline.Bin, n uint64) {
-	c := d.cell(pc)
+func (p *probe) CycleCharge(pc uint32, bin pipeline.Bin, n uint64) {
+	c := p.cell(pc)
 	c.bins[bin] += n
 	c.cycles += n
 }
 
-// ReuseSlot feeds one retired instruction: the embedded loop detector
-// maintains its loop stack, and the per-PC cell counts retired work so
-// loop rollups can report IPC and frame coverage.
-func (d *Detector) ReuseSlot(s pipeline.Slot, fromFrame bool, uopsExecuted int) {
-	d.Detector.ReuseSlot(s, fromFrame, uopsExecuted)
-	c := d.cell(s.PC)
+func (p *probe) SlotRetired(s pipeline.Slot, fromFrame bool, uopsExecuted int) {
+	c := p.cell(s.PC)
 	c.x86++
 	n := uint64(len(s.UOps))
 	c.uops += n
@@ -101,11 +89,9 @@ type pcKey struct {
 	pc    uint32
 }
 
-// Collector aggregates per-engine detectors into one workload profile.
-// Like reuse.Collector it is handed to the simulation via sim.Options
-// and attached per engine after warmup; each trace gets its own Probe
-// (single-goroutine, like the engine), and Close folds the probe's
-// tables in under the collector's lock.
+// Collector aggregates per-engine probes into one workload profile.
+// The simulation attaches it to every engine after warmup; the fold
+// runs under the collector's lock, so traces may run concurrently.
 type Collector struct {
 	mu    sync.Mutex
 	pcs   map[pcKey]*pcCell
@@ -116,43 +102,30 @@ type Collector struct {
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{pcs: make(map[pcKey]*pcCell)} }
 
-// Probe is the per-engine observer: a Detector plus the fold-back link.
-type Probe struct {
-	Detector
-	c     *Collector
-	trace int
-}
-
 // Attach returns a fresh probe for one engine run over the given trace
-// index. Close it once the run finishes.
-func (c *Collector) Attach(trace int) *Probe {
-	return &Probe{Detector: *NewDetector(), c: c, trace: trace}
-}
-
-// Close folds the probe's tables into its collector. Idempotent calls
-// would double-count; call exactly once, after the engine's last run.
-func (p *Probe) Close() {
-	if p.c == nil {
-		return
-	}
-	c := p.c
-	p.c = nil
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, pc := range p.order {
-		k := pcKey{trace: p.trace, pc: pc}
-		cell := c.pcs[k]
-		if cell == nil {
-			cell = &pcCell{}
-			c.pcs[k] = cell
-			c.order = append(c.order, k)
+// index, and the func that folds the probe's table and the engine's
+// detected loops into the collector once the engine's last run ends.
+// Calling the fold func again is a no-op.
+func (c *Collector) Attach(trace int, loops *reuse.LoopStack) (pipeline.Probe, func()) {
+	p := &probe{pcs: make(map[uint32]*pcCell)}
+	return p, sync.OnceFunc(func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for _, pc := range p.order {
+			k := pcKey{trace: trace, pc: pc}
+			cell := c.pcs[k]
+			if cell == nil {
+				cell = &pcCell{}
+				c.pcs[k] = cell
+				c.order = append(c.order, k)
+			}
+			cell.add(p.pcs[pc])
 		}
-		cell.add(p.pcs[pc])
-	}
-	for _, l := range p.Loops() {
-		l.Trace = p.trace
-		c.loops = append(c.loops, l)
-	}
+		for _, l := range loops.Loops() {
+			l.Trace = trace
+			c.loops = append(c.loops, l)
+		}
+	})
 }
 
 // PCStat is one guest PC's share of the measured window.

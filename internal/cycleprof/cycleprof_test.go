@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/pipeline"
+	"repro/internal/reuse"
 	"repro/internal/x86"
 )
 
@@ -14,17 +15,36 @@ func slot(pc, next uint32) pipeline.Slot {
 	return pipeline.Slot{PC: pc, NextPC: next, Inst: x86.Inst{Op: x86.OpJCC, Len: 2}}
 }
 
+// attached is one collector probe over its own loop stack, fed the way
+// an engine's probe fan-out feeds it.
+type attached struct {
+	pipeline.Probe
+	loops reuse.LoopStack
+	done  func()
+}
+
+func attach(c *Collector, trace int) *attached {
+	a := &attached{}
+	a.Probe, a.done = c.Attach(trace, &a.loops)
+	return a
+}
+
+func (a *attached) retire(s pipeline.Slot) {
+	a.loops.Retire(&s)
+	a.SlotRetired(s, false, 1)
+}
+
 func TestCollectorFoldAndTotals(t *testing.T) {
 	c := NewCollector()
-	p0 := c.Attach(0)
+	p0 := attach(c, 0)
 	p0.CycleCharge(0x10, pipeline.BinICache, 3)
 	p0.CycleCharge(0x10, pipeline.BinMispred, 5)
 	p0.CycleCharge(0x20, pipeline.BinICache, 2)
-	p0.Close()
-	p1 := c.Attach(1)
+	p0.done()
+	p1 := attach(c, 1)
 	p1.CycleCharge(0x10, pipeline.BinFrame, 7)
-	p1.Close()
-	p1.Close() // idempotent: a second close must not double-count
+	p1.done()
+	p1.done() // idempotent: a second fold must not double-count
 
 	r := c.Snapshot()
 	if r.Cycles != 17 {
@@ -57,19 +77,19 @@ func TestCollectorFoldAndTotals(t *testing.T) {
 
 func TestLoopJoinInclusive(t *testing.T) {
 	c := NewCollector()
-	p := c.Attach(0)
+	p := attach(c, 0)
 	// Inner loop 0x20..0x28 nested in outer 0x10..0x30: two inner back
 	// edges per outer iteration, two outer iterations.
 	for outer := 0; outer < 2; outer++ {
 		for inner := 0; inner < 2; inner++ {
-			p.ReuseSlot(slot(0x28, 0x20), false, 1) // inner back edge
+			p.retire(slot(0x28, 0x20)) // inner back edge
 		}
-		p.ReuseSlot(slot(0x30, 0x10), false, 1) // outer back edge
+		p.retire(slot(0x30, 0x10)) // outer back edge
 	}
 	p.CycleCharge(0x24, pipeline.BinICache, 10) // inside both loops
 	p.CycleCharge(0x12, pipeline.BinICache, 4)  // outer only
 	p.CycleCharge(0x40, pipeline.BinICache, 1)  // outside both
-	p.Close()
+	p.done()
 
 	r := c.Snapshot()
 	if len(r.Loops) != 2 {
@@ -103,12 +123,12 @@ func TestLoopJoinInclusive(t *testing.T) {
 
 func TestProfileRoundTrip(t *testing.T) {
 	c := NewCollector()
-	p := c.Attach(0)
-	p.ReuseSlot(slot(0x28, 0x20), false, 1)
+	p := attach(c, 0)
+	p.retire(slot(0x28, 0x20))
 	p.CycleCharge(0x24, pipeline.BinICache, 100)
 	p.CycleCharge(0x24, pipeline.BinMispred, 23)
 	p.CycleCharge(0x50, pipeline.BinFrame, 7)
-	p.Close()
+	p.done()
 	r := c.Snapshot()
 
 	data, err := Profile([]NamedReport{{Name: "wl", Report: &r}})
@@ -141,11 +161,11 @@ func TestProfileRoundTrip(t *testing.T) {
 
 func TestFlameText(t *testing.T) {
 	c := NewCollector()
-	p := c.Attach(0)
-	p.ReuseSlot(slot(0x28, 0x20), false, 1) // loop 0x20..0x28
+	p := attach(c, 0)
+	p.retire(slot(0x28, 0x20)) // loop 0x20..0x28
 	p.CycleCharge(0x24, pipeline.BinICache, 9)
 	p.CycleCharge(0x40, pipeline.BinStall, 2)
-	p.Close()
+	p.done()
 	r := c.Snapshot()
 
 	got := string(FlameText([]NamedReport{{Name: "wl", Report: &r}}))

@@ -1,15 +1,15 @@
 // Package diff is the ablation diff engine: it observes two runs of
 // the simulator — baseline and variant — with a probe that partitions
-// every observable the other probes report (retired work from
-// internal/reuse's loop detector, per-pass optimizer removals from the
-// PassRecorder feed, charged fetch cycles from the cycle-probe feed)
-// over the detected loops, then joins the two partitions into a
-// conservation-exact delta report: for each loop, which pass removed
-// how many micro-ops and how many fetch cycles that bought.
+// every observable the other probes report (retired work, per-pass
+// optimizer removals, charged fetch cycles) over the loops the engine's
+// shared internal/reuse loop stack detects, then joins the two
+// partitions into a conservation-exact delta report: for each loop,
+// which pass removed how many micro-ops and how many fetch cycles that
+// bought.
 //
 // Unlike internal/cycleprof's loop join — an inclusive interval rollup
 // where an outer loop's row contains its inner loops — the diff
-// detector attributes each event to the innermost active loop at event
+// probe attributes each event to the innermost active loop at event
 // time, so the rows form an exact partition: every retired micro-op,
 // every pass kill, and every charged cycle lands in exactly one row
 // (straight-line code gets a pseudo-row per trace). Per side, the row
@@ -21,6 +21,7 @@
 package diff
 
 import (
+	"maps"
 	"sort"
 	"sync"
 
@@ -106,49 +107,37 @@ func (r *Row) add(o *Row) {
 	}
 }
 
-// Detector is the per-engine diff probe. It embeds the streaming loop
-// detector from internal/reuse for loop identification and overrides
-// the probe callbacks to additionally bin every event into the
-// innermost active loop's row. It implements pipeline.ReuseProbe,
-// pipeline.ReusePassProbe, and pipeline.CycleProbe; single-goroutine,
-// like the engine that drives it.
-type Detector struct {
-	reuse.Detector
+// probe is the per-engine diff probe: it bins every event into the row
+// of the loop the engine's shared loop stack reports innermost active.
+// Single-goroutine, like the engine that drives it.
+type probe struct {
+	pipeline.NopProbe
+	loops    *reuse.LoopStack
 	rows     map[uint32]*Row // keyed by loop header PC
 	order    []uint32        // header insertion order, for deterministic folds
 	straight Row
 }
 
-// NewDetector returns an empty detector.
-func NewDetector() *Detector {
-	return &Detector{Detector: *reuse.NewDetector(), rows: make(map[uint32]*Row),
-		straight: Row{Straight: true}}
-}
-
 // row returns the accumulation cell for the current innermost active
 // loop (the straight-line pseudo-row outside any loop).
-func (d *Detector) row() *Row {
-	h, ok := d.Active()
+func (p *probe) row() *Row {
+	h, ok := p.loops.Active()
 	if !ok {
-		return &d.straight
+		return &p.straight
 	}
-	r := d.rows[h]
+	r := p.rows[h]
 	if r == nil {
 		r = &Row{Header: h}
-		d.rows[h] = r
-		d.order = append(d.order, h)
+		p.rows[h] = r
+		p.order = append(p.order, h)
 	}
 	return r
 }
 
-// ReuseSlot feeds one retired instruction: the embedded detector
-// maintains the loop stack (including the back-edge control effects of
-// this very instruction), then the slot's work is attributed to the
-// loop active after those effects — a back edge's closing branch counts
-// toward the loop it closes.
-func (d *Detector) ReuseSlot(s pipeline.Slot, fromFrame bool, uopsExecuted int) {
-	d.Detector.ReuseSlot(s, fromFrame, uopsExecuted)
-	r := d.row()
+// SlotRetired attributes the slot to the loop active after its own
+// back edge: a closing branch counts toward the loop it closes.
+func (p *probe) SlotRetired(s pipeline.Slot, fromFrame bool, uopsExecuted int) {
+	r := p.row()
 	r.X86++
 	n := uint64(len(s.UOps))
 	r.UOps += n
@@ -158,37 +147,17 @@ func (d *Detector) ReuseSlot(s pipeline.Slot, fromFrame bool, uopsExecuted int) 
 	}
 }
 
-// ReuseFrameHit attributes a frame-cache fetch to the active loop.
-func (d *Detector) ReuseFrameHit() {
-	d.Detector.ReuseFrameHit()
-	d.row().FrameHits++
-}
+func (p *probe) FrameHit()             { p.row().FrameHits++ }
+func (p *probe) FrameRetired(uops int) { p.row().UOpsRetired += uint64(uops) }
 
-// ReuseFrameRetired attributes a committed frame's optimized body.
-func (d *Detector) ReuseFrameRetired(uops int) {
-	d.Detector.ReuseFrameRetired(uops)
-	d.row().UOpsRetired += uint64(uops)
-}
+// OptRemoved fires in the same optimizer run as that run's Pass calls,
+// so per row the two agree: OptRemoved equals the summed Killed.
+func (p *probe) OptRemoved(removed int) { p.row().OptRemoved += uint64(removed) }
 
-// ReuseOptRemoved attributes an optimizer run's net removal. It fires
-// at the same call site as the per-pass feed (ReusePass), so per row
-// the two agree: OptRemoved equals the summed Killed of Passes.
-func (d *Detector) ReuseOptRemoved(removed int) {
-	d.Detector.ReuseOptRemoved(removed)
-	d.row().OptRemoved += uint64(removed)
-}
+func (p *probe) Pass(pass string, killed, rewritten int) { p.row().addPass(pass, killed, rewritten) }
 
-// ReusePass implements pipeline.ReusePassProbe: one changed optimizer
-// pass invocation, attributed to the active loop.
-func (d *Detector) ReusePass(pass string, killed, rewritten int) {
-	d.row().addPass(pass, killed, rewritten)
-}
-
-// CycleCharge implements pipeline.CycleProbe: n fetch cycles charged to
-// bin while the active loop ran. The engine's only two cycle-charging
-// paths call this, so the row sums equal Stats.Cycles/Bins exactly.
-func (d *Detector) CycleCharge(pc uint32, bin pipeline.Bin, n uint64) {
-	r := d.row()
+func (p *probe) CycleCharge(pc uint32, bin pipeline.Bin, n uint64) {
+	r := p.row()
 	r.Cycles += n
 	r.Bins[bin] += n
 }
@@ -200,10 +169,9 @@ type rowKey struct {
 	straight bool
 }
 
-// Collector aggregates per-engine detectors into one run profile. Like
-// the reuse and cycleprof collectors it is handed to the simulation via
-// sim.Options and attached per engine after warmup; each trace gets its
-// own Probe, and Close folds the probe's rows in under the lock.
+// Collector aggregates per-engine probes into one run profile. The
+// simulation attaches it to every engine after warmup; the fold runs
+// under the collector's lock, so traces may run concurrently.
 type Collector struct {
 	mu    sync.Mutex
 	rows  map[rowKey]*Row
@@ -213,31 +181,19 @@ type Collector struct {
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{rows: make(map[rowKey]*Row)} }
 
-// Probe is the per-engine observer: a Detector plus the fold-back link.
-type Probe struct {
-	Detector
-	c     *Collector
-	trace int
-}
-
 // Attach returns a fresh probe for one engine run over the given trace
-// index. Close it once the run finishes.
-func (c *Collector) Attach(trace int) *Probe {
-	return &Probe{Detector: *NewDetector(), c: c, trace: trace}
+// index, reading that engine's loop stack, and the func that folds the
+// probe's rows into the collector once the engine's last run ends.
+// Calling the fold func again is a no-op.
+func (c *Collector) Attach(trace int, loops *reuse.LoopStack) (pipeline.Probe, func()) {
+	p := &probe{loops: loops, rows: make(map[uint32]*Row), straight: Row{Straight: true}}
+	return p, sync.OnceFunc(func() { c.fold(trace, p) })
 }
 
-// Close folds the probe's rows into its collector. Call exactly once,
-// after the engine's last run.
-func (p *Probe) Close() {
-	if p.c == nil {
-		return
-	}
-	c := p.c
-	p.c = nil
-
-	// Stamp loop geometry (tail, nesting) from the embedded detector
-	// before folding.
-	for _, l := range p.Loops() {
+// fold stamps loop geometry (tail, nesting) from the loop stack onto
+// the probe's rows and folds them in.
+func (c *Collector) fold(trace int, p *probe) {
+	for _, l := range p.loops.Loops() {
 		if r := p.rows[l.Header]; r != nil {
 			r.Tail = l.Tail
 			r.Nest = l.Nest
@@ -246,7 +202,7 @@ func (p *Probe) Close() {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	fold := func(k rowKey, src *Row) {
+	add := func(k rowKey, src *Row) {
 		dst := c.rows[k]
 		if dst == nil {
 			dst = &Row{Trace: k.trace, Header: k.header, Straight: k.straight}
@@ -257,10 +213,10 @@ func (p *Probe) Close() {
 	}
 	if s := &p.straight; s.X86 > 0 || s.Cycles > 0 || s.UOps > 0 || s.OptRemoved > 0 ||
 		s.FrameHits > 0 || s.UOpsRetired > 0 || len(s.Passes) > 0 {
-		fold(rowKey{trace: p.trace, straight: true}, s)
+		add(rowKey{trace: trace, straight: true}, s)
 	}
 	for _, h := range p.order {
-		fold(rowKey{trace: p.trace, header: h}, p.rows[h])
+		add(rowKey{trace: trace, header: h}, p.rows[h])
 	}
 }
 
@@ -300,34 +256,15 @@ func (c *Collector) Snapshot() Profile {
 		return a.header < b.header
 	})
 	p := Profile{Rows: make([]Row, 0, len(keys))}
+	var tot Row
 	for _, k := range keys {
 		r := *c.rows[k]
-		if len(r.Passes) > 0 {
-			cp := make(map[string]PassCount, len(r.Passes))
-			for name, pc := range r.Passes {
-				cp[name] = pc
-			}
-			r.Passes = cp
-		}
+		r.Passes = maps.Clone(r.Passes)
 		p.Rows = append(p.Rows, r)
-		p.X86 += r.X86
-		p.UOps += r.UOps
-		p.UOpsRetired += r.UOpsRetired
-		p.Covered += r.Covered
-		p.FrameHits += r.FrameHits
-		p.OptRemoved += r.OptRemoved
-		p.Cycles += r.Cycles
-		for i := range r.Bins {
-			p.Bins[i] += r.Bins[i]
-		}
-		for name, pc := range r.Passes {
-			if p.Passes == nil {
-				p.Passes = make(map[string]PassCount)
-			}
-			cur := p.Passes[name]
-			cur.add(pc)
-			p.Passes[name] = cur
-		}
+		tot.add(&r)
 	}
+	p.X86, p.UOps, p.UOpsRetired, p.Covered = tot.X86, tot.UOps, tot.UOpsRetired, tot.Covered
+	p.FrameHits, p.OptRemoved, p.Cycles, p.Bins = tot.FrameHits, tot.OptRemoved, tot.Cycles, tot.Bins
+	p.Passes = tot.Passes
 	return p
 }

@@ -107,20 +107,11 @@ type Engine struct {
 	telRun      int
 	telInsertAt map[uint32]uint64 // frame-cache insert cycle per PC, for residency
 
-	// Reuse attribution probe (see SetReuse); nil unless attached, so
-	// the disabled cost on the retirement path is one nil check.
-	reuse ReuseProbe
-	// reusePass is the cached ReusePassProbe view of reuse (nil when the
-	// probe does not implement the extension), resolved once at SetReuse
-	// so the per-frame optimizer call site never asserts.
-	reusePass ReusePassProbe
-
-	// Guest-cycle profiler probe (see SetCycleProf); nil unless
-	// attached, so the disabled cost at the two cycle-charging sites
-	// and at the profAt attribution points is one nil check each.
-	cprof CycleProbe
+	// The engine's probe (see SetProbe); nil unless attached, so the
+	// detached cost at every hook site is one nil check.
+	probe Probe
 	// profPC is the guest PC the next charged fetch cycles are
-	// attributed to; maintained (via profAt) only while cprof is set.
+	// attributed to; maintained (via profAt) only while a probe is set.
 	profPC uint32
 
 	// Wall-clock pass timing (see SetPassRecorder); nil unless a span
@@ -303,8 +294,8 @@ func (e *Engine) stallUntil(t uint64, bin Bin) {
 		n := t - e.cycle
 		e.stats.Bins[bin] += n
 		e.cycle = t
-		if e.cprof != nil {
-			e.cprof.CycleCharge(e.profPC, bin, n)
+		if e.probe != nil {
+			e.probe.CycleCharge(e.profPC, bin, n)
 		}
 	}
 }
@@ -313,15 +304,15 @@ func (e *Engine) stallUntil(t uint64, bin Bin) {
 func (e *Engine) tick(bin Bin) {
 	e.stats.Bins[bin]++
 	e.cycle++
-	if e.cprof != nil {
-		e.cprof.CycleCharge(e.profPC, bin, 1)
+	if e.probe != nil {
+		e.probe.CycleCharge(e.profPC, bin, 1)
 	}
 }
 
 // profAt notes the guest PC responsible for subsequently charged fetch
-// cycles. One nil check when no profiler is attached.
+// cycles. One nil check when no probe is attached.
 func (e *Engine) profAt(pc uint32) {
-	if e.cprof != nil {
+	if e.probe != nil {
 		e.profPC = pc
 	}
 }
@@ -624,7 +615,7 @@ func (e *Engine) fetchICache() {
 	// The group leader owns the group's switch-turnaround, window-stall,
 	// miss, and fetch cycles; mispredict recovery is re-attributed to
 	// the branch by handleControl.
-	if e.cprof != nil {
+	if e.probe != nil {
 		if s, ok := e.peek(); ok {
 			e.profPC = s.PC
 		}
@@ -693,8 +684,8 @@ func (e *Engine) fetchICache() {
 		e.retireSlot(&s, false, len(s.UOps), loads)
 		// Hook kept out of retireSlot so it stays inlinable at the
 		// retirement sites; the detached cost is this one nil check.
-		if e.reuse != nil {
-			e.reuse.ReuseSlot(s, false, len(s.UOps))
+		if e.probe != nil {
+			e.probe.SlotRetired(s, false, len(s.UOps))
 		}
 		e.feedConstructor(&s)
 

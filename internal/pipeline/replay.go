@@ -13,8 +13,8 @@ import (
 // slot is busy are dropped, as in the paper's design discussion.
 func (e *Engine) depositFrame(f *frame.Frame) {
 	e.stats.FramesConstructed++
-	if e.reuse != nil {
-		e.reuse.ReuseFrameBuilt()
+	if e.probe != nil {
+		e.probe.FrameBuilt()
 	}
 	if e.DepositHook != nil {
 		e.DepositHook(f)
@@ -105,8 +105,8 @@ func (e *Engine) startOptimizations() {
 		}
 		e.accumulateOpt(st)
 		e.stats.FramesOptimized++
-		if e.reuse != nil {
-			e.reuse.ReuseOptRemoved(st.UOpsIn - st.UOpsOut)
+		if e.probe != nil {
+			e.probe.OptRemoved(st.UOpsIn - st.UOpsOut)
 		}
 		dwell := uint64(e.cfg.OptCyclesPerUOp * len(f.UOps))
 		done := e.cycle + dwell
@@ -195,8 +195,8 @@ func (e *Engine) fetchFrame(of *opt.OptFrame) {
 	e.profAt(src.StartPC) // cache-switch turnaround belongs to the frame head
 	e.switchTo(srcFC)
 	e.stats.FrameFetches++
-	if e.reuse != nil {
-		e.reuse.ReuseFrameHit()
+	if e.probe != nil {
+		e.probe.FrameHit()
 	}
 	fetchStart := e.cycle
 	savedArch := e.archReady
@@ -233,7 +233,7 @@ func (e *Engine) fetchFrame(of *opt.OptFrame) {
 		if fetched%e.cfg.Width == 0 {
 			// Per-PC attribution inside the frame: the group's cycles
 			// belong to the instruction leading it.
-			if e.cprof != nil && int(o.InstIdx) < len(src.PCs) {
+			if e.probe != nil && int(o.InstIdx) < len(src.PCs) {
 				e.profPC = src.PCs[o.InstIdx]
 			}
 			e.windowStall()
@@ -364,8 +364,8 @@ func (e *Engine) fetchFrame(of *opt.OptFrame) {
 		e.stats.UOpsBaseline += uint64(base)
 		e.stats.LoadsBaseline += uint64(loads)
 		e.stats.CoveredBaseline += uint64(base)
-		if e.reuse != nil {
-			e.reuse.ReuseSlot(*s, true, 0)
+		if e.probe != nil {
+			e.probe.SlotRetired(*s, true, 0)
 		}
 		e.trainPredictors(s)
 	}
@@ -398,8 +398,8 @@ func (e *Engine) fetchFrame(of *opt.OptFrame) {
 	}
 	e.stats.UOpsRetired += uint64(validOps)
 	e.stats.LoadsRetired += uint64(validLoads)
-	if e.reuse != nil {
-		e.reuse.ReuseFrameRetired(validOps)
+	if e.probe != nil {
+		e.probe.FrameRetired(validOps)
 	}
 
 	// Live-out scoreboard updates.

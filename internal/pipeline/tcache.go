@@ -123,8 +123,8 @@ func (e *Engine) fetchTraceEntry(tr *traceEntry) {
 			}
 		}
 		e.retireSlot(&s, true, len(s.UOps), loads)
-		if e.reuse != nil {
-			e.reuse.ReuseSlot(s, true, len(s.UOps))
+		if e.probe != nil {
+			e.probe.SlotRetired(s, true, len(s.UOps))
 		}
 		e.feedConstructor(&s)
 

@@ -3,6 +3,8 @@ package reuse
 import (
 	"sort"
 	"sync"
+
+	"repro/internal/pipeline"
 )
 
 // TopLoopCap bounds the per-report loop list: the heaviest loops by
@@ -54,10 +56,8 @@ func (r *Report) Bucket(i int) BucketStat {
 }
 
 // Collector aggregates per-engine detectors into one workload report.
-// Like telemetry.Collector it is handed to the simulation via
-// sim.Options and attached per engine after warmup; each trace gets its
-// own Probe (single-goroutine, like the engine), and Close folds the
-// probe's totals in under the collector's lock.
+// The simulation attaches it to every engine after warmup; the fold
+// runs under the collector's lock, so traces may run concurrently.
 type Collector struct {
 	mu        sync.Mutex
 	buckets   [NumBuckets]BucketStat
@@ -69,39 +69,25 @@ type Collector struct {
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{} }
 
-// Probe is the per-engine observer: a Detector plus the fold-back link.
-// It implements pipeline.ReuseProbe.
-type Probe struct {
-	Detector
-	c     *Collector
-	trace int
-}
-
-// Attach returns a fresh probe for one engine run over the given trace
-// index. Close it once the run finishes.
-func (c *Collector) Attach(trace int) *Probe {
-	return &Probe{Detector: *NewDetector(), c: c, trace: trace}
-}
-
-// Close folds the probe's totals into its collector. Idempotent calls
-// would double-count; call exactly once, after the engine's last run.
-func (p *Probe) Close() {
-	if p.c == nil {
-		return
-	}
-	c := p.c
-	p.c = nil
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range c.buckets {
-		c.buckets[i].Add(&p.buckets[i])
-	}
-	for _, l := range p.Loops() {
-		l.Trace = p.trace
-		c.loops = append(c.loops, l)
-		c.entries += l.Entries
-		c.backEdges += l.BackEdges
-	}
+// Attach returns a fresh detector for one engine run over the given
+// trace index, reading that engine's loop stack, and the func that
+// folds the detector's totals into the collector once the engine's
+// last run ends. Calling the fold func again is a no-op.
+func (c *Collector) Attach(trace int, loops *LoopStack) (pipeline.Probe, func()) {
+	d := NewDetector(loops)
+	return d, sync.OnceFunc(func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for i := range c.buckets {
+			c.buckets[i].Add(&d.buckets[i])
+		}
+		for _, l := range d.Loops() {
+			l.Trace = trace
+			c.loops = append(c.loops, l)
+			c.entries += l.Entries
+			c.backEdges += l.BackEdges
+		}
+	})
 }
 
 // Snapshot assembles the report accumulated so far.

@@ -4,6 +4,9 @@
 // nesting depth and trip counts, and attributes every retired micro-op
 // and every frame-lifecycle event — build, hit, optimization removal,
 // cache eviction — to a {loop-depth bucket, instruction-class} cell.
+// Its LoopStack is the one loop detector per engine: the reuse buckets,
+// internal/cycleprof's loop join and internal/diff's loop rows all read
+// the same stack.
 //
 // The attribution is conservative by construction: each retired
 // instruction and each lifecycle event lands in exactly one depth
@@ -159,17 +162,19 @@ func (l *Loop) TripCount() float64 {
 	return float64(l.BackEdges+l.Entries) / float64(l.Entries)
 }
 
-// activeLoop is one live activation on the detector's loop stack.
+// activeLoop is one live activation on the loop stack.
 type activeLoop struct {
 	header, tail uint32
 	callDepth    int
 	loop         *Loop
 }
 
-// Detector is the streaming loop detector and attribution engine for
-// one engine run. Feed it every retired instruction in retirement
-// order (it implements pipeline.ReuseProbe); it is single-goroutine,
-// like the engine that drives it.
+// LoopStack is the streaming loop detector for one engine run: the
+// stack of live loop activations, the table of loops seen so far, and
+// the call depth. Its owner advances it once per retired instruction,
+// in retirement order, before any probe sees the slot, so every probe
+// on the engine reads one loop view. The zero value is ready to use;
+// it is single-goroutine, like the engine that drives it.
 //
 // A loop is recognized at its first back edge — a taken control
 // transfer to a lower or equal PC — so an activation's first body
@@ -179,67 +184,35 @@ type activeLoop struct {
 // calls made from the body keep it live (the callee's instructions are
 // dynamically inside the loop), and returning below that call depth
 // ends it.
-type Detector struct {
-	buckets   [NumBuckets]BucketStat
+type LoopStack struct {
+	stack     []activeLoop
 	loops     map[uint32]*Loop
 	order     []uint32 // header insertion order, for deterministic reports
-	stack     []activeLoop
 	callDepth int
+	execDepth int
 }
 
-// NewDetector returns an empty detector.
-func NewDetector() *Detector {
-	return &Detector{loops: make(map[uint32]*Loop)}
-}
-
-// Depth is the current loop-nesting depth (0 = straight-line).
-func (d *Detector) Depth() int { return len(d.stack) }
-
-// Active returns the innermost active loop's identity — its header PC —
-// or ok=false when execution is in straight-line code. Consumers that
-// need an exact partition of observed events over loops (each event in
-// exactly one row, unlike the inclusive interval rollups a nested join
-// produces) attribute to the active loop at event time.
-func (d *Detector) Active() (header uint32, ok bool) {
-	if n := len(d.stack); n > 0 {
-		return d.stack[n-1].header, true
-	}
-	return 0, false
-}
-
-// ReuseSlot feeds one retired instruction. fromFrame marks slots
-// retired through a committed frame or trace-cache line; uopsExecuted
-// is the post-optimization micro-op count retired with the slot
-// (frame-path slots pass 0 — their optimized body arrives in bulk via
-// ReuseFrameRetired).
-func (d *Detector) ReuseSlot(s pipeline.Slot, fromFrame bool, uopsExecuted int) {
+// Retire advances the stack past one retired instruction: it leaves
+// the loops whose body no longer holds the PC, charges the slot's
+// micro-ops to the innermost live loop, then applies the instruction's
+// control effects.
+func (ls *LoopStack) Retire(s *pipeline.Slot) {
 	pc := s.PC
 	// Leave loops whose body no longer contains the PC at the call depth
 	// they were entered at.
-	for n := len(d.stack); n > 0; n = len(d.stack) {
-		top := &d.stack[n-1]
-		if d.callDepth > top.callDepth {
+	for n := len(ls.stack); n > 0; n = len(ls.stack) {
+		top := &ls.stack[n-1]
+		if ls.callDepth > top.callDepth {
 			break // inside a function called from the loop body
 		}
-		if d.callDepth == top.callDepth && pc >= top.header && pc <= top.tail {
+		if ls.callDepth == top.callDepth && pc >= top.header && pc <= top.tail {
 			break
 		}
-		d.stack = d.stack[:n-1]
+		ls.stack = ls.stack[:n-1]
 	}
-
-	b := &d.buckets[BucketOf(len(d.stack))]
-	b.X86++
-	n := uint64(len(s.UOps))
-	b.UOps += n
-	b.UOpsRetired += uint64(uopsExecuted)
-	if fromFrame {
-		b.Covered += n
-	}
-	for _, u := range s.UOps {
-		b.Classes[ClassOf(u.Op)]++
-	}
-	if ln := len(d.stack); ln > 0 {
-		d.stack[ln-1].loop.UOps += n
+	ls.execDepth = len(ls.stack)
+	if ls.execDepth > 0 {
+		ls.stack[ls.execDepth-1].loop.UOps += uint64(len(s.UOps))
 	}
 
 	// Control effects happen on the way out: the call depth changes
@@ -247,28 +220,28 @@ func (d *Detector) ReuseSlot(s pipeline.Slot, fromFrame bool, uopsExecuted int) 
 	// an iteration at the depth the instruction executed at.
 	switch s.Inst.Op {
 	case x86.OpCALL:
-		d.callDepth++
+		ls.callDepth++
 	case x86.OpRET:
-		if d.callDepth > 0 {
-			d.callDepth--
+		if ls.callDepth > 0 {
+			ls.callDepth--
 		}
 	default:
 		if s.NextPC <= pc && s.Taken() {
-			d.backEdge(s.NextPC, pc)
+			ls.backEdge(s.NextPC, pc)
 		}
 	}
 }
 
 // backEdge processes a taken backward control transfer tail -> header.
-func (d *Detector) backEdge(header, tail uint32) {
+func (ls *LoopStack) backEdge(header, tail uint32) {
 	// Re-iteration of a live activation: find it at the current call
 	// depth, unwinding inner activations this iteration did not close.
-	for i := len(d.stack) - 1; i >= 0 && d.stack[i].callDepth == d.callDepth; i-- {
-		a := &d.stack[i]
+	for i := len(ls.stack) - 1; i >= 0 && ls.stack[i].callDepth == ls.callDepth; i-- {
+		a := &ls.stack[i]
 		if a.header != header {
 			continue
 		}
-		d.stack = d.stack[:i+1]
+		ls.stack = ls.stack[:i+1]
 		if tail > a.tail {
 			a.tail = tail
 		}
@@ -279,50 +252,106 @@ func (d *Detector) backEdge(header, tail uint32) {
 		return
 	}
 	// First back edge of a new activation.
-	l := d.loops[header]
+	l := ls.loops[header]
 	if l == nil {
+		if ls.loops == nil {
+			ls.loops = make(map[uint32]*Loop)
+		}
 		l = &Loop{Header: header, Tail: tail}
-		d.loops[header] = l
-		d.order = append(d.order, header)
+		ls.loops[header] = l
+		ls.order = append(ls.order, header)
 	}
 	l.Entries++
 	l.BackEdges++
 	if tail > l.Tail {
 		l.Tail = tail
 	}
-	d.stack = append(d.stack, activeLoop{header: header, tail: tail, callDepth: d.callDepth, loop: l})
-	if nest := len(d.stack); nest > l.Nest {
+	ls.stack = append(ls.stack, activeLoop{header: header, tail: tail, callDepth: ls.callDepth, loop: l})
+	if nest := len(ls.stack); nest > l.Nest {
 		l.Nest = nest
 	}
 }
 
-// ReuseFrameBuilt attributes a constructor frame deposit.
-func (d *Detector) ReuseFrameBuilt() { d.buckets[BucketOf(len(d.stack))].FrameBuilds++ }
+// ExecDepth is the nesting depth the last retired instruction executed
+// at: after it left the loops it exited, before its own back edge.
+// Reuse buckets attribute retired work here.
+func (ls *LoopStack) ExecDepth() int { return ls.execDepth }
 
-// ReuseFrameHit attributes a frame-cache fetch.
-func (d *Detector) ReuseFrameHit() { d.buckets[BucketOf(len(d.stack))].FrameHits++ }
+// Depth is the current loop-nesting depth (0 = straight-line),
+// including the last retired instruction's back edge.
+func (ls *LoopStack) Depth() int { return len(ls.stack) }
 
-// ReuseFrameRetired attributes a committed frame's optimized body.
-func (d *Detector) ReuseFrameRetired(uops int) {
-	d.buckets[BucketOf(len(d.stack))].UOpsRetired += uint64(uops)
+// Active returns the innermost active loop's identity — its header PC —
+// or ok=false when execution is in straight-line code. Like Depth it
+// reflects the last retired instruction's own back edge, so a closing
+// branch counts toward the loop it closes. Consumers that need an exact
+// partition of observed events over loops (each event in exactly one
+// row, unlike the inclusive interval rollups a nested join produces)
+// attribute to the active loop at event time.
+func (ls *LoopStack) Active() (header uint32, ok bool) {
+	if n := len(ls.stack); n > 0 {
+		return ls.stack[n-1].header, true
+	}
+	return 0, false
 }
-
-// ReuseOptRemoved attributes micro-ops removed by an optimizer pass run.
-func (d *Detector) ReuseOptRemoved(removed int) {
-	d.buckets[BucketOf(len(d.stack))].OptRemoved += uint64(removed)
-}
-
-// ReuseEvict attributes a frame/trace-cache eviction.
-func (d *Detector) ReuseEvict() { d.buckets[BucketOf(len(d.stack))].Evictions++ }
 
 // Loops returns the detected loops in first-observed order.
-func (d *Detector) Loops() []Loop {
-	out := make([]Loop, 0, len(d.order))
-	for _, h := range d.order {
-		out = append(out, *d.loops[h])
+func (ls *LoopStack) Loops() []Loop {
+	out := make([]Loop, 0, len(ls.order))
+	for _, h := range ls.order {
+		out = append(out, *ls.loops[h])
 	}
 	return out
 }
+
+// Detector attributes one engine's retired work and frame-lifecycle
+// events to loop-depth buckets, reading the engine's shared LoopStack
+// (which its owner advances before each slot reaches the Detector).
+// Retired slots land in the bucket of the depth they executed at;
+// lifecycle events in the bucket of the depth live when they fire.
+type Detector struct {
+	pipeline.NopProbe
+	*LoopStack
+	buckets [NumBuckets]BucketStat
+}
+
+// NewDetector returns an empty detector over the loop stack.
+func NewDetector(loops *LoopStack) *Detector { return &Detector{LoopStack: loops} }
+
+// SlotRetired attributes one retired instruction. fromFrame marks slots
+// retired through a committed frame or trace-cache line; uopsExecuted
+// is the post-optimization micro-op count retired with the slot.
+func (d *Detector) SlotRetired(s pipeline.Slot, fromFrame bool, uopsExecuted int) {
+	b := &d.buckets[BucketOf(d.ExecDepth())]
+	b.X86++
+	n := uint64(len(s.UOps))
+	b.UOps += n
+	b.UOpsRetired += uint64(uopsExecuted)
+	if fromFrame {
+		b.Covered += n
+	}
+	for _, u := range s.UOps {
+		b.Classes[ClassOf(u.Op)]++
+	}
+}
+
+// live is the bucket of the depth live right now.
+func (d *Detector) live() *BucketStat { return &d.buckets[BucketOf(d.Depth())] }
+
+// FrameBuilt attributes a constructor frame deposit.
+func (d *Detector) FrameBuilt() { d.live().FrameBuilds++ }
+
+// FrameHit attributes a frame-cache fetch.
+func (d *Detector) FrameHit() { d.live().FrameHits++ }
+
+// FrameRetired attributes a committed frame's optimized body.
+func (d *Detector) FrameRetired(uops int) { d.live().UOpsRetired += uint64(uops) }
+
+// OptRemoved attributes micro-ops removed by an optimizer run.
+func (d *Detector) OptRemoved(removed int) { d.live().OptRemoved += uint64(removed) }
+
+// Evict attributes a frame/trace-cache eviction.
+func (d *Detector) Evict() { d.live().Evictions++ }
 
 // Buckets returns the attribution cells, indexed by depth bucket.
 func (d *Detector) Buckets() [NumBuckets]BucketStat { return d.buckets }

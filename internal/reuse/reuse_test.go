@@ -18,11 +18,18 @@ func slot(pc, next uint32, op x86.Op, uops ...uop.Op) pipeline.Slot {
 	return pipeline.Slot{PC: pc, Inst: x86.Inst{Op: op, Len: 4}, NextPC: next, UOps: us}
 }
 
+// retire advances the detector's loop stack past the slot, then hands
+// the slot to the detector: the order an engine's probe fan-out uses.
+func retire(d *Detector, s pipeline.Slot) {
+	d.Retire(&s)
+	d.SlotRetired(s, false, len(s.UOps))
+}
+
 // feed retires the slots through a fresh detector.
 func feed(slots []pipeline.Slot) *Detector {
-	d := NewDetector()
+	d := NewDetector(&LoopStack{})
 	for i := range slots {
-		d.ReuseSlot(slots[i], false, len(slots[i].UOps))
+		retire(d, slots[i])
 	}
 	return d
 }
@@ -272,15 +279,15 @@ func TestDetectorLoopWithCall(t *testing.T) {
 // TestDetectorFrameEvents pins event attribution: lifecycle events land
 // in the bucket of the depth live when they fire.
 func TestDetectorFrameEvents(t *testing.T) {
-	d := NewDetector()
-	d.ReuseFrameBuilt() // straight-line: nothing retired yet
+	d := NewDetector(&LoopStack{})
+	d.FrameBuilt() // straight-line: nothing retired yet
 	slots := singleLoop(4)
 	for i := range slots {
-		d.ReuseSlot(slots[i], false, len(slots[i].UOps))
+		retire(d, slots[i])
 		if slots[i].PC == 0x14 { // inside the loop body
-			d.ReuseFrameHit()
-			d.ReuseOptRemoved(2)
-			d.ReuseEvict()
+			d.FrameHit()
+			d.OptRemoved(2)
+			d.Evict()
 		}
 	}
 	b := d.Buckets()
@@ -297,19 +304,21 @@ func TestDetectorFrameEvents(t *testing.T) {
 	}
 }
 
-// TestCollectorFold checks Attach/Close: per-trace probes fold into one
-// report, loops are tagged with their trace index, and Close is
-// idempotent.
+// TestCollectorFold checks Attach and its fold: per-trace probes fold
+// into one report, loops are tagged with their trace index, and a
+// second fold call is a no-op.
 func TestCollectorFold(t *testing.T) {
 	c := NewCollector()
 	for trace := 0; trace < 2; trace++ {
-		p := c.Attach(trace)
+		var loops LoopStack
+		p, done := c.Attach(trace, &loops)
 		slots := singleLoop(4)
 		for i := range slots {
-			p.ReuseSlot(slots[i], false, len(slots[i].UOps))
+			loops.Retire(&slots[i])
+			p.SlotRetired(slots[i], false, len(slots[i].UOps))
 		}
-		p.Close()
-		p.Close() // second Close must not double-count
+		done()
+		done() // a second fold must not double-count
 	}
 	r := c.Snapshot()
 	if r.Loops != 2 {

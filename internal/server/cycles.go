@@ -1,11 +1,8 @@
 package server
 
 import (
-	"net/http"
 	"sync"
 
-	"repro/internal/api"
-	"repro/internal/cycleprof"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -59,59 +56,4 @@ func (m *cycleMetrics) render(p *stats.Prom) {
 		"bin", samples)
 	p.Counter("replayd_cycleprof_loops_total", "Loop-joined hotspots across cycles-experiment runs.", float64(loops))
 	p.Counter("replayd_cycleprof_loop_cycles_total", "Fetch cycles attributed inside detected loop bodies across cycles-experiment runs (inclusive rollups; nested loops overlap).", float64(loopCycles))
-}
-
-// handleProfile serves a finished cycles job's guest profile. The
-// format query parameter selects the representation: "json" (default)
-// returns the full sim.CycleReport, "pprof" the gzipped pprof protobuf
-// (samples = cycles, labels = bin, locations = guest PCs under
-// synthetic loop frames), and "text" collapsed flame stacks. The
-// profile exists only on jobs submitted with experiment "cycles".
-func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("job")
-	if id == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "missing job query parameter"})
-		return
-	}
-	format := r.URL.Query().Get("format")
-	switch format {
-	case "", "json", "pprof", "text":
-	default:
-		writeJSON(w, http.StatusBadRequest,
-			map[string]string{"error": "unknown format; want json, pprof, or text"})
-		return
-	}
-	j, ok := s.lookup(id)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "no such job"})
-		return
-	}
-	v := j.view()
-	switch v.State {
-	case api.StateQueued, api.StateRunning:
-		writeJSON(w, http.StatusConflict,
-			map[string]string{"error": "job has not finished; profile not available yet"})
-		return
-	}
-	if v.Result == nil || v.Result.Cycles == nil {
-		writeJSON(w, http.StatusNotFound,
-			map[string]string{"error": "job has no cycle profile; submit it with experiment \"cycles\""})
-		return
-	}
-	switch format {
-	case "pprof":
-		data, err := cycleprof.Profile(v.Result.Cycles.Profiles())
-		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Disposition", `attachment; filename="guest.pb.gz"`)
-		w.Write(data)
-	case "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write(cycleprof.FlameText(v.Result.Cycles.Profiles()))
-	default:
-		writeJSON(w, http.StatusOK, v.Result.Cycles)
-	}
 }

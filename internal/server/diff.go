@@ -10,7 +10,6 @@ import (
 	"repro/internal/api"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 )
 
 // The ablation-diff front end: POST /v1/diff compares two
@@ -191,33 +190,6 @@ func (s *Server) jobSpec(id string) (*api.RunRequest, error) {
 	return &req, nil
 }
 
-// handleDiffDebug serves a finished diff job's comparison report.
-func (s *Server) handleDiffDebug(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("job")
-	if id == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "missing job query parameter"})
-		return
-	}
-	j, ok := s.lookup(id)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "no such job"})
-		return
-	}
-	v := j.view()
-	switch v.State {
-	case api.StateQueued, api.StateRunning:
-		writeJSON(w, http.StatusConflict,
-			map[string]string{"error": "job has not finished; diff report not available yet"})
-		return
-	}
-	if v.Result == nil || v.Result.Diff == nil {
-		writeJSON(w, http.StatusNotFound,
-			map[string]string{"error": "job has no diff report; submit it with experiment \"diff\""})
-		return
-	}
-	writeJSON(w, http.StatusOK, v.Result.Diff)
-}
-
 // runDiffX is the diff Runner for jobs whose baseline or variant names
 // a spooled trace: it adapts the trace(s) and compares through
 // sim.DiffPair, producing a one-row report.
@@ -227,15 +199,9 @@ func (s *Server) runDiffX(ctx context.Context, req api.RunRequest, progress func
 	if repeats < 1 {
 		repeats = 1
 	}
-	baseMode, err := api.ParseMode(req.Mode)
+	baseMode, varMode, err := diffModes(req)
 	if err != nil {
 		return nil, err
-	}
-	varMode := baseMode
-	if d.Mode != "" {
-		if varMode, err = api.ParseMode(d.Mode); err != nil {
-			return nil, err
-		}
 	}
 
 	base := sim.DiffSide{Label: "baseline", Mode: baseMode, HasMode: true,
@@ -271,7 +237,8 @@ func (s *Server) runDiffX(ctx context.Context, req api.RunRequest, progress func
 		vari.Profile, vari.External = base.Profile, base.External
 	}
 
-	opts := s.diffOptions(ctx, req, progress, 2*repeats)
+	opts := simOptions(ctx, req, progress, 2*repeats)
+	opts.ConfigMod = nil // each side carries its own config
 	rep, err := sim.DiffPair(ctx, base, vari, opts, repeats)
 	if err != nil {
 		return nil, err
@@ -311,25 +278,4 @@ func (s *Server) externalRun(id string) (*sim.ExternalRun, error) {
 		Slots:       slots,
 		Insts:       int(t.Header.Insts),
 	}, nil
-}
-
-// diffOptions assembles the sim options one diff job shares across its
-// runs: budget and warmup from the request, telemetry from the job
-// context, and progress notifications against the known run total.
-// Deliberately no ConfigMod — a diff's configuration is per-side.
-func (s *Server) diffOptions(ctx context.Context, req api.RunRequest, progress func(api.Event), total int) sim.Options {
-	opts := sim.Options{
-		MaxInsts:   req.Insts,
-		WarmupFrac: req.WarmupFrac,
-		Telemetry:  telemetry.FromContext(ctx),
-	}
-	var done atomic.Int64
-	opts.Notify = func(r sim.Result) {
-		progress(api.Event{
-			Msg:   fmt.Sprintf("%s/%s done", r.Workload, r.Mode),
-			Done:  int(done.Add(1)),
-			Total: total,
-		})
-	}
-	return opts
 }

@@ -184,7 +184,7 @@ func TestDiffJobIDForm(t *testing.T) {
 	}
 }
 
-// TestDiffValidation pins the /v1/diff and /debug/diff error surfaces.
+// TestDiffValidation pins the /v1/diff error surface.
 func TestDiffValidation(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Shutdown(context.Background())
@@ -226,30 +226,6 @@ func TestDiffValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d, want 400", resp.StatusCode)
-	}
-
-	get := func(path string) int {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		io.Copy(io.Discard, resp.Body)
-		return resp.StatusCode
-	}
-	if got := get("/debug/diff"); got != http.StatusBadRequest {
-		t.Errorf("missing job param: status %d, want 400", got)
-	}
-	if got := get("/debug/diff?job=job-999999"); got != http.StatusNotFound {
-		t.Errorf("unknown job: status %d, want 404", got)
-	}
-	// A finished non-diff job has no report to serve.
-	env, status := postRun(t, ts.URL+"/v1/run", cell)
-	if status != http.StatusOK {
-		t.Fatalf("cell run: status %d (%s)", status, env.Error)
-	}
-	if got := get("/debug/diff?job=" + env.ID); got != http.StatusNotFound {
-		t.Errorf("non-diff job: status %d, want 404", got)
 	}
 }
 

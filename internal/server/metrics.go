@@ -128,18 +128,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"Simulated fetch cycles per fetch bin across executed runs; bins sum to replayd_pipeline_cycles_total.",
 		"bin", binSamples)
 
-	// Loop-structure reuse attribution, folded from finished reuse-
-	// experiment jobs: per-depth-bucket counters plus loop-shape
-	// histograms whose exemplars point at contributing jobs' traces.
-	s.rmet.render(p)
-
-	// Guest-cycle profiler aggregates, folded from finished cycles-
-	// experiment jobs.
-	s.cmet.render(p)
-
-	// Ablation-diff comparison counters, folded from finished diff-
-	// experiment jobs.
-	s.dmet.render(p)
+	// Per-report aggregates folded from finished reuse, cycles and diff
+	// jobs: reuse depth buckets and loop-shape histograms (exemplars
+	// point at contributing jobs' traces), guest-cycle bins, and diff
+	// comparison counters.
+	for _, k := range reportKinds {
+		k.render(s, p)
+	}
 
 	// Frame-lifecycle histograms from the telemetry layer: every job
 	// (traced or not) observes into the same histogram set. Memoized

@@ -1,10 +1,8 @@
 package server
 
 import (
-	"net/http"
 	"sync"
 
-	"repro/internal/api"
 	"repro/internal/reuse"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -105,33 +103,4 @@ func (m *reuseMetrics) render(p *stats.Prom) {
 
 	p.Histogram(m.tripHist.Snapshot())
 	p.Histogram(m.uopsHist.Snapshot())
-}
-
-// handleReuse serves a finished reuse job's report — the per-workload
-// loop decomposition plus the ranked representative subset — as JSON.
-// The report exists only on jobs submitted with experiment "reuse".
-func (s *Server) handleReuse(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("job")
-	if id == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "missing job query parameter"})
-		return
-	}
-	j, ok := s.lookup(id)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "no such job"})
-		return
-	}
-	v := j.view()
-	switch v.State {
-	case api.StateQueued, api.StateRunning:
-		writeJSON(w, http.StatusConflict,
-			map[string]string{"error": "job has not finished; reuse report not available yet"})
-		return
-	}
-	if v.Result == nil || v.Result.Reuse == nil {
-		writeJSON(w, http.StatusNotFound,
-			map[string]string{"error": "job has no reuse report; submit it with experiment \"reuse\""})
-		return
-	}
-	writeJSON(w, http.StatusOK, v.Result.Reuse)
 }

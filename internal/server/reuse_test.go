@@ -104,58 +104,6 @@ func TestReuseEndToEnd(t *testing.T) {
 	}
 }
 
-// TestReuseHandlerErrors pins the /debug/reuse error surface: missing
-// parameter, unknown job, running job, and a finished job of a
-// different experiment.
-func TestReuseHandlerErrors(t *testing.T) {
-	g := newGatedRunner()
-	s := New(Config{Workers: 1, Runner: g.run})
-	defer s.Shutdown(context.Background())
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	get := func(path string) int {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return resp.StatusCode
-	}
-	if got := get("/debug/reuse"); got != http.StatusBadRequest {
-		t.Errorf("missing job param: status %d, want 400", got)
-	}
-	if got := get("/debug/reuse?job=job-999999"); got != http.StatusNotFound {
-		t.Errorf("unknown job: status %d, want 404", got)
-	}
-
-	// A queued/running job answers 409 until it settles.
-	body, _ := json.Marshal(api.RunRequest{Experiment: "fig6"})
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var env jobEnvelope
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	waitFor(t, "job to start", func() bool { return g.calls.Load() == 1 })
-	if got := get("/debug/reuse?job=" + env.ID); got != http.StatusConflict {
-		t.Errorf("running job: status %d, want 409", got)
-	}
-	close(g.release)
-	waitFor(t, "job to finish", func() bool {
-		j, ok := s.lookup(env.ID)
-		return ok && j.view().State == api.StateDone
-	})
-	// Finished, but not a reuse experiment: no report to serve.
-	if got := get("/debug/reuse?job=" + env.ID); got != http.StatusNotFound {
-		t.Errorf("non-reuse job: status %d, want 404", got)
-	}
-}
-
 // TestReuseMetricsFold checks the metrics aggregation directly: two
 // folded reports sum, and histogram exemplars carry the job trace ID.
 func TestReuseMetricsFold(t *testing.T) {

@@ -21,23 +21,7 @@ func SimRunner(ctx context.Context, req api.RunRequest, progress func(api.Event)
 	if err != nil {
 		return nil, err
 	}
-	opts := sim.Options{
-		MaxInsts:   req.Insts,
-		WarmupFrac: req.WarmupFrac,
-		ConfigMod:  configMod(req.Config),
-		// The server threads the job's collector (global histogram-only,
-		// or the per-job trace collector) through the context.
-		Telemetry: telemetry.FromContext(ctx),
-	}
-	total := runCount(req, len(profiles))
-	var done atomic.Int64
-	opts.Notify = func(r sim.Result) {
-		progress(api.Event{
-			Msg:   fmt.Sprintf("%s/%s done", r.Workload, r.Mode),
-			Done:  int(done.Add(1)),
-			Total: total,
-		})
-	}
+	opts := simOptions(ctx, req, progress, runCount(req, len(profiles)))
 
 	res := &api.RunResponse{Experiment: req.Experiment}
 	switch req.Experiment {
@@ -83,21 +67,50 @@ func SimRunner(ctx context.Context, req api.RunRequest, progress func(api.Event)
 	return res, nil
 }
 
+// simOptions assembles the sim options a job's runs share: budget,
+// warmup and config from the request, telemetry from the job context
+// (the global histogram-only collector, or the per-job trace
+// collector), and one progress event per completed run against the
+// known run total.
+func simOptions(ctx context.Context, req api.RunRequest, progress func(api.Event), total int) sim.Options {
+	opts := sim.Options{
+		MaxInsts:   req.Insts,
+		WarmupFrac: req.WarmupFrac,
+		ConfigMod:  configMod(req.Config),
+		Telemetry:  telemetry.FromContext(ctx),
+	}
+	var done atomic.Int64
+	opts.Notify = func(r sim.Result) {
+		progress(api.Event{
+			Msg:   fmt.Sprintf("%s/%s done", r.Workload, r.Mode),
+			Done:  int(done.Add(1)),
+			Total: total,
+		})
+	}
+	return opts
+}
+
+// diffModes parses a diff request's two fetch engines: the request's
+// own Mode is the baseline's, and an unset variant mode inherits it.
+func diffModes(req api.RunRequest) (base, vari pipeline.Mode, err error) {
+	if base, err = api.ParseMode(req.Mode); err != nil {
+		return 0, 0, err
+	}
+	if req.Diff.Mode == "" {
+		return base, base, nil
+	}
+	vari, err = api.ParseMode(req.Diff.Mode)
+	return base, vari, err
+}
+
 // runDiffSweep maps a diff request's two sides onto the sim driver's
 // baseline/variant sweep: the request's own Mode/Config describe the
-// baseline, the Diff spec the variant (an unset variant mode inherits
-// the baseline's).
+// baseline, the Diff spec the variant.
 func runDiffSweep(ctx context.Context, profiles []workload.Profile, req api.RunRequest, opts sim.Options) (*sim.DiffReport, error) {
 	d := req.Diff
-	baseMode, err := api.ParseMode(req.Mode)
+	baseMode, varMode, err := diffModes(req)
 	if err != nil {
 		return nil, err
-	}
-	varMode := baseMode
-	if d.Mode != "" {
-		if varMode, err = api.ParseMode(d.Mode); err != nil {
-			return nil, err
-		}
 	}
 	base := sim.DiffVariant{Label: "baseline", Mode: baseMode, HasMode: true,
 		ConfigMod: configMod(req.Config)}

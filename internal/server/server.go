@@ -436,12 +436,12 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/traces/{id}", s.handleTraceInfo)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /debug/trace", s.handleTrace)
-	s.mux.HandleFunc("GET /debug/reuse", s.handleReuse)
-	s.mux.HandleFunc("GET /debug/diff", s.handleDiffDebug)
-	s.mux.HandleFunc("GET /debug/profile", s.handleProfile)
 	s.mux.HandleFunc("GET /debug/traces", s.handleTraces)
 	s.mux.HandleFunc("GET /debug/traces/{id}", s.handleTraceByID)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
+	for _, k := range reportKinds {
+		s.mux.HandleFunc("GET "+k.path, s.handleReport(k))
+	}
 }
 
 // errSubmit carries an HTTP status for submission failures, plus an
@@ -712,14 +712,12 @@ func (s *Server) settle(j *job, res *api.RunResponse, err error) {
 	if err == nil && execDur > 0 {
 		s.met.observeExec(execDur.Seconds())
 	}
-	if err == nil && res != nil && res.Reuse != nil {
-		s.rmet.fold(res.Reuse, j.traceID)
-	}
-	if err == nil && res != nil && res.Cycles != nil {
-		s.cmet.fold(res.Cycles)
-	}
-	if err == nil && res != nil && res.Diff != nil {
-		s.dmet.fold(res.Diff)
+	if err == nil && res != nil {
+		for _, k := range reportKinds {
+			if _, ok := k.report(res); ok {
+				k.fold(s, res, j.traceID)
+			}
+		}
 	}
 	// Close out the job's spans (idempotent: the queue-wait span already
 	// ended if a worker picked the job up). An errored or canceled job

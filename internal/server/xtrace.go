@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 	"repro/internal/xtrace"
 )
@@ -247,13 +246,6 @@ func (s *Server) runXTrace(ctx context.Context, req api.RunRequest, progress fun
 	if err != nil {
 		return nil, err
 	}
-	opts := sim.Options{
-		MaxInsts:   req.Insts,
-		WarmupFrac: req.WarmupFrac,
-		ConfigMod:  configMod(req.Config),
-		Telemetry:  telemetry.FromContext(ctx),
-	}
-
 	if req.Experiment == api.ExpReuse {
 		// The trace ranks alongside the explicitly listed workloads; an
 		// empty list decomposes the upload alone.
@@ -263,15 +255,7 @@ func (s *Server) runXTrace(ctx context.Context, req api.RunRequest, progress fun
 				return nil, err
 			}
 		}
-		total := len(profiles) + 1
-		var done atomic.Int64
-		opts.Notify = func(r sim.Result) {
-			progress(api.Event{
-				Msg:   fmt.Sprintf("%s/%s done", r.Workload, r.Mode),
-				Done:  int(done.Add(1)),
-				Total: total,
-			})
-		}
+		opts := simOptions(ctx, req, progress, len(profiles)+1)
 		rep, err := sim.ReuseWithExternal(ctx, profiles, []sim.ExternalRun{*ext}, opts)
 		if err != nil {
 			return nil, err
@@ -284,10 +268,7 @@ func (s *Server) runXTrace(ctx context.Context, req api.RunRequest, progress fun
 	if err != nil {
 		return nil, err
 	}
-	opts.Notify = func(r sim.Result) {
-		progress(api.Event{Msg: fmt.Sprintf("%s/%s done", r.Workload, r.Mode), Done: 1, Total: 1})
-	}
-	res, err := sim.RunExternal(ctx, *ext, mode, opts)
+	res, err := sim.RunExternal(ctx, *ext, mode, simOptions(ctx, req, progress, 1))
 	if err != nil {
 		return nil, err
 	}

@@ -42,18 +42,12 @@ func (r *CycleReport) Profiles() []cycleprof.NamedReport {
 // path, so each row is conservation-exact against its measured run;
 // rows come back in profile order, deterministic.
 func CycleProf(ctx context.Context, profiles []workload.Profile, o Options) (*CycleReport, error) {
-	cols := make([]*cycleprof.Collector, len(profiles))
-	results := make([]Result, len(profiles))
-	errs := make([]error, len(profiles))
 	jobs := make([]runJob, len(profiles))
 	for i, p := range profiles {
-		cols[i] = cycleprof.NewCollector()
-		po := o
-		po.CycleProf = cols[i]
-		jobs[i] = runJob{profile: p, mode: pipeline.ModeRePLayOpt, opts: po,
-			out: &results[i], err: &errs[i]}
+		jobs[i] = runJob{profile: p, mode: pipeline.ModeRePLayOpt}
 	}
-	if err := runAll(ctx, jobs); err != nil {
+	cols, results, err := runProbed(ctx, jobs, o, cycleprof.NewCollector)
+	if err != nil {
 		return nil, err
 	}
 	rep := &CycleReport{Rows: make([]CycleRow, len(profiles))}

@@ -26,7 +26,7 @@ func TestCycleConservation(t *testing.T) {
 			for _, v := range reuseOptVariants {
 				col := cycleprof.NewCollector()
 				res, err := RunWorkload(context.Background(), p, pipeline.ModeRePLayOpt,
-					Options{MaxInsts: 40_000, CycleProf: col, ConfigMod: v.mod, DisableCache: true})
+					Options{MaxInsts: 40_000, Probes: []Collector{col}, ConfigMod: v.mod, DisableCache: true})
 				if err != nil {
 					t.Fatalf("%s: %v", v.name, err)
 				}
@@ -162,7 +162,7 @@ func TestCycleProfDoesNotPolluteMemo(t *testing.T) {
 	}
 	col := cycleprof.NewCollector()
 	withProf, err := RunWorkload(context.Background(), p, pipeline.ModeRePLayOpt,
-		Options{MaxInsts: 30_000, CycleProf: col})
+		Options{MaxInsts: 30_000, Probes: []Collector{col}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestCycleProfWithReuse(t *testing.T) {
 	ccol := cycleprof.NewCollector()
 	rcol := reuse.NewCollector()
 	res, err := RunWorkload(context.Background(), p, pipeline.ModeRePLayOpt,
-		Options{MaxInsts: 30_000, CycleProf: ccol, Reuse: rcol})
+		Options{MaxInsts: 30_000, Probes: []Collector{ccol, rcol}})
 	if err != nil {
 		t.Fatal(err)
 	}

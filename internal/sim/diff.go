@@ -107,22 +107,27 @@ func chainMod(a, b func(*pipeline.Config)) func(*pipeline.Config) {
 	return func(c *pipeline.Config) { a(c); b(c) }
 }
 
-// sideJobs appends one side's runs to jobs: the first repeat carries
-// the diff collector (forcing execution and the serial per-trace path,
-// so its partition is conservation-exact), later repeats run plain and
-// only feed the significance gate. Returns the result slots.
-func sideJobs(jobs *[]runJob, side DiffSide, o Options, col *diff.Collector,
-	repeats int) ([]Result, []error) {
-	results := make([]Result, repeats)
+// diffRuns is one side's runs: the first repeat carries the diff
+// collector (forcing execution and the serial per-trace path, so its
+// partition is conservation-exact), later repeats run plain and only
+// feed the significance gate.
+type diffRuns struct {
+	label   string
+	col     *diff.Collector
+	results []Result
+}
+
+// sideJobs appends one side's runs to jobs.
+func sideJobs(jobs *[]runJob, side DiffSide, o Options, repeats int) *diffRuns {
+	d := &diffRuns{label: side.Label, col: diff.NewCollector(), results: make([]Result, repeats)}
 	errs := make([]error, repeats)
-	mode := side.mode()
 	for r := 0; r < repeats; r++ {
 		po := o
 		po.ConfigMod = chainMod(o.ConfigMod, side.ConfigMod)
 		if r == 0 {
-			po.Diff = col
+			po.Probes = []Collector{d.col}
 		}
-		j := runJob{mode: mode, opts: po, out: &results[r], err: &errs[r]}
+		j := runJob{mode: side.mode(), opts: po, out: &d.results[r], err: &errs[r]}
 		if side.External != nil {
 			j.external = side.External
 		} else {
@@ -130,7 +135,16 @@ func sideJobs(jobs *[]runJob, side DiffSide, o Options, col *diff.Collector,
 		}
 		*jobs = append(*jobs, j)
 	}
-	return results, errs
+	return d
+}
+
+// side assembles the finished runs into one side of a comparison.
+func (d *diffRuns) side() diff.RunSide {
+	runs := make([]pipeline.Stats, len(d.results))
+	for i := range d.results {
+		runs[i] = d.results[i].Stats
+	}
+	return diff.RunSide{Label: d.label, Profile: d.col.Snapshot(), Runs: runs}
 }
 
 // DiffPair compares two fully specified sides: each side runs repeats
@@ -146,17 +160,12 @@ func DiffPair(ctx context.Context, base, vari DiffSide, o Options, repeats int) 
 	if repeats < 1 {
 		repeats = 1
 	}
-	bcol, vcol := diff.NewCollector(), diff.NewCollector()
 	var jobs []runJob
-	bres, _ := sideJobs(&jobs, base, o, bcol, repeats)
-	vres, _ := sideJobs(&jobs, vari, o, vcol, repeats)
+	b, v := sideJobs(&jobs, base, o, repeats), sideJobs(&jobs, vari, o, repeats)
 	if err := runAll(ctx, jobs); err != nil {
 		return nil, err
 	}
-	return diff.Compare(
-		diff.RunSide{Label: base.Label, Profile: bcol.Snapshot(), Runs: statsOf(bres)},
-		diff.RunSide{Label: vari.Label, Profile: vcol.Snapshot(), Runs: statsOf(vres)},
-	), nil
+	return diff.Compare(b.side(), v.side()), nil
 }
 
 // Diff sweeps the baseline-vs-variant comparison over each profile:
@@ -179,21 +188,14 @@ func Diff(ctx context.Context, profiles []workload.Profile, o Options, base, vs 
 		varLabel = "variant"
 	}
 
-	type cell struct {
-		bcol, vcol *diff.Collector
-		bres, vres []Result
-	}
-	cells := make([]cell, len(profiles))
+	sides := make([][2]*diffRuns, len(profiles))
 	var jobs []runJob
 	for i := range profiles {
-		p := profiles[i]
-		bside := DiffSide{Label: baseLabel, Profile: &p,
-			Mode: base.Mode, HasMode: base.HasMode, ConfigMod: base.ConfigMod}
-		vside := DiffSide{Label: varLabel, Profile: &p,
-			Mode: vs.Mode, HasMode: vs.HasMode, ConfigMod: vs.ConfigMod}
-		cells[i].bcol, cells[i].vcol = diff.NewCollector(), diff.NewCollector()
-		cells[i].bres, _ = sideJobs(&jobs, bside, o, cells[i].bcol, repeats)
-		cells[i].vres, _ = sideJobs(&jobs, vside, o, cells[i].vcol, repeats)
+		p := &profiles[i]
+		sides[i][0] = sideJobs(&jobs, DiffSide{Label: baseLabel, Profile: p,
+			Mode: base.Mode, HasMode: base.HasMode, ConfigMod: base.ConfigMod}, o, repeats)
+		sides[i][1] = sideJobs(&jobs, DiffSide{Label: varLabel, Profile: p,
+			Mode: vs.Mode, HasMode: vs.HasMode, ConfigMod: vs.ConfigMod}, o, repeats)
 	}
 	if err := runAll(ctx, jobs); err != nil {
 		return nil, err
@@ -202,19 +204,8 @@ func Diff(ctx context.Context, profiles []workload.Profile, o Options, base, vs 
 	rep := &DiffReport{Baseline: baseLabel, Variant: varLabel, Repeats: repeats,
 		Rows: make([]DiffRow, len(profiles))}
 	for i, p := range profiles {
-		r := diff.Compare(
-			diff.RunSide{Label: baseLabel, Profile: cells[i].bcol.Snapshot(), Runs: statsOf(cells[i].bres)},
-			diff.RunSide{Label: varLabel, Profile: cells[i].vcol.Snapshot(), Runs: statsOf(cells[i].vres)},
-		)
+		r := diff.Compare(sides[i][0].side(), sides[i][1].side())
 		rep.Rows[i] = DiffRow{Workload: p.Name, Class: p.Class, Report: *r}
 	}
 	return rep, nil
-}
-
-func statsOf(results []Result) []pipeline.Stats {
-	out := make([]pipeline.Stats, len(results))
-	for i := range results {
-		out[i] = results[i].Stats
-	}
-	return out
 }

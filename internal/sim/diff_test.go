@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/cycleprof"
@@ -10,7 +11,9 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/reuse"
 	"repro/internal/telemetry"
+	"repro/internal/uop"
 	"repro/internal/workload"
+	"repro/internal/x86"
 )
 
 // TestDiffProbeConservation pins the tentpole invariant for every
@@ -28,7 +31,7 @@ func TestDiffProbeConservation(t *testing.T) {
 			for _, v := range reuseOptVariants {
 				col := diff.NewCollector()
 				res, err := RunWorkload(context.Background(), p, pipeline.ModeRePLayOpt,
-					Options{MaxInsts: 40_000, Diff: col, ConfigMod: v.mod, DisableCache: true})
+					Options{MaxInsts: 40_000, Probes: []Collector{col}, ConfigMod: v.mod, DisableCache: true})
 				if err != nil {
 					t.Fatalf("%s: %v", v.name, err)
 				}
@@ -191,7 +194,7 @@ func TestDiffDoesNotPolluteMemo(t *testing.T) {
 	}
 	col := diff.NewCollector()
 	probed, err := RunWorkload(context.Background(), p, pipeline.ModeRePLayOpt,
-		Options{MaxInsts: 30_000, Diff: col})
+		Options{MaxInsts: 30_000, Probes: []Collector{col}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +209,10 @@ func TestDiffDoesNotPolluteMemo(t *testing.T) {
 // TestAllProbesTogether attaches every observer at once — telemetry
 // attribution, the reuse collector, the cycle profiler, and the diff
 // probe — on one engine and checks each one's conservation held while
-// the feeds teed. Run under -race this also proves the fan-out paths
-// are data-race-free.
+// the feeds fanned out, and that each collector's report is identical
+// to the one it produces attached alone: the shared loop stack gives
+// every probe the view its own detector would. Run under -race this
+// also proves the fan-out paths are data-race-free.
 func TestAllProbesTogether(t *testing.T) {
 	p, err := workload.ByName("gzip")
 	if err != nil {
@@ -218,8 +223,8 @@ func TestAllProbesTogether(t *testing.T) {
 	ccol := cycleprof.NewCollector()
 	dcol := diff.NewCollector()
 	res, err := RunWorkload(context.Background(), p, pipeline.ModeRePLayOpt,
-		Options{MaxInsts: 30_000, Telemetry: tel, Reuse: rcol, CycleProf: ccol,
-			Diff: dcol, DisableCache: true})
+		Options{MaxInsts: 30_000, Telemetry: tel, Probes: []Collector{rcol, ccol, dcol},
+			DisableCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,5 +256,75 @@ func TestAllProbesTogether(t *testing.T) {
 	}
 	if telKilled != diffKilled {
 		t.Errorf("telemetry kills %d != diff partition kills %d", telKilled, diffKilled)
+	}
+
+	alone := func(c Collector) {
+		if _, err := RunWorkload(context.Background(), p, pipeline.ModeRePLayOpt,
+			Options{MaxInsts: 30_000, Probes: []Collector{c}, DisableCache: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rAlone, cAlone, dAlone := reuse.NewCollector(), cycleprof.NewCollector(), diff.NewCollector()
+	alone(rAlone)
+	alone(cAlone)
+	alone(dAlone)
+	if got := rAlone.Snapshot(); !reflect.DeepEqual(rrep, got) {
+		t.Errorf("reuse report differs attached alone:\n together %+v\n alone    %+v", rrep, got)
+	}
+	if got := cAlone.Snapshot(); !reflect.DeepEqual(crep, got) {
+		t.Errorf("cycleprof report differs attached alone")
+	}
+	if got := dAlone.Snapshot(); !reflect.DeepEqual(dprof, got) {
+		t.Errorf("diff profile differs attached alone")
+	}
+}
+
+// TestProbeFanAdvancesLoopsFirst pins the fan-out's order: the shared
+// loop stack advances before any probe sees a slot, so reuse buckets
+// read the depth the slot executed at and diff rows the loop active
+// after the slot's own back edge. A three-instruction loop body runs
+// three times: its first iteration retires before the loop is known,
+// and its first closing branch already belongs to the loop's row.
+func TestProbeFanAdvancesLoopsFirst(t *testing.T) {
+	rcol, dcol := reuse.NewCollector(), diff.NewCollector()
+	fan := &probeFan{}
+	var folds []func()
+	for _, c := range []Collector{rcol, dcol} {
+		p, done := c.Attach(0, &fan.loops)
+		fan.probes = append(fan.probes, p)
+		folds = append(folds, done)
+	}
+	for trip := 0; trip < 3; trip++ {
+		next := uint32(0x10)
+		if trip == 2 {
+			next = 0x1c
+		}
+		for _, s := range []pipeline.Slot{
+			{PC: 0x10, NextPC: 0x14, Inst: x86.Inst{Op: x86.OpADD, Len: 4}, UOps: []uop.UOp{{Op: uop.ADD}}},
+			{PC: 0x14, NextPC: 0x18, Inst: x86.Inst{Op: x86.OpMOV, Len: 4}, UOps: []uop.UOp{{Op: uop.LOAD}}},
+			{PC: 0x18, NextPC: next, Inst: x86.Inst{Op: x86.OpJCC, Len: 4}, UOps: []uop.UOp{{Op: uop.BR}}},
+		} {
+			fan.SlotRetired(s, false, 1)
+		}
+	}
+	for _, done := range folds {
+		done()
+	}
+
+	rep := rcol.Snapshot()
+	if got := [2]uint64{rep.Bucket(0).X86, rep.Bucket(1).X86}; got != [2]uint64{3, 6} {
+		t.Errorf("reuse straight/d1 x86 = %v, want [3 6]", got)
+	}
+	prof := dcol.Snapshot()
+	var straight, loop uint64
+	for _, r := range prof.Rows {
+		if r.Straight {
+			straight += r.X86
+		} else {
+			loop += r.X86
+		}
+	}
+	if straight != 2 || loop != 7 {
+		t.Errorf("diff straight/loop x86 = %d/%d, want 2/7", straight, loop)
 	}
 }

@@ -71,7 +71,7 @@ func runExternal(ctx context.Context, ext ExternalRun, mode pipeline.Mode, o Opt
 	}
 
 	useMemo := ext.Fingerprint != "" && !o.DisableCache && !o.Telemetry.RequiresExecution() &&
-		o.Reuse == nil && o.CycleProf == nil && o.Diff == nil
+		len(o.Probes) == 0
 	var key memoKey
 	if useMemo {
 		key = memoKey{profile: "xtrace:" + ext.Fingerprint, mode: mode,

@@ -50,28 +50,22 @@ func Reuse(ctx context.Context, profiles []workload.Profile, o Options) (*ReuseR
 func ReuseWithExternal(ctx context.Context, profiles []workload.Profile,
 	exts []ExternalRun, o Options) (*ReuseReport, error) {
 	n := len(profiles) + len(exts)
-	cols := make([]*reuse.Collector, n)
-	results := make([]Result, n)
-	errs := make([]error, n)
 	jobs := make([]runJob, n)
 	for i := range jobs {
-		cols[i] = reuse.NewCollector()
-		po := o
-		po.Reuse = cols[i]
-		jobs[i] = runJob{mode: pipeline.ModeRePLayOpt, opts: po,
-			out: &results[i], err: &errs[i]}
+		jobs[i].mode = pipeline.ModeRePLayOpt
 		if i < len(profiles) {
 			jobs[i].profile = profiles[i]
 		} else {
 			jobs[i].external = &exts[i-len(profiles)]
 		}
 	}
-	if err := runAll(ctx, jobs); err != nil {
+	cols, results, err := runProbed(ctx, jobs, o, reuse.NewCollector)
+	if err != nil {
 		return nil, err
 	}
 	rep := &ReuseReport{Rows: make([]ReuseRow, n)}
 	items := make([]reuse.SubsetItem, n)
-	for i := range jobs {
+	for i := range results {
 		name, class := results[i].Workload, results[i].Class
 		r := ReuseRow{
 			Workload: name,

@@ -44,7 +44,7 @@ func TestReuseConservation(t *testing.T) {
 			for _, v := range reuseOptVariants {
 				col := reuse.NewCollector()
 				res, err := RunWorkload(context.Background(), p, pipeline.ModeRePLayOpt,
-					Options{MaxInsts: 40_000, Reuse: col, ConfigMod: v.mod, DisableCache: true})
+					Options{MaxInsts: 40_000, Probes: []Collector{col}, ConfigMod: v.mod, DisableCache: true})
 				if err != nil {
 					t.Fatalf("%s: %v", v.name, err)
 				}
@@ -163,7 +163,7 @@ func TestReuseDoesNotPolluteMemo(t *testing.T) {
 	}
 	col := reuse.NewCollector()
 	withReuse, err := RunWorkload(context.Background(), p, pipeline.ModeRePLayOpt,
-		Options{MaxInsts: 30_000, Reuse: col})
+		Options{MaxInsts: 30_000, Probes: []Collector{col}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/cycleprof"
-	"repro/internal/diff"
 	"repro/internal/pipeline"
 	"repro/internal/reuse"
 	"repro/internal/telemetry"
@@ -130,29 +129,21 @@ type Options struct {
 	// it would silently produce no events); a histogram-only collector
 	// keeps memoization, and memo hits simply contribute no samples.
 	Telemetry *telemetry.Collector
-	// Reuse, when set, attaches a loop-structure reuse probe to every
-	// engine after warmup (see internal/reuse): retired work and
-	// frame-lifecycle events are attributed to {loop-depth bucket,
-	// instruction class}. Like attribution telemetry it forces execution
-	// (no run-memo hits — a memoized run would observe nothing) and
-	// keeps the serial per-trace path, so probe totals line up exactly
-	// with the measured-window Stats.
-	Reuse *reuse.Collector
-	// CycleProf, when set, attaches a guest-cycle profiler probe to
-	// every engine after warmup (see internal/cycleprof): every charged
-	// fetch cycle is attributed to the guest PC responsible, bucketed
-	// by fetch bin, and joined against detected loop structure. Like
-	// Reuse it forces execution and the serial per-trace path, so the
-	// profile totals equal the measured-window Stats.Cycles/Bins
-	// exactly (the conservation invariant).
-	CycleProf *cycleprof.Collector
-	// Diff, when set, attaches the ablation-diff probe to every engine
-	// after warmup (see internal/diff): retired work, per-pass optimizer
-	// removals, and charged fetch cycles are partitioned over the
-	// innermost active loop, so two probed runs can be joined into a
-	// conservation-exact delta report. Like Reuse and CycleProf it
-	// forces execution and the serial per-trace path.
-	Diff *diff.Collector
+	// Probes are attached to every engine after warmup, so their
+	// attribution covers exactly the measured window and their totals
+	// equal the window's Stats counters (the conservation invariant).
+	// Any probe forces execution (a memoized run would observe nothing)
+	// and keeps the serial per-trace path.
+	Probes []Collector
+}
+
+// Collector gathers one probe's results across every engine a run
+// creates: reuse.Collector, cycleprof.Collector and diff.Collector.
+type Collector interface {
+	// Attach returns the probe for one engine over trace t, reading the
+	// engine's shared loop stack, and the func that folds the probe into
+	// the collector once the engine's measured window ends.
+	Attach(t int, loops *reuse.LoopStack) (probe pipeline.Probe, done func())
 }
 
 // Result is the aggregated outcome of one workload under one mode.
@@ -208,8 +199,7 @@ func runWorkload(ctx context.Context, p workload.Profile, mode pipeline.Mode, o 
 		o.ConfigMod(&cfg)
 	}
 
-	useMemo := !o.DisableCache && !o.Telemetry.RequiresExecution() &&
-		o.Reuse == nil && o.CycleProf == nil && o.Diff == nil
+	useMemo := !o.DisableCache && !o.Telemetry.RequiresExecution() && len(o.Probes) == 0
 	var key memoKey
 	if useMemo {
 		key = memoKey{profile: profileFingerprint(&p), mode: mode,
@@ -226,11 +216,10 @@ func runWorkload(ctx context.Context, p workload.Profile, mode pipeline.Mode, o 
 
 	// Multi-trace profiles fan their traces out across the global CPU
 	// semaphore; aggregation stays in trace-index order, so the result
-	// is bit-identical to the serial loop. Telemetry and span-traced
-	// runs keep the serial path: both attach per-engine observers whose
-	// event interleaving is part of their output.
-	if p.Traces > 1 && o.Telemetry == nil && o.Reuse == nil && o.CycleProf == nil &&
-		o.Diff == nil && span == nil {
+	// is bit-identical to the serial loop. Telemetry, probed and
+	// span-traced runs keep the serial path: all attach per-engine
+	// observers whose event interleaving is part of their output.
+	if p.Traces > 1 && o.Telemetry == nil && len(o.Probes) == 0 && span == nil {
 		if err := runTracesParallel(ctx, &res, p, mode, cfg, o, budget, warmFrac); err != nil {
 			return res, err
 		}
@@ -248,21 +237,8 @@ func runWorkload(ctx context.Context, p workload.Profile, mode pipeline.Mode, o 
 			res.Stats.Add(&st)
 		}
 	}
-	if o.Reuse != nil {
-		// Reuse summary on the sim.run span: how much of the retired mass
-		// sat inside loops, and how much loop structure was found.
-		rep := o.Reuse.Snapshot()
-		span.SetAttr("reuse_loops", rep.Loops)
-		span.SetAttr("reuse_back_edges", rep.BackEdges)
-		span.SetAttr("reuse_loop_uops", rep.LoopUOps)
-		span.SetAttr("reuse_loop_uop_frac", rep.LoopFrac())
-	}
-	if o.CycleProf != nil {
-		// Cycle-accounting summary on the sim.run span: the two bins
-		// the paper's Figure 7/8 narrative turns on.
-		rep := o.CycleProf.Snapshot()
-		span.SetAttr("cycles_mispred_frac", rep.BinFrac(pipeline.BinMispred))
-		span.SetAttr("cycles_frame_frac", rep.BinFrac(pipeline.BinFrame))
+	if span != nil {
+		spanSummaries(span, o.Probes)
 	}
 	recordRun(&res.Stats)
 	if useMemo {
@@ -404,37 +380,16 @@ func runStreamStats(ctx context.Context, name string, stream slotSource, cfg pip
 		run := o.Telemetry.NewRun(fmt.Sprintf("%s/%s/t%d", name, mode, t))
 		eng.SetTelemetry(o.Telemetry, run)
 	}
-	// The reuse, cycle-profiler, and diff probes attach at the same
-	// boundary, so their attribution covers exactly the measured window
-	// and their totals equal the window's Stats counters (the
-	// conservation invariant). The cycle profiler and the diff probe
-	// consume the retired stream too (their loop views ride on the same
-	// detector); when several are set, the retirement and cycle-charge
-	// feeds tee to each.
-	var rprobes []pipeline.ReuseProbe
-	var cprobes []pipeline.CycleProbe
-	if o.Reuse != nil {
-		probe := o.Reuse.Attach(t)
-		defer probe.Close()
-		rprobes = append(rprobes, probe)
-	}
-	if o.CycleProf != nil {
-		probe := o.CycleProf.Attach(t)
-		defer probe.Close()
-		rprobes = append(rprobes, probe)
-		cprobes = append(cprobes, probe)
-	}
-	if o.Diff != nil {
-		probe := o.Diff.Attach(t)
-		defer probe.Close()
-		rprobes = append(rprobes, probe)
-		cprobes = append(cprobes, probe)
-	}
-	if p := teeReuse(rprobes); p != nil {
-		eng.SetReuse(p)
-	}
-	if p := teeCycle(cprobes); p != nil {
-		eng.SetCycleProf(p)
+	// Probes attach at the same boundary. One loop stack per engine,
+	// advanced once per retired slot, feeds every probe's loop view.
+	if len(o.Probes) > 0 {
+		fan := &probeFan{}
+		for _, c := range o.Probes {
+			p, done := c.Attach(t, &fan.loops)
+			defer done()
+			fan.probes = append(fan.probes, p)
+		}
+		eng.SetProbe(fan)
 	}
 	eng.ResetStats()
 	mctx, mspan := tracing.Start(ctx, "sim.measure")
@@ -462,96 +417,81 @@ func runStreamStats(ctx context.Context, name string, stream slotSource, cfg pip
 	return eng.Stats(), nil
 }
 
-// teeReuse fans the retirement feed out to every attached probe. A
-// single probe is returned as-is (preserving its optional
-// ReusePassProbe extension through the engine's cached assertion); a
-// real tee re-exports the extension only when some child implements
-// it, so reuse-only runs never pay the optimizer's per-pass
-// measurement wrapper.
-func teeReuse(probes []pipeline.ReuseProbe) pipeline.ReuseProbe {
-	switch len(probes) {
-	case 0:
-		return nil
-	case 1:
-		return probes[0]
-	}
-	t := &reuseTee{probes: probes}
-	for _, p := range probes {
-		if pp, ok := p.(pipeline.ReusePassProbe); ok {
-			t.pass = append(t.pass, pp)
-		}
-	}
-	if len(t.pass) > 0 {
-		return reusePassTee{t}
-	}
-	return t
+// probeFan is the engine's probe when collectors attach: it advances
+// the engine's loop stack once per retired slot, then forwards every
+// event to each collector's probe in attach order.
+type probeFan struct {
+	loops  reuse.LoopStack
+	probes []pipeline.Probe
 }
 
-// reuseTee fans the retirement feed out to several probes attached to
-// the same engine.
-type reuseTee struct {
-	probes []pipeline.ReuseProbe
-	pass   []pipeline.ReusePassProbe
-}
-
-func (t *reuseTee) ReuseSlot(s pipeline.Slot, fromFrame bool, uopsExecuted int) {
-	for _, p := range t.probes {
-		p.ReuseSlot(s, fromFrame, uopsExecuted)
-	}
-}
-func (t *reuseTee) ReuseFrameBuilt() {
-	for _, p := range t.probes {
-		p.ReuseFrameBuilt()
-	}
-}
-func (t *reuseTee) ReuseFrameHit() {
-	for _, p := range t.probes {
-		p.ReuseFrameHit()
-	}
-}
-func (t *reuseTee) ReuseFrameRetired(uops int) {
-	for _, p := range t.probes {
-		p.ReuseFrameRetired(uops)
-	}
-}
-func (t *reuseTee) ReuseOptRemoved(removed int) {
-	for _, p := range t.probes {
-		p.ReuseOptRemoved(removed)
-	}
-}
-func (t *reuseTee) ReuseEvict() {
-	for _, p := range t.probes {
-		p.ReuseEvict()
+func (f *probeFan) SlotRetired(s pipeline.Slot, fromFrame bool, uopsExecuted int) {
+	f.loops.Retire(&s)
+	for _, p := range f.probes {
+		p.SlotRetired(s, fromFrame, uopsExecuted)
 	}
 }
 
-// reusePassTee is a reuseTee whose method set additionally exposes the
-// per-pass feed, used only when some child consumes it.
-type reusePassTee struct{ *reuseTee }
-
-func (t reusePassTee) ReusePass(pass string, killed, rewritten int) {
-	for _, p := range t.pass {
-		p.ReusePass(pass, killed, rewritten)
+func (f *probeFan) FrameBuilt() {
+	for _, p := range f.probes {
+		p.FrameBuilt()
 	}
 }
 
-// teeCycle fans the cycle-charge feed out to every attached probe.
-func teeCycle(probes []pipeline.CycleProbe) pipeline.CycleProbe {
-	switch len(probes) {
-	case 0:
-		return nil
-	case 1:
-		return probes[0]
+func (f *probeFan) FrameHit() {
+	for _, p := range f.probes {
+		p.FrameHit()
 	}
-	return cycleTee{probes: probes}
 }
 
-// cycleTee fans cycle charges out to several probes.
-type cycleTee struct{ probes []pipeline.CycleProbe }
+func (f *probeFan) FrameRetired(uops int) {
+	for _, p := range f.probes {
+		p.FrameRetired(uops)
+	}
+}
 
-func (t cycleTee) CycleCharge(pc uint32, bin pipeline.Bin, n uint64) {
-	for _, p := range t.probes {
+func (f *probeFan) OptRemoved(removed int) {
+	for _, p := range f.probes {
+		p.OptRemoved(removed)
+	}
+}
+
+func (f *probeFan) Pass(pass string, killed, rewritten int) {
+	for _, p := range f.probes {
+		p.Pass(pass, killed, rewritten)
+	}
+}
+
+func (f *probeFan) Evict() {
+	for _, p := range f.probes {
+		p.Evict()
+	}
+}
+
+func (f *probeFan) CycleCharge(pc uint32, bin pipeline.Bin, n uint64) {
+	for _, p := range f.probes {
 		p.CycleCharge(pc, bin, n)
+	}
+}
+
+// spanSummaries puts each probe's headline numbers on the sim.run span.
+func spanSummaries(span *tracing.Span, probes []Collector) {
+	for _, c := range probes {
+		switch c := c.(type) {
+		case *reuse.Collector:
+			// How much of the retired mass sat inside loops, and how much
+			// loop structure was found.
+			rep := c.Snapshot()
+			span.SetAttr("reuse_loops", rep.Loops)
+			span.SetAttr("reuse_back_edges", rep.BackEdges)
+			span.SetAttr("reuse_loop_uops", rep.LoopUOps)
+			span.SetAttr("reuse_loop_uop_frac", rep.LoopFrac())
+		case *cycleprof.Collector:
+			// The two bins the paper's Figure 7/8 narrative turns on.
+			rep := c.Snapshot()
+			span.SetAttr("cycles_mispred_frac", rep.BinFrac(pipeline.BinMispred))
+			span.SetAttr("cycles_frame_frac", rep.BinFrac(pipeline.BinFrame))
+		}
 	}
 }
 
@@ -565,6 +505,22 @@ type runJob struct {
 	opts     Options
 	out      *Result
 	err      *error
+}
+
+// runProbed runs the jobs through runAll, each with a private collector
+// from newCol attached, and returns the collectors and results in job
+// order.
+func runProbed[C Collector](ctx context.Context, jobs []runJob, o Options, newCol func() C) ([]C, []Result, error) {
+	cols := make([]C, len(jobs))
+	results := make([]Result, len(jobs))
+	errs := make([]error, len(jobs))
+	for i := range jobs {
+		cols[i] = newCol()
+		jobs[i].opts = o
+		jobs[i].opts.Probes = []Collector{cols[i]}
+		jobs[i].out, jobs[i].err = &results[i], &errs[i]
+	}
+	return cols, results, runAll(ctx, jobs)
 }
 
 // runAll executes jobs in parallel under the process-global CPU

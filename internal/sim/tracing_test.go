@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cycleprof"
 	"repro/internal/pipeline"
+	"repro/internal/reuse"
 	"repro/internal/tracing"
 	"repro/internal/workload"
 )
@@ -72,6 +74,42 @@ func TestRunWorkloadSpans(t *testing.T) {
 	// pipeline.run appears under both windows; spot-check one.
 	if got := parents["pipeline.run"]; got != "sim.warmup" && got != "sim.measure" {
 		t.Errorf("pipeline.run parent = %q", got)
+	}
+}
+
+// TestRunWorkloadProbeSpanAttrs: a traced run with the reuse and cycle
+// probes attached carries each probe's headline numbers on sim.run,
+// and they agree with the collectors' own reports.
+func TestRunWorkloadProbeSpanAttrs(t *testing.T) {
+	p, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := tracing.NewStore(tracing.StoreConfig{})
+	ctx, root := tracing.NewTracer(store).StartRoot(context.Background(), "test-root", nil)
+	rcol, ccol := reuse.NewCollector(), cycleprof.NewCollector()
+	if _, err := RunWorkload(ctx, p, pipeline.ModeRePLayOpt,
+		Options{MaxInsts: 30_000, Probes: []Collector{rcol, ccol}}); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+
+	st := store.Get(root.TraceID().String())
+	if st == nil {
+		t.Fatal("no trace stored")
+	}
+	var attrs map[string]any
+	for _, sp := range st.Spans {
+		if sp.Name == "sim.run" {
+			attrs = sp.Attrs
+		}
+	}
+	rrep, crep := rcol.Snapshot(), ccol.Snapshot()
+	if got := attrs["reuse_loops"]; got != rrep.Loops || rrep.Loops == 0 {
+		t.Errorf("sim.run reuse_loops = %v, want %d (nonzero)", got, rrep.Loops)
+	}
+	if got, want := attrs["cycles_mispred_frac"], crep.BinFrac(pipeline.BinMispred); got != want || want == 0 {
+		t.Errorf("sim.run cycles_mispred_frac = %v, want %v (nonzero)", got, want)
 	}
 }
 

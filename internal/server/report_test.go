@@ -16,6 +16,36 @@ import (
 // shares: missing job parameter, unknown format, unknown job, a job
 // that has not finished, and a finished job of a different experiment.
 func TestReportHandlerErrors(t *testing.T) {
+	checkReportErrors(t, reportKinds)
+}
+
+// TestReuseHandlerErrors pins the /debug/reuse error surface.
+func TestReuseHandlerErrors(t *testing.T) {
+	checkReportErrors(t, kindsAt(t, "/debug/reuse"))
+}
+
+// TestProfileHandlerErrors pins the /debug/profile error surface.
+func TestProfileHandlerErrors(t *testing.T) {
+	checkReportErrors(t, kindsAt(t, "/debug/profile"))
+}
+
+// kindsAt returns the registry entry serving path, failing the test if
+// no report route is mounted there.
+func kindsAt(t *testing.T, path string) []reportKind {
+	t.Helper()
+	for _, k := range reportKinds {
+		if k.path == path {
+			return []reportKind{k}
+		}
+	}
+	t.Fatalf("no report kind at %s", path)
+	return nil
+}
+
+// checkReportErrors drives each kind's route through the shared error
+// cases against a fig6 job held running by a gated runner.
+func checkReportErrors(t *testing.T, kinds []reportKind) {
+	t.Helper()
 	g := newGatedRunner()
 	s := New(Config{Workers: 1, Runner: g.run})
 	defer s.Shutdown(context.Background())
@@ -50,7 +80,7 @@ func TestReportHandlerErrors(t *testing.T) {
 	}
 	resp.Body.Close()
 	waitFor(t, "job to start", func() bool { return g.calls.Load() == 1 })
-	for _, k := range reportKinds {
+	for _, k := range kinds {
 		check(k.path, http.StatusBadRequest, "missing job param")
 		check(k.path+"?job=job-1&format=svg", http.StatusBadRequest, "unknown format")
 		check(k.path+"?job=job-999999", http.StatusNotFound, "unknown job")
@@ -63,7 +93,7 @@ func TestReportHandlerErrors(t *testing.T) {
 		return ok && j.view().State == api.StateDone
 	})
 	// Finished, but a fig6 sweep carries none of the reports.
-	for _, k := range reportKinds {
+	for _, k := range kinds {
 		check(k.path+"?job="+env.ID, http.StatusNotFound, k.experiment+" report of a fig6 job")
 	}
 }

@@ -30,8 +30,10 @@
 // spans). -traces lists what the daemon's tail sampler kept.
 //
 // -reuse fetches a finished reuse job's report from /debug/reuse?job=ID
-// and renders the loop-depth decomposition, heaviest loops, and the
+// and renders the loop-depth decomposition, reuse-mass bars, and the
 // ranked representative workload subset (-json for the raw report).
+// -reuse, -profile and -diff print the same text as replaysim's reuse,
+// cycles and diff experiments, under a heading naming the job.
 // -reuse trace:<id> instead decomposes a spooled external trace and
 // ranks it alongside any -workloads, so an upload can audition for the
 // representative subset; the "-reuse -trace <id>" spelling is accepted
@@ -71,8 +73,6 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/diff"
-	"repro/internal/pipeline"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/tracing"
@@ -211,14 +211,10 @@ func printMetrics(r io.Reader, w io.Writer) error {
 		return err
 	}
 	t := stats.NewTable("Metric", "Type", "Value")
-	var hists, summaries, labeled []stats.PromFamily
+	var hists, labeled []stats.PromFamily
 	for _, f := range fams {
-		switch f.Type {
-		case "histogram":
+		if f.Type == "histogram" {
 			hists = append(hists, f)
-			continue
-		case "summary":
-			summaries = append(summaries, f)
 			continue
 		}
 		if len(f.Labeled) > 0 {
@@ -240,13 +236,6 @@ func printMetrics(r io.Reader, w io.Writer) error {
 		for _, s := range f.Labeled {
 			stats.Bar(w, s.Labels, s.Value, maxV, 40, "%.0f")
 		}
-	}
-	for _, s := range summaries {
-		fmt.Fprintf(w, "\n%s (summary): %.0f samples", s.Name, s.Count)
-		for _, q := range s.Quantiles {
-			fmt.Fprintf(w, "  p%g=%.4g", q.Q*100, q.V)
-		}
-		fmt.Fprintln(w)
 	}
 	for _, h := range hists {
 		mean := 0.0
@@ -344,16 +333,15 @@ func uploadTrace(client *http.Client, base, path string, jsonOut bool) error {
 	return nil
 }
 
-// showReuse fetches a finished reuse job's report and renders the
-// per-workload loop-depth decomposition, each workload's heaviest
-// loops, and the ranked representative subset — the client-side twin of
-// replaysim's -experiment reuse table.
+// showReuse fetches a finished reuse job's report and renders it with
+// the same writer as replaysim's -experiment reuse table.
 func showReuse(client *http.Client, base, jobID string, jsonOut bool) error {
 	var rep sim.ReuseReport
 	if ok, err := fetchReport(client, base+"/debug/reuse?job="+jobID, jsonOut, &rep); !ok {
 		return err
 	}
-	renderReuse(&rep, fmt.Sprintf("reuse report for %s", jobID))
+	fmt.Printf("reuse report for %s (%d workloads)\n\n", jobID, len(rep.Rows))
+	rep.WriteText(os.Stdout)
 	return nil
 }
 
@@ -380,68 +368,13 @@ func runReuseTrace(client *http.Client, base, traceID, workloads string, insts i
 		enc.SetIndent("", "  ")
 		return enc.Encode(j.Result)
 	}
-	renderReuse(j.Result.Reuse, fmt.Sprintf("reuse decomposition of trace %s (job %s)", traceID, j.ID))
+	fmt.Printf("reuse decomposition of trace %s (job %s) (%d workloads)\n\n", traceID, j.ID, len(j.Result.Reuse.Rows))
+	j.Result.Reuse.WriteText(os.Stdout)
 	return nil
 }
 
-// renderReuse prints one reuse report: the per-workload loop-depth
-// decomposition, each workload's heaviest loops, and the ranked
-// representative subset.
-func renderReuse(rep *sim.ReuseReport, heading string) {
-	fmt.Printf("%s (%d workloads)\n\n", heading, len(rep.Rows))
-	t := stats.NewTable("Workload", "Loops", "Loop uops", "Straight", "d1", "d2", "d3+", "Hits/loop", "Evict")
-	for i := range rep.Rows {
-		r := &rep.Rows[i]
-		var loopHits, evicts uint64
-		for b := 0; b < len(r.Report.Buckets); b++ {
-			evicts += r.Report.Buckets[b].Evictions
-			if b > 0 {
-				loopHits += r.Report.Buckets[b].FrameHits
-			}
-		}
-		pct := func(b int) string {
-			if r.Report.TotalUOps == 0 {
-				return "0%"
-			}
-			return fmt.Sprintf("%.0f%%", 100*float64(r.Report.Bucket(b).UOps)/float64(r.Report.TotalUOps))
-		}
-		t.Row(r.Workload, r.Report.Loops,
-			fmt.Sprintf("%.0f%%", 100*r.Report.LoopFrac()),
-			pct(0), pct(1), pct(2), pct(3), loopHits, evicts)
-	}
-	t.Write(os.Stdout)
-
-	for i := range rep.Rows {
-		r := &rep.Rows[i]
-		if len(r.Report.TopLoops) == 0 {
-			continue
-		}
-		fmt.Printf("\n%s heaviest loops:\n", r.Workload)
-		lt := stats.NewTable("Trace", "Header", "Tail", "Nest", "Trips", "uops")
-		for _, l := range r.Report.TopLoops {
-			lt.Row(l.Trace, fmt.Sprintf("0x%x", l.Header), fmt.Sprintf("0x%x", l.Tail),
-				l.Nest, fmt.Sprintf("%.1f", l.TripCount()), l.UOps)
-		}
-		lt.Write(os.Stdout)
-	}
-
-	if len(rep.Subset) > 0 {
-		fmt.Println("\nrepresentative subset (greedy, covered reuse mass per simulated instruction):")
-		st := stats.NewTable("Rank", "Workload", "Gain", "Coverage", "Cost share")
-		for _, p := range rep.Subset {
-			st.Row(p.Rank, p.Name,
-				fmt.Sprintf("%.3f", p.Gain),
-				fmt.Sprintf("%.1f%%", 100*p.Coverage),
-				fmt.Sprintf("%.1f%%", 100*p.CostFrac))
-		}
-		st.Write(os.Stdout)
-	}
-}
-
 // showDiff fetches a finished diff job's comparison report and renders
-// it side by side — per workload, the gated top-line metrics, per-pass
-// removal deltas, and the heaviest per-loop deltas with signed bars —
-// the client-side twin of replaysim's -experiment diff output.
+// it with the same writer as replaysim's -experiment diff output.
 func showDiff(client *http.Client, base, jobID string, jsonOut bool) error {
 	var rep sim.DiffReport
 	if ok, err := fetchReport(client, base+"/debug/diff?job="+jobID, jsonOut, &rep); !ok {
@@ -449,23 +382,14 @@ func showDiff(client *http.Client, base, jobID string, jsonOut bool) error {
 	}
 	fmt.Printf("ablation diff for %s: %s vs %s (%d workloads)\n\n",
 		jobID, rep.Baseline, rep.Variant, len(rep.Rows))
-	for i := range rep.Rows {
-		r := &rep.Rows[i]
-		if i > 0 {
-			fmt.Println()
-		}
-		diff.WriteReport(os.Stdout, r.Workload, r.Class, &r.Report)
-	}
-	fmt.Printf("\n%d loops compared; %d significant regressions, %d significant improvements\n",
-		rep.LoopsCompared(), rep.SignificantRegressions(), rep.SignificantImprovements())
+	rep.WriteText(os.Stdout)
 	return nil
 }
 
 // showProfile fetches a finished cycles job's guest-cycle profile and
-// renders the per-workload bin split and the top loop and PC hotspots —
-// the client-side twin of replaysim's -experiment cycles table. With
-// pprofOut it also fetches the format=pprof export and saves it for
-// `go tool pprof`.
+// renders it with the same writer as replaysim's -experiment cycles
+// table. With pprofOut it also fetches the format=pprof export and saves
+// it for `go tool pprof`.
 func showProfile(client *http.Client, base, jobID, pprofOut string, jsonOut bool) error {
 	if pprofOut != "" {
 		var pb bytes.Buffer
@@ -481,54 +405,7 @@ func showProfile(client *http.Client, base, jobID, pprofOut string, jsonOut bool
 		return err
 	}
 	fmt.Printf("guest-cycle profile for %s (%d workloads)\n\n", jobID, len(rep.Rows))
-	order := []pipeline.Bin{pipeline.BinAssert, pipeline.BinMispred, pipeline.BinMiss,
-		pipeline.BinStall, pipeline.BinWait, pipeline.BinFrame, pipeline.BinICache}
-	t := stats.NewTable("Workload", "IPC", "Cycles", "PCs", "Loops",
-		"assert", "mispred", "miss", "stall", "wait", "frame", "icache")
-	for i := range rep.Rows {
-		r := &rep.Rows[i]
-		cells := []interface{}{r.Workload, fmt.Sprintf("%.3f", r.IPC),
-			r.Report.Cycles, len(r.Report.PCs), len(r.Report.Loops)}
-		for _, b := range order {
-			cells = append(cells, fmt.Sprintf("%.0f%%", 100*r.Report.BinFrac(b)))
-		}
-		t.Row(cells...)
-	}
-	t.Write(os.Stdout)
-
-	for i := range rep.Rows {
-		r := &rep.Rows[i]
-		total := r.Report.Cycles
-		if total == 0 {
-			total = 1
-		}
-		if len(r.Report.Loops) > 0 {
-			fmt.Printf("\n%s hottest loops:\n", r.Workload)
-			lt := stats.NewTable("Loop", "Nest", "Trips", "Cycles", "% of run", "IPC", "mispred", "cover")
-			loops := r.Report.Loops
-			if len(loops) > 8 {
-				loops = loops[:8]
-			}
-			for j := range loops {
-				l := &loops[j]
-				lt.Row(fmt.Sprintf("t%d:0x%04x-0x%04x", l.Trace, l.Header, l.Tail),
-					l.Nest, fmt.Sprintf("%.1f", l.Trips), l.Cycles,
-					fmt.Sprintf("%.1f%%", 100*float64(l.Cycles)/float64(total)),
-					fmt.Sprintf("%.3f", l.IPC()),
-					fmt.Sprintf("%.0f%%", 100*l.BinFrac(pipeline.BinMispred)),
-					fmt.Sprintf("%.0f%%", 100*l.CoverFrac()))
-			}
-			lt.Write(os.Stdout)
-		}
-		fmt.Printf("\n%s hottest PCs:\n", r.Workload)
-		pt := stats.NewTable("PC", "Cycles", "% of run", "x86", "uops")
-		for _, p := range r.Report.TopPCs(8) {
-			pt.Row(fmt.Sprintf("t%d:0x%04x", p.Trace, p.PC), p.Cycles,
-				fmt.Sprintf("%.1f%%", 100*float64(p.Cycles)/float64(total)),
-				p.X86, p.UOps)
-		}
-		pt.Write(os.Stdout)
-	}
+	rep.WriteText(os.Stdout)
 	if pprofOut != "" {
 		fmt.Printf("\npprof export saved to %s (inspect with: go tool pprof -top %s)\n", pprofOut, pprofOut)
 	}

@@ -16,6 +16,10 @@
 // spec, joined per loop and per optimizer pass with significance-gated
 // verdicts, e.g. -experiment diff -vs cse,sf,repeats=3), all.
 //
+// Every experiment runs through api.Run, the dispatcher replayd uses
+// too, so -json prints exactly the result a replayd job carries for the
+// same request.
+//
 // -load replays an external uop trace (tracegen -export, binary or
 // NDJSON, auto-detected) through one processor mode and prints the
 // cell; with -json the output is the replayd wire format, so a loaded
@@ -41,7 +45,6 @@ import (
 	"repro"
 	"repro/internal/api"
 	"repro/internal/cycleprof"
-	"repro/internal/diff"
 	"repro/internal/logflag"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
@@ -81,78 +84,46 @@ func main() {
 	}
 	slog.SetDefault(logger)
 
-	if *load != "" {
-		if err := loadAndRun(*load, *mode, *insts, !*cache, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "replaysim:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	opts := repro.ExpOptions{InstructionBudget: *insts, DisableCache: !*cache}
-	if *workloads != "" {
-		opts.Workloads = strings.Split(*workloads, ",")
-	}
+	base := sim.Options{DisableCache: !*cache}
 	if *traceOut != "" {
-		opts.Telemetry = telemetry.New(telemetry.Config{
+		base.Telemetry = telemetry.New(telemetry.Config{
 			TraceEvents: 1 << 16,
 			Label:       "replaysim -experiment " + *experiment,
 		})
 	}
 
+	var reqs []api.RunRequest
+	var resolve api.Resolver
 	var err error
-	switch *experiment {
-	case "table1":
-		table1()
-	case "table2":
-		table2()
-	case "fig6":
-		err = fig6(opts, *jsonOut)
-	case "fig7":
-		err = breakdown(opts, true, *jsonOut)
-	case "fig8":
-		err = breakdown(opts, false, *jsonOut)
-	case "table3":
-		err = table3(opts, *jsonOut)
-	case "fig9":
-		err = fig9(opts, *jsonOut)
-	case "fig10":
-		err = fig10(opts, *jsonOut)
-	case "summary":
-		err = summary(opts, *jsonOut)
-	case "attr":
-		err = attrTable(opts, *jsonOut)
-	case "reuse":
-		err = reuseTable(opts, *jsonOut)
-	case "cycles":
-		err = cyclesTable(opts, *jsonOut, *pprofOut)
-	case "diff":
-		err = diffTable(opts, *vs, *jsonOut)
-	case "all":
-		if !*jsonOut {
+	if *load != "" {
+		reqs, resolve, err = loadRequest(*load, *mode, *insts)
+	} else {
+		reqs, err = requests(*experiment, *workloads, *insts, *vs, *attr)
+		if err == nil && (*experiment == "table1" || *experiment == "all" && !*jsonOut) {
 			table1()
+		}
+		if err == nil && (*experiment == "table2" || *experiment == "all" && !*jsonOut) {
 			table2()
 		}
-		for _, f := range []func() error{
-			func() error { return fig6(opts, *jsonOut) },
-			func() error { return breakdown(opts, true, *jsonOut) },
-			func() error { return breakdown(opts, false, *jsonOut) },
-			func() error { return table3(opts, *jsonOut) },
-			func() error { return fig9(opts, *jsonOut) },
-			func() error { return fig10(opts, *jsonOut) },
-		} {
-			if err = f(); err != nil {
+	}
+	for _, req := range reqs {
+		var res *api.RunResponse
+		if res, err = api.Run(context.Background(), req, nil, base, resolve); err != nil {
+			break
+		}
+		if res.Cycles != nil && *pprofOut != "" {
+			if err = writePprof(res.Cycles, *pprofOut); err != nil {
 				break
 			}
 		}
-	default:
-		err = fmt.Errorf("unknown experiment %q", *experiment)
-	}
-	if err == nil && *attr && *experiment != "attr" {
-		err = attrTable(opts, *jsonOut)
+		if !*jsonOut {
+			writeText(res, *load)
+		} else if err = emitJSON(res); err != nil {
+			break
+		}
 	}
 	if err == nil && *traceOut != "" {
-		err = writeTraceFile(opts.Telemetry, *traceOut)
+		err = writeTraceFile(base.Telemetry, *traceOut)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "replaysim:", err)
@@ -160,57 +131,139 @@ func main() {
 	}
 }
 
-// loadAndRun decodes an external uop trace and simulates it through one
-// processor mode, printing a single cell in either the table or the
-// replayd wire format. The run memoizes on the trace's content ID, so
-// re-running the same file under the same configuration is free.
-func loadAndRun(path, modeName string, insts int, noCache, jsonOut bool) error {
+// requests maps the -experiment flag onto validated dispatcher
+// requests: all is the paper's figure sequence, -attr appends the
+// attribution table, and the static table1/table2 need none.
+func requests(experiment, workloads string, insts int, vs string, attr bool) ([]api.RunRequest, error) {
+	var exps []string
+	switch experiment {
+	case "table1", "table2":
+	case "all":
+		exps = []string{api.ExpFig6, api.ExpFig7, api.ExpFig8, api.ExpTable3, api.ExpFig9, api.ExpFig10}
+	case api.ExpCell:
+		return nil, fmt.Errorf("unknown experiment %q (replay a trace with -load)", experiment)
+	default:
+		exps = []string{experiment}
+	}
+	if attr && experiment != api.ExpAttr {
+		exps = append(exps, api.ExpAttr)
+	}
+	var ws []string
+	if workloads != "" {
+		ws = strings.Split(workloads, ",")
+	}
+	reqs := make([]api.RunRequest, 0, len(exps))
+	for _, exp := range exps {
+		req := api.RunRequest{Experiment: exp, Workloads: ws, Insts: insts}
+		if exp == api.ExpDiff {
+			if vs == "" {
+				return nil, fmt.Errorf("-experiment diff needs -vs <spec> (e.g. -vs cse,sf or -vs mode=RP)")
+			}
+			spec, err := api.ParseDiffSpec(vs)
+			if err != nil {
+				return nil, err
+			}
+			req.Diff = spec
+		}
+		if err := req.Validate(); err != nil {
+			return nil, err
+		}
+		reqs = append(reqs, req)
+	}
+	return reqs, nil
+}
+
+// loadRequest decodes an external uop trace into the cell request that
+// replays it under one processor mode, plus the resolver that serves
+// the decoded trace to the dispatcher. The run memoizes on the trace's
+// content ID, so re-running the same file under the same configuration
+// is free.
+func loadRequest(path, mode string, insts int) ([]api.RunRequest, api.Resolver, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	defer f.Close()
 	xt, err := xtrace.Decode(f, xtrace.Limits{})
 	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	slots, err := xt.Slots()
 	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	mode, err := api.ParseMode(modeName)
-	if err != nil {
-		return err
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	name := xt.Header.Name
 	if name == "" {
 		name = path
 	}
-	res, err := sim.RunExternal(context.Background(), sim.ExternalRun{
+	ext := &sim.ExternalRun{
 		Name:        name,
 		Fingerprint: xtrace.TraceID(xt),
 		Slots:       slots,
 		Insts:       int(xt.Header.Insts),
-	}, mode, sim.Options{MaxInsts: insts, DisableCache: noCache})
+	}
+	req := api.RunRequest{XTrace: ext.Fingerprint, Mode: mode, Insts: insts}
+	if err := req.Validate(); err != nil {
+		return nil, nil, err
+	}
+	resolve := func(string) (*sim.ExternalRun, error) { return ext, nil }
+	return []api.RunRequest{req}, resolve, nil
+}
+
+// writeText renders one response as the experiment's table or figure;
+// loadPath names the trace file a cell response replayed.
+func writeText(res *api.RunResponse, loadPath string) {
+	switch res.Experiment {
+	case api.ExpFig6:
+		fig6(res.Fig6)
+	case api.ExpFig7, api.ExpFig8:
+		breakdown(res.Breakdown, res.Experiment == api.ExpFig7)
+	case api.ExpTable3:
+		table3(res.Table3)
+	case api.ExpFig9:
+		fig9(res.Fig9)
+	case api.ExpFig10:
+		fig10(res.Fig10)
+	case api.ExpSummary:
+		summary(res.Fig6, res.Table3)
+	case api.ExpAttr:
+		attrTable(res.Attr)
+	case api.ExpReuse:
+		// The bucket sums equal the pipeline's own retired totals (the
+		// conservation invariant pinned by the reuse tests).
+		fmt.Println("== Loop-structure reuse attribution (RPO) ==")
+		res.Reuse.WriteText(os.Stdout)
+		fmt.Println()
+	case api.ExpCycles:
+		fmt.Println("== Guest-cycle profile (RPO): per-PC fetch-cycle attribution ==")
+		res.Cycles.WriteText(os.Stdout)
+		fmt.Println()
+	case api.ExpDiff:
+		// The report's residuals are the conservation check: zero means
+		// every removed micro-op and every cycle delta was pinned to a
+		// loop and a pass.
+		fmt.Printf("== Ablation diff: %s vs %s ==\n", res.Diff.Baseline, res.Diff.Variant)
+		res.Diff.WriteText(os.Stdout)
+		fmt.Println()
+	case api.ExpCell:
+		for _, c := range res.Cells {
+			fmt.Printf("== External trace %s (%s) ==\n", loadPath, c.Workload)
+			t := stats.NewTable("Mode", "IPC", "Cycles", "x86 insts", "uops", "uops base", "mispred")
+			t.Row(c.Mode, fmt.Sprintf("%.3f", c.IPC), c.Stats.Cycles,
+				c.Stats.X86Retired, c.Stats.UOpsRetired, c.Stats.UOpsBaseline,
+				c.Stats.Mispredicts)
+			t.Write(os.Stdout)
+		}
+	}
+}
+
+// writePprof saves the guest-cycle profile as gzipped pprof protobuf.
+func writePprof(rep *sim.CycleReport, path string) error {
+	data, err := cycleprof.Profile(rep.Profiles())
 	if err != nil {
 		return err
 	}
-	if jsonOut {
-		return emitJSON(api.RunResponse{Experiment: api.ExpCell, Cells: []api.Cell{{
-			Workload: res.Workload,
-			Class:    res.Class,
-			Mode:     mode.String(),
-			IPC:      res.IPC(),
-			Stats:    res.Stats,
-		}}})
-	}
-	fmt.Printf("== External trace %s (%s) ==\n", path, name)
-	t := stats.NewTable("Mode", "IPC", "Cycles", "x86 insts", "uops", "uops base", "mispred")
-	t.Row(mode.String(), fmt.Sprintf("%.3f", res.IPC()), res.Stats.Cycles,
-		res.Stats.X86Retired, res.Stats.UOpsRetired, res.Stats.UOpsBaseline,
-		res.Stats.Mispredicts)
-	t.Write(os.Stdout)
-	return nil
+	return os.WriteFile(path, data, 0o644)
 }
 
 // writeTraceFile dumps the collector's event ring as Chrome trace_event
@@ -227,18 +280,11 @@ func writeTraceFile(tel *telemetry.Collector, path string) error {
 	return f.Close()
 }
 
-// attrTable runs the RPO configuration with per-pass attribution and
-// prints, per workload, the micro-ops each optimizer pass killed or
-// rewrote. The killed column sums to the optimizer's aggregate removal
-// count (the conservation invariant pinned by the attribution tests).
-func attrTable(opts repro.ExpOptions, jsonOut bool) error {
-	rows, err := repro.AttributionData(opts)
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		return emitJSON(api.RunResponse{Experiment: api.ExpAttr, Attr: rows})
-	}
+// attrTable prints, per workload, the micro-ops each optimizer pass
+// killed or rewrote. The killed column sums to the optimizer's aggregate
+// removal count (the conservation invariant pinned by the attribution
+// tests).
+func attrTable(rows []sim.AttrRow) {
 	fmt.Println("== Per-pass optimization attribution (RPO) ==")
 	for _, r := range rows {
 		removed := r.Opt.Removed()
@@ -255,189 +301,6 @@ func attrTable(opts repro.ExpOptions, jsonOut bool) error {
 		t.Write(os.Stdout)
 		fmt.Println()
 	}
-	return nil
-}
-
-// reuseTable runs the RPO configuration with loop-structure reuse
-// attribution and prints, per workload, the depth-bucket decomposition
-// of retired work and frame-lifecycle events, the heaviest loops, and
-// the ranked representative workload subset. The bucket sums equal the
-// pipeline's own retired totals (the conservation invariant pinned by
-// the reuse tests).
-func reuseTable(opts repro.ExpOptions, jsonOut bool) error {
-	rep, err := repro.ReuseData(opts)
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		return emitJSON(api.RunResponse{Experiment: api.ExpReuse, Reuse: rep})
-	}
-	fmt.Println("== Loop-structure reuse attribution (RPO) ==")
-	t := stats.NewTable("Workload", "Loops", "Loop uops", "Straight", "d1", "d2", "d3+", "Top trip", "Hit/d1+")
-	for i := range rep.Rows {
-		r := &rep.Rows[i]
-		var topTrip float64
-		if len(r.Report.TopLoops) > 0 {
-			topTrip = r.Report.TopLoops[0].TripCount()
-		}
-		var loopHits uint64
-		for b := 1; b < len(r.Report.Buckets); b++ {
-			loopHits += r.Report.Buckets[b].FrameHits
-		}
-		pct := func(b int) string {
-			if r.Report.TotalUOps == 0 {
-				return "0%"
-			}
-			return fmt.Sprintf("%.0f%%", 100*float64(r.Report.Bucket(b).UOps)/float64(r.Report.TotalUOps))
-		}
-		t.Row(r.Workload, r.Report.Loops,
-			fmt.Sprintf("%.0f%%", 100*r.Report.LoopFrac()),
-			pct(0), pct(1), pct(2), pct(3),
-			fmt.Sprintf("%.1f", topTrip), loopHits)
-	}
-	t.Write(os.Stdout)
-
-	fmt.Println("\nreuse-mass fraction (baseline uops retired inside loops):")
-	for i := range rep.Rows {
-		stats.Bar(os.Stdout, rep.Rows[i].Workload, rep.Rows[i].Report.LoopFrac(), 1.0, 50, "%.2f")
-	}
-
-	fmt.Println("\n== Representative subset (greedy, covered reuse mass per simulated instruction) ==")
-	st := stats.NewTable("Rank", "Workload", "Gain", "Coverage", "Cost share")
-	for _, p := range rep.Subset {
-		st.Row(p.Rank, p.Name,
-			fmt.Sprintf("%.3f", p.Gain),
-			fmt.Sprintf("%.1f%%", 100*p.Coverage),
-			fmt.Sprintf("%.1f%%", 100*p.CostFrac))
-	}
-	st.Write(os.Stdout)
-	fmt.Println()
-	return nil
-}
-
-// cyclesTable runs the RPO configuration with the guest-cycle profiler
-// and prints, per workload, where the simulated machine's cycles went:
-// the per-bin split of attributed fetch cycles (which sums to the
-// measured cycle count exactly — the profiler's conservation
-// invariant), the loop-joined hotspots with per-loop IPC and frame
-// coverage, and the heaviest individual PCs. With pprofOut the same
-// data is also written as a gzipped pprof profile.
-func cyclesTable(opts repro.ExpOptions, jsonOut bool, pprofOut string) error {
-	rep, err := repro.CycleProfData(opts)
-	if err != nil {
-		return err
-	}
-	if pprofOut != "" {
-		data, perr := cycleprof.Profile(rep.Profiles())
-		if perr != nil {
-			return perr
-		}
-		if werr := os.WriteFile(pprofOut, data, 0o644); werr != nil {
-			return werr
-		}
-	}
-	if jsonOut {
-		return emitJSON(api.RunResponse{Experiment: api.ExpCycles, Cycles: rep})
-	}
-	order := []pipeline.Bin{pipeline.BinAssert, pipeline.BinMispred, pipeline.BinMiss,
-		pipeline.BinStall, pipeline.BinWait, pipeline.BinFrame, pipeline.BinICache}
-
-	fmt.Println("== Guest-cycle profile (RPO): per-PC fetch-cycle attribution ==")
-	t := stats.NewTable("Workload", "IPC", "Cycles", "PCs", "Loops",
-		"assert", "mispred", "miss", "stall", "wait", "frame", "icache")
-	for i := range rep.Rows {
-		r := &rep.Rows[i]
-		cells := []interface{}{r.Workload, fmt.Sprintf("%.3f", r.IPC),
-			r.Report.Cycles, len(r.Report.PCs), len(r.Report.Loops)}
-		for _, b := range order {
-			cells = append(cells, fmt.Sprintf("%.0f%%", 100*r.Report.BinFrac(b)))
-		}
-		t.Row(cells...)
-	}
-	t.Write(os.Stdout)
-
-	fmt.Println("\nstacked composition (a=assert m=mispred M=miss s=stall w=wait F=frame I=icache):")
-	runes := []rune{'a', 'm', 'M', 's', 'w', 'F', 'I'}
-	var maxCycles float64
-	for i := range rep.Rows {
-		if c := float64(rep.Rows[i].Report.Cycles); c > maxCycles {
-			maxCycles = c
-		}
-	}
-	for i := range rep.Rows {
-		r := &rep.Rows[i]
-		segs := make([]float64, len(order))
-		for j, b := range order {
-			segs[j] = float64(r.Report.Bins[b])
-		}
-		stats.StackedBar(os.Stdout, r.Workload, segs, runes, maxCycles, 70)
-	}
-
-	for i := range rep.Rows {
-		r := &rep.Rows[i]
-		fmt.Printf("\n%s (%s): hottest loops\n", r.Workload, r.Class)
-		lt := stats.NewTable("Loop", "Nest", "Trips", "Cycles", "% of run", "IPC", "mispred", "frame", "cover")
-		loops := r.Report.Loops
-		if len(loops) > 8 {
-			loops = loops[:8]
-		}
-		for j := range loops {
-			l := &loops[j]
-			lt.Row(fmt.Sprintf("t%d:0x%04x-0x%04x", l.Trace, l.Header, l.Tail),
-				l.Nest, fmt.Sprintf("%.1f", l.Trips), l.Cycles,
-				fmt.Sprintf("%.1f%%", 100*float64(l.Cycles)/float64(max(r.Report.Cycles, 1))),
-				fmt.Sprintf("%.3f", l.IPC()),
-				fmt.Sprintf("%.0f%%", 100*l.BinFrac(pipeline.BinMispred)),
-				fmt.Sprintf("%.0f%%", 100*l.BinFrac(pipeline.BinFrame)),
-				fmt.Sprintf("%.0f%%", 100*l.CoverFrac()))
-		}
-		lt.Write(os.Stdout)
-
-		fmt.Printf("\n%s: hottest PCs\n", r.Workload)
-		pt := stats.NewTable("PC", "Cycles", "% of run", "x86", "uops")
-		for _, p := range r.Report.TopPCs(8) {
-			pt.Row(fmt.Sprintf("t%d:0x%04x", p.Trace, p.PC), p.Cycles,
-				fmt.Sprintf("%.1f%%", 100*float64(p.Cycles)/float64(max(r.Report.Cycles, 1))),
-				p.X86, p.UOps)
-		}
-		pt.Write(os.Stdout)
-	}
-	fmt.Println()
-	return nil
-}
-
-// diffTable runs the ablation diff engine: each workload runs under the
-// RPO baseline and under the -vs variant, both probed, and the joined
-// per-loop × per-pass delta report prints with its significance-gated
-// top-line verdicts. The report's residuals are the conservation check:
-// zero means every removed micro-op and every cycle delta was pinned to
-// a loop and a pass.
-func diffTable(opts repro.ExpOptions, vs string, jsonOut bool) error {
-	if vs == "" {
-		return fmt.Errorf("-experiment diff needs -vs <spec> (e.g. -vs cse,sf or -vs mode=RP)")
-	}
-	spec, err := api.ParseDiffSpec(vs)
-	if err != nil {
-		return err
-	}
-	rep, err := repro.DiffData(opts, spec)
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		return emitJSON(api.RunResponse{Experiment: api.ExpDiff, Diff: rep})
-	}
-	fmt.Printf("== Ablation diff: %s vs %s ==\n", rep.Baseline, rep.Variant)
-	for i := range rep.Rows {
-		r := &rep.Rows[i]
-		if i > 0 {
-			fmt.Println()
-		}
-		diff.WriteReport(os.Stdout, r.Workload, r.Class, &r.Report)
-	}
-	fmt.Printf("\n%d loops compared; %d significant regressions, %d significant improvements\n\n",
-		rep.LoopsCompared(), rep.SignificantRegressions(), rep.SignificantImprovements())
-	return nil
 }
 
 func table1() {
@@ -472,20 +335,13 @@ func table2() {
 
 // emitJSON prints one experiment response in the replayd wire format,
 // so scripted consumers parse CLI and daemon output identically.
-func emitJSON(res api.RunResponse) error {
+func emitJSON(res *api.RunResponse) error {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetEscapeHTML(false)
 	return enc.Encode(res)
 }
 
-func fig6(opts repro.ExpOptions, jsonOut bool) error {
-	rows, err := repro.Figure6(opts)
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		return emitJSON(api.RunResponse{Experiment: api.ExpFig6, Fig6: rows})
-	}
+func fig6(rows []sim.Fig6Row) {
 	fmt.Println("== Figure 6: x86 Instructions Retired Per Cycle (IC / TC / RP / RPO) ==")
 	t := stats.NewTable("Workload", "IC", "TC", "RP", "RPO", "RPO vs RP")
 	var gain float64
@@ -501,25 +357,9 @@ func fig6(opts repro.ExpOptions, jsonOut bool) error {
 		stats.Bar(os.Stdout, r.Workload, r.IPC[3], 5.0, 50, "%.2f")
 	}
 	fmt.Println()
-	return nil
 }
 
-func breakdown(opts repro.ExpOptions, spec bool, jsonOut bool) error {
-	var rows []repro.BreakdownRow
-	var err error
-	exp := api.ExpFig8
-	if spec {
-		exp = api.ExpFig7
-		rows, err = repro.Figure7(opts)
-	} else {
-		rows, err = repro.Figure8(opts)
-	}
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		return emitJSON(api.RunResponse{Experiment: exp, Breakdown: rows})
-	}
+func breakdown(rows []sim.BreakdownRow, spec bool) {
 	if spec {
 		fmt.Println("== Figure 7: Execution cycles by fetch event (SPEC), RP vs RPO ==")
 	} else {
@@ -564,17 +404,9 @@ func breakdown(opts repro.ExpOptions, spec bool, jsonOut bool) error {
 		}
 	}
 	fmt.Println()
-	return nil
 }
 
-func table3(opts repro.ExpOptions, jsonOut bool) error {
-	rows, err := repro.Table3Data(opts)
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		return emitJSON(api.RunResponse{Experiment: api.ExpTable3, Table3: rows})
-	}
+func table3(rows []sim.Table3Row) {
 	fmt.Println("== Table 3: Micro-ops and LOADs removed by the rePLay optimizer ==")
 	t := stats.NewTable("Application", "Micro-ops Removed", "Loads Removed", "Increase in IPC", "Coverage", "Abort rate")
 	var u, l, i float64
@@ -593,17 +425,9 @@ func table3(opts repro.ExpOptions, jsonOut bool) error {
 	t.Row("Average", fmt.Sprintf("%.0f%%", u/n), fmt.Sprintf("%.0f%%", l/n), fmt.Sprintf("%.0f%%", i/n), "", "")
 	t.Write(os.Stdout)
 	fmt.Println()
-	return nil
 }
 
-func fig9(opts repro.ExpOptions, jsonOut bool) error {
-	rows, err := repro.Figure9(opts)
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		return emitJSON(api.RunResponse{Experiment: api.ExpFig9, Fig9: rows})
-	}
+func fig9(rows []sim.Fig9Row) {
 	fmt.Println("== Figure 9: % IPC speedup, intra-block vs frame-level optimization ==")
 	t := stats.NewTable("Workload", "Block", "Frame")
 	for _, r := range rows {
@@ -611,17 +435,9 @@ func fig9(opts repro.ExpOptions, jsonOut bool) error {
 	}
 	t.Write(os.Stdout)
 	fmt.Println()
-	return nil
 }
 
-func fig10(opts repro.ExpOptions, jsonOut bool) error {
-	rows, err := repro.Figure10(opts)
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		return emitJSON(api.RunResponse{Experiment: api.ExpFig10, Fig10: rows})
-	}
+func fig10(rows []sim.Fig10Row) {
 	fmt.Println("== Figure 10: Relative IPC with individual optimizations disabled ==")
 	fmt.Println("(0 = RP, 1 = RPO with all optimizations)")
 	header := []string{"Workload"}
@@ -640,21 +456,9 @@ func fig10(opts repro.ExpOptions, jsonOut bool) error {
 	}
 	t.Write(os.Stdout)
 	fmt.Println()
-	return nil
 }
 
-func summary(opts repro.ExpOptions, jsonOut bool) error {
-	rows, err := repro.Figure6(opts)
-	if err != nil {
-		return err
-	}
-	t3, err := repro.Table3Data(opts)
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		return emitJSON(api.RunResponse{Experiment: api.ExpSummary, Fig6: rows, Table3: t3})
-	}
+func summary(rows []sim.Fig6Row, t3 []sim.Table3Row) {
 	fmt.Println("== Summary (calibration view) ==")
 	t := stats.NewTable("Workload", "IC", "TC", "RP", "RPO", "dIPC", "uops-", "loads-", "cover", "abort")
 	for i, r := range rows {
@@ -666,5 +470,4 @@ func summary(opts repro.ExpOptions, jsonOut bool) error {
 			fmt.Sprintf("%.1f%%", 100*t3[i].AssertRate))
 	}
 	t.Write(os.Stdout)
-	return nil
 }

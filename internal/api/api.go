@@ -1,8 +1,9 @@
 // Package api defines the wire types of the replayd HTTP JSON API: the
 // experiment request, its canonical (coalescing) form, job status and
 // progress events, and the response rows. The rows reuse the driver's
-// experiment types directly, so replayd responses, replayctl output and
-// replaysim -json all serialize identically.
+// experiment types directly. Run, the one experiment dispatcher, maps a
+// request onto those drivers for both replayd and replaysim, so a
+// served job's result and replaysim -json are the same bytes.
 package api
 
 import (
@@ -16,6 +17,7 @@ import (
 	"repro/internal/opt"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Experiment names accepted by RunRequest.Experiment.
@@ -245,8 +247,8 @@ func (r RunRequest) Key() string {
 	return string(b)
 }
 
-// Validate rejects unknown experiment or mode names up front, before
-// the request is queued.
+// Validate rejects unknown experiment, workload or mode names up front,
+// before the request is queued.
 func (r RunRequest) Validate() error {
 	c := r.Canonical()
 	known := false
@@ -258,6 +260,11 @@ func (r RunRequest) Validate() error {
 	}
 	if !known {
 		return fmt.Errorf("unknown experiment %q (want one of %s)", r.Experiment, strings.Join(Experiments, ", "))
+	}
+	for _, name := range c.Workloads {
+		if _, err := workload.ByName(name); err != nil {
+			return err
+		}
 	}
 	if c.Experiment == ExpCell || c.Experiment == ExpDiff {
 		if _, err := ParseMode(c.Mode); err != nil {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -188,94 +187,4 @@ func (s *Server) jobSpec(id string) (*api.RunRequest, error) {
 	}
 	req := j.req
 	return &req, nil
-}
-
-// runDiffX is the diff Runner for jobs whose baseline or variant names
-// a spooled trace: it adapts the trace(s) and compares through
-// sim.DiffPair, producing a one-row report.
-func (s *Server) runDiffX(ctx context.Context, req api.RunRequest, progress func(api.Event)) (*api.RunResponse, error) {
-	d := req.Diff
-	repeats := d.Repeats
-	if repeats < 1 {
-		repeats = 1
-	}
-	baseMode, varMode, err := diffModes(req)
-	if err != nil {
-		return nil, err
-	}
-
-	base := sim.DiffSide{Label: "baseline", Mode: baseMode, HasMode: true,
-		ConfigMod: configMod(req.Config)}
-	if req.XTrace != "" {
-		ext, err := s.externalRun(req.XTrace)
-		if err != nil {
-			return nil, err
-		}
-		base.External = ext
-	} else {
-		// Validation guarantees exactly one workload here.
-		p, err := profilesFor(req)
-		if err != nil {
-			return nil, err
-		}
-		base.Profile = &p[0]
-	}
-
-	varLabel := d.Label
-	if varLabel == "" {
-		varLabel = "variant"
-	}
-	vari := sim.DiffSide{Label: varLabel, Mode: varMode, HasMode: true,
-		ConfigMod: configMod(d.Config)}
-	if d.XTrace != "" {
-		ext, err := s.externalRun(d.XTrace)
-		if err != nil {
-			return nil, err
-		}
-		vari.External = ext
-	} else {
-		vari.Profile, vari.External = base.Profile, base.External
-	}
-
-	opts := simOptions(ctx, req, progress, 2*repeats)
-	opts.ConfigMod = nil // each side carries its own config
-	rep, err := sim.DiffPair(ctx, base, vari, opts, repeats)
-	if err != nil {
-		return nil, err
-	}
-	s.xmet.runs.Add(1)
-	name, class := "", ""
-	if base.External != nil {
-		name, class = base.External.Name, sim.ExternalClass
-	} else {
-		name, class = base.Profile.Name, base.Profile.Class
-	}
-	return &api.RunResponse{Experiment: api.ExpDiff, Diff: &sim.DiffReport{
-		Baseline: "baseline",
-		Variant:  varLabel,
-		Repeats:  repeats,
-		Rows:     []sim.DiffRow{{Workload: name, Class: class, Report: *rep}},
-	}}, nil
-}
-
-// externalRun loads and adapts one spooled trace.
-func (s *Server) externalRun(id string) (*sim.ExternalRun, error) {
-	t, err := s.spool.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	slots, err := t.Slots()
-	if err != nil {
-		return nil, err
-	}
-	name := t.Header.Name
-	if name == "" {
-		name = "xtrace-" + id[:12]
-	}
-	return &sim.ExternalRun{
-		Name:        name,
-		Fingerprint: id,
-		Slots:       slots,
-		Insts:       int(t.Header.Insts),
-	}, nil
 }

@@ -184,7 +184,7 @@ func TestQueueFullLoggedWithRetryAfter(t *testing.T) {
 }
 
 // TestMetricsRuntimeAndSLO: /metrics exposes the Go runtime gauges and
-// the sliding-window request-latency summary after traffic has flowed.
+// the request-latency histogram after traffic has flowed.
 func TestMetricsRuntimeAndSLO(t *testing.T) {
 	runner := func(ctx context.Context, req api.RunRequest, progress func(api.Event)) (*api.RunResponse, error) {
 		return &api.RunResponse{Experiment: req.Experiment}, nil
@@ -219,19 +219,14 @@ func TestMetricsRuntimeAndSLO(t *testing.T) {
 		"# TYPE replayd_http_request_seconds histogram",
 		`replayd_http_request_seconds_bucket{le="+Inf"}`,
 		"replayd_http_request_seconds_count",
-		"# TYPE replayd_http_request_window_seconds summary",
-		`replayd_http_request_window_seconds{quantile="0.99"}`,
-		"replayd_http_request_window_seconds_count",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	// The /v1/run request above must have fed both the since-boot
-	// histogram and the SLO window.
+	// The /v1/run request above must have fed the since-boot histogram.
 	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "replayd_http_request_seconds_count ") ||
-			strings.HasPrefix(line, "replayd_http_request_window_seconds_count ") {
+		if strings.HasPrefix(line, "replayd_http_request_seconds_count ") {
 			n, err := strconv.ParseFloat(strings.Fields(line)[1], 64)
 			if err != nil || n < 1 {
 				t.Errorf("latency sample count = %q, want >= 1", line)

@@ -149,19 +149,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// in /debug/traces.
 	p.Histogram(s.httpHist.Snapshot())
 
-	// Rolling SLO view: API request latency quantiles over the sliding
-	// window, exposed as a summary so dashboards read "p99 over the last
-	// five minutes" rather than a since-boot aggregate.
-	_, qv := s.slo.Quantiles(stats.DefaultSLOQuantiles...)
-	count, sum := s.slo.Sum()
-	qs := make([]stats.SummaryQuantile, len(qv))
-	for i, q := range stats.DefaultSLOQuantiles {
-		qs[i] = stats.SummaryQuantile{Q: q, V: qv[i]}
-	}
-	p.Summary("replayd_http_request_window_seconds",
-		"API (/v1/*) request latency over the sliding SLO window.",
-		qs, sum, count)
-
 	// Tail-sampler accounting for the span-trace store.
 	tst := s.traces.Stats()
 	p.Counter("replayd_traces_kept_total", "Completed traces retained by the tail sampler.", float64(tst.Kept))

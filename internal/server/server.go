@@ -23,14 +23,17 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/tracing"
+	"repro/internal/workload"
 	"repro/internal/xtrace"
 )
 
 // Runner executes one canonicalized request, reporting progress through
-// events. The default is SimRunner; tests substitute instrumented
+// events. The default runs it through the api dispatcher, resolving
+// uploaded traces from the spool; tests substitute instrumented
 // wrappers.
 type Runner func(ctx context.Context, req api.RunRequest, progress func(api.Event)) (*api.RunResponse, error)
 
@@ -52,16 +55,14 @@ type Config struct {
 	// TraceEvents bounds the per-job trace ring for requests with
 	// Trace set; the ring keeps the newest events. Default 65536.
 	TraceEvents int
-	// Runner overrides the execution backend (tests). Default SimRunner.
+	// Runner overrides the execution backend (tests). Default: the api
+	// dispatcher.
 	Runner Runner
 	// Logger receives the daemon's structured log records: every job
 	// lifecycle line carries the job ID and coalescing key, so a job can
 	// be followed across submission, queueing, execution, and outcome.
 	// Default: discard.
 	Logger *slog.Logger
-	// SLOWindow is the sliding window the request-latency quantiles on
-	// /metrics are computed over. Default 5m.
-	SLOWindow time.Duration
 	// TraceStore bounds how many completed request traces stay
 	// queryable at /debug/traces. Default 256.
 	TraceStore int
@@ -97,14 +98,8 @@ func (c Config) withDefaults() Config {
 	if c.TraceEvents <= 0 {
 		c.TraceEvents = 1 << 16
 	}
-	if c.Runner == nil {
-		c.Runner = SimRunner
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
-	}
-	if c.SLOWindow <= 0 {
-		c.SLOWindow = 5 * time.Minute
 	}
 	if c.SpoolBytes <= 0 {
 		c.SpoolBytes = 256 << 20
@@ -249,9 +244,6 @@ type Server struct {
 	mux *http.ServeMux
 	met serviceMetrics
 	log *slog.Logger
-	// slo tracks API request latency over a sliding window for the
-	// /metrics summary quantiles.
-	slo *stats.SLOWindow
 
 	// hist backs the /metrics histograms; tel is the process-wide
 	// histogram-only collector every untraced job runs under (histogram
@@ -300,7 +292,6 @@ func New(cfg Config) *Server {
 		mux:        http.NewServeMux(),
 		hist:       telemetry.NewHistogramSet(),
 		log:        cfg.Logger,
-		slo:        stats.NewSLOWindow(cfg.SLOWindow, 0),
 		rmet:       newReuseMetrics(),
 		cmet:       newCycleMetrics(),
 	}
@@ -324,6 +315,9 @@ func New(cfg Config) *Server {
 			s.spool = spool
 		}
 	}
+	if s.cfg.Runner == nil {
+		s.cfg.Runner = s.run
+	}
 	s.routes()
 	s.workerWG.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -334,9 +328,9 @@ func New(cfg Config) *Server {
 
 // Handler returns the service's HTTP surface, wrapped so every API
 // request opens the root span of a trace (continuing the client's W3C
-// traceparent when one was sent), is timed into the latency histogram
-// and the sliding-window SLO quantiles, and is access-logged at Debug
-// (job lifecycle lines log at Info from the queue and workers).
+// traceparent when one was sent), is timed into the latency histogram,
+// and is access-logged at Debug (job lifecycle lines log at Info from
+// the queue and workers).
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -372,9 +366,8 @@ func (s *Server) Handler() http.Handler {
 			span.End()
 		}
 		if isAPI {
-			// Only the API surface feeds the SLO: /metrics scrapes and
-			// health probes would drown real request latencies.
-			s.slo.Observe(elapsed)
+			// Only the API surface feeds the latency histogram: /metrics
+			// scrapes and health probes would drown real request latencies.
 			s.httpHist.ObserveEx(elapsed, traceID)
 		}
 		s.log.Debug("http request",
@@ -465,14 +458,11 @@ func (s *Server) submit(ctx context.Context, req api.RunRequest, detached bool) 
 		return nil, false, &errSubmit{status: http.StatusBadRequest, msg: err.Error()}
 	}
 	c := req.Canonical()
-	if s.cfg.MaxInsts > 0 && c.Insts > s.cfg.MaxInsts {
-		return nil, false, &errSubmit{status: http.StatusBadRequest,
-			msg: fmt.Sprintf("insts %d exceeds the server cap %d", c.Insts, s.cfg.MaxInsts)}
-	}
-	if err := validateWorkloads(c); err != nil {
-		return nil, false, &errSubmit{status: http.StatusBadRequest, msg: err.Error()}
-	}
 	if err := s.checkXTrace(c); err != nil {
+		return nil, false, err
+	}
+	if err := s.checkBudget(c); err != nil {
+		s.unpinXTrace(c)
 		return nil, false, err
 	}
 	key := c.Key()
@@ -663,23 +653,38 @@ func (s *Server) execute(j *job) {
 	}
 	ctx := telemetry.NewContext(j.ctx, tel)
 	ctx, espan := tracing.Start(ctx, "job.exec")
-	// Jobs naming a spooled external trace run through the xtrace
-	// backends (diff comparisons involving a trace get the pair
-	// backend); everything else uses the configured Runner (tests
-	// substitute it without affecting the upload front end).
-	runner := s.cfg.Runner
-	switch {
-	case j.req.Experiment == api.ExpDiff && j.req.Diff != nil &&
-		(j.req.XTrace != "" || j.req.Diff.XTrace != ""):
-		runner = s.runDiffX
-	case j.req.XTrace != "":
-		runner = s.runXTrace
-	}
-	res, err := runner(ctx, j.req, j.appendEvent)
+	res, err := s.cfg.Runner(ctx, j.req, j.appendEvent)
 	espan.SetError(err)
 	espan.End()
+	if err == nil && len(reqTraceIDs(j.req)) > 0 {
+		s.xmet.runs.Add(1)
+	}
 	s.met.busyWorkers.Add(-1)
 	s.settle(j, res, err)
+}
+
+// run is the default Runner: the api dispatcher under the job's
+// collector, resolving uploaded traces from the spool.
+func (s *Server) run(ctx context.Context, req api.RunRequest, progress func(api.Event)) (*api.RunResponse, error) {
+	return api.Run(ctx, req, progress, sim.Options{Telemetry: telemetry.FromContext(ctx)}, s.externalRun)
+}
+
+// checkBudget enforces the MaxInsts cap on the per-trace budget the
+// request will actually run: its insts, or when that is unset the
+// defaults of the workloads and uploaded traces it resolves to.
+func (s *Server) checkBudget(req api.RunRequest) error {
+	if s.cfg.MaxInsts <= 0 {
+		return nil
+	}
+	budget, err := api.Budget(req, s.externalRun)
+	if err != nil {
+		return &errSubmit{status: http.StatusBadRequest, msg: err.Error()}
+	}
+	if budget > s.cfg.MaxInsts {
+		return &errSubmit{status: http.StatusBadRequest,
+			msg: fmt.Sprintf("per-trace budget %d exceeds the server cap %d (set insts)", budget, s.cfg.MaxInsts)}
+	}
+	return nil
 }
 
 // settle finishes the job, removes it from the coalescing index and
@@ -1028,6 +1033,22 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "unknown format " + f + " (want json, chrome or text)"})
 	}
+}
+
+// workloadInfo is the /v1/workloads row.
+type workloadInfo struct {
+	Name   string `json:"name"`
+	Class  string `json:"class"`
+	Traces int    `json:"traces"`
+	Insts  int    `json:"insts"`
+}
+
+func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
+	out := make([]workloadInfo, 0, len(workload.Profiles))
+	for _, p := range workload.Profiles {
+		out = append(out, workloadInfo{Name: p.Name, Class: p.Class, Traces: p.Traces, Insts: p.XInsts})
+	}
+	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -394,6 +394,7 @@ func TestValidationErrors(t *testing.T) {
 		{"unknown mode", api.RunRequest{Experiment: "cell", Mode: "XX"}},
 		{"unknown opt", api.RunRequest{Experiment: "fig6", Config: &api.ConfigOverrides{DisableOpts: []string{"zap"}}}},
 		{"over insts cap", api.RunRequest{Experiment: "fig6", Insts: 20_000}},
+		{"default budget over cap", api.RunRequest{Experiment: "fig6"}},
 	} {
 		env, status := postRun(t, ts.URL+"/v1/run", tc.req)
 		if status != http.StatusBadRequest {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -9,15 +8,14 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/sim"
-	"repro/internal/workload"
 	"repro/internal/xtrace"
 )
 
 // The external-trace front end: POST /v1/traces uploads a trace (binary
 // or NDJSON, auto-detected) into a bounded content-addressed disk spool,
 // and a run request naming the trace (xtrace field, or ?trace=<id>)
-// simulates it through the same queue, coalescing, memo, and telemetry
-// path as built-in workloads.
+// simulates it through the same queue, coalescing, memo, telemetry and
+// dispatcher path as built-in workloads.
 
 // xtraceMetrics counts the upload front end's traffic for /metrics.
 type xtraceMetrics struct {
@@ -234,50 +232,25 @@ func (s *Server) unpinXTrace(req api.RunRequest) {
 	}
 }
 
-// runXTrace is the Runner for jobs that name a spooled trace: it loads
-// and adapts the trace, then simulates it with the same options
-// discipline as SimRunner. Cell jobs replay the trace under the
-// requested mode (the run memo keys on the trace's content ID, so
-// repeats of an uploaded trace cost nothing); reuse jobs decompose the
-// trace — alongside any listed workloads — and feed it to the
-// representative-subset selector.
-func (s *Server) runXTrace(ctx context.Context, req api.RunRequest, progress func(api.Event)) (*api.RunResponse, error) {
-	ext, err := s.externalRun(req.XTrace)
+// externalRun loads and adapts one spooled trace: the dispatcher's
+// resolver for the xtrace IDs a request names.
+func (s *Server) externalRun(id string) (*sim.ExternalRun, error) {
+	t, err := s.spool.Get(id)
 	if err != nil {
 		return nil, err
 	}
-	if req.Experiment == api.ExpReuse {
-		// The trace ranks alongside the explicitly listed workloads; an
-		// empty list decomposes the upload alone.
-		var profiles []workload.Profile
-		if len(req.Workloads) > 0 {
-			if profiles, err = profilesFor(req); err != nil {
-				return nil, err
-			}
-		}
-		opts := simOptions(ctx, req, progress, len(profiles)+1)
-		rep, err := sim.ReuseWithExternal(ctx, profiles, []sim.ExternalRun{*ext}, opts)
-		if err != nil {
-			return nil, err
-		}
-		s.xmet.runs.Add(1)
-		return &api.RunResponse{Experiment: api.ExpReuse, Reuse: rep}, nil
-	}
-
-	mode, err := api.ParseMode(req.Mode)
+	slots, err := t.Slots()
 	if err != nil {
 		return nil, err
 	}
-	res, err := sim.RunExternal(ctx, *ext, mode, simOptions(ctx, req, progress, 1))
-	if err != nil {
-		return nil, err
+	name := t.Header.Name
+	if name == "" {
+		name = "xtrace-" + id[:12]
 	}
-	s.xmet.runs.Add(1)
-	return &api.RunResponse{Experiment: api.ExpCell, Cells: []api.Cell{{
-		Workload: res.Workload,
-		Class:    res.Class,
-		Mode:     mode.String(),
-		IPC:      res.IPC(),
-		Stats:    res.Stats,
-	}}}, nil
+	return &sim.ExternalRun{
+		Name:        name,
+		Fingerprint: id,
+		Slots:       slots,
+		Insts:       int(t.Header.Insts),
+	}, nil
 }

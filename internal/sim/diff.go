@@ -36,21 +36,18 @@ func (s *DiffSide) mode() pipeline.Mode {
 	return pipeline.ModeRePLayOpt
 }
 
-// DiffVariant describes the variant side of a per-workload ablation
-// sweep: the same workloads as the baseline, run under a modified
-// configuration.
-type DiffVariant struct {
-	// Label names the variant in reports (e.g. the optspec it came from).
-	Label string
-	// ConfigMod applies the variant's configuration delta (runs after
-	// Options.ConfigMod).
-	ConfigMod func(*pipeline.Config)
-	// Mode overrides the variant's fetch engine when HasMode is set.
-	Mode    pipeline.Mode
-	HasMode bool
-	// Repeats is how many runs per side feed the significance gate
-	// (minimum 1; the first run of each side carries the diff probe).
-	Repeats int
+// source names the side's workload for report rows.
+func (s *DiffSide) source() (name, class string) {
+	if s.External != nil {
+		return s.External.Name, ExternalClass
+	}
+	return s.Profile.Name, s.Profile.Class
+}
+
+// DiffPair is one row of a comparison: the baseline and variant sides
+// over the same (or a cloned) workload.
+type DiffPair struct {
+	Base, Variant DiffSide
 }
 
 // DiffRow is one workload's comparison.
@@ -147,65 +144,44 @@ func (d *diffRuns) side() diff.RunSide {
 	return diff.RunSide{Label: d.label, Profile: d.col.Snapshot(), Runs: runs}
 }
 
-// DiffPair compares two fully specified sides: each side runs repeats
-// times (the first run of each carries a private diff probe), and the
-// two partitions join into one conservation-exact delta report with
-// significance-gated top-line verdicts.
-func DiffPair(ctx context.Context, base, vari DiffSide, o Options, repeats int) (*diff.Report, error) {
-	for _, s := range []*DiffSide{&base, &vari} {
-		if (s.Profile == nil) == (s.External == nil) {
-			return nil, fmt.Errorf("sim: diff side %q needs exactly one of a workload or an external trace", s.Label)
+// Diff runs every pair's two sides, each repeats times (the first run
+// of each side carries a private diff probe), and joins each pair's two
+// partitions into one conservation-exact delta report with
+// significance-gated top-line verdicts. Each side's mode and config come
+// from the side itself (chained after Options.ConfigMod), so the variant
+// does not inherit the baseline's overrides. Rows are named after the
+// baseline side and come back in pair order, deterministic.
+func Diff(ctx context.Context, pairs []DiffPair, o Options, repeats int) (*DiffReport, error) {
+	if repeats < 1 {
+		repeats = 1
+	}
+	rep := &DiffReport{Baseline: "baseline", Variant: "variant", Repeats: repeats,
+		Rows: make([]DiffRow, len(pairs))}
+	sides := make([][2]*diffRuns, len(pairs))
+	var jobs []runJob
+	for i, p := range pairs {
+		for _, s := range []*DiffSide{&p.Base, &p.Variant} {
+			if (s.Profile == nil) == (s.External == nil) {
+				return nil, fmt.Errorf("sim: diff side %q needs exactly one of a workload or an external trace", s.Label)
+			}
 		}
-	}
-	if repeats < 1 {
-		repeats = 1
-	}
-	var jobs []runJob
-	b, v := sideJobs(&jobs, base, o, repeats), sideJobs(&jobs, vari, o, repeats)
-	if err := runAll(ctx, jobs); err != nil {
-		return nil, err
-	}
-	return diff.Compare(b.side(), v.side()), nil
-}
-
-// Diff sweeps the baseline-vs-variant comparison over each profile:
-// every workload is run on both sides (first run of each side probed)
-// and compared. Each side's mode and config come from its own
-// DiffVariant (chained after Options.ConfigMod) — the variant does not
-// inherit the baseline's overrides. Rows come back in profile order,
-// deterministic.
-func Diff(ctx context.Context, profiles []workload.Profile, o Options, base, vs DiffVariant) (*DiffReport, error) {
-	repeats := vs.Repeats
-	if repeats < 1 {
-		repeats = 1
-	}
-	baseLabel := base.Label
-	if baseLabel == "" {
-		baseLabel = "baseline"
-	}
-	varLabel := vs.Label
-	if varLabel == "" {
-		varLabel = "variant"
-	}
-
-	sides := make([][2]*diffRuns, len(profiles))
-	var jobs []runJob
-	for i := range profiles {
-		p := &profiles[i]
-		sides[i][0] = sideJobs(&jobs, DiffSide{Label: baseLabel, Profile: p,
-			Mode: base.Mode, HasMode: base.HasMode, ConfigMod: base.ConfigMod}, o, repeats)
-		sides[i][1] = sideJobs(&jobs, DiffSide{Label: varLabel, Profile: p,
-			Mode: vs.Mode, HasMode: vs.HasMode, ConfigMod: vs.ConfigMod}, o, repeats)
+		if p.Base.Label == "" {
+			p.Base.Label = rep.Baseline
+		}
+		if p.Variant.Label == "" {
+			p.Variant.Label = rep.Variant
+		}
+		if i == 0 {
+			rep.Baseline, rep.Variant = p.Base.Label, p.Variant.Label
+		}
+		sides[i] = [2]*diffRuns{sideJobs(&jobs, p.Base, o, repeats), sideJobs(&jobs, p.Variant, o, repeats)}
+		rep.Rows[i].Workload, rep.Rows[i].Class = p.Base.source()
 	}
 	if err := runAll(ctx, jobs); err != nil {
 		return nil, err
 	}
-
-	rep := &DiffReport{Baseline: baseLabel, Variant: varLabel, Repeats: repeats,
-		Rows: make([]DiffRow, len(profiles))}
-	for i, p := range profiles {
-		r := diff.Compare(sides[i][0].side(), sides[i][1].side())
-		rep.Rows[i] = DiffRow{Workload: p.Name, Class: p.Class, Report: *r}
+	for i := range pairs {
+		rep.Rows[i].Report = *diff.Compare(sides[i][0].side(), sides[i][1].side())
 	}
 	return rep, nil
 }

@@ -92,11 +92,12 @@ func TestDiffPairZeroResidual(t *testing.T) {
 		for _, v := range reuseOptVariants[1:] { // variants that actually differ
 			base := DiffSide{Label: "baseline", Profile: &p}
 			vari := DiffSide{Label: v.name, Profile: &p, ConfigMod: v.mod}
-			r, err := DiffPair(context.Background(), base, vari,
+			rep, err := Diff(context.Background(), []DiffPair{{Base: base, Variant: vari}},
 				Options{MaxInsts: 40_000, DisableCache: true}, 1)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, v.name, err)
 			}
+			r := &rep.Rows[0].Report
 			if r.ResidualUOpsRemoved != 0 || r.ResidualCycles != 0 {
 				t.Errorf("%s/%s: residuals (%d uops, %d cycles), want zero",
 					name, v.name, r.ResidualUOpsRemoved, r.ResidualCycles)
@@ -139,8 +140,12 @@ func TestDiffSweep(t *testing.T) {
 		ps = append(ps, p)
 	}
 	noOpt := func(c *pipeline.Config) { c.OptOptions = opt.Options{} }
-	rep, err := Diff(context.Background(), ps, Options{MaxInsts: 40_000},
-		DiffVariant{}, DiffVariant{Label: "no-opt", ConfigMod: noOpt, Repeats: 2})
+	pairs := make([]DiffPair, len(ps))
+	for i := range ps {
+		pairs[i] = DiffPair{Base: DiffSide{Profile: &ps[i]},
+			Variant: DiffSide{Label: "no-opt", Profile: &ps[i], ConfigMod: noOpt}}
+	}
+	rep, err := Diff(context.Background(), pairs, Options{MaxInsts: 40_000}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

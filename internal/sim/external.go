@@ -30,6 +30,15 @@ type ExternalRun struct {
 	Insts int
 }
 
+// Budget is the trace's default instruction budget: Insts, clamped to
+// the slot stream's length.
+func (e *ExternalRun) Budget() int {
+	if e.Insts <= 0 || e.Insts > len(e.Slots) {
+		return len(e.Slots)
+	}
+	return e.Insts
+}
+
 // ExternalClass is the workload class reported for external-trace runs.
 const ExternalClass = "external"
 
@@ -54,10 +63,7 @@ func runExternal(ctx context.Context, ext ExternalRun, mode pipeline.Mode, o Opt
 	if len(ext.Slots) == 0 {
 		return res, fmt.Errorf("sim: external trace %q has no slots", ext.Name)
 	}
-	budget := ext.Insts
-	if budget <= 0 || budget > len(ext.Slots) {
-		budget = len(ext.Slots)
-	}
+	budget := ext.Budget()
 	if o.MaxInsts > 0 && o.MaxInsts < budget {
 		budget = o.MaxInsts
 	}

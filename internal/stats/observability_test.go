@@ -97,21 +97,6 @@ req_count 100
 	if len(f.Quantiles) != 2 || f.Quantiles[0].Q != 0.5 || f.Quantiles[1].V != 0.25 {
 		t.Errorf("quantiles (must sort by q): %+v", f.Quantiles)
 	}
-
-	// Round-trip through the emitter.
-	var sb strings.Builder
-	p := NewProm(&sb)
-	p.Summary("req", "request latency", []SummaryQuantile{{Q: 0.5, V: 0.01}, {Q: 0.99, V: 0.25}}, 12.5, 100)
-	if err := p.Err(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseProm(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Type != "summary" || got[0].Count != 100 || len(got[0].Quantiles) != 2 {
-		t.Errorf("round-trip: %+v", got)
-	}
 }
 
 // TestParsePromMalformedSkipped: garbage lines degrade to being skipped,
@@ -212,54 +197,6 @@ func TestHistogramConcurrentSnapshot(t *testing.T) {
 	}
 	if bucketTotal != goroutines*each || s.Count != goroutines*each {
 		t.Errorf("final counts %d/%d, want %d", bucketTotal, s.Count, goroutines*each)
-	}
-}
-
-// TestSLOWindow drives the sliding window through a fake clock: samples
-// age out, quantiles cover only the live region, and the ring stays
-// recent under overload.
-func TestSLOWindow(t *testing.T) {
-	w := NewSLOWindow(time.Minute, 8)
-	clock := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
-	w.now = func() time.Time { return clock }
-
-	n, qv := w.Quantiles(0.5)
-	if n != 0 || qv[0] != 0 {
-		t.Fatalf("empty window: n=%d q=%v", n, qv)
-	}
-
-	for i := 1; i <= 4; i++ {
-		w.Observe(time.Duration(i) * 100 * time.Millisecond)
-		clock = clock.Add(10 * time.Second)
-	}
-	n, qv = w.Quantiles(0.5, 1.0)
-	if n != 4 {
-		t.Fatalf("live samples = %d, want 4", n)
-	}
-	if math.Abs(qv[0]-0.25) > 1e-9 || math.Abs(qv[1]-0.4) > 1e-9 {
-		t.Errorf("quantiles = %v, want [0.25 0.4]", qv)
-	}
-	count, sum := w.Sum()
-	if count != 4 || math.Abs(sum-1.0) > 1e-9 {
-		t.Errorf("sum = %d/%v, want 4/1.0", count, sum)
-	}
-
-	// Advance to t=65s: the t=0 sample is now outside the one-minute
-	// window, the other three (t=10,20,30) remain.
-	clock = clock.Add(25 * time.Second)
-	n, _ = w.Quantiles(0.5)
-	if n != 3 {
-		t.Errorf("after aging: n = %d, want 3 (first sample stale)", n)
-	}
-
-	// Overload: more observations than capacity. The ring keeps the most
-	// recent 8; all are in-window.
-	for i := 0; i < 20; i++ {
-		w.Observe(time.Second)
-	}
-	n, qv = w.Quantiles(0.99)
-	if n != 8 || qv[0] != 1 {
-		t.Errorf("overload: n=%d q=%v, want 8 samples of 1s", n, qv)
 	}
 }
 

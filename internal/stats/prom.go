@@ -83,29 +83,6 @@ func (p *Prom) LabeledCounter(name, help, label string, samples []LabeledSample)
 	}
 }
 
-// SummaryQuantile is one pre-computed quantile of a Summary.
-type SummaryQuantile struct {
-	Q float64 // quantile in 0..1
-	V float64 // value at that quantile
-}
-
-// Summary emits a Prometheus summary: one quantile-labeled sample per
-// entry, then _sum and _count. replayd uses it for the sliding-window
-// request-latency SLO view.
-func (p *Prom) Summary(name, help string, quantiles []SummaryQuantile, sum float64, count int) {
-	if p.err != nil {
-		return
-	}
-	p.header(name, help, "summary")
-	for _, q := range quantiles {
-		p.printf("%s{quantile=\"%s\"} %s\n", name,
-			strconv.FormatFloat(q.Q, 'g', -1, 64),
-			strconv.FormatFloat(q.V, 'g', -1, 64))
-	}
-	p.printf("%s_sum %s\n", name, strconv.FormatFloat(sum, 'g', -1, 64))
-	p.printf("%s_count %d\n", name, count)
-}
-
 func (p *Prom) metric(name, help, kind string, value float64) {
 	if p.err != nil {
 		return

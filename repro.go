@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/api"
 	"repro/internal/opt"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
@@ -105,26 +106,7 @@ func WithScope(s Scope) Option {
 // "asst", "cp", "cse", "nop", "ra", "sf", "spec".
 func WithoutOptimization(names ...string) Option {
 	return func(c *runConfig) {
-		c.chain(func(cfg *pipeline.Config) {
-			for _, n := range names {
-				switch n {
-				case "asst":
-					cfg.OptOptions.Assert = false
-				case "cp":
-					cfg.OptOptions.CP = false
-				case "cse":
-					cfg.OptOptions.CSE = false
-				case "nop":
-					cfg.OptOptions.NOP = false
-				case "ra":
-					cfg.OptOptions.RA = false
-				case "sf":
-					cfg.OptOptions.SF = false
-				case "spec":
-					cfg.OptOptions.Speculative = false
-				}
-			}
-		})
+		c.chain((&api.ConfigOverrides{DisableOpts: names}).Mod())
 	}
 }
 

@@ -104,19 +104,3 @@ func TestByClass(t *testing.T) {
 		t.Errorf("all names = %d", got)
 	}
 }
-
-// TestFigure6Ordering: the paper's headline structural claim on a subset —
-// the optimizing configuration outperforms basic rePLay.
-func TestFigure6Ordering(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	rows, err := Figure6(ExpOptions{Workloads: []string{"vortex"}, InstructionBudget: 40_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rows[0]
-	if r.IPC[3] <= r.IPC[2] {
-		t.Errorf("RPO %.2f <= RP %.2f on vortex", r.IPC[3], r.IPC[2])
-	}
-}

@@ -353,37 +353,29 @@ func BenchmarkOptimizerThroughput(b *testing.B) {
 	b.ReportMetric(float64(uops)/float64(b.N), "uops/frame")
 }
 
-// BenchmarkTelemetryOverhead pins the cost of the telemetry layer when
-// it is wired into every engine but disabled, against no telemetry at
-// all. Both sub-benchmarks disable the capture and memo caches so each
-// iteration executes the identical full simulation; the "disabled"
-// variant attaches a fully configured collector (histograms,
-// attribution, trace ring) with the atomic enabled gate off. The
-// acceptance bar is <2% ns/op between "disabled" and "off" — the
-// disabled path pays only nil checks and one atomic load per recording
-// site.
+// BenchmarkTelemetryOverhead pins the cost of the lifecycle histograms
+// replayd attaches to every job, against no collector at all. Both
+// sub-benchmarks disable the capture and memo caches so each iteration
+// executes the identical full simulation; the "hist" variant attaches
+// the histogram-only collector over one shared set, as replayd does, so
+// it pays the probe fan-out and a histogram sample per lifecycle event
+// and per dispatched micro-op.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	p, err := workload.ByName("gzip")
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, tel *telemetry.Collector) {
+	run := func(b *testing.B, probes []sim.Collector) {
 		for i := 0; i < b.N; i++ {
-			o := sim.Options{MaxInsts: 30_000, DisableCache: true, Telemetry: tel}
+			o := sim.Options{MaxInsts: 30_000, DisableCache: true, Probes: probes}
 			if _, err := sim.RunWorkload(context.Background(), p, pipeline.ModeRePLayOpt, o); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 	b.Run("off", func(b *testing.B) { run(b, nil) })
-	b.Run("disabled", func(b *testing.B) {
-		tel := telemetry.New(telemetry.Config{
-			Hist:        telemetry.NewHistogramSet(),
-			Attribution: true,
-			TraceEvents: 1 << 12,
-		})
-		tel.SetEnabled(false)
-		run(b, tel)
+	b.Run("hist", func(b *testing.B) {
+		run(b, []sim.Collector{telemetry.NewHistograms(telemetry.NewHistogramSet(), "")})
 	})
 }
 

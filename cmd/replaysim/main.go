@@ -85,11 +85,10 @@ func main() {
 	slog.SetDefault(logger)
 
 	base := sim.Options{DisableCache: !*cache}
+	var ring *telemetry.Ring
 	if *traceOut != "" {
-		base.Telemetry = telemetry.New(telemetry.Config{
-			TraceEvents: 1 << 16,
-			Label:       "replaysim -experiment " + *experiment,
-		})
+		ring = telemetry.NewRing(1<<16, "replaysim -experiment "+*experiment, "")
+		base.Probes = []sim.Collector{ring}
 	}
 
 	var reqs []api.RunRequest
@@ -123,7 +122,7 @@ func main() {
 		}
 	}
 	if err == nil && *traceOut != "" {
-		err = writeTraceFile(base.Telemetry, *traceOut)
+		err = writeTraceFile(ring, *traceOut)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "replaysim:", err)
@@ -266,14 +265,13 @@ func writePprof(rep *sim.CycleReport, path string) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// writeTraceFile dumps the collector's event ring as Chrome trace_event
-// JSON.
-func writeTraceFile(tel *telemetry.Collector, path string) error {
+// writeTraceFile dumps the event ring as Chrome trace_event JSON.
+func writeTraceFile(ring *telemetry.Ring, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := tel.WriteTrace(f); err != nil {
+	if err := ring.WriteTrace(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -26,7 +26,7 @@ func (r Resolver) get(id string) (*sim.ExternalRun, error) {
 // traces through resolve), runs the matching sim driver, and streams one
 // progress event per completed (workload, mode) run. progress is called
 // one event at a time, in Done order, so it must not wait on other runs.
-// base carries the caller's own options (DisableCache, Telemetry);
+// base carries the caller's own options (DisableCache, Probes);
 // budget, warmup and config come from the request. progress and resolve
 // may be nil when unused.
 func Run(ctx context.Context, req RunRequest, progress func(Event), base sim.Options, resolve Resolver) (*RunResponse, error) {

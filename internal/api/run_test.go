@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -209,5 +211,32 @@ func TestFigure6Ordering(t *testing.T) {
 	r := res.Fig6[0]
 	if r.IPC[3] <= r.IPC[2] {
 		t.Errorf("RPO %.2f <= RP %.2f on vortex", r.IPC[3], r.IPC[2])
+	}
+}
+
+// TestRunKeepsCallerCollectors: experiments that attach their own
+// collector (attr, reuse, cycles, diff) add it beside the caller's
+// instead of replacing them, so a base event ring still records every
+// engine run and exports a valid trace.
+func TestRunKeepsCallerCollectors(t *testing.T) {
+	for _, exp := range []string{ExpAttr, ExpReuse, ExpCycles, ExpDiff} {
+		ring := telemetry.NewRing(1<<16, "", "")
+		req := RunRequest{Experiment: exp, Workloads: []string{"gzip"}, Insts: 30_000}
+		if exp == ExpDiff {
+			req.Diff = &DiffSpec{Config: &ConfigOverrides{DisableOpts: []string{"cse"}}}
+		}
+		if _, err := Run(context.Background(), req, nil, sim.Options{Probes: []sim.Collector{ring}}, nil); err != nil {
+			t.Fatalf("%s: %v", exp, err)
+		}
+		var buf bytes.Buffer
+		if err := ring.WriteTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := telemetry.ValidateTrace(buf.Bytes()); err != nil {
+			t.Errorf("%s: trace invalid: %v", exp, err)
+		}
+		if !strings.Contains(buf.String(), `"name":"gzip/RPO/t0"`) || !strings.Contains(buf.String(), `"construct"`) {
+			t.Errorf("%s: trace records no gzip/RPO run", exp)
+		}
 	}
 }

@@ -166,7 +166,7 @@ func optSpec() Spec {
 			for i, f := range frames {
 				fresh[i] = opt.Remap(f, opt.ScopeFrame)
 			}
-			rec := telemetry.New(telemetry.Config{Attribution: true})
+			rec := telemetry.NewAttribution()
 			uops := 0
 			start := time.Now()
 			for _, of := range fresh {

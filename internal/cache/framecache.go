@@ -18,12 +18,11 @@ type UOpCache[T any] struct {
 	Hits       uint64
 	Lookups    uint64
 
-	// OnInsert/OnEvict/OnHit, when set, observe cache activity (the
-	// pipeline's telemetry wiring). A same-PC replacement reports the
-	// displaced region through OnEvict before the insert.
+	// OnInsert/OnEvict, when set, observe cache activity (the
+	// pipeline's residency stamps and probe). A same-PC replacement
+	// reports the displaced region through OnEvict before the insert.
 	OnInsert func(pc uint32, size int)
 	OnEvict  func(pc uint32, size int)
-	OnHit    func(pc uint32)
 
 	// Recycle, when set, receives every displaced value — capacity
 	// eviction, same-PC replacement, and invalidation — after the
@@ -58,9 +57,6 @@ func (c *UOpCache[T]) Lookup(pc uint32) (T, bool) {
 	}
 	c.Hits++
 	c.lru.MoveToFront(el)
-	if c.OnHit != nil {
-		c.OnHit(pc)
-	}
 	return el.Value.(*entry[T]).value, true
 }
 

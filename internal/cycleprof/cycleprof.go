@@ -106,7 +106,7 @@ func NewCollector() *Collector { return &Collector{pcs: make(map[pcKey]*pcCell)}
 // index, and the func that folds the probe's table and the engine's
 // detected loops into the collector once the engine's last run ends.
 // Calling the fold func again is a no-op.
-func (c *Collector) Attach(trace int, loops *reuse.LoopStack) (pipeline.Probe, func()) {
+func (c *Collector) Attach(_ string, trace int, loops *reuse.LoopStack) (pipeline.Probe, func()) {
 	p := &probe{pcs: make(map[uint32]*pcCell)}
 	return p, sync.OnceFunc(func() {
 		c.mu.Lock()

@@ -25,7 +25,7 @@ type attached struct {
 
 func attach(c *Collector, trace int) *attached {
 	a := &attached{}
-	a.Probe, a.done = c.Attach(trace, &a.loops)
+	a.Probe, a.done = c.Attach("", trace, &a.loops)
 	return a
 }
 

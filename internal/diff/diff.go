@@ -147,12 +147,19 @@ func (p *probe) SlotRetired(s pipeline.Slot, fromFrame bool, uopsExecuted int) {
 	}
 }
 
-func (p *probe) FrameHit()             { p.row().FrameHits++ }
-func (p *probe) FrameRetired(uops int) { p.row().UOpsRetired += uint64(uops) }
+func (p *probe) FrameHit(uint64, uint64, uint32) { p.row().FrameHits++ }
+
+func (p *probe) FrameRetired(_ uint64, uops int, committed bool) {
+	if committed {
+		p.row().UOpsRetired += uint64(uops)
+	}
+}
 
 // OptRemoved fires in the same optimizer run as that run's Pass calls,
 // so per row the two agree: OptRemoved equals the summed Killed.
-func (p *probe) OptRemoved(removed int) { p.row().OptRemoved += uint64(removed) }
+func (p *probe) OptRemoved(_, _ uint64, _ uint32, uopsIn, uopsOut int, _ uint64) {
+	p.row().OptRemoved += uint64(uopsIn - uopsOut)
+}
 
 func (p *probe) Pass(pass string, killed, rewritten int) { p.row().addPass(pass, killed, rewritten) }
 
@@ -185,7 +192,7 @@ func NewCollector() *Collector { return &Collector{rows: make(map[rowKey]*Row)} 
 // index, reading that engine's loop stack, and the func that folds the
 // probe's rows into the collector once the engine's last run ends.
 // Calling the fold func again is a no-op.
-func (c *Collector) Attach(trace int, loops *reuse.LoopStack) (pipeline.Probe, func()) {
+func (c *Collector) Attach(_ string, trace int, loops *reuse.LoopStack) (pipeline.Probe, func()) {
 	p := &probe{loops: loops, rows: make(map[uint32]*Row), straight: Row{Straight: true}}
 	return p, sync.OnceFunc(func() { c.fold(trace, p) })
 }

@@ -52,7 +52,7 @@ func loopStream(trips int) []pipeline.Slot {
 func TestDetectorPartition(t *testing.T) {
 	c := NewCollector()
 	var loops reuse.LoopStack
-	p, done := c.Attach(0, &loops)
+	p, done := c.Attach("", 0, &loops)
 	slots := loopStream(5)
 	var inLoop bool
 	for i := range slots {
@@ -64,11 +64,11 @@ func TestDetectorPartition(t *testing.T) {
 		if _, ok := loops.Active(); ok && !inLoop {
 			inLoop = true
 			p.Pass("dce", 3, 1)
-			p.OptRemoved(3)
+			p.OptRemoved(0, 0, 0, 3, 0, 0)
 		}
 	}
 	p.Pass("nop", 2, 0)
-	p.OptRemoved(2)
+	p.OptRemoved(0, 0, 0, 2, 0, 0)
 	done()
 
 	prof := c.Snapshot()

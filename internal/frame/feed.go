@@ -67,7 +67,6 @@ func (d *Decoder) At(pc uint32) (x86.Inst, []uop.UOp, error) {
 // the end.
 func FeedTrace(c *Constructor, tr *trace.Trace) error {
 	d := NewDecoder(tr)
-	start := c.clock()
 	addrs := make([]uint32, 0, 4)
 	for i := range tr.Records {
 		r := &tr.Records[i]
@@ -82,6 +81,5 @@ func FeedTrace(c *Constructor, tr *trace.Trace) error {
 		c.Retire(r.PC, in, uops, r.NextPC, addrs)
 	}
 	c.Flush()
-	c.Tel.FeedSpan(c.TelRun, start, c.clock(), len(tr.Records), int(d.Decodes()))
 	return nil
 }

@@ -8,7 +8,6 @@ package frame
 import (
 	"fmt"
 
-	"repro/internal/telemetry"
 	"repro/internal/uop"
 	"repro/internal/x86"
 )
@@ -111,18 +110,6 @@ type Constructor struct {
 	// Deposit receives each completed frame.
 	Deposit func(*Frame)
 
-	// Tel, when set, receives a FrameConstructed event (and the frame
-	// length histogram sample) for every deposited frame, stamped with
-	// TelRun and the cycle from Now. Now may be nil, in which case the
-	// retire ordinal serves as the clock (standalone construction has no
-	// cycle counter).
-	Tel    *telemetry.Collector
-	TelRun int
-	Now    func() uint64
-
-	// retired counts Retire calls — the fallback clock.
-	retired uint64
-
 	// Constructed counts frames deposited.
 	Constructed uint64
 
@@ -175,7 +162,6 @@ func classify(in x86.Inst) controlKind {
 // micro-ops, dynamic outcome (taken, nextPC) and the dynamic addresses of
 // its memory micro-ops, in flow order.
 func (c *Constructor) Retire(pc uint32, in x86.Inst, uops []uop.UOp, nextPC uint32, memAddrs []uint32) {
-	c.retired++
 	kind := classify(in)
 	taken := nextPC != pc+uint32(in.Len)
 
@@ -370,26 +356,13 @@ func (c *Constructor) startAt(pc uint32) {
 	c.nextID++
 }
 
-// clock returns the construction-time timestamp for telemetry: the
-// engine's cycle when wired in, the retire ordinal otherwise.
-func (c *Constructor) clock() uint64 {
-	if c.Now != nil {
-		return c.Now()
-	}
-	return c.retired
-}
-
-// deposit hands a finished frame downstream and reports it to
-// telemetry. Both finish paths funnel through here. The telemetry
-// fields are captured before the callback: Deposit transfers ownership,
-// and a receiver that drops the frame may recycle it immediately.
+// deposit counts a finished frame and hands it downstream (Deposit
+// transfers ownership). Both finish paths funnel through here.
 func (c *Constructor) deposit(f *Frame) {
 	c.Constructed++
-	id, pc, uops := f.ID, f.StartPC, len(f.UOps)
 	if c.Deposit != nil {
 		c.Deposit(f)
 	}
-	c.Tel.FrameConstructed(c.TelRun, c.clock(), id, pc, uops)
 }
 
 // finishAligned deposits the pending frame, preferring to cut it at the

@@ -52,7 +52,7 @@ func (s Stats) Removed() int { return s.UOpsIn - s.UOpsOut }
 // attribution. Implementations receive the frame id, the pass name
 // (see telemetry.PassOrder), uops the pass invalidated, and uops it
 // rewrote in place. Only invocations that changed something are
-// reported. telemetry.Collector satisfies this structurally; opt
+// reported. telemetry.Attribution satisfies this structurally; opt
 // declares its own interface to stay a leaf package.
 type PassRecorder interface {
 	RecordPass(frameID uint64, pass string, killed, rewritten int)

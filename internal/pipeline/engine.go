@@ -7,7 +7,6 @@ import (
 	"repro/internal/frame"
 	"repro/internal/opt"
 	"repro/internal/predict"
-	"repro/internal/telemetry"
 	"repro/internal/tracing"
 	"repro/internal/uop"
 	"repro/internal/x86"
@@ -101,11 +100,9 @@ type Engine struct {
 	fill    *traceFill
 	lastSrc fetchSrc
 
-	// Telemetry (see SetTelemetry). tel is nil unless attached, so the
-	// disabled cost on the dispatch hot path is one nil check.
-	tel         *telemetry.Collector
-	telRun      int
-	telInsertAt map[uint32]uint64 // frame-cache insert cycle per PC, for residency
+	// insertedAt stamps each frame/trace-cache entry's insertion cycle,
+	// so evictions report true residency whenever the probe attached.
+	insertedAt map[uint32]uint64
 
 	// The engine's probe (see SetProbe); nil unless attached, so the
 	// detached cost at every hook site is one nil check.
@@ -169,17 +166,20 @@ func New(cfg Config, mode Mode, src Stream) *Engine {
 		fuComplex:  make([]uint64, cfg.ComplexALUs),
 		fuLSU:      make([]uint64, cfg.LSUs),
 		retireRing: make([]uint64, cfg.Width),
+		insertedAt: make(map[uint32]uint64),
 	}
 	switch mode {
 	case ModeRePLay, ModeRePLayOpt:
 		e.frames = cache.NewUOpCache[*opt.OptFrame](cfg.FrameCacheUOps)
 		e.frames.Recycle = e.recycleFrame
+		watchCache(e, e.frames)
 		e.optSlots = make([]uint64, cfg.OptPipeDepth)
 		e.growCap = make(map[uint32]int)
 		e.abortRuns = make(map[uint32]int)
 		e.cons = frame.NewConstructor(cfg.FrameCfg, e.depositFrame)
 	case ModeTraceCache:
 		e.traces = cache.NewUOpCache[*traceEntry](cfg.TraceCacheUOps)
+		watchCache(e, e.traces)
 		e.fill = &traceFill{}
 	}
 	return e
@@ -463,8 +463,8 @@ func (e *Engine) dispatch(op uop.Op, ready uint64, fetchAt uint64, memAddr uint3
 	e.ringPos = (e.ringPos + 1) % e.cfg.Width
 	e.lastRetire = retireAt
 	e.inflight = append(e.inflight, retireAt)
-	if e.tel != nil {
-		e.tel.FetchRetire(retireAt - fetchAt)
+	if e.probe != nil {
+		e.probe.FetchRetire(retireAt - fetchAt)
 	}
 	return doneAt
 }

@@ -14,7 +14,7 @@ import (
 func (e *Engine) depositFrame(f *frame.Frame) {
 	e.stats.FramesConstructed++
 	if e.probe != nil {
-		e.probe.FrameBuilt()
+		e.probe.FrameBuilt(e.cycle, f.ID, f.StartPC, len(f.UOps))
 	}
 	if e.DepositHook != nil {
 		e.DepositHook(f)
@@ -105,14 +105,13 @@ func (e *Engine) startOptimizations() {
 		}
 		e.accumulateOpt(st)
 		e.stats.FramesOptimized++
-		if e.probe != nil {
-			e.probe.OptRemoved(st.UOpsIn - st.UOpsOut)
-		}
 		dwell := uint64(e.cfg.OptCyclesPerUOp * len(f.UOps))
+		if e.probe != nil {
+			e.probe.OptRemoved(e.cycle, f.ID, f.StartPC, st.UOpsIn, st.UOpsOut, dwell)
+		}
 		done := e.cycle + dwell
 		e.optSlots[slot] = done
 		e.optPending = append(e.optPending, pendingFrame{readyAt: done, of: of})
-		e.tel.FrameOptimized(e.telRun, e.cycle, f.ID, f.StartPC, st.UOpsIn, st.UOpsOut, dwell)
 	}
 }
 
@@ -196,9 +195,8 @@ func (e *Engine) fetchFrame(of *opt.OptFrame) {
 	e.switchTo(srcFC)
 	e.stats.FrameFetches++
 	if e.probe != nil {
-		e.probe.FrameHit()
+		e.probe.FrameHit(e.cycle, src.ID, src.StartPC)
 	}
-	fetchStart := e.cycle
 	savedArch := e.archReady
 
 	// Dispatch the frame body, Width micro-ops per fetch cycle. The
@@ -308,7 +306,9 @@ func (e *Engine) fetchFrame(of *opt.OptFrame) {
 			}
 			e.AbortHook(src.StartPC, pc, unsafeConflict && !diverged)
 		}
-		e.tel.AssertFired(e.telRun, e.cycle, src.ID, src.StartPC, unsafeConflict && !diverged)
+		if e.probe != nil {
+			e.probe.AssertFired(e.cycle, src.ID, src.StartPC, unsafeConflict && !diverged)
+		}
 		e.profAt(src.StartPC) // recovery wait belongs to the aborting frame
 		e.stallUntil(maxDone, BinAssert)
 		// A transient assert (a rare contrary outcome) keeps the frame — it
@@ -338,13 +338,14 @@ func (e *Engine) fetchFrame(of *opt.OptFrame) {
 		e.archReady = savedArch
 		e.pushback(consumed)
 		e.recoverSlots = len(consumed)
-		e.tel.FrameFetch(e.telRun, fetchStart, e.cycle, src.ID, src.StartPC, fetched, false)
+		if e.probe != nil {
+			e.probe.FrameRetired(e.cycle, fetched, false)
+		}
 		return
 	}
 
 	// Commit.
 	e.stats.FrameCommits++
-	e.tel.FrameFetch(e.telRun, fetchStart, e.cycle, src.ID, src.StartPC, fetched, true)
 	delete(e.abortRuns, src.StartPC)
 	if cap, ok := e.growCap[src.StartPC]; ok {
 		e.growCap[src.StartPC] = cap + 1
@@ -399,7 +400,7 @@ func (e *Engine) fetchFrame(of *opt.OptFrame) {
 	e.stats.UOpsRetired += uint64(validOps)
 	e.stats.LoadsRetired += uint64(validLoads)
 	if e.probe != nil {
-		e.probe.FrameRetired(validOps)
+		e.probe.FrameRetired(e.cycle, validOps, true)
 	}
 
 	// Live-out scoreboard updates.

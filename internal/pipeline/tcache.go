@@ -73,10 +73,10 @@ func (e *Engine) fillTrace(s *Slot) {
 func (e *Engine) fetchTraceEntry(tr *traceEntry) {
 	e.profAt(tr.StartPC) // turnaround + first group belong to the line head
 	e.switchTo(srcFC)
-	if e.tel.Enabled() {
+	if e.probe != nil {
 		start := e.cycle
 		defer func() {
-			e.tel.TraceFetch(e.telRun, start, e.cycle, tr.StartPC, tr.NumUOps)
+			e.probe.TraceFetch(start, e.cycle, tr.StartPC, tr.NumUOps)
 		}()
 	}
 	e.windowStall()

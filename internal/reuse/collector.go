@@ -73,7 +73,7 @@ func NewCollector() *Collector { return &Collector{} }
 // trace index, reading that engine's loop stack, and the func that
 // folds the detector's totals into the collector once the engine's
 // last run ends. Calling the fold func again is a no-op.
-func (c *Collector) Attach(trace int, loops *LoopStack) (pipeline.Probe, func()) {
+func (c *Collector) Attach(_ string, trace int, loops *LoopStack) (pipeline.Probe, func()) {
 	d := NewDetector(loops)
 	return d, sync.OnceFunc(func() {
 		c.mu.Lock()

@@ -339,19 +339,25 @@ func (d *Detector) SlotRetired(s pipeline.Slot, fromFrame bool, uopsExecuted int
 func (d *Detector) live() *BucketStat { return &d.buckets[BucketOf(d.Depth())] }
 
 // FrameBuilt attributes a constructor frame deposit.
-func (d *Detector) FrameBuilt() { d.live().FrameBuilds++ }
+func (d *Detector) FrameBuilt(uint64, uint64, uint32, int) { d.live().FrameBuilds++ }
 
 // FrameHit attributes a frame-cache fetch.
-func (d *Detector) FrameHit() { d.live().FrameHits++ }
+func (d *Detector) FrameHit(uint64, uint64, uint32) { d.live().FrameHits++ }
 
 // FrameRetired attributes a committed frame's optimized body.
-func (d *Detector) FrameRetired(uops int) { d.live().UOpsRetired += uint64(uops) }
+func (d *Detector) FrameRetired(_ uint64, uops int, committed bool) {
+	if committed {
+		d.live().UOpsRetired += uint64(uops)
+	}
+}
 
 // OptRemoved attributes micro-ops removed by an optimizer run.
-func (d *Detector) OptRemoved(removed int) { d.live().OptRemoved += uint64(removed) }
+func (d *Detector) OptRemoved(_, _ uint64, _ uint32, uopsIn, uopsOut int, _ uint64) {
+	d.live().OptRemoved += uint64(uopsIn - uopsOut)
+}
 
 // Evict attributes a frame/trace-cache eviction.
-func (d *Detector) Evict() { d.live().Evictions++ }
+func (d *Detector) Evict(uint64, uint32, int, uint64) { d.live().Evictions++ }
 
 // Buckets returns the attribution cells, indexed by depth bucket.
 func (d *Detector) Buckets() [NumBuckets]BucketStat { return d.buckets }

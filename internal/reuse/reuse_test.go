@@ -280,14 +280,14 @@ func TestDetectorLoopWithCall(t *testing.T) {
 // in the bucket of the depth live when they fire.
 func TestDetectorFrameEvents(t *testing.T) {
 	d := NewDetector(&LoopStack{})
-	d.FrameBuilt() // straight-line: nothing retired yet
+	d.FrameBuilt(0, 0, 0, 0) // straight-line: nothing retired yet
 	slots := singleLoop(4)
 	for i := range slots {
 		retire(d, slots[i])
 		if slots[i].PC == 0x14 { // inside the loop body
-			d.FrameHit()
-			d.OptRemoved(2)
-			d.Evict()
+			d.FrameHit(0, 0, 0)
+			d.OptRemoved(0, 0, 0, 2, 0, 0)
+			d.Evict(0, 0, 0, 0)
 		}
 	}
 	b := d.Buckets()
@@ -311,7 +311,7 @@ func TestCollectorFold(t *testing.T) {
 	c := NewCollector()
 	for trace := 0; trace < 2; trace++ {
 		var loops LoopStack
-		p, done := c.Attach(trace, &loops)
+		p, done := c.Attach("", trace, &loops)
 		slots := singleLoop(4)
 		for i := range slots {
 			loops.Retire(&slots[i])

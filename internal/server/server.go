@@ -139,8 +139,8 @@ type job struct {
 
 	mu        sync.Mutex
 	events    []api.Event
-	notify    chan struct{}        // closed and replaced on every append
-	tel       *telemetry.Collector // per-job trace collector, when req.Trace
+	notify    chan struct{}   // closed and replaced on every append
+	ring      *telemetry.Ring // per-job event ring, when req.Trace
 	state     string
 	err       error
 	result    *api.RunResponse
@@ -245,13 +245,12 @@ type Server struct {
 	met serviceMetrics
 	log *slog.Logger
 
-	// hist backs the /metrics histograms; tel is the process-wide
-	// histogram-only collector every untraced job runs under (histogram
-	// collection keeps the run memo, so this costs nothing on memo hits).
-	// Traced jobs get a private collector that shares hist, so their
-	// samples land in the same /metrics families.
-	hist *telemetry.HistogramSet
-	tel  *telemetry.Collector
+	// hist backs the /metrics histograms; histCol is the process-wide
+	// collector feeding it, which every job without a span trace runs
+	// under (histogram collection keeps the run memo, so this costs
+	// nothing on memo hits).
+	hist    *telemetry.HistogramSet
+	histCol *telemetry.Histograms
 
 	// tracer roots one span trace per API request; completed traces
 	// land in traces behind its tail sampler. httpHist is the request
@@ -295,7 +294,7 @@ func New(cfg Config) *Server {
 		rmet:       newReuseMetrics(),
 		cmet:       newCycleMetrics(),
 	}
-	s.tel = telemetry.New(telemetry.Config{Hist: s.hist})
+	s.histCol = telemetry.NewHistograms(s.hist, "")
 	s.traces = tracing.NewStore(tracing.StoreConfig{
 		Capacity:      cfg.TraceStore,
 		SlowThreshold: cfg.TraceSlow,
@@ -627,31 +626,25 @@ func (s *Server) execute(j *job) {
 	j.log.Info("job started",
 		"queue_wait_ms", float64(time.Since(j.queuedAt))/float64(time.Millisecond),
 		"trace", j.req.Trace)
-	// Every job runs under a collector so its frame-lifecycle histograms
-	// feed /metrics. Traced jobs get a private collector (ring buffer,
-	// labeled with the coalescing key, tagged with the job ID so ring
-	// events join log lines, same histogram set); it stays on the job so
-	// /debug/trace can serve it during and after the run. A span-carrying
-	// job without an event ring still gets a private histogram-only
-	// collector so its samples stamp the request's trace ID as bucket
-	// exemplars — histogram-only collection keeps the run memo.
-	tel := s.tel
-	switch {
-	case j.req.Trace:
-		tel = telemetry.New(telemetry.Config{
-			Hist:        s.hist,
-			TraceEvents: s.cfg.TraceEvents,
-			Label:       j.key,
-			JobID:       j.id,
-			TraceID:     j.traceID,
-		})
-		j.mu.Lock()
-		j.tel = tel
-		j.mu.Unlock()
-	case j.traceID != "":
-		tel = telemetry.New(telemetry.Config{Hist: s.hist, TraceID: j.traceID})
+	// Every job runs under a histogram collector so its frame-lifecycle
+	// samples feed /metrics. A span-carrying job gets a private one over
+	// the same set, stamping the request's trace ID as bucket exemplars —
+	// histogram-only collection keeps the run memo. Traced jobs add an
+	// event ring (labeled with the coalescing key, tagged with the job ID
+	// so ring events join log lines); it stays on the job so /debug/trace
+	// can serve it during and after the run.
+	cols := []sim.Collector{s.histCol}
+	if j.traceID != "" {
+		cols[0] = telemetry.NewHistograms(s.hist, j.traceID)
 	}
-	ctx := telemetry.NewContext(j.ctx, tel)
+	if j.req.Trace {
+		ring := telemetry.NewRing(s.cfg.TraceEvents, j.key, j.id)
+		j.mu.Lock()
+		j.ring = ring
+		j.mu.Unlock()
+		cols = append(cols, ring)
+	}
+	ctx := withCollectors(j.ctx, cols)
 	ctx, espan := tracing.Start(ctx, "job.exec")
 	res, err := s.cfg.Runner(ctx, j.req, j.appendEvent)
 	espan.SetError(err)
@@ -664,9 +657,23 @@ func (s *Server) execute(j *job) {
 }
 
 // run is the default Runner: the api dispatcher under the job's
-// collector, resolving uploaded traces from the spool.
+// collectors, resolving uploaded traces from the spool.
 func (s *Server) run(ctx context.Context, req api.RunRequest, progress func(api.Event)) (*api.RunResponse, error) {
-	return api.Run(ctx, req, progress, sim.Options{Telemetry: telemetry.FromContext(ctx)}, s.externalRun)
+	return api.Run(ctx, req, progress, sim.Options{Probes: collectorsFrom(ctx)}, s.externalRun)
+}
+
+type collectorsKey struct{}
+
+// withCollectors attaches a job's collectors to ctx, handing them
+// through the Runner boundary without changing its signature.
+func withCollectors(ctx context.Context, cols []sim.Collector) context.Context {
+	return context.WithValue(ctx, collectorsKey{}, cols)
+}
+
+// collectorsFrom returns the collectors withCollectors attached, or nil.
+func collectorsFrom(ctx context.Context) []sim.Collector {
+	cols, _ := ctx.Value(collectorsKey{}).([]sim.Collector)
+	return cols
 }
 
 // checkBudget enforces the MaxInsts cap on the per-trace budget the
@@ -691,6 +698,15 @@ func (s *Server) checkBudget(req api.RunRequest) error {
 // evicts old finished jobs beyond the retention bound.
 func (s *Server) settle(j *job, res *api.RunResponse, err error) {
 	s.unpinXTrace(j.req)
+	// Fold the report metrics before finishing: a client that sees the
+	// job done must find it counted in /metrics.
+	if err == nil && res != nil {
+		for _, k := range reportKinds {
+			if _, ok := k.report(res); ok {
+				k.fold(s, res, j.traceID)
+			}
+		}
+	}
 	j.finish(res, err)
 	j.cancel()
 
@@ -716,13 +732,6 @@ func (s *Server) settle(j *job, res *api.RunResponse, err error) {
 	}
 	if err == nil && execDur > 0 {
 		s.met.observeExec(execDur.Seconds())
-	}
-	if err == nil && res != nil {
-		for _, k := range reportKinds {
-			if _, ok := k.report(res); ok {
-				k.fold(s, res, j.traceID)
-			}
-		}
 	}
 	// Close out the job's spans (idempotent: the queue-wait span already
 	// ended if a worker picked the job up). An errored or canceled job
@@ -970,9 +979,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.mu.Lock()
-	tel := j.tel
+	ring := j.ring
 	j.mu.Unlock()
-	if tel == nil {
+	if ring == nil {
 		if j.req.Trace {
 			// Requested but not started: the collector appears with the run.
 			writeJSON(w, http.StatusConflict,
@@ -984,7 +993,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = tel.WriteTrace(w)
+	_ = ring.WriteTrace(w)
 }
 
 // handleTraces lists the span traces retained by the tail sampler,

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -9,46 +10,64 @@ import (
 	"testing"
 
 	"repro/internal/api"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
-// TestRunnerReceivesCollector: the server threads a collector through
-// the runner context — a histogram-only one stamping the request's
-// trace ID as exemplars for plain jobs, a private tracing one (labeled
-// with the coalescing key) when the request asks for an event trace.
+// TestRunnerReceivesCollector: the server threads its collectors
+// through the runner context — a histogram one stamping the request's
+// trace ID as exemplars for plain jobs, plus a private event ring
+// (labeled with the coalescing key) when the request asks for an event
+// trace.
 func TestRunnerReceivesCollector(t *testing.T) {
 	type seen struct {
-		tel *telemetry.Collector
-		key string
+		cols []sim.Collector
+		key  string
 	}
 	got := make(chan seen, 2)
 	s := New(Config{Workers: 1, Runner: func(ctx context.Context, req api.RunRequest, progress func(api.Event)) (*api.RunResponse, error) {
-		got <- seen{telemetry.FromContext(ctx), req.Key()}
+		got <- seen{collectorsFrom(ctx), req.Key()}
 		return &api.RunResponse{Experiment: req.Experiment}, nil
 	}})
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	// split returns the job's histogram collector and event ring.
+	split := func(cols []sim.Collector) (hist *telemetry.Histograms, ring *telemetry.Ring) {
+		for _, c := range cols {
+			switch c := c.(type) {
+			case *telemetry.Histograms:
+				hist = c
+			case *telemetry.Ring:
+				ring = c
+			}
+		}
+		return hist, ring
+	}
+
 	plain := api.RunRequest{Experiment: "cell", Workloads: []string{"gzip"}, Insts: 1000}
 	if _, code := postRun(t, ts.URL+"/v1/run", plain); code != http.StatusOK {
 		t.Fatalf("plain run: status %d", code)
 	}
 	g := <-got
-	if g.tel == nil {
-		t.Fatal("plain job ran with no collector")
+	hist, ring := split(g.cols)
+	if hist == nil {
+		t.Fatal("plain job ran with no histogram collector")
 	}
-	if g.tel == s.tel {
+	if hist == s.histCol {
 		// The request opened a trace, so the job must not share the
 		// global collector: its histogram samples carry the trace ID.
 		t.Errorf("plain job ran under the global collector, want a per-job exemplar one")
 	}
-	if g.tel.HasTrace() {
-		t.Errorf("plain job's collector has a trace ring")
+	if ring != nil {
+		t.Errorf("plain job's collectors include a trace ring")
 	}
-	if g.tel.RequiresExecution() {
-		t.Errorf("plain job's collector bypasses the run memo")
+	for _, c := range g.cols {
+		if _, ok := c.(sim.Sampler); !ok {
+			t.Errorf("plain job's collector %T bypasses the run memo", c)
+		}
 	}
 
 	traced := plain
@@ -57,14 +76,25 @@ func TestRunnerReceivesCollector(t *testing.T) {
 		t.Fatalf("traced run: status %d", code)
 	}
 	g = <-got
-	if g.tel == s.tel {
-		t.Errorf("traced job ran under the global collector, want a private one")
+	hist, ring = split(g.cols)
+	if hist == nil || hist == s.histCol {
+		t.Errorf("traced job's histogram collector = %p, want a private one", hist)
 	}
-	if !g.tel.HasTrace() {
-		t.Errorf("traced job's collector has no trace ring")
+	if ring == nil {
+		t.Fatalf("traced job's collectors have no trace ring")
 	}
-	if g.tel.Label() != g.key {
-		t.Errorf("trace label %q != coalescing key %q", g.tel.Label(), g.key)
+	var buf bytes.Buffer
+	if err := ring.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var tf struct {
+		OtherData map[string]any `json:"otherData"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
+		t.Fatal(err)
+	}
+	if label := tf.OtherData["job"]; label != g.key {
+		t.Errorf("trace label %v != coalescing key %q", label, g.key)
 	}
 	if plain.Key() == traced.Key() {
 		t.Errorf("trace flag does not split the coalescing key")

@@ -30,23 +30,17 @@ func (r *AttrRow) KilledTotal() uint64 {
 }
 
 // Attribution runs the RPO configuration over each profile with a
-// private attribution collector and returns the per-pass tables. Each
-// profile gets its own collector so rows are per-workload; attribution
-// forces execution (no memo hits), making the tables exact for the
-// measured run.
+// private attribution collector, beside any of the caller's, and returns
+// the per-pass tables. Each profile gets its own collector so rows are
+// per-workload; attribution forces execution (no memo hits), making the
+// tables exact for the measured run.
 func Attribution(ctx context.Context, profiles []workload.Profile, o Options) ([]AttrRow, error) {
-	tels := make([]*telemetry.Collector, len(profiles))
-	results := make([]Result, len(profiles))
-	errs := make([]error, len(profiles))
 	jobs := make([]runJob, len(profiles))
 	for i, p := range profiles {
-		tels[i] = telemetry.New(telemetry.Config{Attribution: true})
-		po := o
-		po.Telemetry = tels[i]
-		jobs[i] = runJob{profile: p, mode: pipeline.ModeRePLayOpt, opts: po,
-			out: &results[i], err: &errs[i]}
+		jobs[i] = runJob{profile: p, mode: pipeline.ModeRePLayOpt}
 	}
-	if err := runAll(ctx, jobs); err != nil {
+	cols, results, err := runProbed(ctx, jobs, o, telemetry.NewAttribution)
+	if err != nil {
 		return nil, err
 	}
 	rows := make([]AttrRow, len(profiles))
@@ -54,7 +48,7 @@ func Attribution(ctx context.Context, profiles []workload.Profile, o Options) ([
 		rows[i] = AttrRow{
 			Workload: p.Name,
 			Class:    p.Class,
-			Passes:   tels[i].AttributionSnapshot(),
+			Passes:   cols[i].Snapshot(),
 			Opt:      results[i].Stats.Opt,
 		}
 	}

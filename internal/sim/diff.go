@@ -122,7 +122,7 @@ func sideJobs(jobs *[]runJob, side DiffSide, o Options, repeats int) *diffRuns {
 		po := o
 		po.ConfigMod = chainMod(o.ConfigMod, side.ConfigMod)
 		if r == 0 {
-			po.Probes = []Collector{d.col}
+			po.Probes = withProbe(o.Probes, d.col)
 		}
 		j := runJob{mode: side.mode(), opts: po, out: &d.results[r], err: &errs[r]}
 		if side.External != nil {

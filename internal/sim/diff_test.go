@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"testing"
@@ -211,24 +212,30 @@ func TestDiffDoesNotPolluteMemo(t *testing.T) {
 	}
 }
 
-// TestAllProbesTogether attaches every observer at once — telemetry
-// attribution, the reuse collector, the cycle profiler, and the diff
-// probe — on one engine and checks each one's conservation held while
-// the feeds fanned out, and that each collector's report is identical
-// to the one it produces attached alone: the shared loop stack gives
-// every probe the view its own detector would. Run under -race this
-// also proves the fan-out paths are data-race-free.
+// TestAllProbesTogether attaches every observer at once — the reuse
+// collector, the cycle profiler, the diff probe, and telemetry's pass
+// attribution, lifecycle histograms and event ring — on one engine and
+// checks each one's conservation held while the feeds fanned out, and
+// that each collector's report is identical to the one it produces
+// attached alone: the shared loop stack gives every probe the view its
+// own detector would. Run under -race this also proves the fan-out
+// paths are data-race-free.
 func TestAllProbesTogether(t *testing.T) {
 	p, err := workload.ByName("gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tel := telemetry.New(telemetry.Config{Attribution: true})
+	// lifecycle builds telemetry's three collectors.
+	lifecycle := func() (*telemetry.Attribution, *telemetry.HistogramSet, *telemetry.Histograms, *telemetry.Ring) {
+		set := telemetry.NewHistogramSet()
+		return telemetry.NewAttribution(), set, telemetry.NewHistograms(set, ""), telemetry.NewRing(1<<16, "", "")
+	}
+	tel, hset, hcol, ring := lifecycle()
 	rcol := reuse.NewCollector()
 	ccol := cycleprof.NewCollector()
 	dcol := diff.NewCollector()
 	res, err := RunWorkload(context.Background(), p, pipeline.ModeRePLayOpt,
-		Options{MaxInsts: 30_000, Telemetry: tel, Probes: []Collector{rcol, ccol, dcol},
+		Options{MaxInsts: 30_000, Probes: []Collector{rcol, ccol, dcol, tel, hcol, ring},
 			DisableCache: true})
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +260,7 @@ func TestAllProbesTogether(t *testing.T) {
 	// Telemetry's pass attribution and the diff partition fed from the
 	// same recorder fan-out must agree on total kills.
 	var telKilled, diffKilled uint64
-	for _, ps := range tel.AttributionSnapshot() {
+	for _, ps := range tel.Snapshot() {
 		telKilled += uint64(ps.Killed)
 	}
 	for _, pc := range dprof.Passes {
@@ -270,9 +277,10 @@ func TestAllProbesTogether(t *testing.T) {
 		}
 	}
 	rAlone, cAlone, dAlone := reuse.NewCollector(), cycleprof.NewCollector(), diff.NewCollector()
-	alone(rAlone)
-	alone(cAlone)
-	alone(dAlone)
+	tAlone, hsetAlone, hAlone, ringAlone := lifecycle()
+	for _, c := range []Collector{rAlone, cAlone, dAlone, tAlone, hAlone, ringAlone} {
+		alone(c)
+	}
 	if got := rAlone.Snapshot(); !reflect.DeepEqual(rrep, got) {
 		t.Errorf("reuse report differs attached alone:\n together %+v\n alone    %+v", rrep, got)
 	}
@@ -281,6 +289,24 @@ func TestAllProbesTogether(t *testing.T) {
 	}
 	if got := dAlone.Snapshot(); !reflect.DeepEqual(dprof, got) {
 		t.Errorf("diff profile differs attached alone")
+	}
+	if got, want := tAlone.Snapshot(), tel.Snapshot(); !reflect.DeepEqual(want, got) {
+		t.Errorf("attribution differs attached alone:\n together %+v\n alone    %+v", want, got)
+	}
+	for i, h := range hset.All() {
+		if got, want := hsetAlone.All()[i].Snapshot(), h.Snapshot(); !reflect.DeepEqual(want, got) {
+			t.Errorf("histogram %s differs attached alone:\n together %+v\n alone    %+v", h.Name(), want, got)
+		}
+	}
+	var together, solo bytes.Buffer
+	if err := ring.WriteTrace(&together); err != nil {
+		t.Fatal(err)
+	}
+	if err := ringAlone.WriteTrace(&solo); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(together.Bytes(), solo.Bytes()) {
+		t.Errorf("event ring differs attached alone (%d vs %d bytes)", together.Len(), solo.Len())
 	}
 }
 
@@ -295,7 +321,7 @@ func TestProbeFanAdvancesLoopsFirst(t *testing.T) {
 	fan := &probeFan{}
 	var folds []func()
 	for _, c := range []Collector{rcol, dcol} {
-		p, done := c.Attach(0, &fan.loops)
+		p, done := c.Attach("", 0, &fan.loops)
 		fan.probes = append(fan.probes, p)
 		folds = append(folds, done)
 	}

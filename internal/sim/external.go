@@ -18,7 +18,7 @@ const ReplaySlack = captureSlack
 // engine-ready slot stream (package xtrace produces these) plus the
 // identity the run memo needs.
 type ExternalRun struct {
-	// Name labels results, telemetry, and errors.
+	// Name labels results, probe runs, and errors.
 	Name string
 	// Fingerprint is the trace's content ID. Empty disables run
 	// memoization (the memo must never alias two different streams).
@@ -76,8 +76,7 @@ func runExternal(ctx context.Context, ext ExternalRun, mode pipeline.Mode, o Opt
 		o.ConfigMod(&cfg)
 	}
 
-	useMemo := ext.Fingerprint != "" && !o.DisableCache && !o.Telemetry.RequiresExecution() &&
-		len(o.Probes) == 0
+	useMemo := ext.Fingerprint != "" && !o.DisableCache && !mustExecute(o.Probes)
 	var key memoKey
 	if useMemo {
 		key = memoKey{profile: "xtrace:" + ext.Fingerprint, mode: mode,

@@ -14,7 +14,6 @@ import (
 	"repro/internal/cycleprof"
 	"repro/internal/pipeline"
 	"repro/internal/reuse"
-	"repro/internal/telemetry"
 	"repro/internal/tracing"
 	"repro/internal/translate"
 	"repro/internal/uop"
@@ -123,27 +122,48 @@ type Options struct {
 	// stream per-(workload, mode) progress; it must be safe for
 	// concurrent calls, since runAll completes runs in parallel.
 	Notify func(Result)
-	// Telemetry, when set, receives frame-lifecycle events from every
-	// engine the run creates. A collector with attribution or tracing
-	// enabled bypasses the run memo (a memoized run executes nothing, so
-	// it would silently produce no events); a histogram-only collector
-	// keeps memoization, and memo hits simply contribute no samples.
-	Telemetry *telemetry.Collector
 	// Probes are attached to every engine after warmup, so their
 	// attribution covers exactly the measured window and their totals
 	// equal the window's Stats counters (the conservation invariant).
-	// Any probe forces execution (a memoized run would observe nothing)
-	// and keeps the serial per-trace path.
+	// Any probe keeps the serial per-trace path, and any probe but a
+	// Sampler forces execution (a memoized run would observe nothing).
 	Probes []Collector
 }
 
 // Collector gathers one probe's results across every engine a run
-// creates: reuse.Collector, cycleprof.Collector and diff.Collector.
+// creates: the reuse, cycleprof and diff collectors, and telemetry's
+// lifecycle histograms, pass attribution and event ring.
 type Collector interface {
-	// Attach returns the probe for one engine over trace t, reading the
-	// engine's shared loop stack, and the func that folds the probe into
-	// the collector once the engine's measured window ends.
-	Attach(t int, loops *reuse.LoopStack) (probe pipeline.Probe, done func())
+	// Attach returns the probe for one engine run, named
+	// "<workload>/<mode>/t<trace>", over trace t, reading the engine's
+	// shared loop stack, and the func that folds the probe into the
+	// collector once the engine's measured window ends.
+	Attach(run string, t int, loops *reuse.LoopStack) (probe pipeline.Probe, done func())
+}
+
+// Sampler is a Collector that only samples distributions (telemetry's
+// lifecycle histograms). A run it misses costs it samples, not
+// correctness, so runs whose collectors are all Samplers keep the run
+// memo, and memo hits add no samples.
+type Sampler interface {
+	Collector
+	SamplesOnly()
+}
+
+// mustExecute reports whether a collector needs every run executed.
+func mustExecute(probes []Collector) bool {
+	for _, c := range probes {
+		if _, ok := c.(Sampler); !ok {
+			return true
+		}
+	}
+	return false
+}
+
+// withProbe returns probes plus c, leaving the caller's slice alone:
+// an experiment's own collector rides beside the caller's.
+func withProbe(probes []Collector, c Collector) []Collector {
+	return append(probes[:len(probes):len(probes)], c)
 }
 
 // Result is the aggregated outcome of one workload under one mode.
@@ -199,7 +219,7 @@ func runWorkload(ctx context.Context, p workload.Profile, mode pipeline.Mode, o 
 		o.ConfigMod(&cfg)
 	}
 
-	useMemo := !o.DisableCache && !o.Telemetry.RequiresExecution() && len(o.Probes) == 0
+	useMemo := !o.DisableCache && !mustExecute(o.Probes)
 	var key memoKey
 	if useMemo {
 		key = memoKey{profile: profileFingerprint(&p), mode: mode,
@@ -216,10 +236,10 @@ func runWorkload(ctx context.Context, p workload.Profile, mode pipeline.Mode, o 
 
 	// Multi-trace profiles fan their traces out across the global CPU
 	// semaphore; aggregation stays in trace-index order, so the result
-	// is bit-identical to the serial loop. Telemetry, probed and
-	// span-traced runs keep the serial path: all attach per-engine
-	// observers whose event interleaving is part of their output.
-	if p.Traces > 1 && o.Telemetry == nil && len(o.Probes) == 0 && span == nil {
+	// is bit-identical to the serial loop. Probed and span-traced runs
+	// keep the serial path: both attach per-engine observers whose event
+	// interleaving is part of their output.
+	if p.Traces > 1 && len(o.Probes) == 0 && span == nil {
 		if err := runTracesParallel(ctx, &res, p, mode, cfg, o, budget, warmFrac); err != nil {
 			return res, err
 		}
@@ -332,7 +352,7 @@ func jobsError(errs []error, parent context.Context) error {
 	return induced
 }
 
-// runTraceStats simulates one hot-spot trace: warmup window, telemetry
+// runTraceStats simulates one hot-spot trace: warmup window, probe
 // attach, measured window. When the context carries an active span the
 // two windows get child spans and the measured window additionally
 // aggregates per-optimizer-pass wall time into opt.<pass> spans.
@@ -356,9 +376,9 @@ func runTraceStats(ctx context.Context, p workload.Profile, mode pipeline.Mode,
 }
 
 // runStreamStats drives one engine over one correct-path stream: warmup
-// window, telemetry attach, measured window. It is shared by the
+// window, probe attach, measured window. It is shared by the
 // interpreter/capture path (runTraceStats) and the external-trace path
-// (RunExternal); name and t only label telemetry runs, spans, and errors.
+// (RunExternal); name and t only label probe runs, spans, and errors.
 func runStreamStats(ctx context.Context, name string, stream slotSource, cfg pipeline.Config,
 	mode pipeline.Mode, o Options, budget int, warmFrac float64, t int) (pipeline.Stats, error) {
 	eng := pipeline.New(cfg, mode, stream)
@@ -371,21 +391,16 @@ func runStreamStats(ctx context.Context, name string, stream slotSource, cfg pip
 	if err != nil {
 		return pipeline.Stats{}, err
 	}
-	// Telemetry attaches after warmup, so events, histograms, and
-	// per-pass attribution cover exactly the measured window — the
-	// same boundary ResetStats draws for the counters. Attaching per
-	// engine (rather than toggling the collector) keeps a collector
-	// shared across parallel runs race-free.
-	if o.Telemetry != nil {
-		run := o.Telemetry.NewRun(fmt.Sprintf("%s/%s/t%d", name, mode, t))
-		eng.SetTelemetry(o.Telemetry, run)
-	}
-	// Probes attach at the same boundary. One loop stack per engine,
-	// advanced once per retired slot, feeds every probe's loop view.
+	// Probes attach after warmup, so they cover exactly the measured
+	// window — the same boundary ResetStats draws for the counters.
+	// Attaching per engine keeps a collector shared across parallel runs
+	// race-free. One loop stack per engine, advanced once per retired
+	// slot, feeds every probe's loop view.
 	if len(o.Probes) > 0 {
+		run := fmt.Sprintf("%s/%s/t%d", name, mode, t)
 		fan := &probeFan{}
 		for _, c := range o.Probes {
-			p, done := c.Attach(t, &fan.loops)
+			p, done := c.Attach(run, t, &fan.loops)
 			defer done()
 			fan.probes = append(fan.probes, p)
 		}
@@ -400,6 +415,9 @@ func runStreamStats(ctx context.Context, name string, stream slotSource, cfg pip
 		eng.SetPassRecorder(agg)
 	}
 	_, err = eng.RunContext(mctx, uint64(budget)-warm)
+	// Detaching closes the probes' window: still-cached entries report
+	// their residency before the collectors fold.
+	eng.SetProbe(nil)
 	if err == nil {
 		if serr := stream.Err(); serr != nil {
 			err = fmt.Errorf("sim %s trace %d: %w", name, t, serr)
@@ -413,7 +431,6 @@ func runStreamStats(ctx context.Context, name string, stream slotSource, cfg pip
 	if err != nil {
 		return pipeline.Stats{}, err
 	}
-	eng.CloseTelemetry()
 	return eng.Stats(), nil
 }
 
@@ -432,27 +449,27 @@ func (f *probeFan) SlotRetired(s pipeline.Slot, fromFrame bool, uopsExecuted int
 	}
 }
 
-func (f *probeFan) FrameBuilt() {
+func (f *probeFan) FrameBuilt(cycle, id uint64, pc uint32, uops int) {
 	for _, p := range f.probes {
-		p.FrameBuilt()
+		p.FrameBuilt(cycle, id, pc, uops)
 	}
 }
 
-func (f *probeFan) FrameHit() {
+func (f *probeFan) FrameHit(cycle, id uint64, pc uint32) {
 	for _, p := range f.probes {
-		p.FrameHit()
+		p.FrameHit(cycle, id, pc)
 	}
 }
 
-func (f *probeFan) FrameRetired(uops int) {
+func (f *probeFan) FrameRetired(cycle uint64, uops int, committed bool) {
 	for _, p := range f.probes {
-		p.FrameRetired(uops)
+		p.FrameRetired(cycle, uops, committed)
 	}
 }
 
-func (f *probeFan) OptRemoved(removed int) {
+func (f *probeFan) OptRemoved(cycle, id uint64, pc uint32, uopsIn, uopsOut int, dwell uint64) {
 	for _, p := range f.probes {
-		p.OptRemoved(removed)
+		p.OptRemoved(cycle, id, pc, uopsIn, uopsOut, dwell)
 	}
 }
 
@@ -462,9 +479,39 @@ func (f *probeFan) Pass(pass string, killed, rewritten int) {
 	}
 }
 
-func (f *probeFan) Evict() {
+func (f *probeFan) CacheInsert(cycle uint64, pc uint32, uops int) {
 	for _, p := range f.probes {
-		p.Evict()
+		p.CacheInsert(cycle, pc, uops)
+	}
+}
+
+func (f *probeFan) Evict(cycle uint64, pc uint32, uops int, residency uint64) {
+	for _, p := range f.probes {
+		p.Evict(cycle, pc, uops, residency)
+	}
+}
+
+func (f *probeFan) Resident(residency uint64) {
+	for _, p := range f.probes {
+		p.Resident(residency)
+	}
+}
+
+func (f *probeFan) FetchRetire(latency uint64) {
+	for _, p := range f.probes {
+		p.FetchRetire(latency)
+	}
+}
+
+func (f *probeFan) AssertFired(cycle, id uint64, pc uint32, unsafe bool) {
+	for _, p := range f.probes {
+		p.AssertFired(cycle, id, pc, unsafe)
+	}
+}
+
+func (f *probeFan) TraceFetch(start, end uint64, pc uint32, uops int) {
+	for _, p := range f.probes {
+		p.TraceFetch(start, end, pc, uops)
 	}
 }
 
@@ -508,8 +555,8 @@ type runJob struct {
 }
 
 // runProbed runs the jobs through runAll, each with a private collector
-// from newCol attached, and returns the collectors and results in job
-// order.
+// from newCol attached beside o's, and returns the collectors and
+// results in job order.
 func runProbed[C Collector](ctx context.Context, jobs []runJob, o Options, newCol func() C) ([]C, []Result, error) {
 	cols := make([]C, len(jobs))
 	results := make([]Result, len(jobs))
@@ -517,7 +564,7 @@ func runProbed[C Collector](ctx context.Context, jobs []runJob, o Options, newCo
 	for i := range jobs {
 		cols[i] = newCol()
 		jobs[i].opts = o
-		jobs[i].opts.Probes = []Collector{cols[i]}
+		jobs[i].opts.Probes = withProbe(o.Probes, cols[i])
 		jobs[i].out, jobs[i].err = &results[i], &errs[i]
 	}
 	return cols, results, runAll(ctx, jobs)

@@ -1,0 +1,214 @@
+package sim
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"testing"
+
+	"repro/internal/pipeline"
+	"repro/internal/telemetry"
+	"repro/internal/workload"
+)
+
+// ringCounts exports the ring and counts its events by name, failing
+// the test if the ring overflowed (the counts would then be partial).
+func ringCounts(t *testing.T, ring *telemetry.Ring) map[string]uint64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ring.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var tf struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+		} `json:"traceEvents"`
+		OtherData struct {
+			Dropped uint64 `json:"dropped_events"`
+		} `json:"otherData"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
+		t.Fatal(err)
+	}
+	if tf.OtherData.Dropped != 0 {
+		t.Fatalf("ring dropped %d events", tf.OtherData.Dropped)
+	}
+	n := map[string]uint64{}
+	for _, e := range tf.TraceEvents {
+		if e.Ph != "M" {
+			n[e.Name]++
+		}
+	}
+	return n
+}
+
+// TestLifecycleConservation pins the lifecycle collectors to the
+// pipeline's measured-window counters for every workload profile under
+// RP, RPO and TC, the way TestReuseConservation pins the reuse buckets:
+// histogram sample counts, the ring's commit, abort and assert events,
+// and its cache hits, which on the frame path are frame fetches (not
+// every cache lookup hit) and on the trace-cache path are line fetches.
+func TestLifecycleConservation(t *testing.T) {
+	for _, p := range workload.Profiles {
+		p := p
+		t.Run(p.Name, func(t *testing.T) {
+			t.Parallel()
+			for _, mode := range []pipeline.Mode{pipeline.ModeRePLay, pipeline.ModeRePLayOpt, pipeline.ModeTraceCache} {
+				set := telemetry.NewHistogramSet()
+				ring := telemetry.NewRing(1<<16, "", "")
+				res, err := RunWorkload(context.Background(), p, mode,
+					Options{MaxInsts: 40_000, Probes: []Collector{telemetry.NewHistograms(set, ""), ring},
+						DisableCache: true})
+				if err != nil {
+					t.Fatalf("%s: %v", mode, err)
+				}
+				st := &res.Stats
+				n := ringCounts(t, ring)
+				hits := st.FrameFetches
+				if mode == pipeline.ModeTraceCache {
+					hits = n["trace-fetch"]
+				}
+				checks := []struct {
+					what      string
+					got, want uint64
+				}{
+					{"replay_frame_uops count", set.FrameUOps.Snapshot().Count, st.FramesConstructed},
+					{"replay_opt_dwell_cycles count", set.OptDwell.Snapshot().Count, st.FramesOptimized},
+					{"frame-commit events", n["frame-commit"], st.FrameCommits},
+					{"frame-abort events", n["frame-abort"], st.FrameAborts},
+					{"assert-fire events", n["assert-fire"], st.FrameAborts},
+					{"cache-hit events", n["cache-hit"], hits},
+				}
+				for _, c := range checks {
+					if c.got != c.want {
+						t.Errorf("%s/%s: %s %d != %d", p.Name, mode, c.what, c.got, c.want)
+					}
+				}
+				if n["cache-hit"] == 0 {
+					t.Errorf("%s/%s: no cache hits recorded", p.Name, mode)
+				}
+			}
+		})
+	}
+}
+
+// residencyTruth is a probe attached from an engine's first cycle: it
+// stamps every cache insertion itself and, once measuring, sums the
+// residency of each entry evicted in the measured window.
+type residencyTruth struct {
+	pipeline.NopProbe
+	insertedAt  map[uint32]uint64
+	measuring   bool
+	warm        map[uint32]bool // entries already cached when measuring began
+	count, sum  uint64
+	warmEvicted int
+}
+
+func (r *residencyTruth) CacheInsert(cycle uint64, pc uint32, _ int) {
+	r.insertedAt[pc] = cycle
+	delete(r.warm, pc)
+}
+
+func (r *residencyTruth) Evict(cycle uint64, pc uint32, _ int, _ uint64) {
+	if r.measuring {
+		r.count++
+		r.sum += cycle - r.insertedAt[pc]
+		if r.warm[pc] {
+			r.warmEvicted++
+		}
+	}
+	delete(r.insertedAt, pc)
+	delete(r.warm, pc)
+}
+
+// TestResidencyCoversWarmupFrames: the residency histogram, attached
+// after warmup as every collector is, samples each frame cached during
+// the measured window exactly once with its true residency — at
+// eviction or at end of run — including frames inserted during warmup.
+// The expectation comes from an identical engine watched from cycle 0.
+func TestResidencyCoversWarmupFrames(t *testing.T) {
+	p, err := workload.ByName("excel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 60_000
+	set := telemetry.NewHistogramSet()
+	if _, err := RunWorkload(context.Background(), p, pipeline.ModeRePLayOpt,
+		Options{MaxInsts: budget, Probes: []Collector{telemetry.NewHistograms(set, "")}, DisableCache: true}); err != nil {
+		t.Fatal(err)
+	}
+
+	var wantCount, wantSum uint64
+	warmEvicted := 0
+	for tr := 0; tr < p.Traces; tr++ {
+		prog, err := workload.Generate(p, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := pipeline.New(pipeline.DefaultConfig(pipeline.ModeRePLayOpt), pipeline.ModeRePLayOpt, newCPUStream(prog))
+		truth := &residencyTruth{insertedAt: map[uint32]uint64{}}
+		eng.SetProbe(truth)
+		warm := uint64(float64(budget) * 0.4)
+		eng.Run(warm)
+		warmEnd := eng.Stats().Cycles
+		truth.measuring = true
+		truth.warm = map[uint32]bool{}
+		for pc := range truth.insertedAt {
+			truth.warm[pc] = true
+		}
+		eng.ResetStats()
+		eng.Run(budget - warm)
+		end := warmEnd + eng.Stats().Cycles
+		for _, t0 := range truth.insertedAt {
+			truth.count++
+			truth.sum += end - t0
+		}
+		wantCount += truth.count
+		wantSum += truth.sum
+		warmEvicted += truth.warmEvicted
+	}
+	if warmEvicted == 0 {
+		t.Fatal("no warmup-inserted frame evicted in the measured window; the test exercises nothing")
+	}
+	got := set.CacheResidency.Snapshot()
+	if got.Count != wantCount || uint64(got.Sum) != wantSum {
+		t.Errorf("residency histogram: %d samples summing to %d cycles, want %d summing to %d",
+			got.Count, uint64(got.Sum), wantCount, wantSum)
+	}
+}
+
+// TestSamplersKeepMemo: a histogram-only run may be served from the run
+// memo, and a memo hit adds no samples; attaching any other collector
+// (here the event ring) forces the run to execute.
+func TestSamplersKeepMemo(t *testing.T) {
+	p, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := telemetry.NewHistogramSet()
+	hist := telemetry.NewHistograms(set, "")
+	run := func(probes ...Collector) uint64 {
+		t.Helper()
+		// An odd budget no other test shares, so the first run executes.
+		if _, err := RunWorkload(context.Background(), p, pipeline.ModeRePLayOpt,
+			Options{MaxInsts: 23_457, Probes: probes}); err != nil {
+			t.Fatal(err)
+		}
+		return set.FrameUOps.Snapshot().Count
+	}
+	first := run(hist)
+	if first == 0 {
+		t.Fatal("first histogram-only run recorded no samples")
+	}
+	if again := run(hist); again != first {
+		t.Errorf("memo-served histogram-only run added %d samples", again-first)
+	}
+	ring := telemetry.NewRing(1<<16, "", "")
+	if traced := run(hist, ring); traced != 2*first {
+		t.Errorf("run with a ring attached: %d samples, want %d (executed again)", traced, 2*first)
+	}
+	if n := ringCounts(t, ring); n["construct"] == 0 {
+		t.Error("ring recorded no frame constructions")
+	}
+}

@@ -29,7 +29,7 @@ func newPassAgg() *passAgg {
 }
 
 // RecordPass satisfies opt.PassRecorder; attribution flows through the
-// telemetry side of the dual recorder, so nothing to do here.
+// engine's probe, so nothing to do here.
 func (a *passAgg) RecordPass(frameID uint64, pass string, killed, rewritten int) {}
 
 // RecordPassTimed folds one pass invocation into the totals.

@@ -1,44 +1,33 @@
-// Package telemetry is the frame-lifecycle event layer: a nil-safe
-// Collector that the constructor, optimizer, frame cache, and pipeline
-// engine report into. It has three consumers — per-pass attribution
-// tables, fixed-bucket histograms exported from replayd's /metrics, and
-// an opt-in ring of Chrome trace_event records — behind one atomic
-// enabled gate so the disabled path costs a nil check plus one atomic
-// load.
+// Package telemetry holds the frame-lifecycle consumers that ride the
+// engine's probe bus (pipeline.Probe): fixed-bucket histograms exported
+// from replayd's /metrics, per-pass attribution tables, and an opt-in
+// ring of Chrome trace_event records. Each is a sim.Collector: attach it
+// through sim.Options.Probes and it observes every engine a run creates
+// over exactly the measured window.
 //
 // The layer sits below internal/stats on purpose: stats renders
-// (tables, bars, Prometheus text), telemetry collects. Producers in the
-// pipeline never format anything; consumers (replaysim -attr, replayd
-// /metrics, trace export) pull snapshots and choose a renderer.
+// (tables, bars, Prometheus text), telemetry collects. The engine never
+// formats anything; consumers (replaysim -attr, replayd /metrics, trace
+// export) pull snapshots and choose a renderer.
 package telemetry
 
 import (
-	"context"
 	"sort"
 	"sync"
-	"sync/atomic"
 
+	"repro/internal/pipeline"
+	"repro/internal/reuse"
 	"repro/internal/stats"
 )
 
-// Thread (tid) lanes for trace events: one per lifecycle stage so
-// Perfetto renders construction, optimization, fetch, and cache
-// activity as separate tracks.
-const (
-	TidConstruct = 1
-	TidOptimize  = 2
-	TidFetch     = 3
-	TidCache     = 4
-)
-
-// HistogramSet holds the four lifecycle histograms. It is shared: a
-// per-job trace collector in replayd can feed the same set as the
-// daemon's global collector, so /metrics aggregates across jobs.
+// HistogramSet holds the four lifecycle histograms. It is shared: every
+// replayd job feeds the daemon's one set, so /metrics aggregates across
+// jobs.
 type HistogramSet struct {
 	FrameUOps      *stats.Histogram // frame length at construction, in uops
 	OptDwell       *stats.Histogram // optimizer occupancy per frame, in cycles
-	CacheResidency *stats.Histogram // frame-cache residency at eviction, in cycles
-	FetchRetire    *stats.Histogram // per-slot fetch-to-retire latency, in cycles
+	CacheResidency *stats.Histogram // frame-cache residency at eviction or end of run, in cycles
+	FetchRetire    *stats.Histogram // per-uop fetch-to-retire latency, in cycles
 }
 
 // NewHistogramSet allocates the lifecycle histograms with bucket
@@ -53,7 +42,7 @@ func NewHistogramSet() *HistogramSet {
 			"Cycles a frame occupies an optimizer slot",
 			64, 256, 1024, 2560, 5120, 10240),
 		CacheResidency: stats.NewHistogram("replay_frame_cache_residency_cycles",
-			"Cycles a frame stayed in the frame cache before eviction",
+			"Cycles a frame stayed in the frame cache, sampled at eviction or end of run",
 			1024, 16384, 65536, 262144, 1048576),
 		FetchRetire: stats.NewHistogram("replay_fetch_retire_cycles",
 			"Per-slot latency from fetch to retirement",
@@ -66,28 +55,54 @@ func (h *HistogramSet) All() []*stats.Histogram {
 	return []*stats.Histogram{h.FrameUOps, h.OptDwell, h.CacheResidency, h.FetchRetire}
 }
 
-// Config selects which consumers a Collector feeds.
-type Config struct {
-	// Hist, when non-nil, receives histogram samples. Use
-	// NewHistogramSet for a private set or share one across collectors.
-	Hist *HistogramSet
-	// Attribution enables the per-pass killed/rewritten table.
-	Attribution bool
-	// TraceEvents, when positive, enables the lifecycle-event ring with
-	// that capacity; oldest events are overwritten on overflow.
-	TraceEvents int
-	// Label tags exported trace events ("job" arg). In daemon mode this
-	// is the job's coalescing key, making traces per-request
-	// attributable.
-	Label string
-	// JobID tags exported trace events with the daemon's job id — the
-	// same id slog records and NDJSON progress events carry — so the
-	// three observability streams join on one key.
-	JobID string
-	// TraceID, when set, is stamped as the exemplar on every histogram
-	// bucket this collector's observations land in, linking /metrics
-	// lifecycle histograms back to the request's stored span trace.
-	TraceID string
+// Histograms is the collector feeding a HistogramSet. It only samples
+// distributions, so it lets the run memo serve runs (see SamplesOnly).
+type Histograms struct {
+	set     *HistogramSet
+	traceID string
+}
+
+// NewHistograms returns a collector observing into set. A non-empty
+// traceID is stamped as the exemplar on every bucket its samples land
+// in, linking /metrics back to the request's stored span trace.
+func NewHistograms(set *HistogramSet, traceID string) *Histograms {
+	return &Histograms{set: set, traceID: traceID}
+}
+
+// SamplesOnly marks the collector as a sim.Sampler: a run served from
+// the memo costs it samples, not correctness, so attaching it keeps the
+// memo on and memo hits add no samples.
+func (h *Histograms) SamplesOnly() {}
+
+// Attach returns the probe for one engine run; samples land in the
+// shared set as they happen, so there is nothing to fold.
+func (h *Histograms) Attach(string, int, *reuse.LoopStack) (pipeline.Probe, func()) {
+	return histProbe{h: h}, func() {}
+}
+
+type histProbe struct {
+	pipeline.NopProbe
+	h *Histograms
+}
+
+func (p histProbe) FrameBuilt(_, _ uint64, _ uint32, uops int) {
+	p.h.set.FrameUOps.ObserveEx(uint64(uops), p.h.traceID)
+}
+
+func (p histProbe) OptRemoved(_, _ uint64, _ uint32, _, _ int, dwell uint64) {
+	p.h.set.OptDwell.ObserveEx(dwell, p.h.traceID)
+}
+
+func (p histProbe) Evict(_ uint64, _ uint32, _ int, residency uint64) {
+	p.h.set.CacheResidency.ObserveEx(residency, p.h.traceID)
+}
+
+func (p histProbe) Resident(residency uint64) {
+	p.h.set.CacheResidency.ObserveEx(residency, p.h.traceID)
+}
+
+func (p histProbe) FetchRetire(latency uint64) {
+	p.h.set.FetchRetire.ObserveEx(latency, p.h.traceID)
 }
 
 // PassStat is one row of the attribution table: what a named optimizer
@@ -103,180 +118,56 @@ type PassStat struct {
 // mirrors the sequence Optimize runs the passes in.
 var PassOrder = []string{"nop", "cp", "ra", "cse", "cse-load", "sf", "assert", "dce"}
 
-// Collector receives lifecycle events. All methods are safe on a nil
-// receiver and cheap when disabled: the hot path is one atomic load.
-type Collector struct {
-	enabled atomic.Bool
-	label   string
-	jobID   string
-	traceID string
-	hist    *HistogramSet
-
-	attrMu sync.Mutex
-	attr   map[string]*PassStat // nil when attribution is off
-
-	ring *ring // nil when tracing is off
-
-	runMu    sync.Mutex
-	runNames map[int]string
-	nextRun  int
+// Attribution is the collector building the per-pass table. It is also
+// an opt.PassRecorder, for callers driving the optimizer directly.
+type Attribution struct {
+	mu     sync.Mutex
+	passes map[string]*PassStat
 }
 
-// New returns an enabled collector for the given configuration.
-func New(cfg Config) *Collector {
-	c := &Collector{
-		label:    cfg.Label,
-		jobID:    cfg.JobID,
-		traceID:  cfg.TraceID,
-		hist:     cfg.Hist,
-		runNames: map[int]string{},
-	}
-	if cfg.Attribution {
-		c.attr = map[string]*PassStat{}
-	}
-	if cfg.TraceEvents > 0 {
-		c.ring = newRing(cfg.TraceEvents)
-	}
-	c.enabled.Store(true)
-	return c
+// NewAttribution returns an empty attribution table.
+func NewAttribution() *Attribution {
+	return &Attribution{passes: map[string]*PassStat{}}
 }
 
-// Enabled reports whether events are being recorded.
-func (c *Collector) Enabled() bool { return c != nil && c.enabled.Load() }
-
-// SetEnabled flips the atomic gate; a disabled collector keeps its
-// accumulated state and can be re-enabled.
-func (c *Collector) SetEnabled(on bool) {
-	if c != nil {
-		c.enabled.Store(on)
-	}
+// Attach returns the probe for one engine run; pass invocations fold
+// into the table as they happen.
+func (a *Attribution) Attach(string, int, *reuse.LoopStack) (pipeline.Probe, func()) {
+	return attrProbe{a: a}, func() {}
 }
 
-// Label returns the job label (coalescing key in daemon mode).
-func (c *Collector) Label() string {
-	if c == nil {
-		return ""
-	}
-	return c.label
+type attrProbe struct {
+	pipeline.NopProbe
+	a *Attribution
 }
 
-// JobID returns the daemon job id tagged on exported trace events.
-func (c *Collector) JobID() string {
-	if c == nil {
-		return ""
-	}
-	return c.jobID
+func (p attrProbe) Pass(pass string, killed, rewritten int) {
+	p.a.RecordPass(0, pass, killed, rewritten)
 }
 
-// RequiresExecution reports whether this collector needs the simulator
-// to actually execute (attribution or tracing): runs feeding only
-// histograms may still be served from the memo cache, but a memoized
-// run produces no per-pass or per-event data.
-func (c *Collector) RequiresExecution() bool {
-	return c != nil && (c.attr != nil || c.ring != nil)
-}
-
-// HasTrace reports whether a trace ring was configured.
-func (c *Collector) HasTrace() bool { return c != nil && c.ring != nil }
-
-// HasAttribution reports whether the per-pass table was configured and
-// the collector is enabled; callers use it to skip the per-pass
-// measurement wrapper (live-count deltas around every pass) entirely
-// when nobody consumes it. Unlike RequiresExecution — which reflects
-// configuration only, so the memo decision is stable across enable
-// toggles — this gate also respects the atomic enabled flag.
-func (c *Collector) HasAttribution() bool {
-	return c != nil && c.attr != nil && c.enabled.Load()
-}
-
-// NewRun registers a named run (one engine execution) and returns its
-// id, used as the pid of its trace events so cycle counters that reset
-// per run stay monotonic within a track.
-func (c *Collector) NewRun(name string) int {
-	if c == nil {
-		return 0
-	}
-	c.runMu.Lock()
-	defer c.runMu.Unlock()
-	c.nextRun++
-	c.runNames[c.nextRun] = name
-	return c.nextRun
-}
-
-// FrameConstructed records a finished frame: length histogram plus a
-// construct instant on the construction track.
-func (c *Collector) FrameConstructed(run int, cycle, frameID uint64, pc uint32, uops int) {
-	if c == nil || !c.enabled.Load() {
-		return
-	}
-	if c.hist != nil {
-		c.hist.FrameUOps.ObserveEx(uint64(uops), c.traceID)
-	}
-	if c.ring != nil {
-		c.ring.add(ringEvent{name: "construct", ph: phInstant, ts: cycle,
-			pid: run, tid: TidConstruct, frame: frameID, pc: pc, uops: uops})
-	}
-}
-
-// FeedSpan records one FeedTrace call on the construction track:
-// records fed and distinct PCs decoded.
-func (c *Collector) FeedSpan(run int, start, end uint64, records, decoded int) {
-	if c == nil || !c.enabled.Load() || c.ring == nil {
-		return
-	}
-	c.ring.add(ringEvent{name: "feed", ph: phComplete, ts: start, dur: end - start,
-		pid: run, tid: TidConstruct, uops: records, aux: uint64(decoded)})
-}
-
-// FrameOptimized records one frame leaving the optimizer: dwell
-// histogram plus a complete span on the optimize track.
-func (c *Collector) FrameOptimized(run int, start uint64, frameID uint64, pc uint32, uopsIn, uopsOut int, dwell uint64) {
-	if c == nil || !c.enabled.Load() {
-		return
-	}
-	if c.hist != nil {
-		c.hist.OptDwell.ObserveEx(dwell, c.traceID)
-	}
-	if c.ring != nil {
-		c.ring.add(ringEvent{name: "optimize", ph: phComplete, ts: start, dur: dwell,
-			pid: run, tid: TidOptimize, frame: frameID, pc: pc, uops: uopsIn, aux: uint64(uopsOut)})
-	}
-}
-
-// RecordPass folds one optimizer pass invocation into the attribution
-// table. Pass-level events stay out of the trace ring — the per-frame
-// "optimize" span already covers them and passes run thousands of
-// times per frame-cache fill.
-func (c *Collector) RecordPass(frameID uint64, pass string, killed, rewritten int) {
-	if c == nil || !c.enabled.Load() || c.attr == nil {
-		return
-	}
-	c.attrMu.Lock()
-	ps := c.attr[pass]
+// RecordPass folds one optimizer pass invocation into the table.
+func (a *Attribution) RecordPass(_ uint64, pass string, killed, rewritten int) {
+	a.mu.Lock()
+	ps := a.passes[pass]
 	if ps == nil {
 		ps = &PassStat{Pass: pass}
-		c.attr[pass] = ps
+		a.passes[pass] = ps
 	}
 	ps.Calls++
 	ps.Killed += uint64(killed)
 	ps.Rewritten += uint64(rewritten)
-	c.attrMu.Unlock()
+	a.mu.Unlock()
 }
 
-// AttributionSnapshot returns the per-pass table in canonical pass
-// order (unknown passes follow alphabetically). Returns nil when
-// attribution is off.
-func (c *Collector) AttributionSnapshot() []PassStat {
-	if c == nil || c.attr == nil {
-		return nil
-	}
-	c.attrMu.Lock()
-	rest := make([]PassStat, 0, len(c.attr))
-	known := make(map[string]PassStat, len(c.attr))
-	for name, ps := range c.attr {
+// Snapshot returns the per-pass table in canonical pass order (unknown
+// passes follow alphabetically).
+func (a *Attribution) Snapshot() []PassStat {
+	a.mu.Lock()
+	known := make(map[string]PassStat, len(a.passes))
+	for name, ps := range a.passes {
 		known[name] = *ps
 	}
-	c.attrMu.Unlock()
+	a.mu.Unlock()
 
 	out := make([]PassStat, 0, len(known))
 	for _, name := range PassOrder {
@@ -285,114 +176,10 @@ func (c *Collector) AttributionSnapshot() []PassStat {
 			delete(known, name)
 		}
 	}
+	rest := make([]PassStat, 0, len(known))
 	for _, ps := range known {
 		rest = append(rest, ps)
 	}
 	sort.Slice(rest, func(i, j int) bool { return rest[i].Pass < rest[j].Pass })
 	return append(out, rest...)
-}
-
-// CacheInsert records a frame entering the frame cache.
-func (c *Collector) CacheInsert(run int, cycle uint64, pc uint32, uops int) {
-	if c == nil || !c.enabled.Load() || c.ring == nil {
-		return
-	}
-	c.ring.add(ringEvent{name: "cache-insert", ph: phInstant, ts: cycle,
-		pid: run, tid: TidCache, pc: pc, uops: uops})
-}
-
-// CacheEvict records a frame leaving the frame cache after residency
-// cycles.
-func (c *Collector) CacheEvict(run int, cycle uint64, pc uint32, uops int, residency uint64) {
-	if c == nil || !c.enabled.Load() {
-		return
-	}
-	if c.hist != nil {
-		c.hist.CacheResidency.ObserveEx(residency, c.traceID)
-	}
-	if c.ring != nil {
-		c.ring.add(ringEvent{name: "cache-evict", ph: phInstant, ts: cycle,
-			pid: run, tid: TidCache, pc: pc, uops: uops, aux: residency})
-	}
-}
-
-// CacheResident folds the residency of a frame still cached at end of
-// run into the histogram without fabricating an eviction event.
-func (c *Collector) CacheResident(residency uint64) {
-	if c == nil || !c.enabled.Load() || c.hist == nil {
-		return
-	}
-	c.hist.CacheResidency.ObserveEx(residency, c.traceID)
-}
-
-// CacheHit records a frame-cache lookup hit.
-func (c *Collector) CacheHit(run int, cycle uint64, pc uint32) {
-	if c == nil || !c.enabled.Load() || c.ring == nil {
-		return
-	}
-	c.ring.add(ringEvent{name: "cache-hit", ph: phInstant, ts: cycle,
-		pid: run, tid: TidCache, pc: pc})
-}
-
-// FetchRetire records one dispatched slot's fetch-to-retire latency.
-// This is the hottest call site (every uop), so it touches only the
-// histogram — no ring event.
-func (c *Collector) FetchRetire(latency uint64) {
-	if c == nil || !c.enabled.Load() || c.hist == nil {
-		return
-	}
-	c.hist.FetchRetire.ObserveEx(latency, c.traceID)
-}
-
-// FrameFetch records one frame execution on the fetch track, from
-// fetch start to commit or abort.
-func (c *Collector) FrameFetch(run int, start, end uint64, frameID uint64, pc uint32, uops int, committed bool) {
-	if c == nil || !c.enabled.Load() || c.ring == nil {
-		return
-	}
-	name := "frame-commit"
-	if !committed {
-		name = "frame-abort"
-	}
-	c.ring.add(ringEvent{name: name, ph: phComplete, ts: start, dur: end - start,
-		pid: run, tid: TidFetch, frame: frameID, pc: pc, uops: uops})
-}
-
-// TraceFetch records one trace-cache entry execution on the fetch
-// track (TC mode has no frame ids).
-func (c *Collector) TraceFetch(run int, start, end uint64, pc uint32, uops int) {
-	if c == nil || !c.enabled.Load() || c.ring == nil {
-		return
-	}
-	c.ring.add(ringEvent{name: "trace-fetch", ph: phComplete, ts: start, dur: end - start,
-		pid: run, tid: TidFetch, pc: pc, uops: uops})
-}
-
-// AssertFired records an assertion firing (frame abort) on the fetch
-// track.
-func (c *Collector) AssertFired(run int, cycle, frameID uint64, pc uint32, unsafe bool) {
-	if c == nil || !c.enabled.Load() || c.ring == nil {
-		return
-	}
-	aux := uint64(0)
-	if unsafe {
-		aux = 1
-	}
-	c.ring.add(ringEvent{name: "assert-fire", ph: phInstant, ts: cycle,
-		pid: run, tid: TidFetch, frame: frameID, pc: pc, aux: aux})
-}
-
-type ctxKey struct{}
-
-// NewContext attaches a collector to ctx; the server uses this to hand
-// a per-job collector through the Runner boundary without changing its
-// signature.
-func NewContext(ctx context.Context, c *Collector) context.Context {
-	return context.WithValue(ctx, ctxKey{}, c)
-}
-
-// FromContext extracts the collector attached by NewContext, or nil.
-func FromContext(ctx context.Context) *Collector {
-	c, _ := ctx.Value(ctxKey{}).(*Collector)
-	return c
 }

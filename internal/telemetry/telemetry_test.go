@@ -2,72 +2,19 @@ package telemetry
 
 import (
 	"bytes"
-	"context"
 	"strings"
 	"testing"
 )
 
-func TestNilCollectorSafe(t *testing.T) {
-	var c *Collector
-	if c.Enabled() {
-		t.Fatal("nil collector enabled")
-	}
-	c.SetEnabled(true)
-	c.FrameConstructed(0, 0, 1, 0x10, 8)
-	c.FeedSpan(0, 0, 10, 100, 5)
-	c.FrameOptimized(0, 0, 1, 0x10, 8, 6, 80)
-	c.RecordPass(1, "dce", 2, 0)
-	c.CacheInsert(0, 0, 0x10, 8)
-	c.CacheEvict(0, 0, 0x10, 8, 100)
-	c.CacheResident(5)
-	c.CacheHit(0, 0, 0x10)
-	c.FetchRetire(12)
-	c.FrameFetch(0, 0, 10, 1, 0x10, 8, true)
-	c.TraceFetch(0, 0, 10, 0x10, 8)
-	c.AssertFired(0, 5, 1, 0x10, false)
-	if c.NewRun("x") != 0 {
-		t.Fatal("nil NewRun")
-	}
-	if c.AttributionSnapshot() != nil {
-		t.Fatal("nil attribution")
-	}
-	if c.RequiresExecution() {
-		t.Fatal("nil requires execution")
-	}
-	if err := c.WriteTrace(&bytes.Buffer{}); err == nil {
-		t.Fatal("nil WriteTrace should error")
-	}
-}
-
-func TestDisabledGate(t *testing.T) {
-	c := New(Config{Hist: NewHistogramSet(), Attribution: true, TraceEvents: 16})
-	c.SetEnabled(false)
-	c.FrameConstructed(1, 10, 1, 0x10, 8)
-	c.RecordPass(1, "dce", 3, 0)
-	c.FetchRetire(9)
-	if s := c.hist.FrameUOps.Snapshot(); s.Count != 0 {
-		t.Errorf("histogram recorded while disabled: %d", s.Count)
-	}
-	if len(c.AttributionSnapshot()) != 0 {
-		t.Error("attribution recorded while disabled")
-	}
-	c.SetEnabled(true)
-	c.FrameConstructed(1, 10, 1, 0x10, 8)
-	if s := c.hist.FrameUOps.Snapshot(); s.Count != 1 {
-		t.Errorf("histogram not recorded after re-enable: %d", s.Count)
-	}
-}
-
 func TestAttributionOrder(t *testing.T) {
-	c := New(Config{Attribution: true})
-	if !c.RequiresExecution() {
-		t.Fatal("attribution collector should require execution")
-	}
-	c.RecordPass(1, "dce", 5, 0)
-	c.RecordPass(1, "cp", 1, 2)
+	c := NewAttribution()
+	p, done := c.Attach("r", 0, nil)
+	p.Pass("dce", 5, 0)
+	p.Pass("cp", 1, 2)
+	done()
 	c.RecordPass(2, "cp", 0, 3)
 	c.RecordPass(2, "zz-custom", 1, 0)
-	snap := c.AttributionSnapshot()
+	snap := c.Snapshot()
 	if len(snap) != 3 {
 		t.Fatalf("rows: %+v", snap)
 	}
@@ -80,23 +27,25 @@ func TestAttributionOrder(t *testing.T) {
 }
 
 func TestTraceExportValidates(t *testing.T) {
-	c := New(Config{TraceEvents: 128, Label: "job-key-1", JobID: "j-00000001"})
-	run := c.NewRun("bzip2/RPO/t0")
-	c.FeedSpan(run, 0, 50, 1000, 40)
-	c.FrameConstructed(run, 30, 1, 0x400, 64)
-	c.FrameOptimized(run, 100, 1, 0x400, 64, 50, 640)
-	c.CacheInsert(run, 740, 0x400, 50)
-	c.CacheHit(run, 800, 0x400)
-	c.FrameFetch(run, 805, 850, 1, 0x400, 50, true)
-	c.AssertFired(run, 900, 1, 0x400, true)
-	c.CacheEvict(run, 1000, 0x400, 50, 260)
+	r := NewRing(128, "job-key-1", "j-00000001")
+	p, _ := r.Attach("bzip2/RPO/t0", 0, nil)
+	p.FrameBuilt(30, 1, 0x400, 64)
+	p.OptRemoved(100, 1, 0x400, 64, 50, 640)
+	p.CacheInsert(740, 0x400, 50)
+	p.FrameHit(805, 1, 0x400)
+	p.AssertFired(840, 1, 0x400, true)
+	p.FrameRetired(850, 50, false)
+	p.FrameHit(900, 1, 0x400)
+	p.FrameRetired(950, 50, true)
+	p.TraceFetch(960, 970, 0x480, 12)
+	p.Evict(1000, 0x400, 50, 260)
 	// Out-of-order arrival: a second run's early event after run 1's
 	// late ones must not break per-track monotonicity.
-	run2 := c.NewRun("bzip2/RPO/t1")
-	c.FrameConstructed(run2, 5, 2, 0x500, 32)
+	p2, _ := r.Attach("bzip2/RPO/t1", 1, nil)
+	p2.FrameBuilt(5, 2, 0x500, 32)
 
 	var buf bytes.Buffer
-	if err := c.WriteTrace(&buf); err != nil {
+	if err := r.WriteTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := ValidateTrace(buf.Bytes()); err != nil {
@@ -104,23 +53,27 @@ func TestTraceExportValidates(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		`"job":"job-key-1"`, `"job_id":"j-00000001"`, "bzip2/RPO/t0",
-		"frame-commit", "assert-fire",
+		`"job":"job-key-1"`, `"job_id":"j-00000001"`, "bzip2/RPO/t0", "bzip2/RPO/t1",
+		"frame-commit", "frame-abort", "assert-fire", "cache-hit", "trace-fetch",
 		"cache-evict", `"residency":260`, "process_name", "thread_name",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in trace:\n%s", want, out)
 		}
 	}
+	// The abort span runs from its fetch to its rollback.
+	if !strings.Contains(out, `{"name":"frame-abort","cat":"fetch","ph":"X","ts":805,"dur":45`) {
+		t.Errorf("frame-abort span not [805, 850):\n%s", out)
+	}
 }
 
 func TestRingWrap(t *testing.T) {
-	c := New(Config{TraceEvents: 4})
-	run := c.NewRun("r")
+	r := NewRing(4, "", "")
+	p, _ := r.Attach("r", 0, nil)
 	for i := uint64(0); i < 10; i++ {
-		c.FrameConstructed(run, i, i+1, 0x10, 8)
+		p.FrameBuilt(i, i+1, 0x10, 8)
 	}
-	events, dropped := c.ring.snapshot()
+	events, dropped, _ := r.snapshot()
 	if len(events) != 4 {
 		t.Fatalf("ring kept %d events", len(events))
 	}
@@ -149,16 +102,5 @@ func TestValidateTraceRejects(t *testing.T) {
 	ok := `{"traceEvents": [{"name":"m","ph":"M","pid":1,"tid":1},{"name":"a","ph":"i","ts":5,"pid":1,"tid":1},{"name":"b","ph":"i","ts":5,"pid":1,"tid":2}]}`
 	if err := ValidateTrace([]byte(ok)); err != nil {
 		t.Errorf("valid trace rejected: %v", err)
-	}
-}
-
-func TestContextRoundTrip(t *testing.T) {
-	if FromContext(context.Background()) != nil {
-		t.Fatal("empty context")
-	}
-	c := New(Config{})
-	ctx := NewContext(context.Background(), c)
-	if FromContext(ctx) != c {
-		t.Fatal("round trip")
 	}
 }

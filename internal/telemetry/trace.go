@@ -6,6 +6,19 @@ import (
 	"io"
 	"sort"
 	"sync"
+
+	"repro/internal/pipeline"
+	"repro/internal/reuse"
+)
+
+// Thread (tid) lanes for trace events: one per lifecycle stage so
+// Perfetto renders construction, optimization, fetch, and cache
+// activity as separate tracks.
+const (
+	TidConstruct = 1
+	TidOptimize  = 2
+	TidFetch     = 3
+	TidCache     = 4
 )
 
 // Event phases from the Chrome trace_event format: complete spans,
@@ -23,32 +36,53 @@ type ringEvent struct {
 	ph    string
 	ts    uint64 // cycle the event starts at
 	dur   uint64 // span length (phComplete only)
-	pid   int    // run id (NewRun)
+	pid   int    // engine run (one per Attach)
 	tid   int    // lifecycle lane (Tid* constants)
 	frame uint64 // frame id, 0 if not applicable
 	pc    uint32 // frame/entry start PC, 0 if not applicable
-	uops  int    // primary size payload (uops, records, killed)
+	uops  int    // primary size payload (uops)
 	aux   uint64 // event-specific secondary payload
 	seq   uint64 // arrival order, for stable sorting
 }
 
-// ring is a bounded overwrite-oldest event buffer. Tracing is opt-in
-// and per-job, so a mutex (not a lock-free queue) is plenty; the hot
-// path when tracing is off never reaches here.
-type ring struct {
+// Ring is the collector recording lifecycle events into a bounded
+// overwrite-oldest buffer for Chrome trace_event export. Each engine run
+// it attaches to becomes one trace process (pid), named after the run,
+// so cycle counters that restart per run stay monotonic within a track.
+// Runs may execute concurrently; a mutex (not a lock-free queue) is
+// plenty, since tracing is opt-in.
+type Ring struct {
+	label string
+	jobID string
+
 	mu      sync.Mutex
 	buf     []ringEvent
 	next    int
 	wrapped bool
 	seq     uint64
 	dropped uint64
+	runs    []string // process names; pid i+1 is runs[i]
 }
 
-func newRing(capacity int) *ring {
-	return &ring{buf: make([]ringEvent, capacity)}
+// NewRing returns a ring holding the newest capacity events. label and
+// jobID tag every exported event ("job" and "job_id" args): in daemon
+// mode the job's coalescing key and id, so ring events join the job's
+// log lines and progress events.
+func NewRing(capacity int, label, jobID string) *Ring {
+	return &Ring{label: label, jobID: jobID, buf: make([]ringEvent, capacity)}
 }
 
-func (r *ring) add(e ringEvent) {
+// Attach registers the engine run as a new trace process and returns
+// its probe; events land in the ring as they happen.
+func (r *Ring) Attach(run string, _ int, _ *reuse.LoopStack) (pipeline.Probe, func()) {
+	r.mu.Lock()
+	r.runs = append(r.runs, run)
+	pid := len(r.runs)
+	r.mu.Unlock()
+	return &ringProbe{r: r, pid: pid}, func() {}
+}
+
+func (r *Ring) add(e ringEvent) {
 	r.mu.Lock()
 	e.seq = r.seq
 	r.seq++
@@ -64,17 +98,85 @@ func (r *ring) add(e ringEvent) {
 	r.mu.Unlock()
 }
 
-// snapshot returns the buffered events in arrival order.
-func (r *ring) snapshot() (events []ringEvent, dropped uint64) {
+// snapshot returns the buffered events in arrival order and the run
+// names.
+func (r *Ring) snapshot() (events []ringEvent, dropped uint64, runs []string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.wrapped {
 		events = append(events, r.buf[r.next:]...)
-		events = append(events, r.buf[:r.next]...)
-	} else {
-		events = append(events, r.buf[:r.next]...)
 	}
-	return events, r.dropped
+	events = append(events, r.buf[:r.next]...)
+	return events, r.dropped, append([]string(nil), r.runs...)
+}
+
+// ringProbe turns one engine run's lifecycle events into ring events.
+// FrameHit opens a frame fetch and FrameRetired closes it as one
+// frame-commit or frame-abort span.
+type ringProbe struct {
+	pipeline.NopProbe
+	r   *Ring
+	pid int
+
+	fetchAt    uint64
+	fetchFrame uint64
+	fetchPC    uint32
+}
+
+func (p *ringProbe) add(e ringEvent) {
+	e.pid = p.pid
+	p.r.add(e)
+}
+
+func (p *ringProbe) FrameBuilt(cycle, id uint64, pc uint32, uops int) {
+	p.add(ringEvent{name: "construct", ph: phInstant, ts: cycle,
+		tid: TidConstruct, frame: id, pc: pc, uops: uops})
+}
+
+func (p *ringProbe) OptRemoved(cycle, id uint64, pc uint32, uopsIn, uopsOut int, dwell uint64) {
+	p.add(ringEvent{name: "optimize", ph: phComplete, ts: cycle, dur: dwell,
+		tid: TidOptimize, frame: id, pc: pc, uops: uopsIn, aux: uint64(uopsOut)})
+}
+
+func (p *ringProbe) CacheInsert(cycle uint64, pc uint32, uops int) {
+	p.add(ringEvent{name: "cache-insert", ph: phInstant, ts: cycle,
+		tid: TidCache, pc: pc, uops: uops})
+}
+
+func (p *ringProbe) Evict(cycle uint64, pc uint32, uops int, residency uint64) {
+	p.add(ringEvent{name: "cache-evict", ph: phInstant, ts: cycle,
+		tid: TidCache, pc: pc, uops: uops, aux: residency})
+}
+
+func (p *ringProbe) FrameHit(cycle, id uint64, pc uint32) {
+	p.fetchAt, p.fetchFrame, p.fetchPC = cycle, id, pc
+	p.add(ringEvent{name: "cache-hit", ph: phInstant, ts: cycle, tid: TidCache, pc: pc})
+}
+
+func (p *ringProbe) FrameRetired(cycle uint64, uops int, committed bool) {
+	name := "frame-commit"
+	if !committed {
+		name = "frame-abort"
+	}
+	p.add(ringEvent{name: name, ph: phComplete, ts: p.fetchAt, dur: cycle - p.fetchAt,
+		tid: TidFetch, frame: p.fetchFrame, pc: p.fetchPC, uops: uops})
+}
+
+func (p *ringProbe) AssertFired(cycle, id uint64, pc uint32, unsafe bool) {
+	aux := uint64(0)
+	if unsafe {
+		aux = 1
+	}
+	p.add(ringEvent{name: "assert-fire", ph: phInstant, ts: cycle,
+		tid: TidFetch, frame: id, pc: pc, aux: aux})
+}
+
+// TraceFetch records a trace-cache hit and the line's fetch span (TC
+// mode has no frame ids).
+func (p *ringProbe) TraceFetch(start, end uint64, pc uint32, uops int) {
+	p.add(ringEvent{name: "cache-hit", ph: phInstant, ts: start, tid: TidCache, pc: pc})
+	p.add(ringEvent{name: "trace-fetch", ph: phComplete, ts: start, dur: end - start,
+		tid: TidFetch, pc: pc, uops: uops})
 }
 
 // traceEvent is the exported Chrome trace_event JSON shape.
@@ -107,13 +209,9 @@ var tidNames = map[int]string{
 // WriteTrace serializes the ring as Chrome trace_event JSON, viewable
 // in chrome://tracing or Perfetto. Events are sorted by timestamp
 // (cycle) so ts is monotonic within every (pid, tid) track even though
-// the ring holds arrival order. Returns an error if tracing was not
-// enabled.
-func (c *Collector) WriteTrace(w io.Writer) error {
-	if c == nil || c.ring == nil {
-		return fmt.Errorf("telemetry: trace ring not enabled")
-	}
-	events, dropped := c.ring.snapshot()
+// the ring holds arrival order.
+func (r *Ring) WriteTrace(w io.Writer) error {
+	events, dropped, runs := r.snapshot()
 	sort.SliceStable(events, func(i, j int) bool {
 		if events[i].ts != events[j].ts {
 			return events[i].ts < events[j].ts
@@ -121,35 +219,24 @@ func (c *Collector) WriteTrace(w io.Writer) error {
 		return events[i].seq < events[j].seq
 	})
 
-	c.runMu.Lock()
-	runs := make(map[int]string, len(c.runNames))
-	for id, name := range c.runNames {
-		runs[id] = name
-	}
-	c.runMu.Unlock()
-
 	out := traceFile{OtherData: map[string]any{"dropped_events": dropped}}
-	if c.label != "" {
-		out.OtherData["job"] = c.label
+	if r.label != "" {
+		out.OtherData["job"] = r.label
 	}
-	if c.jobID != "" {
-		out.OtherData["job_id"] = c.jobID
+	if r.jobID != "" {
+		out.OtherData["job_id"] = r.jobID
 	}
 
 	// Metadata first: name each run's process and each lane's thread.
-	runIDs := make([]int, 0, len(runs))
-	for id := range runs {
-		runIDs = append(runIDs, id)
-	}
-	sort.Ints(runIDs)
-	for _, id := range runIDs {
+	for i, name := range runs {
+		pid := i + 1
 		out.TraceEvents = append(out.TraceEvents, traceEvent{
-			Name: "process_name", Ph: phMetadata, Pid: id,
-			Args: map[string]any{"name": runs[id]},
+			Name: "process_name", Ph: phMetadata, Pid: pid,
+			Args: map[string]any{"name": name},
 		})
 		for tid := TidConstruct; tid <= TidCache; tid++ {
 			out.TraceEvents = append(out.TraceEvents, traceEvent{
-				Name: "thread_name", Ph: phMetadata, Pid: id, Tid: tid,
+				Name: "thread_name", Ph: phMetadata, Pid: pid, Tid: tid,
 				Args: map[string]any{"name": tidNames[tid]},
 			})
 		}
@@ -176,9 +263,6 @@ func (c *Collector) WriteTrace(w io.Writer) error {
 			te.Args["pc"] = fmt.Sprintf("%#x", e.pc)
 		}
 		switch e.name {
-		case "feed":
-			te.Args["records"] = e.uops
-			te.Args["decoded"] = e.aux
 		case "optimize":
 			te.Args["uops_in"] = e.uops
 			te.Args["uops_out"] = e.aux
@@ -192,11 +276,11 @@ func (c *Collector) WriteTrace(w io.Writer) error {
 				te.Args["uops"] = e.uops
 			}
 		}
-		if c.label != "" {
-			te.Args["job"] = c.label
+		if r.label != "" {
+			te.Args["job"] = r.label
 		}
-		if c.jobID != "" {
-			te.Args["job_id"] = c.jobID
+		if r.jobID != "" {
+			te.Args["job_id"] = r.jobID
 		}
 		if len(te.Args) == 0 {
 			te.Args = nil

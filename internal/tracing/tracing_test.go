@@ -9,8 +9,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 func TestTraceparentRoundTrip(t *testing.T) {
@@ -340,31 +338,6 @@ func TestErrorPropagatesToTrace(t *testing.T) {
 	}
 	if !st.Error || st.Reason != "error" {
 		t.Fatalf("error flag lost: error=%v reason=%q", st.Error, st.Reason)
-	}
-}
-
-func TestChromeExportValidates(t *testing.T) {
-	store := NewStore(StoreConfig{})
-	tr := NewTracer(store)
-	ctx, root := tr.StartRoot(context.Background(), "POST /v1/run", nil)
-	ctx2, sim := Start(ctx, "sim.run")
-	_, pipe := Start(ctx2, "pipeline.run")
-	pipe.End()
-	sim.End()
-	now := time.Now()
-	root.EmitChild("opt.dce", now.Add(-time.Millisecond), now, nil)
-	root.End()
-
-	st := store.Get(root.TraceID().String())
-	var buf bytes.Buffer
-	if err := st.WriteChrome(&buf); err != nil {
-		t.Fatalf("WriteChrome: %v", err)
-	}
-	if err := telemetry.ValidateTrace(buf.Bytes()); err != nil {
-		t.Fatalf("exported Chrome trace invalid: %v\n%s", err, buf.String())
-	}
-	if !strings.Contains(buf.String(), st.TraceID) {
-		t.Fatal("trace id missing from Chrome export")
 	}
 }
 

@@ -151,30 +151,34 @@ func (c *CPU) flagsLogic(r uint32) uint32 {
 	return r
 }
 
-// stepExec decodes and executes one instruction at PC, accumulating its
-// memory effects in c.eff. On success it advances PC and StepCount and
-// returns the decoded instruction and the dynamic successor; on error
-// the architectural position is unchanged.
-func (c *CPU) stepExec() (x86.Inst, uint32, error) {
+// fetch returns the decoded instruction at PC, decoding it on the first
+// visit.
+func (c *CPU) fetch() (x86.Inst, error) {
 	in, ok := c.decoded[c.PC]
 	if !ok {
-		code := c.Mem.ReadBytes(c.PC, 15)
 		var err error
-		in, err = x86.Decode(code)
+		in, err = x86.Decode(c.Mem.ReadBytes(c.PC, 15))
 		if err != nil {
-			return in, 0, fmt.Errorf("cpu: at %#x: %w", c.PC, err)
+			return in, fmt.Errorf("cpu: at %#x: %w", c.PC, err)
 		}
 		c.decoded[c.PC] = in
 	}
+	return in, nil
+}
 
+// stepExec executes in, the decoded instruction at PC, accumulating its
+// memory effects in c.eff. On success it advances PC and StepCount and
+// returns the dynamic successor; on error the architectural position is
+// unchanged.
+func (c *CPU) stepExec(in *x86.Inst) (uint32, error) {
 	c.eff.memOps = c.eff.memOps[:0]
 	nextPC := c.PC + uint32(in.Len)
 	if err := c.exec(in, &c.eff, &nextPC); err != nil {
-		return in, 0, fmt.Errorf("cpu: at %#x (%s): %w", c.PC, in, err)
+		return 0, fmt.Errorf("cpu: at %#x (%s): %w", c.PC, *in, err)
 	}
 	c.PC = nextPC
 	c.StepCount++
-	return in, nextPC, nil
+	return nextPC, nil
 }
 
 // Step decodes and executes one instruction at PC, returning its trace
@@ -186,7 +190,11 @@ func (c *CPU) Step() (trace.Record, error) {
 	pc := c.PC
 	before := c.Regs
 	flagsBefore := c.Flags
-	in, nextPC, err := c.stepExec()
+	in, err := c.fetch()
+	if err != nil {
+		return trace.Record{}, err
+	}
+	nextPC, err := c.stepExec(&in)
 	if err != nil {
 		return trace.Record{}, err
 	}
@@ -216,7 +224,22 @@ func (c *CPU) StepAddrs(addrs []uint32) ([]uint32, uint32, error) {
 	if c.Halted {
 		return addrs, 0, ErrHalted
 	}
-	_, nextPC, err := c.stepExec()
+	in, err := c.fetch()
+	if err != nil {
+		return addrs, 0, err
+	}
+	return c.StepInst(&in, addrs)
+}
+
+// StepInst is StepAddrs for a caller that already holds the decoded
+// instruction at PC, so the CPU's own decode cache is not consulted (the
+// timing model's stream keeps a per-PC decode table of its own). in must
+// be the decoding of the bytes at PC; the CPU only reads it.
+func (c *CPU) StepInst(in *x86.Inst, addrs []uint32) ([]uint32, uint32, error) {
+	if c.Halted {
+		return addrs, 0, ErrHalted
+	}
+	nextPC, err := c.stepExec(in)
 	if err != nil {
 		return addrs, 0, err
 	}
@@ -239,7 +262,7 @@ func (c *CPU) pop(e *stepEffects) uint32 {
 	return v
 }
 
-func (c *CPU) exec(in x86.Inst, e *stepEffects, nextPC *uint32) error {
+func (c *CPU) exec(in *x86.Inst, e *stepEffects, nextPC *uint32) error {
 	switch in.Op {
 	case x86.OpNOP:
 	case x86.OpHLT:

@@ -18,9 +18,16 @@ const (
 
 type page [pageSize]byte
 
-// Memory is a sparse, byte-addressable 32-bit memory.
+// Memory is a sparse, byte-addressable 32-bit memory. It is owned by one
+// CPU and is not safe for concurrent use.
 type Memory struct {
 	pages map[uint32]*page
+
+	// last and lastPN cache the most recently used mapped page, so runs
+	// of accesses to one page skip the map. A nil page is never cached:
+	// an unmapped page must still be created by its first store.
+	last   *page
+	lastPN uint32
 }
 
 // NewMemory returns an empty memory.
@@ -30,11 +37,18 @@ func NewMemory() *Memory {
 
 func (m *Memory) pageFor(addr uint32, create bool) *page {
 	pn := addr >> pageShift
+	if m.last != nil && pn == m.lastPN {
+		return m.last
+	}
 	p := m.pages[pn]
-	if p == nil && create {
+	if p == nil {
+		if !create {
+			return nil
+		}
 		p = new(page)
 		m.pages[pn] = p
 	}
+	m.last, m.lastPN = p, pn
 	return p
 }
 

@@ -230,33 +230,33 @@ func (e *Engine) ResetStats() {
 	e.base = e.snapshotStats()
 }
 
-// next consumes the next correct-path instruction.
-func (e *Engine) next() (Slot, bool) {
+// peek returns the next correct-path instruction without consuming it,
+// or nil at the end of the stream. The slot lives in the pending deque
+// and stays valid until the next peek: consuming it with next leaves it
+// in place, and the drained deque is only rewound here, so a caller may
+// read the slot it just consumed until it peeks again.
+func (e *Engine) peek() *Slot {
 	if e.pendingLo < len(e.pending) {
-		s := e.pending[e.pendingLo]
-		e.pendingLo++
-		if e.pendingLo == len(e.pending) {
-			// Drained: rewind so the backing array is reused.
-			e.pending = e.pending[:0]
-			e.pendingLo = 0
-		}
-		return s, true
+		return &e.pending[e.pendingLo]
 	}
-	return e.src.Next()
+	return e.pull()
 }
 
-// peek returns the next instruction without consuming it.
-func (e *Engine) peek() (Slot, bool) {
-	if e.pendingLo < len(e.pending) {
-		return e.pending[e.pendingLo], true
-	}
+// pull refills the drained deque with the stream's next slot. It is
+// kept out of peek so that peek inlines at its call sites.
+func (e *Engine) pull() *Slot {
+	// Rewind so the backing array is reused.
+	e.pending, e.pendingLo = e.pending[:0], 0
 	s, ok := e.src.Next()
 	if !ok {
-		return Slot{}, false
+		return nil
 	}
 	e.pending = append(e.pending, s)
-	return s, true
+	return &e.pending[0]
 }
+
+// next consumes the instruction the last peek returned.
+func (e *Engine) next() { e.pendingLo++ }
 
 // pushback re-queues slots for re-execution (assertion recovery). The
 // slots are copied, so callers may reuse their buffer afterwards.
@@ -566,8 +566,8 @@ func (e *Engine) RunContext(ctx context.Context, maxInsts uint64) (uint64, error
 				return e.stats.X86Retired - start, err
 			}
 		}
-		s, ok := e.peek()
-		if !ok {
+		s := e.peek()
+		if s == nil {
 			break
 		}
 		// Drain optimizer completions whose latency has elapsed.
@@ -616,15 +616,15 @@ func (e *Engine) fetchICache() {
 	// miss, and fetch cycles; mispredict recovery is re-attributed to
 	// the branch by handleControl.
 	if e.probe != nil {
-		if s, ok := e.peek(); ok {
+		if s := e.peek(); s != nil {
 			e.profPC = s.PC
 		}
 	}
 	e.switchTo(srcIC)
 	e.windowStall()
 
-	s, ok := e.peek()
-	if !ok {
+	s := e.peek()
+	if s == nil {
 		return
 	}
 	// Instruction cache access for this fetch group.
@@ -643,8 +643,8 @@ func (e *Engine) fetchICache() {
 	uopsLeft := e.cfg.Width
 	first := true
 	for instsLeft > 0 {
-		s, ok := e.peek()
-		if !ok {
+		s := e.peek()
+		if s == nil {
 			return
 		}
 		if len(s.UOps) > uopsLeft {
@@ -681,16 +681,16 @@ func (e *Engine) fetchICache() {
 				loads++
 			}
 		}
-		e.retireSlot(&s, false, len(s.UOps), loads)
+		e.retireSlot(s, false, len(s.UOps), loads)
 		// Hook kept out of retireSlot so it stays inlinable at the
 		// retirement sites; the detached cost is this one nil check.
 		if e.probe != nil {
-			e.probe.SlotRetired(s, false, len(s.UOps))
+			e.probe.SlotRetired(*s, false, len(s.UOps))
 		}
-		e.feedConstructor(&s)
+		e.feedConstructor(s)
 
 		// Control-flow handling.
-		if stop := e.handleControl(&s, brDone); stop {
+		if stop := e.handleControl(s, brDone); stop {
 			return
 		}
 	}

@@ -173,12 +173,12 @@ func (e *Engine) fetchFrame(of *opt.OptFrame) {
 	defer func() { e.scratchSlots = consumed[:0] }()
 	diverged := false
 	for k := 0; k < src.NumX86; k++ {
-		s, ok := e.peek()
-		if !ok || s.PC != src.PCs[k] {
+		s := e.peek()
+		if s == nil || s.PC != src.PCs[k] {
 			break
 		}
 		e.next()
-		consumed = append(consumed, s)
+		consumed = append(consumed, *s)
 		if s.NextPC != src.NextPCs[k] {
 			diverged = true
 			break

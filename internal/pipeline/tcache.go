@@ -85,8 +85,8 @@ func (e *Engine) fetchTraceEntry(tr *traceEntry) {
 	uopsLeft := e.cfg.Width
 
 	for k := 0; k < len(tr.Insts); k++ {
-		s, ok := e.peek()
-		if !ok || s.PC != tr.Insts[k].PC {
+		s := e.peek()
+		if s == nil || s.PC != tr.Insts[k].PC {
 			return
 		}
 		// New dispatch groups and mispredict-recovery stalls below are
@@ -122,11 +122,11 @@ func (e *Engine) fetchTraceEntry(tr *traceEntry) {
 				loads++
 			}
 		}
-		e.retireSlot(&s, true, len(s.UOps), loads)
+		e.retireSlot(s, true, len(s.UOps), loads)
 		if e.probe != nil {
-			e.probe.SlotRetired(s, true, len(s.UOps))
+			e.probe.SlotRetired(*s, true, len(s.UOps))
 		}
-		e.feedConstructor(&s)
+		e.feedConstructor(s)
 
 		// Trace-internal control: unlike the decoded path, a correctly
 		// predicted taken branch does not end fetch — the target's code is

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"repro/internal/pipeline"
 	"repro/internal/trace"
@@ -38,34 +39,35 @@ type slotSource interface {
 func (s *cpuStream) Err() error { return s.err }
 
 // recordedStream is one captured retired-slot stream, stored columnar:
-// per retired instruction only the PC, the successor PC and the memory
-// addresses vary, so those are kept in flat arrays (~12 bytes per slot)
-// while the decode and translation are shared per-PC maps. A full-budget
-// capture is a few MB instead of the tens of MB a []pipeline.Slot costs,
-// which is what lets maxLiveCaptures cover a whole sweep.
+// per retired instruction only the decode-table entry, the successor PC
+// and the memory addresses vary, so those are kept in flat arrays (~12
+// bytes per slot) while the decode and translation are shared per PC in
+// the interpreter's decode table. A full-budget capture is a few MB
+// instead of the tens of MB a []pipeline.Slot costs, which is what lets
+// maxLiveCaptures cover a whole sweep.
 type recordedStream struct {
-	pcs      []uint32
+	entries  []int32 // per slot: index into table.insts
 	nextPCs  []uint32
-	memOff   []uint32 // prefix offsets into memAddrs; len = len(pcs)+1
+	memOff   []uint32 // prefix offsets into memAddrs; len = len(entries)+1
 	memAddrs []uint32
-	decoded  map[uint32]decodedInst
+	table    *decodeTable
 	err      error // interpreter error hit at the end of the slots, if any
 	atEnd    bool  // the program genuinely ended (vs the capture bound)
 }
 
-func (rec *recordedStream) len() int { return len(rec.pcs) }
+func (rec *recordedStream) len() int { return len(rec.entries) }
 
-// slot materializes retired slot i. MemAddrs aliases the shared backing
-// array (capacity-clipped); the engine only reads it.
-func (rec *recordedStream) slot(i int) pipeline.Slot {
-	pc := rec.pcs[i]
+// slot materializes retired slot i into s. MemAddrs aliases the shared
+// backing array (capacity-clipped); the engine only reads it. Filling a
+// Slot in place rather than returning one spares the replay hot path a
+// 112-byte zero-and-copy per instruction.
+func (rec *recordedStream) slot(i int, s *pipeline.Slot) {
 	var addrs []uint32
 	if lo, hi := rec.memOff[i], rec.memOff[i+1]; hi > lo {
 		addrs = rec.memAddrs[lo:hi:hi]
 	}
-	d := rec.decoded[pc]
-	return pipeline.Slot{PC: pc, Inst: d.in, UOps: d.uops,
-		NextPC: rec.nextPCs[i], MemAddrs: addrs}
+	d := &rec.table.insts[rec.entries[i]]
+	s.PC, s.Inst, s.UOps, s.NextPC, s.MemAddrs = d.pc, d.in, d.uops, rec.nextPCs[i], addrs
 }
 
 // errCaptureExhausted reports a replay that consumed the whole recording
@@ -81,12 +83,12 @@ type replayStream struct {
 	exhausted bool
 }
 
-func (r *replayStream) Next() (pipeline.Slot, bool) {
+func (r *replayStream) Next() (s pipeline.Slot, ok bool) {
 	if r.pos >= r.rec.len() {
 		r.exhausted = true
-		return pipeline.Slot{}, false
+		return s, false
 	}
-	s := r.rec.slot(r.pos)
+	r.rec.slot(r.pos, &s)
 	r.pos++
 	return s, true
 }
@@ -107,26 +109,26 @@ func (r *replayStream) Err() error {
 // captureRecorded drains the interpreter into a recording of at most max
 // slots. An interpreter error is stored positionally: a replay only
 // surfaces it if the engine actually consumes that far, exactly like a
-// live run. The decode/translation map is taken over from the
-// interpreter stream, so every replayed slot shares it.
+// live run. The decode table is taken over from the interpreter stream,
+// so every replayed slot shares it.
 func captureRecorded(prog *workload.Program, max int) *recordedStream {
 	src := newCPUStream(prog)
 	rec := &recordedStream{
-		pcs:     make([]uint32, 0, max),
+		entries: make([]int32, 0, max),
 		nextPCs: make([]uint32, 0, max),
 		memOff:  make([]uint32, 1, max+1),
-		decoded: src.decoded,
+		table:   src.table,
 	}
-	for len(rec.pcs) < max {
-		s, ok := src.Next()
+	for len(rec.entries) < max {
+		i, nextPC, addrs, ok := src.step()
 		if !ok {
 			rec.atEnd = true
 			rec.err = src.err
 			return rec
 		}
-		rec.pcs = append(rec.pcs, s.PC)
-		rec.nextPCs = append(rec.nextPCs, s.NextPC)
-		rec.memAddrs = append(rec.memAddrs, s.MemAddrs...)
+		rec.entries = append(rec.entries, i)
+		rec.nextPCs = append(rec.nextPCs, nextPC)
+		rec.memAddrs = append(rec.memAddrs, addrs...)
 		rec.memOff = append(rec.memOff, uint32(len(rec.memAddrs)))
 	}
 	return rec
@@ -161,15 +163,12 @@ type captureEntry struct {
 	bytes  int64 // approximate residency, set once the recording exists
 }
 
-// sizeBytes estimates a recording's heap residency: the columnar slot
-// arrays exactly, the shared decode/translation maps by per-entry
-// constants (an x86.Inst is ~48 bytes, a uop.UOp ~24).
+// sizeBytes is a recording's heap residency: the columnar slot arrays
+// and the decode table they index.
 func (rec *recordedStream) sizeBytes() int64 {
-	b := int64(4 * (len(rec.pcs) + len(rec.nextPCs) + len(rec.memOff) + len(rec.memAddrs)))
-	for _, d := range rec.decoded {
-		b += 48 + int64(len(d.uops))*24
-	}
-	return b
+	b := int64(unsafe.Sizeof(int32(0))) * int64(len(rec.entries))
+	b += int64(unsafe.Sizeof(uint32(0))) * int64(len(rec.nextPCs)+len(rec.memOff)+len(rec.memAddrs))
+	return b + rec.table.sizeBytes()
 }
 
 // captureCache shares recordings across the concurrent (workload, mode)
@@ -304,8 +303,9 @@ func CaptureSlotStream(p workload.Profile, traceIdx, maxInsts int) (*trace.SlotS
 	}
 	ss := &trace.SlotStream{Name: prog.Name, CodeBase: prog.Base, Code: prog.Code,
 		Slots: make([]trace.SlotRec, 0, rec.len())}
+	var s pipeline.Slot
 	for i := 0; i < rec.len(); i++ {
-		s := rec.slot(i)
+		rec.slot(i, &s)
 		ss.Slots = append(ss.Slots, trace.SlotRec{PC: s.PC, NextPC: s.NextPC, MemAddrs: s.MemAddrs})
 	}
 	return ss, nil
@@ -347,22 +347,26 @@ func SlotsFromRecorded(ss *trace.SlotStream) ([]pipeline.Slot, error) {
 }
 
 // NewSlotStream wraps a reconstructed slot slice as a correct-path
-// stream for pipeline.New (the replay path for on-disk captures).
+// stream for pipeline.New (the replay path for on-disk captures). Slots
+// sharing a PC share its decode, as every producer's slots do.
 func NewSlotStream(slots []pipeline.Slot) pipeline.Stream {
 	rec := &recordedStream{
-		pcs:     make([]uint32, 0, len(slots)),
+		entries: make([]int32, 0, len(slots)),
 		nextPCs: make([]uint32, 0, len(slots)),
 		memOff:  make([]uint32, 1, len(slots)+1),
-		decoded: make(map[uint32]decodedInst, 256),
+		table:   newDecodeTable(0, 0), // no code image: PCs go to the map, at build time only
 		atEnd:   true,
 	}
 	for i := range slots {
 		s := &slots[i]
-		rec.pcs = append(rec.pcs, s.PC)
+		e := rec.table.find(s.PC)
+		if e < 0 {
+			e = rec.table.add(decodedInst{pc: s.PC, in: s.Inst, uops: s.UOps})
+		}
+		rec.entries = append(rec.entries, e)
 		rec.nextPCs = append(rec.nextPCs, s.NextPC)
 		rec.memAddrs = append(rec.memAddrs, s.MemAddrs...)
 		rec.memOff = append(rec.memOff, uint32(len(rec.memAddrs)))
-		rec.decoded[s.PC] = decodedInst{in: s.Inst, uops: s.UOps}
 	}
 	return &replayStream{rec: rec}
 }

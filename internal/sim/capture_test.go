@@ -159,7 +159,7 @@ func TestSlotStreamDumpReload(t *testing.T) {
 	}
 	captured := make([]pipeline.Slot, rec.len())
 	for i := range captured {
-		captured[i] = rec.slot(i)
+		rec.slot(i, &captured[i])
 	}
 	for i := range slots {
 		if !reflect.DeepEqual(slots[i], captured[i]) {

@@ -1,0 +1,207 @@
+package sim
+
+import (
+	"reflect"
+	"runtime"
+	"testing"
+
+	"repro/internal/cpu"
+	"repro/internal/pipeline"
+	"repro/internal/translate"
+	"repro/internal/workload"
+	"repro/internal/x86"
+)
+
+// referenceSlot retires one instruction the way the stream did before
+// it kept a decode table: decode and translate the bytes at PC afresh,
+// then step through the CPU's own decode cache. ok is false at HLT.
+func referenceSlot(t *testing.T, c *cpu.CPU) (pipeline.Slot, bool) {
+	t.Helper()
+	pc := c.PC
+	in, err := x86.Decode(c.Mem.ReadBytes(pc, 15))
+	if err != nil {
+		t.Fatalf("decode at %#x: %v", pc, err)
+	}
+	if in.Op == x86.OpHLT {
+		return pipeline.Slot{}, false
+	}
+	us, err := translate.UOps(in, pc)
+	if err != nil {
+		t.Fatalf("translate at %#x: %v", pc, err)
+	}
+	addrs, nextPC, err := c.StepAddrs(nil)
+	if err != nil {
+		t.Fatalf("step at %#x: %v", pc, err)
+	}
+	return pipeline.Slot{PC: pc, Inst: in, UOps: us, NextPC: nextPC, MemAddrs: addrs}, true
+}
+
+// TestDecodeTableEquivalence: on every trace of every profile, the
+// table-backed stream yields slot for slot what decoding every retired
+// instruction afresh yields.
+func TestDecodeTableEquivalence(t *testing.T) {
+	const insts = 20_000
+	for _, p := range workload.Profiles {
+		for tr := 0; tr < p.Traces; tr++ {
+			prog, err := workload.Generate(p, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := newCPUStream(prog)
+			ref := prog.NewCPU()
+			for n := 0; n < insts; n++ {
+				want, wok := referenceSlot(t, ref)
+				got, gok := s.Next()
+				if gok != wok {
+					t.Fatalf("%s/t%d slot %d: stream ok=%v, reference ok=%v (err %v)", p.Name, tr, n, gok, wok, s.Err())
+				}
+				if !wok {
+					break
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/t%d slot %d:\n got %+v\nwant %+v", p.Name, tr, n, got, want)
+				}
+			}
+			if len(s.table.far) != 0 {
+				t.Errorf("%s/t%d: %d PCs outside the code image took the fallback map", p.Name, tr, len(s.table.far))
+			}
+		}
+	}
+}
+
+// TestDecodeTableFallback: a PC outside the code image, above it or
+// below its base, is decoded into the fallback map and yields the same
+// entry a decode at that PC does, and is found again without decoding.
+func TestDecodeTableFallback(t *testing.T) {
+	p, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := workload.Generate(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := uint32(len(prog.Code))
+	if prog.Base < size {
+		t.Fatalf("code image at %#x leaves no room below it", prog.Base)
+	}
+	// The same code at the image and on either side of it.
+	below, above := prog.Base-size, prog.Base+size
+	mem := cpu.NewMemory()
+	for _, at := range []uint32{below, prog.Base, above} {
+		mem.WriteBytes(at, prog.Code)
+	}
+	// The PCs the program retires first.
+	var offs []uint32
+	seen := map[uint32]bool{}
+	s := newCPUStream(prog)
+	for n := 0; n < 5_000; n++ {
+		sl, ok := s.Next()
+		if !ok {
+			break
+		}
+		if !seen[sl.PC] {
+			seen[sl.PC] = true
+			offs = append(offs, sl.PC-prog.Base)
+		}
+	}
+
+	tab := newDecodeTable(prog.Base, len(prog.Code))
+	for _, off := range offs {
+		for _, pc := range []uint32{below + off, prog.Base + off, above + off} {
+			i, err := tab.decode(pc, mem)
+			if err != nil {
+				t.Fatalf("decode at %#x: %v", pc, err)
+			}
+			_, far := tab.far[pc]
+			if inImage := pc-prog.Base < size; far == inImage {
+				t.Errorf("PC %#x: in fallback map = %v, inside the image = %v", pc, far, inImage)
+			}
+			in, err := x86.Decode(mem.ReadBytes(pc, 15))
+			if err != nil {
+				t.Fatal(err)
+			}
+			us, err := translate.UOps(in, pc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := decodedInst{pc: pc, in: in, uops: us}
+			if got := tab.insts[i]; !reflect.DeepEqual(got, want) {
+				t.Errorf("PC %#x: entry %+v, want %+v", pc, got, want)
+			}
+			entries := len(tab.insts)
+			if j := tab.find(pc); j != i {
+				t.Errorf("PC %#x: found entry %d, decoded %d", pc, j, i)
+			}
+			if len(tab.insts) != entries {
+				t.Errorf("PC %#x: find added an entry", pc)
+			}
+		}
+	}
+	if want := 2 * len(offs); len(tab.far) != want {
+		t.Errorf("fallback map holds %d PCs, want %d", len(tab.far), want)
+	}
+}
+
+// Stream benchmarks time the correct-path stream layer alone, without
+// the engine: BenchmarkCPUStream interprets (decode, translate, step),
+// BenchmarkReplayStream replays a recording of the same stream. They run
+// on one SPEC and one desktop profile and report per instruction.
+var streamBenchProfiles = []string{"gzip", "excel"}
+
+const streamBenchInsts = 100_000
+
+var streamSink uint32
+
+func BenchmarkCPUStream(b *testing.B) {
+	for _, name := range streamBenchProfiles {
+		prog := benchProgram(b, name)
+		b.Run(name, func(b *testing.B) {
+			benchStream(b, func() pipeline.Stream { return newCPUStream(prog) })
+		})
+	}
+}
+
+func BenchmarkReplayStream(b *testing.B) {
+	for _, name := range streamBenchProfiles {
+		rec := captureRecorded(benchProgram(b, name), streamBenchInsts)
+		b.Run(name, func(b *testing.B) {
+			benchStream(b, func() pipeline.Stream { return &replayStream{rec: rec} })
+		})
+	}
+}
+
+func benchProgram(b *testing.B, name string) *workload.Program {
+	p, err := workload.ByName(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := workload.Generate(p, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return prog
+}
+
+// benchStream drains streamBenchInsts slots from a fresh stream per
+// iteration and reports ns/inst and B/inst (heap bytes allocated).
+func benchStream(b *testing.B, open func() pipeline.Stream) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := open()
+		for n := 0; n < streamBenchInsts; n++ {
+			sl, ok := s.Next()
+			if !ok {
+				b.Fatalf("stream ended after %d slots", n)
+			}
+			streamSink += sl.NextPC
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	insts := float64(b.N) * streamBenchInsts
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/insts, "ns/inst")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/insts, "B/inst")
+}

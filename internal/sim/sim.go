@@ -15,19 +15,9 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/reuse"
 	"repro/internal/tracing"
-	"repro/internal/translate"
-	"repro/internal/uop"
 	"repro/internal/workload"
 	"repro/internal/x86"
 )
-
-// decodedInst is a per-PC decode-and-translation cache entry: one map
-// lookup on the stepping hot path instead of the two that separate
-// inst/µop maps cost.
-type decodedInst struct {
-	in   x86.Inst
-	uops []uop.UOp
-}
 
 // addrChunk is the arena-chunk size for per-slot memory addresses: one
 // allocation per ~16k addresses instead of one per memory instruction.
@@ -42,62 +32,68 @@ const maxSlotMemOps = 8
 // cpuStream adapts the functional interpreter to the timing model's
 // correct-path instruction stream (the Micro-Op Injector).
 type cpuStream struct {
-	c       *cpu.CPU
-	decoded map[uint32]decodedInst
-	addrs   []uint32 // current arena chunk for slot MemAddrs
-	err     error
+	c     *cpu.CPU
+	table *decodeTable
+	addrs []uint32 // current arena chunk for slot MemAddrs
+	err   error
 }
 
 func newCPUStream(prog *workload.Program) *cpuStream {
 	return &cpuStream{
-		c:       prog.NewCPU(),
-		decoded: make(map[uint32]decodedInst),
+		c:     prog.NewCPU(),
+		table: newDecodeTable(prog.Base, len(prog.Code)),
 	}
 }
 
 // Next retires one instruction on the reference machine.
-func (s *cpuStream) Next() (pipeline.Slot, bool) {
-	if s.c.Halted || s.err != nil {
-		return pipeline.Slot{}, false
-	}
-	pc := s.c.PC
-	d, ok := s.decoded[pc]
+func (s *cpuStream) Next() (sl pipeline.Slot, ok bool) {
+	i, nextPC, addrs, ok := s.step()
 	if !ok {
-		in, err := x86.Decode(s.c.Mem.ReadBytes(pc, 15))
-		if err != nil {
-			s.err = err
-			return pipeline.Slot{}, false
-		}
-		us, err := translate.UOps(in, pc)
-		if err != nil {
-			s.err = err
-			return pipeline.Slot{}, false
-		}
-		d = decodedInst{in: in, uops: us}
-		s.decoded[pc] = d
+		return sl, false
 	}
+	// Filled in place, like recordedStream.slot.
+	d := &s.table.insts[i]
+	sl.PC, sl.Inst, sl.UOps, sl.NextPC, sl.MemAddrs = d.pc, d.in, d.uops, nextPC, addrs
+	return sl, true
+}
+
+// step retires one instruction and returns its decode-table entry, its
+// dynamic successor and the memory addresses it touched, or ok=false at
+// HLT or on an interpreter error (kept in s.err).
+func (s *cpuStream) step() (entry int32, nextPC uint32, addrs []uint32, ok bool) {
+	if s.c.Halted || s.err != nil {
+		return 0, 0, nil, false
+	}
+	i := s.table.find(s.c.PC)
+	if i < 0 {
+		var err error
+		if i, err = s.table.decode(s.c.PC, s.c.Mem); err != nil {
+			s.err = err
+			return 0, 0, nil, false
+		}
+	}
+	d := &s.table.insts[i]
 	if d.in.Op == x86.OpHLT {
-		return pipeline.Slot{}, false
+		return 0, 0, nil, false
 	}
 	if cap(s.addrs)-len(s.addrs) < maxSlotMemOps {
 		s.addrs = make([]uint32, 0, addrChunk)
 	}
 	base := len(s.addrs)
-	grown, nextPC, err := s.c.StepAddrs(s.addrs)
+	grown, nextPC, err := s.c.StepInst(&d.in, s.addrs)
 	if err != nil {
 		s.err = err
-		return pipeline.Slot{}, false
+		return 0, 0, nil, false
 	}
 	s.addrs = grown
 	// nil (not empty) when the instruction touches no memory, so slots
 	// round-trip exactly through the on-disk slot-stream format. The
 	// addresses alias the arena chunk, capacity-clipped; slots are
 	// read-only downstream.
-	var addrs []uint32
 	if n := len(grown); n > base {
 		addrs = grown[base:n:n]
 	}
-	return pipeline.Slot{PC: pc, Inst: d.in, UOps: d.uops, NextPC: nextPC, MemAddrs: addrs}, true
+	return i, nextPC, addrs, true
 }
 
 // Options configures a run beyond the processor mode.

@@ -247,8 +247,9 @@ func (r RunRequest) Key() string {
 	return string(b)
 }
 
-// Validate rejects unknown experiment, workload or mode names up front,
-// before the request is queued.
+// Validate rejects unknown experiment, workload or mode names and
+// out-of-range config overrides or diff repeats up front, before the
+// request is queued.
 func (r RunRequest) Validate() error {
 	c := r.Canonical()
 	known := false
@@ -293,6 +294,9 @@ func (r RunRequest) Validate() error {
 		if r.Diff == nil {
 			return fmt.Errorf("diff experiment needs a diff spec (the variant side)")
 		}
+		if n := r.Diff.Repeats; n < 0 || n > maxRepeats {
+			return fmt.Errorf("repeats %d out of range (want 1-%d)", n, maxRepeats)
+		}
 		d := c.Diff
 		if d.Mode != "" {
 			if _, err := ParseMode(d.Mode); err != nil {
@@ -309,6 +313,25 @@ func (r RunRequest) Validate() error {
 	return nil
 }
 
+// Ranges of the numeric overrides and of diff repeats. Each admits the
+// Table 2 defaults, the paper's 8-256 frame-size ablation and the
+// repeat counts the docs use, with headroom; outside them a request
+// describes no machine worth building (pipeline.New sizes its retire
+// ring and optimizer slots from width and opt_pipe_depth). The width
+// floor is the translator's longest flow, CALL through memory: the
+// ICache path fetches an instruction's whole flow in one group, so a
+// narrower machine never fetches it.
+const (
+	minWidth           = 5
+	maxWidth           = 64
+	maxWindowSize      = 8192
+	maxFrameCacheUOps  = 1 << 20
+	maxFrameUOps       = 1024
+	maxOptCyclesPerUOp = 1000
+	maxOptPipeDepth    = 64
+	maxRepeats         = 10
+)
+
 func validateConfig(c *ConfigOverrides) error {
 	if c == nil {
 		return nil
@@ -324,6 +347,29 @@ func validateConfig(c *ConfigOverrides) error {
 		default:
 			return fmt.Errorf("unknown optimization %q in disable_opts", d)
 		}
+	}
+	for _, f := range []struct {
+		name      string
+		v, lo, hi int
+	}{
+		{"width", c.Width, minWidth, maxWidth},
+		{"window_size", c.WindowSize, 1, maxWindowSize},
+		{"frame_cache_uops", c.FrameCacheUOps, 1, maxFrameCacheUOps},
+		{"max_frame_uops", c.MaxFrameUOps, 1, maxFrameUOps},
+		{"opt_cycles_per_uop", c.OptCyclesPerUOp, 1, maxOptCyclesPerUOp},
+		{"opt_pipe_depth", c.OptPipeDepth, 1, maxOptPipeDepth},
+	} {
+		if f.v != 0 && (f.v < f.lo || f.v > f.hi) {
+			return fmt.Errorf("%s %d out of range (want %d-%d, or 0 for the default)", f.name, f.v, f.lo, f.hi)
+		}
+	}
+	// A fetch group must fit the scheduling window: a wider one does not
+	// fit even an empty window, and the window-full stall then has no
+	// in-flight micro-op to wait on.
+	cfg := pipeline.DefaultConfig(pipeline.ModeRePLayOpt)
+	c.Mod()(&cfg)
+	if cfg.Width > cfg.WindowSize {
+		return fmt.Errorf("width %d exceeds window_size %d", cfg.Width, cfg.WindowSize)
 	}
 	return nil
 }

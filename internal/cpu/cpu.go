@@ -39,9 +39,6 @@ func New(mem *Memory) *CPU {
 	return &CPU{Mem: mem, decoded: make(map[uint32]x86.Inst)}
 }
 
-// Reg returns the value of a GPR.
-func (c *CPU) Reg(r x86.Reg) uint32 { return c.Regs[r] }
-
 // SetReg writes a GPR.
 func (c *CPU) SetReg(r x86.Reg, v uint32) { c.Regs[r] = v }
 

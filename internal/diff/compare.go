@@ -113,11 +113,6 @@ type Report struct {
 	SignificantImprovements int `json:"significant_improvements"`
 }
 
-// Significant reports whether any metric cleared the noise gate.
-func (r *Report) Significant() bool {
-	return r.SignificantRegressions > 0 || r.SignificantImprovements > 0
-}
-
 // metricSpec defines one gated top-line metric.
 type metricSpec struct {
 	name, unit string

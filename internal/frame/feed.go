@@ -15,18 +15,7 @@ type Decoder struct {
 	tr    *trace.Trace
 	insts map[uint32]x86.Inst
 	uops  map[uint32][]uop.UOp
-
-	// decodes counts cache misses (distinct PCs actually decoded);
-	// hits counts cached lookups.
-	decodes uint64
-	hits    uint64
 }
-
-// Decodes returns the number of distinct PCs decoded (cache misses).
-func (d *Decoder) Decodes() uint64 { return d.decodes }
-
-// Hits returns the number of lookups served from the decode cache.
-func (d *Decoder) Hits() uint64 { return d.hits }
 
 // NewDecoder returns a decoder over the trace's code image.
 func NewDecoder(tr *trace.Trace) *Decoder {
@@ -40,10 +29,8 @@ func NewDecoder(tr *trace.Trace) *Decoder {
 // At returns the decoded instruction and micro-op flow at pc.
 func (d *Decoder) At(pc uint32) (x86.Inst, []uop.UOp, error) {
 	if in, ok := d.insts[pc]; ok {
-		d.hits++
 		return in, d.uops[pc], nil
 	}
-	d.decodes++
 	bts := d.tr.InstBytes(pc)
 	if bts == nil {
 		return x86.Inst{}, nil, fmt.Errorf("frame: PC %#x outside code image", pc)

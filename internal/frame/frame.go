@@ -290,15 +290,6 @@ func (c *Constructor) Retire(pc uint32, in x86.Inst, uops []uop.UOp, nextPC uint
 // Flush deposits any pending frame (end of stream).
 func (c *Constructor) Flush() { c.finish() }
 
-// Reset discards the pending frame without depositing it (used when the
-// sequencer fetched a cached frame over the same instructions: the region
-// is already covered, and rebuilding it from a different alignment would
-// endlessly churn overlapping tilings). Bias tables are kept.
-func (c *Constructor) Reset() {
-	PutFrame(c.pending)
-	c.pending = nil
-}
-
 // RetireFrame informs the constructor that a cached frame's instructions
 // retired through a frame-cache fetch. The frame's already-converted
 // content extends the pending frame, letting frames grow across commits

@@ -1,6 +1,6 @@
 // Package logflag builds structured loggers from the conventional
 // -log-format/-log-level flag pair, so every command in the repo
-// (replayd, replaysim, benchd) accepts the same logging knobs with the
+// (replayd, replaysim) accepts the same logging knobs with the
 // same spellings and error messages.
 package logflag
 

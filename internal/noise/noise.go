@@ -1,10 +1,7 @@
-// Package noise is the shared statistical-significance gate: the 2×SEM
-// rule internal/benchmark uses to keep jittery benchmarks from flagging
-// regressions, factored into a leaf package so the ablation diff engine
-// (internal/diff, below sim in the import graph) applies the identical
-// gate to its run deltas. One implementation, two consumers — a diff
-// report and a benchmark comparison can never disagree about what
-// counts as signal.
+// Package noise is the statistical-significance gate of the ablation
+// diff engine: a delta counts as signal only when the two sides' means
+// differ by more than twice their combined standard error. It is a leaf
+// package so internal/diff, below sim in the import graph, can use it.
 package noise
 
 import "math"
@@ -17,8 +14,9 @@ type Summary struct {
 }
 
 // Summarize reduces repeat samples to their summary. The standard
-// deviation is the population form benchmark.Summarize uses, so bounds
-// computed from either source agree.
+// deviation is the population form (divided by n, not n-1); diff
+// reports print bounds computed from it, so changing the form changes
+// their bytes.
 func Summarize(samples []float64) Summary {
 	s := Summary{N: len(samples)}
 	if s.N == 0 {
@@ -57,8 +55,7 @@ func Bound(a, b Summary) float64 {
 
 // Beyond reports whether the two means differ by more than Bound.
 // With no spread information (bound 0) any difference passes — a
-// single-repeat comparison has nothing to gate on, matching the
-// benchmark comparator's historical behaviour.
+// single-repeat comparison has nothing to gate on.
 func Beyond(a, b Summary) bool {
 	bd := Bound(a, b)
 	if bd == 0 {

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestSummarize pins the population-stddev form benchmark.Summarize
-// uses, so the two packages' bounds stay interchangeable.
+// TestSummarize pins the population-stddev form, which the bounds in
+// diff reports are computed from.
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if s.N != 8 || s.Mean != 5 || s.Stddev != 2 {

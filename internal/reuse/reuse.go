@@ -19,7 +19,7 @@
 // On top of the redundancy signal, Select picks a minimal
 // representative workload subset (greedy facility-location over the
 // reuse signatures, maximizing covered reuse mass per unit simulated
-// cost), which benchd's quick suite runs instead of everything.
+// cost).
 package reuse
 
 import (

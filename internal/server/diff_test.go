@@ -208,6 +208,7 @@ func TestDiffValidation(t *testing.T) {
 		{"non-cell side", diffPostRequest{Base: &sweep, Variant: &cell}, http.StatusBadRequest},
 		{"different workloads", diffPostRequest{Base: &cell, Variant: &other}, http.StatusBadRequest},
 		{"different budgets", diffPostRequest{Base: &cell, Variant: &shortBudget}, http.StatusBadRequest},
+		{"repeats over cap", diffPostRequest{Base: &cell, Variant: &cell, Repeats: 1_000_000}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		env, status := postDiff(t, ts.URL, tc.body)

@@ -698,14 +698,22 @@ func (s *Server) checkBudget(req api.RunRequest) error {
 // evicts old finished jobs beyond the retention bound.
 func (s *Server) settle(j *job, res *api.RunResponse, err error) {
 	s.unpinXTrace(j.req)
-	// Fold the report metrics before finishing: a client that sees the
-	// job done must find it counted in /metrics.
+	// Fold the report metrics and count the outcome before finishing: a
+	// client that sees the job done must find it counted in /metrics.
 	if err == nil && res != nil {
 		for _, k := range reportKinds {
 			if _, ok := k.report(res); ok {
 				k.fold(s, res, j.traceID)
 			}
 		}
+	}
+	switch {
+	case err == nil:
+		s.met.jobsDone.Add(1)
+	case errors.Is(err, context.Canceled):
+		s.met.jobsCanceled.Add(1)
+	default:
+		s.met.jobsFailed.Add(1)
 	}
 	j.finish(res, err)
 	j.cancel()
@@ -746,14 +754,6 @@ func (s *Server) settle(j *job, res *api.RunResponse, err error) {
 	defer s.mu.Unlock()
 	if s.inflight[j.key] == j {
 		delete(s.inflight, j.key)
-	}
-	switch {
-	case err == nil:
-		s.met.jobsDone.Add(1)
-	case errors.Is(err, context.Canceled):
-		s.met.jobsCanceled.Add(1)
-	default:
-		s.met.jobsFailed.Add(1)
 	}
 	s.finished = append(s.finished, j.id)
 	for len(s.finished) > s.cfg.KeepFinished {

@@ -378,7 +378,7 @@ func postGet(t *testing.T, url string) (jobEnvelope, int) {
 }
 
 // TestValidationErrors: malformed requests fail fast with 400, before
-// touching the queue.
+// touching the queue, and the daemon keeps serving afterwards.
 func TestValidationErrors(t *testing.T) {
 	s := New(Config{Workers: 1, MaxInsts: 10_000})
 	defer s.Shutdown(context.Background())
@@ -395,6 +395,9 @@ func TestValidationErrors(t *testing.T) {
 		{"unknown opt", api.RunRequest{Experiment: "fig6", Config: &api.ConfigOverrides{DisableOpts: []string{"zap"}}}},
 		{"over insts cap", api.RunRequest{Experiment: "fig6", Insts: 20_000}},
 		{"default budget over cap", api.RunRequest{Experiment: "fig6"}},
+		// The engine would size its retire ring from this width.
+		{"huge width", api.RunRequest{Experiment: "cell", Workloads: []string{"gzip"}, Insts: 1000,
+			Config: &api.ConfigOverrides{Width: 1 << 62}}},
 	} {
 		env, status := postRun(t, ts.URL+"/v1/run", tc.req)
 		if status != http.StatusBadRequest {
@@ -406,6 +409,19 @@ func TestValidationErrors(t *testing.T) {
 	}
 	if n := s.met.requests.Load(); n != 0 {
 		t.Errorf("invalid submissions counted as requests: %d", n)
+	}
+
+	hz, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hz.Body.Close()
+	if hz.StatusCode != http.StatusOK {
+		t.Errorf("healthz after rejections: status %d, want 200", hz.StatusCode)
+	}
+	env, status := postRun(t, ts.URL+"/v1/run", api.RunRequest{Experiment: "cell", Workloads: []string{"gzip"}, Insts: 1000})
+	if status != http.StatusOK || env.State != api.StateDone {
+		t.Errorf("valid cell after rejections: status %d, state %q (%s)", status, env.State, env.Error)
 	}
 }
 

@@ -55,9 +55,6 @@ func NewHistogram(name, help string, bounds ...float64) *Histogram {
 // Name returns the metric name given at construction.
 func (h *Histogram) Name() string { return h.name }
 
-// Help returns the help text given at construction.
-func (h *Histogram) Help() string { return h.help }
-
 // Observe records one sample.
 func (h *Histogram) Observe(v uint64) {
 	h.counts[h.bucket(float64(v))].Add(1)
@@ -172,9 +169,6 @@ func NewLatencyHistogram(name, help string, bounds ...float64) *LatencyHistogram
 		exemplars: make([]atomic.Pointer[Exemplar], len(bounds)+1),
 	}
 }
-
-// Name returns the metric name given at construction.
-func (h *LatencyHistogram) Name() string { return h.name }
 
 // Observe records one duration.
 func (h *LatencyHistogram) Observe(d time.Duration) { h.ObserveEx(d, "") }

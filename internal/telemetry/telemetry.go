@@ -118,8 +118,7 @@ type PassStat struct {
 // mirrors the sequence Optimize runs the passes in.
 var PassOrder = []string{"nop", "cp", "ra", "cse", "cse-load", "sf", "assert", "dce"}
 
-// Attribution is the collector building the per-pass table. It is also
-// an opt.PassRecorder, for callers driving the optimizer directly.
+// Attribution is the collector building the per-pass table.
 type Attribution struct {
 	mu     sync.Mutex
 	passes map[string]*PassStat

@@ -96,14 +96,6 @@ func NewStore(cfg StoreConfig) *Store {
 	return &Store{cfg: cfg.withDefaults(), byID: map[string]*StoredTrace{}}
 }
 
-// SlowThreshold reports the configured slow-trace cutoff.
-func (s *Store) SlowThreshold() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.cfg.SlowThreshold
-}
-
 // offer runs the tail-sampling decision on a completed trace.
 func (s *Store) offer(tr *StoredTrace) {
 	if s == nil || tr == nil {

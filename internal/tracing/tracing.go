@@ -82,9 +82,6 @@ type SpanData struct {
 	Error  string         `json:"error,omitempty"`
 }
 
-// Duration is the span's wall-clock length.
-func (d *SpanData) Duration() time.Duration { return d.End.Sub(d.Start) }
-
 // traceBuf assembles the spans of one in-flight trace. The trace
 // finalizes when its root span has ended and no span remains open, so
 // asynchronously-submitted jobs whose spans outlive the HTTP request
@@ -302,14 +299,6 @@ func (t *Tracer) SetEnabled(on bool) {
 	if t != nil {
 		t.enabled.Store(on)
 	}
-}
-
-// Store returns the tracer's destination store (nil if none).
-func (t *Tracer) Store() *Store {
-	if t == nil {
-		return nil
-	}
-	return t.store
 }
 
 // StartRoot opens the root span of a new trace and attaches it to the

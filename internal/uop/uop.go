@@ -308,13 +308,6 @@ func (r *Regs) Flags() x86.Flags { return x86.Flags(r.R[FLAGS]) & x86.FlagMask }
 // SetFlags writes the FLAGS register.
 func (r *Regs) SetFlags(f x86.Flags) { r.R[FLAGS] = uint32(f & x86.FlagMask) }
 
-// GPRs returns a copy of the eight x86 general-purpose registers.
-func (r *Regs) GPRs() [8]uint32 {
-	var g [8]uint32
-	copy(g[:], r.R[:8])
-	return g
-}
-
 // Memory is the interface micro-op evaluation uses for loads and stores.
 type Memory interface {
 	Load32(addr uint32) uint32

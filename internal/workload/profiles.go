@@ -129,20 +129,3 @@ func filterClass(spec bool) []Profile {
 	}
 	return out
 }
-
-// CaptureAll generates and captures every trace of a profile.
-func CaptureAll(p Profile) ([]*Tracefile, error) {
-	var out []*Tracefile
-	for i := 0; i < p.Traces; i++ {
-		prog, err := Generate(p, i)
-		if err != nil {
-			return nil, err
-		}
-		tr, err := prog.Capture(p.XInsts)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, &Tracefile{Profile: p, Index: i, Trace: tr})
-	}
-	return out, nil
-}

@@ -363,9 +363,6 @@ func (in Inst) IsBranch() bool {
 	return false
 }
 
-// IsCondBranch reports whether the instruction is a conditional branch.
-func (in Inst) IsCondBranch() bool { return in.Op == OpJCC }
-
 func (in Inst) String() string {
 	name := in.Op.String()
 	if in.Op == OpJCC {

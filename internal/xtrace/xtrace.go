@@ -156,19 +156,6 @@ type Trace struct {
 	HasFinal bool
 }
 
-// Insts counts the macro-instructions of the trace (records flagged
-// RecFirst; a trace with no first flags at all is one-uop-per-inst by
-// convention, handled at decode time).
-func (t *Trace) Insts() int {
-	n := 0
-	for i := range t.Records {
-		if t.Records[i].First() {
-			n++
-		}
-	}
-	return n
-}
-
 // Typed decode failures. Every decoder error wraps exactly one of
 // these, so callers can map failures to HTTP statuses or CLI messages
 // without string matching.

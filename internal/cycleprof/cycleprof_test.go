@@ -31,7 +31,7 @@ func attach(c *Collector, trace int) *attached {
 
 func (a *attached) retire(s pipeline.Slot) {
 	a.loops.Retire(&s)
-	a.SlotRetired(s, false, 1)
+	a.SlotRetired(&s, false, 1)
 }
 
 func TestCollectorFoldAndTotals(t *testing.T) {

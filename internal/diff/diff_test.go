@@ -57,7 +57,7 @@ func TestDetectorPartition(t *testing.T) {
 	var inLoop bool
 	for i := range slots {
 		loops.Retire(&slots[i])
-		p.SlotRetired(slots[i], false, len(slots[i].UOps))
+		p.SlotRetired(&slots[i], false, len(slots[i].UOps))
 		// One cycle charged per instruction; one pass invocation fired
 		// mid-loop and one in the straight epilogue.
 		p.CycleCharge(slots[i].PC, pipeline.BinFrame, 1)

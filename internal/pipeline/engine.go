@@ -32,16 +32,31 @@ type Stream interface {
 	Next() (Slot, bool)
 }
 
+// slotFiller is a Stream that decodes its next slot straight into the
+// engine's storage, sparing the copy of Next's by-value result. Streams
+// without NextInto are wrapped in nextAdapter.
+type slotFiller interface {
+	// NextInto overwrites every field of s with the next retired
+	// instruction, or returns false at the end.
+	NextInto(s *Slot) bool
+}
+
+type nextAdapter struct{ Stream }
+
+func (a nextAdapter) NextInto(s *Slot) (ok bool) {
+	*s, ok = a.Next()
+	return ok
+}
+
 // Engine is the cycle-level timing model.
 type Engine struct {
 	cfg  Config
 	mode Mode
-	src  Stream
+	src  slotFiller
 
-	// Stream lookahead and assertion-replay pushback, kept as a
-	// head-indexed deque: consumption advances pendingLo instead of
-	// re-slicing, so the backing array is reused instead of reallocated
-	// every few fetch groups.
+	// The stream's slots, decoded in place into a head-indexed deque:
+	// consumption advances pendingLo, and a slot stays where it was
+	// decoded until pull rewinds the drained deque (see peek and pull).
 	pending   []Slot
 	pendingLo int
 
@@ -75,9 +90,9 @@ type Engine struct {
 
 	// Store buffer model: address -> completion time of the youngest
 	// in-flight store. Entries outside the forwarding window are dead;
-	// storeBufSweep tracks the last eviction pass so the map stays
+	// storeBufSweep tracks the last eviction pass so the table stays
 	// bounded over long runs.
-	storeBuf      map[uint32]uint64
+	storeBuf      storeBuffer
 	storeBufSweep uint64
 
 	// rePLay engine (RP/RPO modes).
@@ -116,14 +131,14 @@ type Engine struct {
 	passRec opt.TimedPassRecorder
 
 	// fetchFrame scratch, reused across fetches (the engine is
-	// single-goroutine, and everything that outlives a fetch — pushback,
-	// RetireFrame — copies out of these buffers before returning).
-	scratchSlots []Slot
+	// single-goroutine, and RetireFrame copies out of these buffers
+	// before returning).
 	scratchVals  []uint64
 	scratchAddrs []uint32
 	// activeSrc is the frame being fetched right now; cache-eviction
 	// recycling skips it (an Invalidate mid-fetch must not release
-	// buffers the fetch is still reading).
+	// buffers the fetch is still reading), and pull keeps the deque's
+	// slots in place while it is set.
 	activeSrc *frame.Frame
 
 	// MispredictHook, when set, is called on every misprediction-style
@@ -151,17 +166,21 @@ const (
 
 // New returns an engine in the given mode over the instruction stream.
 func New(cfg Config, mode Mode, src Stream) *Engine {
+	fill, ok := src.(slotFiller)
+	if !ok {
+		fill = nextAdapter{src}
+	}
 	e := &Engine{
 		cfg:        cfg,
 		mode:       mode,
-		src:        src,
+		src:        fill,
 		icache:     cache.New(cfg.ICacheBytes, cfg.LineBytes, 2),
 		l1d:        cache.New(cfg.L1DBytes, cfg.LineBytes, 4),
 		l2:         cache.New(cfg.L2Bytes, cfg.LineBytes, 8),
 		gshare:     predict.NewGshare(cfg.GshareBits),
 		btb:        predict.NewBTB(cfg.BTBEntries),
 		ras:        predict.NewRAS(cfg.RASDepth),
-		storeBuf:   make(map[uint32]uint64),
+		storeBuf:   newStoreBuffer(),
 		fuSimple:   make([]uint64, cfg.SimpleALUs),
 		fuComplex:  make([]uint64, cfg.ComplexALUs),
 		fuLSU:      make([]uint64, cfg.LSUs),
@@ -231,10 +250,12 @@ func (e *Engine) ResetStats() {
 }
 
 // peek returns the next correct-path instruction without consuming it,
-// or nil at the end of the stream. The slot lives in the pending deque
-// and stays valid until the next peek: consuming it with next leaves it
-// in place, and the drained deque is only rewound here, so a caller may
-// read the slot it just consumed until it peeks again.
+// or nil at the end of the stream. The pointer is valid until the next
+// peek, which may pull and so move the deque. The slot itself stays in
+// place until the drained deque is rewound (see pull): a caller may read
+// the slot it just consumed until it peeks again, and fetchFrame may
+// read every slot from its frame's start up to the head until it
+// returns.
 func (e *Engine) peek() *Slot {
 	if e.pendingLo < len(e.pending) {
 		return &e.pending[e.pendingLo]
@@ -242,48 +263,33 @@ func (e *Engine) peek() *Slot {
 	return e.pull()
 }
 
-// pull refills the drained deque with the stream's next slot. It is
-// kept out of peek so that peek inlines at its call sites.
+// pull decodes the stream's next slot into the drained deque. Outside a
+// frame fetch the deque is first rewound, so the backing array is
+// reused; during one it only grows, keeping the frame's slots in place
+// until fetchFrame returns. It is kept out of peek so that peek inlines
+// at its call sites.
 func (e *Engine) pull() *Slot {
-	// Rewind so the backing array is reused.
-	e.pending, e.pendingLo = e.pending[:0], 0
-	s, ok := e.src.Next()
-	if !ok {
+	if e.activeSrc == nil {
+		e.pending, e.pendingLo = e.pending[:0], 0
+	}
+	// Extend without zeroing the slot: NextInto overwrites every field.
+	n := len(e.pending)
+	if n < cap(e.pending) {
+		e.pending = e.pending[:n+1]
+	} else {
+		e.pending = append(e.pending, Slot{})
+	}
+	s := &e.pending[n]
+	if !e.src.NextInto(s) {
+		e.pending = e.pending[:n]
 		return nil
 	}
-	e.pending = append(e.pending, s)
-	return &e.pending[0]
+	return s
 }
 
-// next consumes the instruction the last peek returned.
+// next consumes the instruction the last peek returned. It stays in
+// place; see peek for how long.
 func (e *Engine) next() { e.pendingLo++ }
-
-// pushback re-queues slots for re-execution (assertion recovery). The
-// slots are copied, so callers may reuse their buffer afterwards.
-func (e *Engine) pushback(slots []Slot) {
-	if len(slots) == 0 {
-		return
-	}
-	if e.pendingLo >= len(slots) {
-		// Room in the consumed prefix: slide the slots back in place.
-		e.pendingLo -= len(slots)
-		copy(e.pending[e.pendingLo:], slots)
-		return
-	}
-	rest := len(e.pending) - e.pendingLo
-	need := len(slots) + rest
-	if cap(e.pending) < need {
-		np := make([]Slot, need, need+2*len(slots))
-		copy(np, slots)
-		copy(np[len(slots):], e.pending[e.pendingLo:])
-		e.pending, e.pendingLo = np, 0
-		return
-	}
-	e.pending = e.pending[:need]
-	copy(e.pending[len(slots):], e.pending[e.pendingLo:e.pendingLo+rest])
-	copy(e.pending, slots)
-	e.pendingLo = 0
-}
 
 // stallUntil advances the clock to t, charging the idle fetch cycles to
 // the bin in one step. Together with tick these are the only writers of
@@ -384,24 +390,20 @@ func opLatency(op uop.Op) uint64 {
 const storeForwardWindow = 256
 
 // evictStaleStores drops store-buffer entries too old to ever forward
-// again. Without it the map only grows — an unbounded leak over long
+// again. Without it the table only grows — an unbounded leak over long
 // simulations. Swept every few windows to keep the amortized cost nil.
 func (e *Engine) evictStaleStores() {
 	if e.cycle < e.storeBufSweep+4*storeForwardWindow {
 		return
 	}
 	e.storeBufSweep = e.cycle
-	for addr, done := range e.storeBuf {
-		if done+storeForwardWindow <= e.cycle {
-			delete(e.storeBuf, addr)
-		}
-	}
+	e.storeBuf.sweep(e.cycle)
 }
 
 // loadLatency models the data-cache hierarchy and store-buffer bypass for
 // a load issued at issueAt. It returns the completion time.
 func (e *Engine) loadLatency(addr uint32, issueAt uint64) uint64 {
-	if done, ok := e.storeBuf[addr]; ok && done+storeForwardWindow > issueAt {
+	if done, ok := e.storeBuf.get(addr); ok && done+storeForwardWindow > issueAt {
 		// Store-buffer bypass: data comes from an in-flight store.
 		t := issueAt + uint64(e.cfg.StoreForwardLat)
 		if done+1 > t {
@@ -445,7 +447,7 @@ func (e *Engine) dispatch(op uop.Op, ready uint64, fetchAt uint64, memAddr uint3
 		doneAt = issueAt + 1
 		if hasAddr {
 			e.l1d.Access(memAddr)
-			e.storeBuf[memAddr] = doneAt
+			e.storeBuf.put(memAddr, doneAt)
 		}
 	default:
 		doneAt = issueAt + opLatency(op)
@@ -685,7 +687,7 @@ func (e *Engine) fetchICache() {
 		// Hook kept out of retireSlot so it stays inlinable at the
 		// retirement sites; the detached cost is this one nil check.
 		if e.probe != nil {
-			e.probe.SlotRetired(*s, false, len(s.UOps))
+			e.probe.SlotRetired(s, false, len(s.UOps))
 		}
 		e.feedConstructor(s)
 

@@ -163,14 +163,14 @@ func (e *Engine) fetchFrame(of *opt.OptFrame) {
 	// path's Invalidate and the commit path's RetireFrame (which can
 	// re-deposit and displace this very cache entry) both reach the
 	// cache's Recycle hook while this fetch still reads of and src.
+	// While it is set, pull also keeps the frame's slots in place.
 	e.activeSrc = src
 	defer func() { e.activeSrc = nil }()
 
 	// Consume correct-path slots along the frame's construction path.
-	// The slot buffer is fetch-local scratch: pushback copies out of it,
-	// and nothing else retains it past the fetch.
-	consumed := e.scratchSlots[:0]
-	defer func() { e.scratchSlots = consumed[:0] }()
+	// They stay in the pending deque, so consumed is a view of it, and
+	// re-executing them means moving the head back to lo.
+	lo := e.pendingLo
 	diverged := false
 	for k := 0; k < src.NumX86; k++ {
 		s := e.peek()
@@ -178,15 +178,15 @@ func (e *Engine) fetchFrame(of *opt.OptFrame) {
 			break
 		}
 		e.next()
-		consumed = append(consumed, *s)
 		if s.NextPC != src.NextPCs[k] {
 			diverged = true
 			break
 		}
 	}
+	consumed := e.pending[lo:e.pendingLo]
 	if !diverged && len(consumed) < src.NumX86 {
 		// Stream ended (or path mismatch) mid-frame: re-execute decoded.
-		e.pushback(consumed)
+		e.pendingLo = lo
 		e.fetchICache()
 		return
 	}
@@ -336,7 +336,7 @@ func (e *Engine) fetchFrame(of *opt.OptFrame) {
 			e.growCap[src.StartPC] = cap
 		}
 		e.archReady = savedArch
-		e.pushback(consumed)
+		e.pendingLo = lo
 		e.recoverSlots = len(consumed)
 		if e.probe != nil {
 			e.probe.FrameRetired(e.cycle, fetched, false)
@@ -366,7 +366,7 @@ func (e *Engine) fetchFrame(of *opt.OptFrame) {
 		e.stats.LoadsBaseline += uint64(loads)
 		e.stats.CoveredBaseline += uint64(base)
 		if e.probe != nil {
-			e.probe.SlotRetired(*s, true, 0)
+			e.probe.SlotRetired(s, true, 0)
 		}
 		e.trainPredictors(s)
 	}

@@ -124,7 +124,7 @@ func (e *Engine) fetchTraceEntry(tr *traceEntry) {
 		}
 		e.retireSlot(s, true, len(s.UOps), loads)
 		if e.probe != nil {
-			e.probe.SlotRetired(*s, true, len(s.UOps))
+			e.probe.SlotRetired(s, true, len(s.UOps))
 		}
 		e.feedConstructor(s)
 

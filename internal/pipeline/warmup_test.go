@@ -123,7 +123,7 @@ func TestStoreBufferBounded(t *testing.T) {
 	}
 	eng := New(DefaultConfig(ModeICache), ModeICache, s)
 	eng.Run(1 << 20)
-	if got := len(eng.storeBuf); got >= 4096 {
+	if got := eng.storeBuf.n; got >= 4096 {
 		t.Errorf("store buffer occupancy %d after %d distinct stores; eviction not working", got, stores)
 	}
 }

@@ -321,7 +321,7 @@ func NewDetector(loops *LoopStack) *Detector { return &Detector{LoopStack: loops
 // SlotRetired attributes one retired instruction. fromFrame marks slots
 // retired through a committed frame or trace-cache line; uopsExecuted
 // is the post-optimization micro-op count retired with the slot.
-func (d *Detector) SlotRetired(s pipeline.Slot, fromFrame bool, uopsExecuted int) {
+func (d *Detector) SlotRetired(s *pipeline.Slot, fromFrame bool, uopsExecuted int) {
 	b := &d.buckets[BucketOf(d.ExecDepth())]
 	b.X86++
 	n := uint64(len(s.UOps))

@@ -22,7 +22,7 @@ func slot(pc, next uint32, op x86.Op, uops ...uop.Op) pipeline.Slot {
 // the slot to the detector: the order an engine's probe fan-out uses.
 func retire(d *Detector, s pipeline.Slot) {
 	d.Retire(&s)
-	d.SlotRetired(s, false, len(s.UOps))
+	d.SlotRetired(&s, false, len(s.UOps))
 }
 
 // feed retires the slots through a fresh detector.
@@ -315,7 +315,7 @@ func TestCollectorFold(t *testing.T) {
 		slots := singleLoop(4)
 		for i := range slots {
 			loops.Retire(&slots[i])
-			p.SlotRetired(slots[i], false, len(slots[i].UOps))
+			p.SlotRetired(&slots[i], false, len(slots[i].UOps))
 		}
 		done()
 		done() // a second fold must not double-count

@@ -84,13 +84,20 @@ type replayStream struct {
 }
 
 func (r *replayStream) Next() (s pipeline.Slot, ok bool) {
+	ok = r.NextInto(&s)
+	return s, ok
+}
+
+// NextInto materializes the next recorded slot into s, which the engine
+// passes from its own slot storage.
+func (r *replayStream) NextInto(s *pipeline.Slot) bool {
 	if r.pos >= r.rec.len() {
 		r.exhausted = true
-		return s, false
+		return false
 	}
-	r.rec.slot(r.pos, &s)
+	r.rec.slot(r.pos, s)
 	r.pos++
-	return s, true
+	return true
 }
 
 func (r *replayStream) Err() error {

@@ -179,3 +179,56 @@ func TestSlotStreamDumpReload(t *testing.T) {
 		t.Error("timing stats differ between live and reloaded streams")
 	}
 }
+
+// nextOnly hides a stream's NextInto, so the engine reads it through
+// Next like any other pipeline.Stream.
+type nextOnly struct{ s pipeline.Stream }
+
+func (n nextOnly) Next() (pipeline.Slot, bool) { return n.s.Next() }
+
+// TestStreamAdapterEquivalence: the engine decodes the sim streams'
+// slots in place through NextInto and reads every other stream through
+// Next; both must give the same Stats, in every mode, for the
+// interpreter and the replayed recording alike. Frame aborts must occur
+// so that re-executing an aborted frame's slots in place is covered.
+func TestStreamAdapterEquivalence(t *testing.T) {
+	const insts = 40_000
+	var aborts uint64
+	for _, name := range []string{"gzip", "bzip2", "excel", "photo"} {
+		p, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := workload.Generate(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := captureRecorded(prog, insts+captureSlack)
+		for _, mode := range []pipeline.Mode{
+			pipeline.ModeICache, pipeline.ModeTraceCache, pipeline.ModeRePLay, pipeline.ModeRePLayOpt,
+		} {
+			run := func(src pipeline.Stream) pipeline.Stats {
+				eng := pipeline.New(pipeline.DefaultConfig(mode), mode, src)
+				eng.Run(insts)
+				return eng.Stats()
+			}
+			want := run(nextOnly{&replayStream{rec: rec}})
+			if want.X86Retired < insts {
+				t.Fatalf("%s/%s: retired %d of %d", name, mode, want.X86Retired, insts)
+			}
+			aborts += want.FrameAborts
+			for src, got := range map[string]pipeline.Stats{
+				"replayStream":     run(&replayStream{rec: rec}),
+				"cpuStream":        run(newCPUStream(prog)),
+				"cpuStream (Next)": run(nextOnly{newCPUStream(prog)}),
+			} {
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%s: %s stats differ from Next-only replay:\n got %+v\nwant %+v", name, mode, src, got, want)
+				}
+			}
+		}
+	}
+	if aborts == 0 {
+		t.Error("no frame aborted in any run; the in-place re-execution path went untested")
+	}
+}

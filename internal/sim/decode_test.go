@@ -201,7 +201,38 @@ func benchStream(b *testing.B, open func() pipeline.Stream) {
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
+	reportPerInst(b, after.TotalAlloc-before.TotalAlloc)
+}
+
+// reportPerInst reports ns/inst and B/inst for b.N iterations of
+// streamBenchInsts instructions that allocated alloc heap bytes.
+func reportPerInst(b *testing.B, alloc uint64) {
 	insts := float64(b.N) * streamBenchInsts
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/insts, "ns/inst")
-	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/insts, "B/inst")
+	b.ReportMetric(float64(alloc)/insts, "B/inst")
+}
+
+// BenchmarkEngine times the RPO timing model over a prebuilt recording
+// of the same stream, from a fresh engine per iteration, and reports
+// ns/inst and B/inst. The replayed stream is included; subtracting
+// BenchmarkReplayStream estimates the engine's own cost.
+func BenchmarkEngine(b *testing.B) {
+	for _, name := range streamBenchProfiles {
+		rec := captureRecorded(benchProgram(b, name), streamBenchInsts+captureSlack)
+		b.Run(name, func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			cfg := pipeline.DefaultConfig(pipeline.ModeRePLayOpt)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng := pipeline.New(cfg, pipeline.ModeRePLayOpt, &replayStream{rec: rec})
+				if n := eng.Run(streamBenchInsts); n < streamBenchInsts {
+					b.Fatalf("engine retired %d of %d", n, streamBenchInsts)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			reportPerInst(b, after.TotalAlloc-before.TotalAlloc)
+		})
+	}
 }

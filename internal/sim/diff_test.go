@@ -335,7 +335,7 @@ func TestProbeFanAdvancesLoopsFirst(t *testing.T) {
 			{PC: 0x14, NextPC: 0x18, Inst: x86.Inst{Op: x86.OpMOV, Len: 4}, UOps: []uop.UOp{{Op: uop.LOAD}}},
 			{PC: 0x18, NextPC: next, Inst: x86.Inst{Op: x86.OpJCC, Len: 4}, UOps: []uop.UOp{{Op: uop.BR}}},
 		} {
-			fan.SlotRetired(s, false, 1)
+			fan.SlotRetired(&s, false, 1)
 		}
 	}
 	for _, done := range folds {

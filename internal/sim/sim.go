@@ -47,14 +47,20 @@ func newCPUStream(prog *workload.Program) *cpuStream {
 
 // Next retires one instruction on the reference machine.
 func (s *cpuStream) Next() (sl pipeline.Slot, ok bool) {
+	ok = s.NextInto(&sl)
+	return sl, ok
+}
+
+// NextInto retires one instruction into sl, which the engine passes
+// from its own slot storage.
+func (s *cpuStream) NextInto(sl *pipeline.Slot) bool {
 	i, nextPC, addrs, ok := s.step()
 	if !ok {
-		return sl, false
+		return false
 	}
-	// Filled in place, like recordedStream.slot.
 	d := &s.table.insts[i]
 	sl.PC, sl.Inst, sl.UOps, sl.NextPC, sl.MemAddrs = d.pc, d.in, d.uops, nextPC, addrs
-	return sl, true
+	return true
 }
 
 // step retires one instruction and returns its decode-table entry, its
@@ -438,8 +444,8 @@ type probeFan struct {
 	probes []pipeline.Probe
 }
 
-func (f *probeFan) SlotRetired(s pipeline.Slot, fromFrame bool, uopsExecuted int) {
-	f.loops.Retire(&s)
+func (f *probeFan) SlotRetired(s *pipeline.Slot, fromFrame bool, uopsExecuted int) {
+	f.loops.Retire(s)
 	for _, p := range f.probes {
 		p.SlotRetired(s, fromFrame, uopsExecuted)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/opt"
-	"repro/internal/pipeline"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -35,11 +34,7 @@ func (r *AttrRow) KilledTotal() uint64 {
 // per-workload; attribution forces execution (no memo hits), making the
 // tables exact for the measured run.
 func Attribution(ctx context.Context, profiles []workload.Profile, o Options) ([]AttrRow, error) {
-	jobs := make([]runJob, len(profiles))
-	for i, p := range profiles {
-		jobs[i] = runJob{profile: p, mode: pipeline.ModeRePLayOpt}
-	}
-	cols, results, err := runProbed(ctx, jobs, o, telemetry.NewAttribution)
+	cols, results, err := runProbed(ctx, profileSources(profiles), o, telemetry.NewAttribution)
 	if err != nil {
 		return nil, err
 	}

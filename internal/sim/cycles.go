@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/cycleprof"
-	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
 
@@ -38,15 +37,12 @@ func (r *CycleReport) Profiles() []cycleprof.NamedReport {
 
 // CycleProf runs the RPO configuration over each profile with a private
 // cycle-profiler collector and assembles the per-workload hotspot rows.
-// Profiling forces execution (no memo hits) and the serial per-trace
-// path, so each row is conservation-exact against its measured run;
-// rows come back in profile order, deterministic.
+// Profiling forces execution (no memo hits), and each trace's fold
+// applies in trace order after the fan-out, so each row is
+// conservation-exact against its measured run and independent of
+// scheduling; rows come back in profile order, deterministic.
 func CycleProf(ctx context.Context, profiles []workload.Profile, o Options) (*CycleReport, error) {
-	jobs := make([]runJob, len(profiles))
-	for i, p := range profiles {
-		jobs[i] = runJob{profile: p, mode: pipeline.ModeRePLayOpt}
-	}
-	cols, results, err := runProbed(ctx, jobs, o, cycleprof.NewCollector)
+	cols, results, err := runProbed(ctx, profileSources(profiles), o, cycleprof.NewCollector)
 	if err != nil {
 		return nil, err
 	}

@@ -36,12 +36,12 @@ func (s *DiffSide) mode() pipeline.Mode {
 	return pipeline.ModeRePLayOpt
 }
 
-// source names the side's workload for report rows.
-func (s *DiffSide) source() (name, class string) {
+// src is the side's simulation input.
+func (s *DiffSide) src() source {
 	if s.External != nil {
-		return s.External.Name, ExternalClass
+		return externalSource(*s.External)
 	}
-	return s.Profile.Name, s.Profile.Class
+	return profileSource(*s.Profile)
 }
 
 // DiffPair is one row of a comparison: the baseline and variant sides
@@ -105,9 +105,10 @@ func chainMod(a, b func(*pipeline.Config)) func(*pipeline.Config) {
 }
 
 // diffRuns is one side's runs: the first repeat carries the diff
-// collector (forcing execution and the serial per-trace path, so its
-// partition is conservation-exact), later repeats run plain and only
-// feed the significance gate.
+// collector (forcing execution; its per-trace folds apply in trace
+// order, so its partition is conservation-exact and independent of
+// scheduling), later repeats run plain and only feed the significance
+// gate.
 type diffRuns struct {
 	label   string
 	col     *diff.Collector
@@ -118,19 +119,14 @@ type diffRuns struct {
 func sideJobs(jobs *[]runJob, side DiffSide, o Options, repeats int) *diffRuns {
 	d := &diffRuns{label: side.Label, col: diff.NewCollector(), results: make([]Result, repeats)}
 	errs := make([]error, repeats)
+	src := side.src()
 	for r := 0; r < repeats; r++ {
 		po := o
 		po.ConfigMod = chainMod(o.ConfigMod, side.ConfigMod)
 		if r == 0 {
 			po.Probes = withProbe(o.Probes, d.col)
 		}
-		j := runJob{mode: side.mode(), opts: po, out: &d.results[r], err: &errs[r]}
-		if side.External != nil {
-			j.external = side.External
-		} else {
-			j.profile = *side.Profile
-		}
-		*jobs = append(*jobs, j)
+		*jobs = append(*jobs, runJob{src: src, mode: side.mode(), opts: po, out: &d.results[r], err: &errs[r]})
 	}
 	return d
 }
@@ -175,7 +171,8 @@ func Diff(ctx context.Context, pairs []DiffPair, o Options, repeats int) (*DiffR
 			rep.Baseline, rep.Variant = p.Base.Label, p.Variant.Label
 		}
 		sides[i] = [2]*diffRuns{sideJobs(&jobs, p.Base, o, repeats), sideJobs(&jobs, p.Variant, o, repeats)}
-		rep.Rows[i].Workload, rep.Rows[i].Class = p.Base.source()
+		base := p.Base.src()
+		rep.Rows[i].Workload, rep.Rows[i].Class = base.name, base.class
 	}
 	if err := runAll(ctx, jobs); err != nil {
 		return nil, err

@@ -218,96 +218,158 @@ func TestDiffDoesNotPolluteMemo(t *testing.T) {
 // checks each one's conservation held while the feeds fanned out, and
 // that each collector's report is identical to the one it produces
 // attached alone: the shared loop stack gives every probe the view its
-// own detector would. Run under -race this also proves the fan-out
-// paths are data-race-free.
+// own detector would. gzip runs one trace; excel's three fan out, and
+// its reports must not depend on the schedule. Run under -race this
+// also proves the fan-out paths are data-race-free.
 func TestAllProbesTogether(t *testing.T) {
-	p, err := workload.ByName("gzip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// lifecycle builds telemetry's three collectors.
-	lifecycle := func() (*telemetry.Attribution, *telemetry.HistogramSet, *telemetry.Histograms, *telemetry.Ring) {
-		set := telemetry.NewHistogramSet()
-		return telemetry.NewAttribution(), set, telemetry.NewHistograms(set, ""), telemetry.NewRing(1<<16, "", "")
-	}
-	tel, hset, hcol, ring := lifecycle()
-	rcol := reuse.NewCollector()
-	ccol := cycleprof.NewCollector()
-	dcol := diff.NewCollector()
-	res, err := RunWorkload(context.Background(), p, pipeline.ModeRePLayOpt,
-		Options{MaxInsts: 30_000, Probes: []Collector{rcol, ccol, dcol, tel, hcol, ring},
-			DisableCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := &res.Stats
+	for _, name := range []string{"gzip", "excel"} {
+		t.Run(name, func(t *testing.T) {
+			p, err := workload.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// lifecycle builds telemetry's three collectors.
+			lifecycle := func() (*telemetry.Attribution, *telemetry.HistogramSet, *telemetry.Histograms, *telemetry.Ring) {
+				set := telemetry.NewHistogramSet()
+				return telemetry.NewAttribution(), set, telemetry.NewHistograms(set, ""), telemetry.NewRing(1<<16, "", "")
+			}
+			tel, hset, hcol, ring := lifecycle()
+			rcol := reuse.NewCollector()
+			ccol := cycleprof.NewCollector()
+			dcol := diff.NewCollector()
+			res, err := RunWorkload(context.Background(), p, pipeline.ModeRePLayOpt,
+				Options{MaxInsts: 30_000, Probes: []Collector{rcol, ccol, dcol, tel, hcol, ring},
+					DisableCache: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := &res.Stats
 
-	rrep := rcol.Snapshot()
-	if rrep.TotalX86 != st.X86Retired {
-		t.Errorf("reuse: %d x86 != pipeline %d", rrep.TotalX86, st.X86Retired)
-	}
-	crep := ccol.Snapshot()
-	if crep.Cycles != st.Cycles {
-		t.Errorf("cycleprof: %d cycles != pipeline %d", crep.Cycles, st.Cycles)
-	}
-	dprof := dcol.Snapshot()
-	if dprof.Cycles != st.Cycles || dprof.X86 != st.X86Retired ||
-		dprof.OptRemoved != uint64(st.Opt.Removed()) {
-		t.Errorf("diff: (%d cycles, %d x86, %d removed) != pipeline (%d, %d, %d)",
-			dprof.Cycles, dprof.X86, dprof.OptRemoved,
-			st.Cycles, st.X86Retired, st.Opt.Removed())
-	}
-	// Telemetry's pass attribution and the diff partition fed from the
-	// same recorder fan-out must agree on total kills.
-	var telKilled, diffKilled uint64
-	for _, ps := range tel.Snapshot() {
-		telKilled += uint64(ps.Killed)
-	}
-	for _, pc := range dprof.Passes {
-		diffKilled += pc.Killed
-	}
-	if telKilled != diffKilled {
-		t.Errorf("telemetry kills %d != diff partition kills %d", telKilled, diffKilled)
-	}
+			rrep := rcol.Snapshot()
+			if rrep.TotalX86 != st.X86Retired {
+				t.Errorf("reuse: %d x86 != pipeline %d", rrep.TotalX86, st.X86Retired)
+			}
+			crep := ccol.Snapshot()
+			if crep.Cycles != st.Cycles {
+				t.Errorf("cycleprof: %d cycles != pipeline %d", crep.Cycles, st.Cycles)
+			}
+			dprof := dcol.Snapshot()
+			if dprof.Cycles != st.Cycles || dprof.X86 != st.X86Retired ||
+				dprof.OptRemoved != uint64(st.Opt.Removed()) {
+				t.Errorf("diff: (%d cycles, %d x86, %d removed) != pipeline (%d, %d, %d)",
+					dprof.Cycles, dprof.X86, dprof.OptRemoved,
+					st.Cycles, st.X86Retired, st.Opt.Removed())
+			}
+			// Telemetry's pass attribution and the diff partition fed from the
+			// same recorder fan-out must agree on total kills.
+			var telKilled, diffKilled uint64
+			for _, ps := range tel.Snapshot() {
+				telKilled += uint64(ps.Killed)
+			}
+			for _, pc := range dprof.Passes {
+				diffKilled += pc.Killed
+			}
+			if telKilled != diffKilled {
+				t.Errorf("telemetry kills %d != diff partition kills %d", telKilled, diffKilled)
+			}
 
-	alone := func(c Collector) {
-		if _, err := RunWorkload(context.Background(), p, pipeline.ModeRePLayOpt,
-			Options{MaxInsts: 30_000, Probes: []Collector{c}, DisableCache: true}); err != nil {
+			alone := func(c Collector) {
+				if _, err := RunWorkload(context.Background(), p, pipeline.ModeRePLayOpt,
+					Options{MaxInsts: 30_000, Probes: []Collector{c}, DisableCache: true}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rAlone, cAlone, dAlone := reuse.NewCollector(), cycleprof.NewCollector(), diff.NewCollector()
+			tAlone, hsetAlone, hAlone, ringAlone := lifecycle()
+			for _, c := range []Collector{rAlone, cAlone, dAlone, tAlone, hAlone, ringAlone} {
+				alone(c)
+			}
+			if got := rAlone.Snapshot(); !reflect.DeepEqual(rrep, got) {
+				t.Errorf("reuse report differs attached alone:\n together %+v\n alone    %+v", rrep, got)
+			}
+			if got := cAlone.Snapshot(); !reflect.DeepEqual(crep, got) {
+				t.Errorf("cycleprof report differs attached alone")
+			}
+			if got := dAlone.Snapshot(); !reflect.DeepEqual(dprof, got) {
+				t.Errorf("diff profile differs attached alone")
+			}
+			if got, want := tAlone.Snapshot(), tel.Snapshot(); !reflect.DeepEqual(want, got) {
+				t.Errorf("attribution differs attached alone:\n together %+v\n alone    %+v", want, got)
+			}
+			for i, h := range hset.All() {
+				if got, want := hsetAlone.All()[i].Snapshot(), h.Snapshot(); !reflect.DeepEqual(want, got) {
+					t.Errorf("histogram %s differs attached alone:\n together %+v\n alone    %+v", h.Name(), want, got)
+				}
+			}
+			var together, solo bytes.Buffer
+			if err := ring.WriteTrace(&together); err != nil {
+				t.Fatal(err)
+			}
+			if err := ringAlone.WriteTrace(&solo); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(together.Bytes(), solo.Bytes()) {
+				t.Errorf("event ring differs attached alone (%d vs %d bytes)", together.Len(), solo.Len())
+			}
+		})
+	}
+	t.Run("schedule", func(t *testing.T) {
+		// excel's reports and exported event ring must not depend on how
+		// its three traces were scheduled: one at a time (parallelism 1,
+		// the sweep job holds the only token, so its trace fan-out stays
+		// on one goroutine) or concurrently (parallelism 4). The ring is
+		// small enough to wrap, so the window it keeps depends on the
+		// order runs reach it. Applying the folds, or writing ring
+		// events, in arrival order fails this.
+		p, err := workload.ByName("excel")
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	rAlone, cAlone, dAlone := reuse.NewCollector(), cycleprof.NewCollector(), diff.NewCollector()
-	tAlone, hsetAlone, hAlone, ringAlone := lifecycle()
-	for _, c := range []Collector{rAlone, cAlone, dAlone, tAlone, hAlone, ringAlone} {
-		alone(c)
-	}
-	if got := rAlone.Snapshot(); !reflect.DeepEqual(rrep, got) {
-		t.Errorf("reuse report differs attached alone:\n together %+v\n alone    %+v", rrep, got)
-	}
-	if got := cAlone.Snapshot(); !reflect.DeepEqual(crep, got) {
-		t.Errorf("cycleprof report differs attached alone")
-	}
-	if got := dAlone.Snapshot(); !reflect.DeepEqual(dprof, got) {
-		t.Errorf("diff profile differs attached alone")
-	}
-	if got, want := tAlone.Snapshot(), tel.Snapshot(); !reflect.DeepEqual(want, got) {
-		t.Errorf("attribution differs attached alone:\n together %+v\n alone    %+v", want, got)
-	}
-	for i, h := range hset.All() {
-		if got, want := hsetAlone.All()[i].Snapshot(), h.Snapshot(); !reflect.DeepEqual(want, got) {
-			t.Errorf("histogram %s differs attached alone:\n together %+v\n alone    %+v", h.Name(), want, got)
+		type reports struct {
+			reuse  reuse.Report
+			cycles cycleprof.Report
+			diff   diff.Profile
+			attr   []telemetry.PassStat
+			trace  []byte
 		}
-	}
-	var together, solo bytes.Buffer
-	if err := ring.WriteTrace(&together); err != nil {
-		t.Fatal(err)
-	}
-	if err := ringAlone.WriteTrace(&solo); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(together.Bytes(), solo.Bytes()) {
-		t.Errorf("event ring differs attached alone (%d vs %d bytes)", together.Len(), solo.Len())
-	}
+		runAt := func(parallelism int) reports {
+			old := SetParallelism(parallelism)
+			defer SetParallelism(old)
+			rcol, ccol, dcol := reuse.NewCollector(), cycleprof.NewCollector(), diff.NewCollector()
+			tel, ring := telemetry.NewAttribution(), telemetry.NewRing(1<<11, "", "")
+			var res Result
+			var runErr error
+			if err := runAll(context.Background(), []runJob{{src: profileSource(p), mode: pipeline.ModeRePLayOpt,
+				opts: Options{MaxInsts: 30_000, DisableCache: true, Probes: []Collector{rcol, ccol, dcol, tel, ring}},
+				out:  &res, err: &runErr}}); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := ring.WriteTrace(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return reports{rcol.Snapshot(), ccol.Snapshot(), dcol.Snapshot(), tel.Snapshot(), buf.Bytes()}
+		}
+		serial, parallel := runAt(1), runAt(4)
+		if bytes.Contains(serial.trace, []byte(`"dropped_events":0`)) {
+			t.Fatal("event ring did not wrap; shrink it")
+		}
+		if !reflect.DeepEqual(serial.reuse, parallel.reuse) {
+			t.Errorf("reuse report depends on scheduling")
+		}
+		if !reflect.DeepEqual(serial.cycles, parallel.cycles) {
+			t.Errorf("cycleprof report depends on scheduling")
+		}
+		if !reflect.DeepEqual(serial.diff, parallel.diff) {
+			t.Errorf("diff profile depends on scheduling")
+		}
+		if !reflect.DeepEqual(serial.attr, parallel.attr) {
+			t.Errorf("attribution depends on scheduling")
+		}
+		if !bytes.Equal(serial.trace, parallel.trace) {
+			t.Errorf("event ring export depends on scheduling (%d vs %d bytes)", len(serial.trace), len(parallel.trace))
+		}
+	})
 }
 
 // TestProbeFanAdvancesLoopsFirst pins the fan-out's order: the shared

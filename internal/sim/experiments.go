@@ -23,9 +23,9 @@ func Fig6(ctx context.Context, profiles []workload.Profile, o Options) ([]Fig6Ro
 	results := make([][4]Result, len(profiles))
 	errs := make([][4]error, len(profiles))
 	var jobs []runJob
-	for i, p := range profiles {
+	for i, src := range profileSources(profiles) {
 		for m, mode := range modes {
-			jobs = append(jobs, runJob{profile: p, mode: mode, opts: o, out: &results[i][m], err: &errs[i][m]})
+			jobs = append(jobs, runJob{src: src, mode: mode, opts: o, out: &results[i][m], err: &errs[i][m]})
 		}
 	}
 	if err := runAll(ctx, jobs); err != nil {
@@ -58,10 +58,10 @@ func CycleBreakdown(ctx context.Context, profiles []workload.Profile, o Options)
 	results := make([][2]Result, len(profiles))
 	errs := make([][2]error, len(profiles))
 	var jobs []runJob
-	for i, p := range profiles {
+	for i, src := range profileSources(profiles) {
 		jobs = append(jobs,
-			runJob{profile: p, mode: pipeline.ModeRePLay, opts: o, out: &results[i][0], err: &errs[i][0]},
-			runJob{profile: p, mode: pipeline.ModeRePLayOpt, opts: o, out: &results[i][1], err: &errs[i][1]})
+			runJob{src: src, mode: pipeline.ModeRePLay, opts: o, out: &results[i][0], err: &errs[i][0]},
+			runJob{src: src, mode: pipeline.ModeRePLayOpt, opts: o, out: &results[i][1], err: &errs[i][1]})
 	}
 	if err := runAll(ctx, jobs); err != nil {
 		return nil, err
@@ -91,10 +91,10 @@ func Table3(ctx context.Context, profiles []workload.Profile, o Options) ([]Tabl
 	results := make([][2]Result, len(profiles))
 	errs := make([][2]error, len(profiles))
 	var jobs []runJob
-	for i, p := range profiles {
+	for i, src := range profileSources(profiles) {
 		jobs = append(jobs,
-			runJob{profile: p, mode: pipeline.ModeRePLay, opts: o, out: &results[i][0], err: &errs[i][0]},
-			runJob{profile: p, mode: pipeline.ModeRePLayOpt, opts: o, out: &results[i][1], err: &errs[i][1]})
+			runJob{src: src, mode: pipeline.ModeRePLay, opts: o, out: &results[i][0], err: &errs[i][0]},
+			runJob{src: src, mode: pipeline.ModeRePLayOpt, opts: o, out: &results[i][1], err: &errs[i][1]})
 	}
 	if err := runAll(ctx, jobs); err != nil {
 		return nil, err
@@ -131,16 +131,16 @@ type Fig9Row struct {
 // optimization (Figure 9).
 func Fig9(ctx context.Context, profiles []workload.Profile, o Options) ([]Fig9Row, error) {
 	blockOpts := o
-	blockOpts.ConfigMod = chainMods(o.ConfigMod, func(c *pipeline.Config) { c.OptScope = opt.ScopeIntraBlock })
+	blockOpts.ConfigMod = chainMod(o.ConfigMod, func(c *pipeline.Config) { c.OptScope = opt.ScopeIntraBlock })
 
 	results := make([][3]Result, len(profiles))
 	errs := make([][3]error, len(profiles))
 	var jobs []runJob
-	for i, p := range profiles {
+	for i, src := range profileSources(profiles) {
 		jobs = append(jobs,
-			runJob{profile: p, mode: pipeline.ModeRePLay, opts: o, out: &results[i][0], err: &errs[i][0]},
-			runJob{profile: p, mode: pipeline.ModeRePLayOpt, opts: blockOpts, out: &results[i][1], err: &errs[i][1]},
-			runJob{profile: p, mode: pipeline.ModeRePLayOpt, opts: o, out: &results[i][2], err: &errs[i][2]})
+			runJob{src: src, mode: pipeline.ModeRePLay, opts: o, out: &results[i][0], err: &errs[i][0]},
+			runJob{src: src, mode: pipeline.ModeRePLayOpt, opts: blockOpts, out: &results[i][1], err: &errs[i][1]},
+			runJob{src: src, mode: pipeline.ModeRePLayOpt, opts: o, out: &results[i][2], err: &errs[i][2]})
 	}
 	if err := runAll(ctx, jobs); err != nil {
 		return nil, err
@@ -197,15 +197,15 @@ func Fig10(ctx context.Context, o Options) ([]Fig10Row, error) {
 	results := make([][variants + 2]Result, len(profiles))
 	errs := make([][variants + 2]error, len(profiles))
 	var jobs []runJob
-	for i, p := range profiles {
+	for i, src := range profileSources(profiles) {
 		jobs = append(jobs,
-			runJob{profile: p, mode: pipeline.ModeRePLay, opts: o, out: &results[i][0], err: &errs[i][0]},
-			runJob{profile: p, mode: pipeline.ModeRePLayOpt, opts: o, out: &results[i][1], err: &errs[i][1]})
+			runJob{src: src, mode: pipeline.ModeRePLay, opts: o, out: &results[i][0], err: &errs[i][0]},
+			runJob{src: src, mode: pipeline.ModeRePLayOpt, opts: o, out: &results[i][1], err: &errs[i][1]})
 		for v := range Fig10Variants {
 			mod := Fig10Variants[v].Mod
 			vo := o
-			vo.ConfigMod = chainMods(o.ConfigMod, func(c *pipeline.Config) { mod(&c.OptOptions) })
-			jobs = append(jobs, runJob{profile: p, mode: pipeline.ModeRePLayOpt, opts: vo,
+			vo.ConfigMod = chainMod(o.ConfigMod, func(c *pipeline.Config) { mod(&c.OptOptions) })
+			jobs = append(jobs, runJob{src: src, mode: pipeline.ModeRePLayOpt, opts: vo,
 				out: &results[i][2+v], err: &errs[i][2+v]})
 		}
 	}
@@ -225,15 +225,4 @@ func Fig10(ctx context.Context, o Options) ([]Fig10Row, error) {
 		rows[i] = row
 	}
 	return rows, nil
-}
-
-func chainMods(a, b func(*pipeline.Config)) func(*pipeline.Config) {
-	return func(c *pipeline.Config) {
-		if a != nil {
-			a(c)
-		}
-		if b != nil {
-			b(c)
-		}
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/pipeline"
-	"repro/internal/tracing"
 )
 
 // ReplaySlack is how many slots beyond the instruction budget a replayed
@@ -42,69 +41,28 @@ func (e *ExternalRun) Budget() int {
 // ExternalClass is the workload class reported for external-trace runs.
 const ExternalClass = "external"
 
-// RunExternal simulates an external trace under the mode, with the same
-// warmup discipline, memoization, metrics, and span tracing as
-// interpreter-backed runs. The run memo keys on the trace fingerprint,
+// externalSource replays the trace as one trace, its budget capped at
+// the slot stream's, memoized by its fingerprint.
+func externalSource(ext ExternalRun) source {
+	src := source{name: ext.Name, class: ExternalClass, traces: 1,
+		budget: ext.Budget(), maxBudget: ext.Budget(),
+		stream: func(int, int, bool) (slotSource, error) {
+			if len(ext.Slots) == 0 {
+				return nil, fmt.Errorf("sim: external trace %q has no slots", ext.Name)
+			}
+			return NewSlotStream(ext.Slots).(slotSource), nil
+		}}
+	if ext.Fingerprint != "" {
+		src.memoID = "xtrace:" + ext.Fingerprint
+	}
+	return src
+}
+
+// RunExternal simulates an external trace under the mode, through the
+// same driver as RunWorkload: warmup discipline, memoization, probes,
+// metrics and span tracing. The run memo keys on the trace fingerprint,
 // so a re-run of the same uploaded trace under the same configuration is
 // served from memory.
 func RunExternal(ctx context.Context, ext ExternalRun, mode pipeline.Mode, o Options) (Result, error) {
-	ctx, span := tracing.Start(ctx, "sim.run")
-	span.SetAttr("workload", ext.Name)
-	span.SetAttr("mode", mode.String())
-	span.SetAttr("external", true)
-	res, err := runExternal(ctx, ext, mode, o)
-	span.SetError(err)
-	span.End()
-	return res, err
-}
-
-func runExternal(ctx context.Context, ext ExternalRun, mode pipeline.Mode, o Options) (Result, error) {
-	res := Result{Workload: ext.Name, Class: ExternalClass, Mode: mode}
-	if len(ext.Slots) == 0 {
-		return res, fmt.Errorf("sim: external trace %q has no slots", ext.Name)
-	}
-	budget := ext.Budget()
-	if o.MaxInsts > 0 && o.MaxInsts < budget {
-		budget = o.MaxInsts
-	}
-	warmFrac := o.WarmupFrac
-	if warmFrac == 0 {
-		warmFrac = 0.4
-	}
-	cfg := pipeline.DefaultConfig(mode)
-	if o.ConfigMod != nil {
-		o.ConfigMod(&cfg)
-	}
-
-	useMemo := ext.Fingerprint != "" && !o.DisableCache && !mustExecute(o.Probes)
-	var key memoKey
-	if useMemo {
-		key = memoKey{profile: "xtrace:" + ext.Fingerprint, mode: mode,
-			budget: budget, warmFrac: warmFrac, config: cfg.Fingerprint()}
-		if s, ok := memoGet(key); ok {
-			res.Stats = s
-			if o.Notify != nil {
-				o.Notify(res)
-			}
-			return res, nil
-		}
-	}
-
-	stream, ok := NewSlotStream(ext.Slots).(slotSource)
-	if !ok {
-		return res, fmt.Errorf("sim: external slot stream is not a correct-path source")
-	}
-	st, err := runStreamStats(ctx, ext.Name, stream, cfg, mode, o, budget, warmFrac, 0)
-	if err != nil {
-		return res, err
-	}
-	res.Stats = st
-	recordRun(&res.Stats)
-	if useMemo {
-		memoPut(key, res.Stats)
-	}
-	if o.Notify != nil {
-		o.Notify(res)
-	}
-	return res, nil
+	return run(ctx, externalSource(ext), mode, o)
 }

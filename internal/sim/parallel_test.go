@@ -40,8 +40,9 @@ func TestParallelTracesBitIdentical(t *testing.T) {
 			cfg := pipeline.DefaultConfig(mode)
 
 			var serial pipeline.Stats
+			src := profileSource(p)
 			for tr := 0; tr < p.Traces; tr++ {
-				st, err := runTraceStats(context.Background(), p, mode, cfg, o, budget, 0.4, tr)
+				st, _, err := runTrace(context.Background(), &src, mode, cfg, o, budget, 0.4, tr)
 				if err != nil {
 					t.Fatalf("%s/%s serial trace %d: %v", name, mode, tr, err)
 				}

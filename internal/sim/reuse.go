@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 
-	"repro/internal/pipeline"
 	"repro/internal/reuse"
 	"repro/internal/workload"
 )
@@ -49,20 +48,15 @@ func Reuse(ctx context.Context, profiles []workload.Profile, o Options) (*ReuseR
 // order; the subset selector sees them all.
 func ReuseWithExternal(ctx context.Context, profiles []workload.Profile,
 	exts []ExternalRun, o Options) (*ReuseReport, error) {
-	n := len(profiles) + len(exts)
-	jobs := make([]runJob, n)
-	for i := range jobs {
-		jobs[i].mode = pipeline.ModeRePLayOpt
-		if i < len(profiles) {
-			jobs[i].profile = profiles[i]
-		} else {
-			jobs[i].external = &exts[i-len(profiles)]
-		}
+	srcs := profileSources(profiles)
+	for _, e := range exts {
+		srcs = append(srcs, externalSource(e))
 	}
-	cols, results, err := runProbed(ctx, jobs, o, reuse.NewCollector)
+	cols, results, err := runProbed(ctx, srcs, o, reuse.NewCollector)
 	if err != nil {
 		return nil, err
 	}
+	n := len(srcs)
 	rep := &ReuseReport{Rows: make([]ReuseRow, n)}
 	items := make([]reuse.SubsetItem, n)
 	for i := range results {

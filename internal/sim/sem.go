@@ -9,9 +9,10 @@ import (
 // The process-global CPU semaphore. Every simulation fan-out — runAll's
 // per-(workload, mode) jobs, runWorkload's per-trace workers, and any
 // nested sweep a server worker starts — draws goroutines from this one
-// pool, so concurrent callers compose to at most the machine's CPU
-// count instead of multiplying it (the oversubscription bug each
-// runAll call's private runtime.NumCPU() semaphore used to cause).
+// pool, so concurrent callers compose to at most GOMAXPROCS instead of
+// multiplying it (the oversubscription bug each runAll call's private
+// runtime.NumCPU() semaphore used to cause). GOMAXPROCS=1 therefore
+// runs every simulation serially.
 //
 // Deadlock discipline: only top-level job dispatch blocks in Acquire;
 // everything nested (per-trace fan-out) uses TryAcquire and falls back
@@ -20,7 +21,7 @@ import (
 var cpuSem atomic.Pointer[sem]
 
 func init() {
-	cpuSem.Store(newSem(runtime.NumCPU()))
+	cpuSem.Store(newSem(runtime.GOMAXPROCS(0)))
 }
 
 // acquireSem returns the current global semaphore. Callers must pair

@@ -127,8 +127,10 @@ type Options struct {
 	// Probes are attached to every engine after warmup, so their
 	// attribution covers exactly the measured window and their totals
 	// equal the window's Stats counters (the conservation invariant).
-	// Any probe keeps the serial per-trace path, and any probe but a
-	// Sampler forces execution (a memoized run would observe nothing).
+	// Probed runs fan their traces out like any other run; each trace's
+	// folds apply in trace order after the join, so no report depends on
+	// scheduling. Any probe but a Sampler forces execution (a memoized
+	// run would observe nothing).
 	Probes []Collector
 }
 
@@ -179,6 +181,43 @@ type Result struct {
 // IPC is the workload's x86 instructions per cycle.
 func (r *Result) IPC() float64 { return r.Stats.IPC() }
 
+// source is one simulation input: a workload profile, whose traces are
+// interpreted (or replayed from their captures), or an adapted external
+// trace. Every run, whatever its source, goes through run.
+type source struct {
+	name, class string
+	// memoID is the input's run-memo identity; empty disables the memo
+	// (it must never alias two different streams).
+	memoID string
+	traces int
+	// budget is the default instruction budget; maxBudget, when > 0,
+	// caps Options.MaxInsts.
+	budget, maxBudget int
+	// stream opens trace t for a run of budget instructions.
+	stream func(t, budget int, disableCache bool) (slotSource, error)
+}
+
+// profileSource reads the profile's traces from the shared captures,
+// or interprets them live when the cache is disabled.
+func profileSource(p workload.Profile) source {
+	return source{name: p.Name, class: p.Class, memoID: profileFingerprint(&p),
+		traces: p.Traces, budget: p.XInsts,
+		stream: func(t, budget int, disableCache bool) (slotSource, error) {
+			if disableCache {
+				prog, err := workload.Generate(p, t)
+				if err != nil {
+					return nil, err
+				}
+				return newCPUStream(prog), nil
+			}
+			rec, err := captures.get(p, t, budget)
+			if err != nil {
+				return nil, err
+			}
+			return &replayStream{rec: rec}, nil
+		}}
+}
+
 // RunWorkload simulates every hot-spot trace of the profile under the
 // mode and aggregates the measured statistics. Cancelling ctx aborts
 // the simulation between fetch groups and returns the context's error;
@@ -192,22 +231,32 @@ func (r *Result) IPC() float64 { return r.Stats.IPC() }
 // baselines) execute them once. Both layers are observationally
 // transparent: the stream is deterministic per (profile, trace).
 func RunWorkload(ctx context.Context, p workload.Profile, mode pipeline.Mode, o Options) (Result, error) {
-	// One span per (workload, mode) run; a no-op nil span unless the
-	// caller's context carries an active trace (replayd requests do).
-	ctx, span := tracing.Start(ctx, "sim.run")
-	span.SetAttr("workload", p.Name)
-	span.SetAttr("mode", mode.String())
-	res, err := runWorkload(ctx, p, mode, o, span)
-	span.SetError(err)
-	span.End()
-	return res, err
+	return run(ctx, profileSource(p), mode, o)
 }
 
-func runWorkload(ctx context.Context, p workload.Profile, mode pipeline.Mode, o Options, span *tracing.Span) (Result, error) {
-	res := Result{Workload: p.Name, Class: p.Class, Mode: mode}
-	budget := p.XInsts
+// run simulates every trace of src under the mode: budget, warmup and
+// configuration from o, the run memo, the per-trace fan-out, metrics
+// and Notify. It opens one sim.run span, a no-op nil span unless the
+// caller's context carries an active trace (replayd requests do).
+func run(ctx context.Context, src source, mode pipeline.Mode, o Options) (res Result, err error) {
+	ctx, span := tracing.Start(ctx, "sim.run")
+	span.SetAttr("workload", src.name)
+	span.SetAttr("mode", mode.String())
+	if src.class == ExternalClass {
+		span.SetAttr("external", true)
+	}
+	defer func() {
+		span.SetError(err)
+		span.End()
+	}()
+
+	res = Result{Workload: src.name, Class: src.class, Mode: mode}
+	budget := src.budget
 	if o.MaxInsts > 0 {
 		budget = o.MaxInsts
+		if src.maxBudget > 0 {
+			budget = min(budget, src.maxBudget)
+		}
 	}
 	warmFrac := o.WarmupFrac
 	if warmFrac == 0 {
@@ -221,10 +270,10 @@ func runWorkload(ctx context.Context, p workload.Profile, mode pipeline.Mode, o 
 		o.ConfigMod(&cfg)
 	}
 
-	useMemo := !o.DisableCache && !mustExecute(o.Probes)
+	useMemo := src.memoID != "" && !o.DisableCache && !mustExecute(o.Probes)
 	var key memoKey
 	if useMemo {
-		key = memoKey{profile: profileFingerprint(&p), mode: mode,
+		key = memoKey{profile: src.memoID, mode: mode,
 			budget: budget, warmFrac: warmFrac, config: cfg.Fingerprint()}
 		if s, ok := memoGet(key); ok {
 			span.SetAttr("memo_hit", true)
@@ -236,28 +285,8 @@ func runWorkload(ctx context.Context, p workload.Profile, mode pipeline.Mode, o 
 		}
 	}
 
-	// Multi-trace profiles fan their traces out across the global CPU
-	// semaphore; aggregation stays in trace-index order, so the result
-	// is bit-identical to the serial loop. Probed and span-traced runs
-	// keep the serial path: both attach per-engine observers whose event
-	// interleaving is part of their output.
-	if p.Traces > 1 && len(o.Probes) == 0 && span == nil {
-		if err := runTracesParallel(ctx, &res, p, mode, cfg, o, budget, warmFrac); err != nil {
-			return res, err
-		}
-	} else {
-		for t := 0; t < p.Traces; t++ {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return res, err
-				}
-			}
-			st, err := runTraceStats(ctx, p, mode, cfg, o, budget, warmFrac, t)
-			if err != nil {
-				return res, err
-			}
-			res.Stats.Add(&st)
-		}
+	if res.Stats, err = runTraces(ctx, &src, mode, cfg, o, budget, warmFrac); err != nil {
+		return res, err
 	}
 	if span != nil {
 		spanSummaries(span, o.Probes)
@@ -272,17 +301,19 @@ func runWorkload(ctx context.Context, p workload.Profile, mode pipeline.Mode, o 
 	return res, nil
 }
 
-// runTracesParallel runs every trace of the profile concurrently, each
-// on its own engine over its own stream. Workers are spawned only while
-// the global semaphore has free tokens (TryAcquire — a nested fan-out
-// never blocks holding a token, which is what makes two-level
-// parallelism deadlock-free); the calling goroutine always works too,
-// so progress never depends on a token being free. Per-trace stats are
-// combined in trace-index order after all traces finish: integer
-// counters added in a fixed order make the aggregate bit-identical to
-// the serial loop's.
-func runTracesParallel(ctx context.Context, res *Result, p workload.Profile, mode pipeline.Mode,
-	cfg pipeline.Config, o Options, budget int, warmFrac float64) error {
+// runTraces runs every trace of src concurrently, each on its own
+// engine over its own stream. Workers are spawned only while the global
+// semaphore has free tokens (TryAcquire — a nested fan-out never blocks
+// holding a token, which is what makes two-level parallelism
+// deadlock-free); the calling goroutine always works too, so progress
+// never depends on a token being free. After the join, per-trace stats
+// are added and the collectors' folds applied in trace-index order:
+// integer counters added in a fixed order make the aggregate
+// bit-identical to a serial loop's, and ordered folds give every
+// collector the report a serial loop would. Folds apply even when the
+// run fails, so a failed run's events stay inspectable.
+func runTraces(ctx context.Context, src *source, mode pipeline.Mode,
+	cfg pipeline.Config, o Options, budget int, warmFrac float64) (pipeline.Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -290,18 +321,18 @@ func runTracesParallel(ctx context.Context, res *Result, p workload.Profile, mod
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	stats := make([]pipeline.Stats, p.Traces)
-	errs := make([]error, p.Traces)
+	stats := make([]pipeline.Stats, src.traces)
+	folds := make([][]func(), src.traces)
+	errs := make([]error, src.traces)
 	var next atomic.Int64
 	work := func() {
 		for ctx.Err() == nil {
 			t := int(next.Add(1)) - 1
-			if t >= p.Traces {
+			if t >= src.traces {
 				return
 			}
-			st, err := runTraceStats(ctx, p, mode, cfg, o, budget, warmFrac, t)
-			stats[t], errs[t] = st, err
-			if err != nil {
+			stats[t], folds[t], errs[t] = runTrace(ctx, src, mode, cfg, o, budget, warmFrac, t)
+			if errs[t] != nil {
 				cancel() // abort the remaining traces
 			}
 		}
@@ -309,7 +340,7 @@ func runTracesParallel(ctx context.Context, res *Result, p workload.Profile, mod
 
 	sem := acquireSem()
 	var wg sync.WaitGroup
-	for w := 1; w < p.Traces && sem.TryAcquire(); w++ {
+	for w := 1; w < src.traces && sem.TryAcquire(); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -320,13 +351,17 @@ func runTracesParallel(ctx context.Context, res *Result, p workload.Profile, mod
 	work()
 	wg.Wait()
 
-	if err := jobsError(errs, parent); err != nil {
-		return err
-	}
+	var total pipeline.Stats
 	for t := range stats {
-		res.Stats.Add(&stats[t])
+		for _, fold := range folds[t] {
+			fold()
+		}
+		total.Add(&stats[t])
 	}
-	return nil
+	if err := jobsError(errs, parent); err != nil {
+		return pipeline.Stats{}, err
+	}
+	return total, nil
 }
 
 // jobsError selects the deterministic error for a completed fan-out:
@@ -354,44 +389,27 @@ func jobsError(errs []error, parent context.Context) error {
 	return induced
 }
 
-// runTraceStats simulates one hot-spot trace: warmup window, probe
-// attach, measured window. When the context carries an active span the
-// two windows get child spans and the measured window additionally
-// aggregates per-optimizer-pass wall time into opt.<pass> spans.
-func runTraceStats(ctx context.Context, p workload.Profile, mode pipeline.Mode,
-	cfg pipeline.Config, o Options, budget int, warmFrac float64, t int) (pipeline.Stats, error) {
-	var stream slotSource
-	if o.DisableCache {
-		prog, err := workload.Generate(p, t)
-		if err != nil {
-			return pipeline.Stats{}, err
-		}
-		stream = newCPUStream(prog)
-	} else {
-		rec, err := captures.get(p, t, budget)
-		if err != nil {
-			return pipeline.Stats{}, err
-		}
-		stream = &replayStream{rec: rec}
+// runTrace simulates trace t of src on its own engine: warmup window,
+// probe attach, measured window. It returns the collectors' fold funcs
+// unapplied, in attach order, for runTraces to apply in trace order.
+// When the context carries an active span the two windows get child
+// spans and the measured window additionally aggregates
+// per-optimizer-pass wall time into opt.<pass> spans.
+func runTrace(ctx context.Context, src *source, mode pipeline.Mode, cfg pipeline.Config,
+	o Options, budget int, warmFrac float64, t int) (st pipeline.Stats, folds []func(), err error) {
+	stream, err := src.stream(t, budget, o.DisableCache)
+	if err != nil {
+		return st, nil, err
 	}
-	return runStreamStats(ctx, p.Name, stream, cfg, mode, o, budget, warmFrac, t)
-}
-
-// runStreamStats drives one engine over one correct-path stream: warmup
-// window, probe attach, measured window. It is shared by the
-// interpreter/capture path (runTraceStats) and the external-trace path
-// (RunExternal); name and t only label probe runs, spans, and errors.
-func runStreamStats(ctx context.Context, name string, stream slotSource, cfg pipeline.Config,
-	mode pipeline.Mode, o Options, budget int, warmFrac float64, t int) (pipeline.Stats, error) {
 	eng := pipeline.New(cfg, mode, stream)
 
 	warm := uint64(float64(budget) * warmFrac)
 	wctx, wspan := tracing.Start(ctx, "sim.warmup")
 	wspan.SetAttr("trace", t)
-	_, err := eng.RunContext(wctx, warm)
+	_, err = eng.RunContext(wctx, warm)
 	wspan.End()
 	if err != nil {
-		return pipeline.Stats{}, err
+		return st, nil, err
 	}
 	// Probes attach after warmup, so they cover exactly the measured
 	// window — the same boundary ResetStats draws for the counters.
@@ -399,11 +417,11 @@ func runStreamStats(ctx context.Context, name string, stream slotSource, cfg pip
 	// race-free. One loop stack per engine, advanced once per retired
 	// slot, feeds every probe's loop view.
 	if len(o.Probes) > 0 {
-		run := fmt.Sprintf("%s/%s/t%d", name, mode, t)
+		run := fmt.Sprintf("%s/%s/t%d", src.name, mode, t)
 		fan := &probeFan{}
 		for _, c := range o.Probes {
 			p, done := c.Attach(run, t, &fan.loops)
-			defer done()
+			folds = append(folds, done)
 			fan.probes = append(fan.probes, p)
 		}
 		eng.SetProbe(fan)
@@ -422,7 +440,7 @@ func runStreamStats(ctx context.Context, name string, stream slotSource, cfg pip
 	eng.SetProbe(nil)
 	if err == nil {
 		if serr := stream.Err(); serr != nil {
-			err = fmt.Errorf("sim %s trace %d: %w", name, t, serr)
+			err = fmt.Errorf("sim %s trace %d: %w", src.name, t, serr)
 		}
 	}
 	if agg != nil {
@@ -431,9 +449,9 @@ func runStreamStats(ctx context.Context, name string, stream slotSource, cfg pip
 	mspan.SetError(err)
 	mspan.End()
 	if err != nil {
-		return pipeline.Stats{}, err
+		return st, folds, err
 	}
-	return eng.Stats(), nil
+	return eng.Stats(), folds, nil
 }
 
 // probeFan is the engine's probe when collectors attach: it advances
@@ -544,30 +562,36 @@ func spanSummaries(span *tracing.Span, probes []Collector) {
 	}
 }
 
-// runJob is one (workload, mode, options) simulation request. When
-// external is set the job replays that adapted trace instead of
-// interpreting the workload profile.
+// runJob is one (source, mode, options) simulation request.
 type runJob struct {
-	profile  workload.Profile
-	external *ExternalRun
-	mode     pipeline.Mode
-	opts     Options
-	out      *Result
-	err      *error
+	src  source
+	mode pipeline.Mode
+	opts Options
+	out  *Result
+	err  *error
 }
 
-// runProbed runs the jobs through runAll, each with a private collector
-// from newCol attached beside o's, and returns the collectors and
-// results in job order.
-func runProbed[C Collector](ctx context.Context, jobs []runJob, o Options, newCol func() C) ([]C, []Result, error) {
-	cols := make([]C, len(jobs))
-	results := make([]Result, len(jobs))
-	errs := make([]error, len(jobs))
+// profileSources wraps each profile as a source.
+func profileSources(profiles []workload.Profile) []source {
+	srcs := make([]source, len(profiles))
+	for i, p := range profiles {
+		srcs[i] = profileSource(p)
+	}
+	return srcs
+}
+
+// runProbed runs the RPO configuration over each source through runAll,
+// each with a private collector from newCol attached beside o's, and
+// returns the collectors and results in source order.
+func runProbed[C Collector](ctx context.Context, srcs []source, o Options, newCol func() C) ([]C, []Result, error) {
+	jobs := make([]runJob, len(srcs))
+	cols := make([]C, len(srcs))
+	results := make([]Result, len(srcs))
+	errs := make([]error, len(srcs))
 	for i := range jobs {
 		cols[i] = newCol()
-		jobs[i].opts = o
+		jobs[i] = runJob{src: srcs[i], mode: pipeline.ModeRePLayOpt, opts: o, out: &results[i], err: &errs[i]}
 		jobs[i].opts.Probes = withProbe(o.Probes, cols[i])
-		jobs[i].out, jobs[i].err = &results[i], &errs[i]
 	}
 	return cols, results, runAll(ctx, jobs)
 }
@@ -603,16 +627,8 @@ func runAll(ctx context.Context, jobs []runJob) error {
 		go func(j *runJob) {
 			defer wg.Done()
 			defer sem.Release()
-			var r Result
-			var err error
-			if j.external != nil {
-				r, err = RunExternal(ctx, *j.external, j.mode, j.opts)
-			} else {
-				r, err = RunWorkload(ctx, j.profile, j.mode, j.opts)
-			}
-			*j.out = r
-			*j.err = err
-			if err != nil {
+			*j.out, *j.err = run(ctx, j.src, j.mode, j.opts)
+			if *j.err != nil {
 				cancel()
 			}
 		}(&jobs[i])

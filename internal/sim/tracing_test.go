@@ -79,37 +79,70 @@ func TestRunWorkloadSpans(t *testing.T) {
 
 // TestRunWorkloadProbeSpanAttrs: a traced run with the reuse and cycle
 // probes attached carries each probe's headline numbers on sim.run,
-// and they agree with the collectors' own reports.
+// and they agree with the collectors' own reports; a traced repeat of a
+// plain run marks sim.run as a memo hit. Profiles and external traces
+// share one driver, so an external run of gzip's slots must too.
 func TestRunWorkloadProbeSpanAttrs(t *testing.T) {
 	p, err := workload.ByName("gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := tracing.NewStore(tracing.StoreConfig{})
-	ctx, root := tracing.NewTracer(store).StartRoot(context.Background(), "test-root", nil)
-	rcol, ccol := reuse.NewCollector(), cycleprof.NewCollector()
-	if _, err := RunWorkload(ctx, p, pipeline.ModeRePLayOpt,
-		Options{MaxInsts: 30_000, Probes: []Collector{rcol, ccol}}); err != nil {
+	const insts = 30_000
+	ss, err := CaptureSlotStream(p, 0, insts+ReplaySlack)
+	if err != nil {
 		t.Fatal(err)
 	}
-	root.End()
-
-	st := store.Get(root.TraceID().String())
-	if st == nil {
-		t.Fatal("no trace stored")
+	slots, err := SlotsFromRecorded(ss)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var attrs map[string]any
-	for _, sp := range st.Spans {
-		if sp.Name == "sim.run" {
-			attrs = sp.Attrs
-		}
-	}
-	rrep, crep := rcol.Snapshot(), ccol.Snapshot()
-	if got := attrs["reuse_loops"]; got != rrep.Loops || rrep.Loops == 0 {
-		t.Errorf("sim.run reuse_loops = %v, want %d (nonzero)", got, rrep.Loops)
-	}
-	if got, want := attrs["cycles_mispred_frac"], crep.BinFrac(pipeline.BinMispred); got != want || want == 0 {
-		t.Errorf("sim.run cycles_mispred_frac = %v, want %v (nonzero)", got, want)
+	ext := ExternalRun{Name: "gzip-upload", Fingerprint: "span-attrs-gzip", Slots: slots, Insts: insts}
+	for _, c := range []struct {
+		name string
+		run  func(context.Context, Options) (Result, error)
+	}{
+		{"profile", func(ctx context.Context, o Options) (Result, error) {
+			return RunWorkload(ctx, p, pipeline.ModeRePLayOpt, o)
+		}},
+		{"external", func(ctx context.Context, o Options) (Result, error) {
+			return RunExternal(ctx, ext, pipeline.ModeRePLayOpt, o)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// traced runs once under a fresh trace and returns sim.run's attrs.
+			traced := func(o Options) map[string]any {
+				store := tracing.NewStore(tracing.StoreConfig{})
+				ctx, root := tracing.NewTracer(store).StartRoot(context.Background(), "test-root", nil)
+				if _, err := c.run(ctx, o); err != nil {
+					t.Fatal(err)
+				}
+				root.End()
+				st := store.Get(root.TraceID().String())
+				if st == nil {
+					t.Fatal("no trace stored")
+				}
+				var attrs map[string]any
+				for _, sp := range st.Spans {
+					if sp.Name == "sim.run" {
+						attrs = sp.Attrs
+					}
+				}
+				return attrs
+			}
+			rcol, ccol := reuse.NewCollector(), cycleprof.NewCollector()
+			attrs := traced(Options{MaxInsts: insts, Probes: []Collector{rcol, ccol}})
+			rrep, crep := rcol.Snapshot(), ccol.Snapshot()
+			if got := attrs["reuse_loops"]; got != rrep.Loops || rrep.Loops == 0 {
+				t.Errorf("sim.run reuse_loops = %v, want %d (nonzero)", got, rrep.Loops)
+			}
+			if got, want := attrs["cycles_mispred_frac"], crep.BinFrac(pipeline.BinMispred); got != want || want == 0 {
+				t.Errorf("sim.run cycles_mispred_frac = %v, want %v (nonzero)", got, want)
+			}
+			traced(Options{MaxInsts: insts})
+			if got := traced(Options{MaxInsts: insts})["memo_hit"]; got != true {
+				t.Errorf("repeated sim.run memo_hit = %v, want true", got)
+			}
+		})
 	}
 }
 

@@ -28,7 +28,7 @@ func TestAttributionOrder(t *testing.T) {
 
 func TestTraceExportValidates(t *testing.T) {
 	r := NewRing(128, "job-key-1", "j-00000001")
-	p, _ := r.Attach("bzip2/RPO/t0", 0, nil)
+	p, done := r.Attach("bzip2/RPO/t0", 0, nil)
 	p.FrameBuilt(30, 1, 0x400, 64)
 	p.OptRemoved(100, 1, 0x400, 64, 50, 640)
 	p.CacheInsert(740, 0x400, 50)
@@ -39,10 +39,12 @@ func TestTraceExportValidates(t *testing.T) {
 	p.FrameRetired(950, 50, true)
 	p.TraceFetch(960, 970, 0x480, 12)
 	p.Evict(1000, 0x400, 50, 260)
+	done()
 	// Out-of-order arrival: a second run's early event after run 1's
 	// late ones must not break per-track monotonicity.
-	p2, _ := r.Attach("bzip2/RPO/t1", 1, nil)
+	p2, done2 := r.Attach("bzip2/RPO/t1", 1, nil)
 	p2.FrameBuilt(5, 2, 0x500, 32)
+	done2()
 
 	var buf bytes.Buffer
 	if err := r.WriteTrace(&buf); err != nil {
@@ -69,10 +71,11 @@ func TestTraceExportValidates(t *testing.T) {
 
 func TestRingWrap(t *testing.T) {
 	r := NewRing(4, "", "")
-	p, _ := r.Attach("r", 0, nil)
+	p, done := r.Attach("r", 0, nil)
 	for i := uint64(0); i < 10; i++ {
 		p.FrameBuilt(i, i+1, 0x10, 8)
 	}
+	done()
 	events, dropped, _ := r.snapshot()
 	if len(events) != 4 {
 		t.Fatalf("ring kept %d events", len(events))
@@ -82,6 +85,44 @@ func TestRingWrap(t *testing.T) {
 	}
 	if events[0].ts != 6 || events[3].ts != 9 {
 		t.Errorf("ring kept wrong window: %v..%v", events[0].ts, events[3].ts)
+	}
+}
+
+// TestRingFoldOrder: runs reach the ring in fold order, not in the
+// order their events happened, and a run that overflows its own buffer
+// is counted as if it had wrapped the ring: the ring keeps the newest
+// capacity events of the runs concatenated in fold order.
+func TestRingFoldOrder(t *testing.T) {
+	r := NewRing(4, "", "")
+	p0, done0 := r.Attach("w/RPO/t0", 0, nil)
+	p1, done1 := r.Attach("w/RPO/t1", 1, nil)
+	for i := uint64(0); i < 3; i++ {
+		p1.FrameBuilt(100+i, i+1, 0x20, 8)
+	}
+	for i := uint64(0); i < 10; i++ {
+		p0.FrameBuilt(i, i+1, 0x10, 8)
+	}
+	done0()
+	done1()
+	done1() // a second fold is a no-op
+	events, dropped, runs := r.snapshot()
+	if len(runs) != 2 || runs[0] != "w/RPO/t0" || runs[1] != "w/RPO/t1" {
+		t.Fatalf("runs = %v, want fold order", runs)
+	}
+	if dropped != 9 {
+		t.Errorf("dropped = %d, want 9 (13 events, capacity 4)", dropped)
+	}
+	want := []struct {
+		pid int
+		ts  uint64
+	}{{1, 9}, {2, 100}, {2, 101}, {2, 102}}
+	if len(events) != len(want) {
+		t.Fatalf("ring kept %d events, want %d", len(events), len(want))
+	}
+	for i, w := range want {
+		if events[i].pid != w.pid || events[i].ts != w.ts {
+			t.Errorf("event %d = pid %d ts %d, want pid %d ts %d", i, events[i].pid, events[i].ts, w.pid, w.ts)
+		}
 	}
 }
 

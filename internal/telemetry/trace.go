@@ -36,32 +36,54 @@ type ringEvent struct {
 	ph    string
 	ts    uint64 // cycle the event starts at
 	dur   uint64 // span length (phComplete only)
-	pid   int    // engine run (one per Attach)
+	pid   int    // engine run (one per Attach), set at fold
 	tid   int    // lifecycle lane (Tid* constants)
 	frame uint64 // frame id, 0 if not applicable
 	pc    uint32 // frame/entry start PC, 0 if not applicable
 	uops  int    // primary size payload (uops)
 	aux   uint64 // event-specific secondary payload
-	seq   uint64 // arrival order, for stable sorting
 }
 
 // Ring is the collector recording lifecycle events into a bounded
 // overwrite-oldest buffer for Chrome trace_event export. Each engine run
 // it attaches to becomes one trace process (pid), named after the run,
 // so cycle counters that restart per run stay monotonic within a track.
-// Runs may execute concurrently; a mutex (not a lock-free queue) is
-// plenty, since tracing is opt-in.
+// A run buffers its own events and appends them, under a new pid, when
+// its fold applies; sim applies folds in trace order, so the export of
+// a run does not depend on how its traces were scheduled.
 type Ring struct {
 	label string
 	jobID string
 
-	mu      sync.Mutex
-	buf     []ringEvent
-	next    int
-	wrapped bool
-	seq     uint64
+	mu   sync.Mutex
+	buf  eventBuf
+	runs []string // process names; pid i+1 is runs[i]
+}
+
+// eventBuf keeps the newest limit events, overwriting the oldest, and
+// counts the events it overwrote.
+type eventBuf struct {
+	limit   int
+	events  []ringEvent
+	next    int // oldest event once full
 	dropped uint64
-	runs    []string // process names; pid i+1 is runs[i]
+}
+
+func (b *eventBuf) push(e ringEvent) {
+	if len(b.events) < b.limit {
+		b.events = append(b.events, e)
+		return
+	}
+	b.events[b.next] = e
+	if b.next++; b.next == b.limit {
+		b.next = 0
+	}
+	b.dropped++
+}
+
+// ordered returns a copy of the buffered events, oldest first.
+func (b *eventBuf) ordered() []ringEvent {
+	return append(append([]ringEvent(nil), b.events[b.next:]...), b.events[:b.next]...)
 }
 
 // NewRing returns a ring holding the newest capacity events. label and
@@ -69,45 +91,33 @@ type Ring struct {
 // mode the job's coalescing key and id, so ring events join the job's
 // log lines and progress events.
 func NewRing(capacity int, label, jobID string) *Ring {
-	return &Ring{label: label, jobID: jobID, buf: make([]ringEvent, capacity)}
+	return &Ring{label: label, jobID: jobID,
+		buf: eventBuf{limit: capacity, events: make([]ringEvent, 0, capacity)}}
 }
 
-// Attach registers the engine run as a new trace process and returns
-// its probe; events land in the ring as they happen.
+// Attach returns the probe for one engine run, buffering at most the
+// ring's capacity of its newest events, and the fold that registers the
+// run as a new trace process and appends its events to the ring.
 func (r *Ring) Attach(run string, _ int, _ *reuse.LoopStack) (pipeline.Probe, func()) {
-	r.mu.Lock()
-	r.runs = append(r.runs, run)
-	pid := len(r.runs)
-	r.mu.Unlock()
-	return &ringProbe{r: r, pid: pid}, func() {}
+	p := &ringProbe{buf: eventBuf{limit: r.buf.limit}}
+	return p, sync.OnceFunc(func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		r.runs = append(r.runs, run)
+		r.buf.dropped += p.buf.dropped
+		for _, e := range p.buf.ordered() {
+			e.pid = len(r.runs)
+			r.buf.push(e)
+		}
+	})
 }
 
-func (r *Ring) add(e ringEvent) {
-	r.mu.Lock()
-	e.seq = r.seq
-	r.seq++
-	if r.wrapped {
-		r.dropped++
-	}
-	r.buf[r.next] = e
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.wrapped = true
-	}
-	r.mu.Unlock()
-}
-
-// snapshot returns the buffered events in arrival order and the run
-// names.
+// snapshot returns the buffered events in ring order (each run's
+// events in arrival order, run after run) and the run names.
 func (r *Ring) snapshot() (events []ringEvent, dropped uint64, runs []string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.wrapped {
-		events = append(events, r.buf[r.next:]...)
-	}
-	events = append(events, r.buf[:r.next]...)
-	return events, r.dropped, append([]string(nil), r.runs...)
+	return r.buf.ordered(), r.buf.dropped, append([]string(nil), r.runs...)
 }
 
 // ringProbe turns one engine run's lifecycle events into ring events.
@@ -115,42 +125,36 @@ func (r *Ring) snapshot() (events []ringEvent, dropped uint64, runs []string) {
 // frame-commit or frame-abort span.
 type ringProbe struct {
 	pipeline.NopProbe
-	r   *Ring
-	pid int
+	buf eventBuf
 
 	fetchAt    uint64
 	fetchFrame uint64
 	fetchPC    uint32
 }
 
-func (p *ringProbe) add(e ringEvent) {
-	e.pid = p.pid
-	p.r.add(e)
-}
-
 func (p *ringProbe) FrameBuilt(cycle, id uint64, pc uint32, uops int) {
-	p.add(ringEvent{name: "construct", ph: phInstant, ts: cycle,
+	p.buf.push(ringEvent{name: "construct", ph: phInstant, ts: cycle,
 		tid: TidConstruct, frame: id, pc: pc, uops: uops})
 }
 
 func (p *ringProbe) OptRemoved(cycle, id uint64, pc uint32, uopsIn, uopsOut int, dwell uint64) {
-	p.add(ringEvent{name: "optimize", ph: phComplete, ts: cycle, dur: dwell,
+	p.buf.push(ringEvent{name: "optimize", ph: phComplete, ts: cycle, dur: dwell,
 		tid: TidOptimize, frame: id, pc: pc, uops: uopsIn, aux: uint64(uopsOut)})
 }
 
 func (p *ringProbe) CacheInsert(cycle uint64, pc uint32, uops int) {
-	p.add(ringEvent{name: "cache-insert", ph: phInstant, ts: cycle,
+	p.buf.push(ringEvent{name: "cache-insert", ph: phInstant, ts: cycle,
 		tid: TidCache, pc: pc, uops: uops})
 }
 
 func (p *ringProbe) Evict(cycle uint64, pc uint32, uops int, residency uint64) {
-	p.add(ringEvent{name: "cache-evict", ph: phInstant, ts: cycle,
+	p.buf.push(ringEvent{name: "cache-evict", ph: phInstant, ts: cycle,
 		tid: TidCache, pc: pc, uops: uops, aux: residency})
 }
 
 func (p *ringProbe) FrameHit(cycle, id uint64, pc uint32) {
 	p.fetchAt, p.fetchFrame, p.fetchPC = cycle, id, pc
-	p.add(ringEvent{name: "cache-hit", ph: phInstant, ts: cycle, tid: TidCache, pc: pc})
+	p.buf.push(ringEvent{name: "cache-hit", ph: phInstant, ts: cycle, tid: TidCache, pc: pc})
 }
 
 func (p *ringProbe) FrameRetired(cycle uint64, uops int, committed bool) {
@@ -158,7 +162,7 @@ func (p *ringProbe) FrameRetired(cycle uint64, uops int, committed bool) {
 	if !committed {
 		name = "frame-abort"
 	}
-	p.add(ringEvent{name: name, ph: phComplete, ts: p.fetchAt, dur: cycle - p.fetchAt,
+	p.buf.push(ringEvent{name: name, ph: phComplete, ts: p.fetchAt, dur: cycle - p.fetchAt,
 		tid: TidFetch, frame: p.fetchFrame, pc: p.fetchPC, uops: uops})
 }
 
@@ -167,15 +171,15 @@ func (p *ringProbe) AssertFired(cycle, id uint64, pc uint32, unsafe bool) {
 	if unsafe {
 		aux = 1
 	}
-	p.add(ringEvent{name: "assert-fire", ph: phInstant, ts: cycle,
+	p.buf.push(ringEvent{name: "assert-fire", ph: phInstant, ts: cycle,
 		tid: TidFetch, frame: id, pc: pc, aux: aux})
 }
 
 // TraceFetch records a trace-cache hit and the line's fetch span (TC
 // mode has no frame ids).
 func (p *ringProbe) TraceFetch(start, end uint64, pc uint32, uops int) {
-	p.add(ringEvent{name: "cache-hit", ph: phInstant, ts: start, tid: TidCache, pc: pc})
-	p.add(ringEvent{name: "trace-fetch", ph: phComplete, ts: start, dur: end - start,
+	p.buf.push(ringEvent{name: "cache-hit", ph: phInstant, ts: start, tid: TidCache, pc: pc})
+	p.buf.push(ringEvent{name: "trace-fetch", ph: phComplete, ts: start, dur: end - start,
 		tid: TidFetch, pc: pc, uops: uops})
 }
 
@@ -207,17 +211,12 @@ var tidNames = map[int]string{
 }
 
 // WriteTrace serializes the ring as Chrome trace_event JSON, viewable
-// in chrome://tracing or Perfetto. Events are sorted by timestamp
-// (cycle) so ts is monotonic within every (pid, tid) track even though
-// the ring holds arrival order.
+// in chrome://tracing or Perfetto. Events are stably sorted by
+// timestamp (cycle), so ts is monotonic within every (pid, tid) track
+// and equal timestamps keep ring order.
 func (r *Ring) WriteTrace(w io.Writer) error {
 	events, dropped, runs := r.snapshot()
-	sort.SliceStable(events, func(i, j int) bool {
-		if events[i].ts != events[j].ts {
-			return events[i].ts < events[j].ts
-		}
-		return events[i].seq < events[j].seq
-	})
+	sort.SliceStable(events, func(i, j int) bool { return events[i].ts < events[j].ts })
 
 	out := traceFile{OtherData: map[string]any{"dropped_events": dropped}}
 	if r.label != "" {

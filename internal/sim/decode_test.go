@@ -145,8 +145,11 @@ func TestDecodeTableFallback(t *testing.T) {
 
 // Stream benchmarks time the correct-path stream layer alone, without
 // the engine: BenchmarkCPUStream interprets (decode, translate, step),
-// BenchmarkReplayStream replays a recording of the same stream. They run
-// on one SPEC and one desktop profile and report per instruction.
+// BenchmarkAheadStream consumes the same interpretation run ahead on a
+// producer goroutine (with no engine to overlap, it times the
+// interpreter plus the chunk handoff), BenchmarkReplayStream replays a
+// recording of the same stream. They run on one SPEC and one desktop profile and
+// report per instruction.
 var streamBenchProfiles = []string{"gzip", "excel"}
 
 const streamBenchInsts = 100_000
@@ -158,6 +161,16 @@ func BenchmarkCPUStream(b *testing.B) {
 		prog := benchProgram(b, name)
 		b.Run(name, func(b *testing.B) {
 			benchStream(b, func() pipeline.Stream { return newCPUStream(prog) })
+		})
+	}
+}
+
+func BenchmarkAheadStream(b *testing.B) {
+	withParallelism(b, 2) // a free token for the producer
+	for _, name := range streamBenchProfiles {
+		prog := benchProgram(b, name)
+		b.Run(name, func(b *testing.B) {
+			benchStream(b, func() pipeline.Stream { return startAhead(b, prog) })
 		})
 	}
 }
@@ -197,6 +210,9 @@ func benchStream(b *testing.B, open func() pipeline.Stream) {
 				b.Fatalf("stream ended after %d slots", n)
 			}
 			streamSink += sl.NextPC
+		}
+		if a, ok := s.(*aheadStream); ok {
+			a.stop()
 		}
 	}
 	b.StopTimer()

@@ -7,17 +7,20 @@ import (
 )
 
 // The process-global CPU semaphore. Every simulation fan-out — runAll's
-// per-(workload, mode) jobs, runWorkload's per-trace workers, and any
-// nested sweep a server worker starts — draws goroutines from this one
-// pool, so concurrent callers compose to at most GOMAXPROCS instead of
-// multiplying it (the oversubscription bug each runAll call's private
-// runtime.NumCPU() semaphore used to cause). GOMAXPROCS=1 therefore
-// runs every simulation serially.
+// per-(workload, mode) jobs, runTraces' per-trace workers, the live
+// stream's run-ahead producer, and any nested sweep a server worker
+// starts — draws goroutines from this one pool, so concurrent callers
+// compose to at most GOMAXPROCS token holders instead of multiplying it
+// (the oversubscription bug each runAll call's private runtime.NumCPU()
+// semaphore used to cause). A caller that holds no token still works
+// beside the ones it spawns, so under GOMAXPROCS=1 a sweep runs its jobs
+// one at a time, but a direct RunWorkload call may run beside one worker
+// or producer.
 //
 // Deadlock discipline: only top-level job dispatch blocks in Acquire;
-// everything nested (per-trace fan-out) uses TryAcquire and falls back
-// to running on the goroutine it already has. A held token therefore
-// never waits on another token.
+// everything nested (per-trace fan-out, run-ahead) uses TryAcquire and
+// falls back to running on the goroutine it already has. A held token
+// therefore never waits on another token.
 var cpuSem atomic.Pointer[sem]
 
 func init() {

@@ -114,10 +114,12 @@ type Options struct {
 	MaxInsts int
 	// DisableCache turns off the shared slot-stream capture and the run
 	// memo: every mode re-interprets the workload and every run executes
-	// even if an identical one already did. Results are bit-identical
-	// either way (the decoded stream is deterministic per profile and
-	// trace); the switch exists for benchmarking the caching layer and
-	// as an escape hatch.
+	// even if an identical one already did. The live interpreter then
+	// runs ahead of the engine on a goroutine of its own whenever the
+	// CPU semaphore has a free token. Results are bit-identical either
+	// way (the decoded stream is deterministic per profile and trace);
+	// the switch exists for benchmarking the caching layer and as an
+	// escape hatch.
 	DisableCache bool
 	// Notify, when set, is called once per completed run (memo hits
 	// included) with its result. Sweep drivers like replayd use it to
@@ -152,6 +154,18 @@ type Collector interface {
 type Sampler interface {
 	Collector
 	SamplesOnly()
+}
+
+// Ordered is a Collector whose folded state depends on the order its
+// folds apply in (telemetry's event ring numbers its trace processes,
+// and applies its bounded wrap, in fold order). Every collector's folds
+// apply in trace order within a run; an Ordered collector's also apply
+// in job order across the runs of one sweep, each run's as soon as
+// every earlier job's have, so what it holds does not depend on which
+// jobs finished first.
+type Ordered interface {
+	Collector
+	FoldsInOrder()
 }
 
 // mustExecute reports whether a collector needs every run executed.
@@ -198,7 +212,8 @@ type source struct {
 }
 
 // profileSource reads the profile's traces from the shared captures,
-// or interprets them live when the cache is disabled.
+// or interprets them live when the cache is disabled, ahead of the
+// engine when a CPU is free.
 func profileSource(p workload.Profile) source {
 	return source{name: p.Name, class: p.Class, memoID: profileFingerprint(&p),
 		traces: p.Traces, budget: p.XInsts,
@@ -208,7 +223,7 @@ func profileSource(p workload.Profile) source {
 				if err != nil {
 					return nil, err
 				}
-				return newCPUStream(prog), nil
+				return runAhead(newCPUStream(prog)), nil
 			}
 			rec, err := captures.get(p, t, budget)
 			if err != nil {
@@ -231,14 +246,24 @@ func profileSource(p workload.Profile) source {
 // baselines) execute them once. Both layers are observationally
 // transparent: the stream is deterministic per (profile, trace).
 func RunWorkload(ctx context.Context, p workload.Profile, mode pipeline.Mode, o Options) (Result, error) {
-	return run(ctx, profileSource(p), mode, o)
+	return foldNow(run(ctx, profileSource(p), mode, o))
+}
+
+// foldNow applies a lone run's Ordered folds, in their trace order.
+func foldNow(res Result, ordered []func(), err error) (Result, error) {
+	for _, fold := range ordered {
+		fold()
+	}
+	return res, err
 }
 
 // run simulates every trace of src under the mode: budget, warmup and
 // configuration from o, the run memo, the per-trace fan-out, metrics
 // and Notify. It opens one sim.run span, a no-op nil span unless the
-// caller's context carries an active trace (replayd requests do).
-func run(ctx context.Context, src source, mode pipeline.Mode, o Options) (res Result, err error) {
+// caller's context carries an active trace (replayd requests do). The
+// folds of Ordered collectors come back unapplied, in trace order, for
+// the caller to apply in its job order.
+func run(ctx context.Context, src source, mode pipeline.Mode, o Options) (res Result, ordered []func(), err error) {
 	ctx, span := tracing.Start(ctx, "sim.run")
 	span.SetAttr("workload", src.name)
 	span.SetAttr("mode", mode.String())
@@ -281,12 +306,12 @@ func run(ctx context.Context, src source, mode pipeline.Mode, o Options) (res Re
 			if o.Notify != nil {
 				o.Notify(res)
 			}
-			return res, nil
+			return res, nil, nil
 		}
 	}
 
-	if res.Stats, err = runTraces(ctx, &src, mode, cfg, o, budget, warmFrac); err != nil {
-		return res, err
+	if res.Stats, ordered, err = runTraces(ctx, &src, mode, cfg, o, budget, warmFrac); err != nil {
+		return res, ordered, err
 	}
 	if span != nil {
 		spanSummaries(span, o.Probes)
@@ -298,7 +323,7 @@ func run(ctx context.Context, src source, mode pipeline.Mode, o Options) (res Re
 	if o.Notify != nil {
 		o.Notify(res)
 	}
-	return res, nil
+	return res, ordered, nil
 }
 
 // runTraces runs every trace of src concurrently, each on its own
@@ -310,10 +335,12 @@ func run(ctx context.Context, src source, mode pipeline.Mode, o Options) (res Re
 // are added and the collectors' folds applied in trace-index order:
 // integer counters added in a fixed order make the aggregate
 // bit-identical to a serial loop's, and ordered folds give every
-// collector the report a serial loop would. Folds apply even when the
-// run fails, so a failed run's events stay inspectable.
+// collector the report a serial loop would. The folds of Ordered
+// collectors are returned instead, in the same order, for run's caller.
+// Folds apply even when the run fails, so a failed run's events stay
+// inspectable.
 func runTraces(ctx context.Context, src *source, mode pipeline.Mode,
-	cfg pipeline.Config, o Options, budget int, warmFrac float64) (pipeline.Stats, error) {
+	cfg pipeline.Config, o Options, budget int, warmFrac float64) (pipeline.Stats, []func(), error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -352,16 +379,22 @@ func runTraces(ctx context.Context, src *source, mode pipeline.Mode,
 	wg.Wait()
 
 	var total pipeline.Stats
+	var ordered []func()
 	for t := range stats {
-		for _, fold := range folds[t] {
-			fold()
+		// runTrace attaches every probe or none, in o.Probes order.
+		for k, fold := range folds[t] {
+			if _, ok := o.Probes[k].(Ordered); ok {
+				ordered = append(ordered, fold)
+			} else {
+				fold()
+			}
 		}
 		total.Add(&stats[t])
 	}
 	if err := jobsError(errs, parent); err != nil {
-		return pipeline.Stats{}, err
+		return pipeline.Stats{}, ordered, err
 	}
-	return total, nil
+	return total, ordered, nil
 }
 
 // jobsError selects the deterministic error for a completed fan-out:
@@ -400,6 +433,10 @@ func runTrace(ctx context.Context, src *source, mode pipeline.Mode, cfg pipeline
 	stream, err := src.stream(t, budget, o.DisableCache)
 	if err != nil {
 		return st, nil, err
+	}
+	if a, ok := stream.(*aheadStream); ok {
+		// Budget reached, cancelled or failed: the producer stops here.
+		defer a.stop()
 	}
 	eng := pipeline.New(cfg, mode, stream)
 
@@ -609,6 +646,11 @@ func runProbed[C Collector](ctx context.Context, srcs []source, o Options, newCo
 // reported only when nothing better exists; an error that merely
 // wraps context.Canceled is a real failure that absorbed a
 // cancellation somewhere in its chain and is never skipped.
+//
+// Ordered collectors' folds apply in job order, each job's once every
+// earlier job has finished. Jobs are dispatched in index order and
+// dispatch only ever stops for good, so every dispatched job's folds
+// have applied when runAll returns.
 func runAll(ctx context.Context, jobs []runJob) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -617,6 +659,7 @@ func runAll(ctx context.Context, jobs []runJob) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
+	seq := foldSeq{held: make([][]func(), len(jobs)), done: make([]bool, len(jobs))}
 	sem := acquireSem()
 	var wg sync.WaitGroup
 	for i := range jobs {
@@ -624,14 +667,16 @@ func runAll(ctx context.Context, jobs []runJob) error {
 			break // cancelled: stop dispatching
 		}
 		wg.Add(1)
-		go func(j *runJob) {
+		go func(i int, j *runJob) {
 			defer wg.Done()
 			defer sem.Release()
-			*j.out, *j.err = run(ctx, j.src, j.mode, j.opts)
+			var ordered []func()
+			*j.out, ordered, *j.err = run(ctx, j.src, j.mode, j.opts)
+			seq.finish(i, ordered)
 			if *j.err != nil {
 				cancel()
 			}
-		}(&jobs[i])
+		}(i, &jobs[i])
 	}
 	wg.Wait()
 
@@ -640,4 +685,28 @@ func runAll(ctx context.Context, jobs []runJob) error {
 		errs[i] = *jobs[i].err
 	}
 	return jobsError(errs, parent)
+}
+
+// foldSeq applies each job's Ordered folds in job order: a finished
+// job's folds wait only for the jobs before it, so events reach an
+// Ordered collector while the sweep is still running.
+type foldSeq struct {
+	mu   sync.Mutex
+	held [][]func()
+	done []bool
+	next int // first job whose folds have not applied
+}
+
+// finish records job i's folds and applies every held job's whose
+// predecessors have all finished.
+func (q *foldSeq) finish(i int, folds []func()) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.held[i], q.done[i] = folds, true
+	for ; q.next < len(q.done) && q.done[q.next]; q.next++ {
+		for _, fold := range q.held[q.next] {
+			fold()
+		}
+		q.held[q.next] = nil
+	}
 }

@@ -212,3 +212,43 @@ func TestSamplersKeepMemo(t *testing.T) {
 		t.Error("ring recorded no frame constructions")
 	}
 }
+
+// TestSweepRingOrder: one event ring attached to a sweep of several
+// jobs exports the same bytes whether the jobs ran one at a time
+// (parallelism 1) or concurrently (parallelism 4), where excel's three
+// traces finish after the one-trace jobs dispatched behind it. The ring
+// is small enough to wrap, so the window it keeps depends on the order
+// runs reach it as well as their pids. Folding the ring in job
+// completion order fails this.
+func TestSweepRingOrder(t *testing.T) {
+	var profiles []workload.Profile
+	for _, name := range []string{"excel", "sound", "gzip", "vortex"} {
+		p, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		profiles = append(profiles, p)
+	}
+	export := func(parallelism int) []byte {
+		old := SetParallelism(parallelism)
+		defer SetParallelism(old)
+		ring := telemetry.NewRing(1<<12, "", "")
+		if _, err := Attribution(context.Background(), profiles,
+			Options{MaxInsts: 30_000, Probes: []Collector{ring}}); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := ring.WriteTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	serial, parallel := export(1), export(4)
+	if bytes.Contains(serial, []byte(`"dropped_events":0`)) {
+		t.Fatal("event ring did not wrap; shrink it")
+	}
+	if !bytes.Equal(serial, parallel) {
+		t.Errorf("sweep trace export depends on scheduling: %d bytes at parallelism 1, %d at 4",
+			len(serial), len(parallel))
+	}
+}

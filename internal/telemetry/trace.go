@@ -49,8 +49,9 @@ type ringEvent struct {
 // it attaches to becomes one trace process (pid), named after the run,
 // so cycle counters that restart per run stay monotonic within a track.
 // A run buffers its own events and appends them, under a new pid, when
-// its fold applies; sim applies folds in trace order, so the export of
-// a run does not depend on how its traces were scheduled.
+// its fold applies. The ring is a sim.Ordered collector: sim applies
+// its folds in trace order and, across a sweep's runs, in job order, so
+// the export does not depend on how the runs were scheduled.
 type Ring struct {
 	label string
 	jobID string
@@ -111,6 +112,10 @@ func (r *Ring) Attach(run string, _ int, _ *reuse.LoopStack) (pipeline.Probe, fu
 		}
 	})
 }
+
+// FoldsInOrder marks the ring as a sim.Ordered collector: its pids and
+// its bounded wrap follow the order its folds apply in.
+func (r *Ring) FoldsInOrder() {}
 
 // snapshot returns the buffered events in ring order (each run's
 // events in arrival order, run after run) and the run names.

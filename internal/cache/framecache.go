@@ -81,6 +81,9 @@ func (c *UOpCache[T]) Insert(pc uint32, size int, value T) bool {
 		if c.OnEvict != nil {
 			c.OnEvict(pc, old.size)
 		}
+		if c.Recycle != nil {
+			c.Recycle(old.value)
+		}
 	}
 	for c.used+size > c.capacity {
 		back := c.lru.Back()

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -64,5 +65,60 @@ func TestUOpCacheQuickReplacementAccounting(t *testing.T) {
 	}
 	if err := quick.Check(op, &quick.Config{MaxCount: 10_000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestUOpCacheRecycleEveryDisplaced checks the Recycle contract: across
+// capacity eviction, same-PC replacement and Invalidate, every value the
+// cache accepted reaches Recycle exactly once, and no Insert recycles the
+// value it is inserting.
+func TestUOpCacheRecycleEveryDisplaced(t *testing.T) {
+	const capacity = 256
+	c := NewUOpCache[int](capacity)
+	recycled := map[int]int{} // value -> Recycle calls
+	inserting := -1
+	c.Recycle = func(v int) {
+		if v == inserting {
+			t.Errorf("Insert recycled the value %d it was inserting", v)
+		}
+		recycled[v]++
+	}
+	rng := rand.New(rand.NewSource(1))
+	var accepted []int
+	var replaced, evicted, invalidated int
+	for v := 0; v < 20_000; v++ {
+		pc := uint32(rng.Intn(8))
+		if rng.Intn(4) == 0 {
+			if c.Contains(pc) {
+				invalidated++
+			}
+			c.Invalidate(pc)
+			continue
+		}
+		before := c.Evictions
+		if c.Contains(pc) {
+			replaced++
+		}
+		inserting = v
+		if c.Insert(pc, rng.Intn(96)+1, v) {
+			accepted = append(accepted, v)
+		}
+		inserting = -1
+		evicted += int(c.Evictions - before)
+	}
+	for pc := uint32(0); pc < 8; pc++ {
+		c.Invalidate(pc)
+	}
+	if replaced == 0 || evicted == 0 || invalidated == 0 {
+		t.Fatalf("sequence missed a displacement path: %d replaced, %d evicted, %d invalidated",
+			replaced, evicted, invalidated)
+	}
+	for _, v := range accepted {
+		if n := recycled[v]; n != 1 {
+			t.Errorf("value %d recycled %d times, want 1", v, n)
+		}
+	}
+	if len(recycled) != len(accepted) {
+		t.Errorf("Recycle saw %d distinct values, the cache accepted %d", len(recycled), len(accepted))
 	}
 }

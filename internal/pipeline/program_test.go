@@ -1,0 +1,49 @@
+package pipeline_test
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/pipeline"
+	"repro/internal/sim"
+	"repro/internal/workload"
+)
+
+// TestFramePrograms verifies the dispatch program of every frame that
+// enters the frame cache, over trace 0 of all 14 profiles, in RP and RPO
+// with rescheduling off and on.
+func TestFramePrograms(t *testing.T) {
+	const insts = 40_000
+	var resched int
+	for _, p := range workload.Profiles {
+		ss, err := sim.CaptureSlotStream(p, 0, insts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots, err := sim.SlotsFromRecorded(ss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []pipeline.Mode{pipeline.ModeRePLay, pipeline.ModeRePLayOpt} {
+			for _, rs := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%v/resched=%v", p.Name, mode, rs), func(t *testing.T) {
+					cfg := pipeline.DefaultConfig(mode)
+					cfg.OptReschedule = rs
+					eng := pipeline.New(cfg, mode, sim.NewSlotStream(slots))
+					check := pipeline.CheckPrograms(eng, t.Errorf)
+					eng.Run(insts)
+					if check.Entries == 0 {
+						t.Fatal("no frame entered the cache")
+					}
+					if check.Rescheduled > 0 != (rs && mode == pipeline.ModeRePLayOpt) {
+						t.Errorf("%d of %d entries rescheduled", check.Rescheduled, check.Entries)
+					}
+					resched += check.Rescheduled
+				})
+			}
+		}
+	}
+	if resched == 0 {
+		t.Error("no rescheduled frame was checked")
+	}
+}

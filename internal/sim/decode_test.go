@@ -231,24 +231,39 @@ func reportPerInst(b *testing.B, alloc uint64) {
 // BenchmarkEngine times the RPO timing model over a prebuilt recording
 // of the same stream, from a fresh engine per iteration, and reports
 // ns/inst and B/inst. The replayed stream is included; subtracting
-// BenchmarkReplayStream estimates the engine's own cost.
+// BenchmarkReplayStream estimates the engine's own cost. The plain
+// profile names run RPO; the _RP and _resched variants run RP and RPO
+// with position-field rescheduling, so every way a frame enters the
+// frame cache is timed.
 func BenchmarkEngine(b *testing.B) {
+	variants := []struct {
+		suffix  string
+		mode    pipeline.Mode
+		resched bool
+	}{
+		{"", pipeline.ModeRePLayOpt, false},
+		{"_RP", pipeline.ModeRePLay, false},
+		{"_resched", pipeline.ModeRePLayOpt, true},
+	}
 	for _, name := range streamBenchProfiles {
 		rec := captureRecorded(benchProgram(b, name), streamBenchInsts+captureSlack)
-		b.Run(name, func(b *testing.B) {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			cfg := pipeline.DefaultConfig(pipeline.ModeRePLayOpt)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng := pipeline.New(cfg, pipeline.ModeRePLayOpt, &replayStream{rec: rec})
-				if n := eng.Run(streamBenchInsts); n < streamBenchInsts {
-					b.Fatalf("engine retired %d of %d", n, streamBenchInsts)
+		for _, v := range variants {
+			b.Run(name+v.suffix, func(b *testing.B) {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				cfg := pipeline.DefaultConfig(v.mode)
+				cfg.OptReschedule = v.resched
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					eng := pipeline.New(cfg, v.mode, &replayStream{rec: rec})
+					if n := eng.Run(streamBenchInsts); n < streamBenchInsts {
+						b.Fatalf("engine retired %d of %d", n, streamBenchInsts)
+					}
 				}
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			reportPerInst(b, after.TotalAlloc-before.TotalAlloc)
-		})
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				reportPerInst(b, after.TotalAlloc-before.TotalAlloc)
+			})
+		}
 	}
 }

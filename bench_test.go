@@ -22,6 +22,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/tracing"
+	"repro/internal/uop"
 	"repro/internal/workload"
 )
 
@@ -97,14 +98,19 @@ func BenchmarkTable1Workloads(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				tr, err := prog.Capture(20_000)
+				slots, err := sim.CaptureSlots(prog, 20_000)
 				if err != nil {
 					b.Fatal(err)
 				}
-				s := tr.ComputeStats()
-				insts, loads = s.Insts, s.Loads
-				dec := sim.NewDecodeCounter(tr)
-				uops = dec.TotalUOps()
+				insts, loads, uops = len(slots), 0, 0
+				for _, s := range slots {
+					uops += len(s.UOps)
+					for _, u := range s.UOps {
+						if u.Op == uop.LOAD {
+							loads++
+						}
+					}
+				}
 			}
 			b.ReportMetric(float64(uops)/float64(insts), "uops/x86inst")
 			b.ReportMetric(1000*float64(loads)/float64(insts), "loads/kinst")
@@ -338,7 +344,10 @@ func BenchmarkAblationSpeculation(b *testing.B) {
 // passes, not the modeled hardware latency): frames optimized per second.
 func BenchmarkOptimizerThroughput(b *testing.B) {
 	p, _ := workload.ByName("vortex")
-	frames := sim.CollectFrames(p, 30_000, 64)
+	frames, err := sim.CollectFrames(p, 30_000, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
 	if len(frames) == 0 {
 		b.Fatal("no frames")
 	}

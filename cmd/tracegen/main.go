@@ -1,30 +1,29 @@
-// Command tracegen generates, saves, loads, and summarizes workload
-// traces — the reproduction's stand-in for the paper's hardware-captured
-// x86 trace files.
+// Command tracegen captures and summarizes workload traces — the
+// reproduction's stand-in for the paper's hardware-captured x86 trace
+// files — and exports them in the portable external uop-trace format.
 //
 // Usage:
 //
-//	tracegen -workload bzip2 [-trace 0] [-insts N] [-o file]      generate
-//	tracegen -workload bzip2 [-trace 0] [-insts N] -slots file    capture retired slot stream
-//	tracegen -workload bzip2 [-insts N] -export file [-format f]  export a portable uop trace
-//	tracegen -stat file                                           summarize a trace file
-//	tracegen -slotstat file                                       summarize a slot-stream file
-//	tracegen -list                                                list workloads
+//	tracegen -workload bzip2 [-trace 0] [-insts N]                          summarize a capture
+//	tracegen -workload bzip2 [-trace 0] [-insts N] -export file [-format f] export a portable uop trace
+//	tracegen -list                                                          list workloads
 //
 // -export writes the versioned external uop-trace format (see
 // internal/xtrace): -format binary (default) or ndjson. Exported files
 // replay through replaysim -load or a replayd trace upload with
-// bit-identical statistics to the direct run at the same budget.
+// bit-identical statistics to the direct run at the same budget;
+// tracecheck -xtrace inspects them.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
+	"repro/internal/uop"
 	"repro/internal/workload"
 	"repro/internal/xtrace"
 )
@@ -33,25 +32,29 @@ func main() {
 	name := flag.String("workload", "", "workload profile to capture")
 	traceIdx := flag.Int("trace", 0, "hot-spot trace index")
 	insts := flag.Int("insts", 0, "x86 instruction budget (default: profile budget)")
-	out := flag.String("o", "", "write the captured trace to this file")
-	slots := flag.String("slots", "", "write the retired slot stream (replay capture) to this file")
 	export := flag.String("export", "", "write the portable external uop trace to this file")
 	format := flag.String("format", "binary", "external trace encoding: binary or ndjson")
-	stat := flag.String("stat", "", "summarize an existing trace file")
-	slotStat := flag.String("slotstat", "", "summarize an existing slot-stream file")
 	list := flag.Bool("list", false, "list the workload set (Table 1)")
 	flag.Parse()
 
-	if err := run(*name, *traceIdx, *insts, *out, *slots, *export, *format, *stat, *slotStat, *list); err != nil {
+	if err := run(*name, *traceIdx, *insts, *export, *format, *list); err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(1)
 	}
 }
 
-// exportTrace captures the workload's retired slot stream (with replay
-// slack past the budget, so loaders can stream the same window the
-// replay pipeline sees) and writes it in the external format.
-func exportTrace(name string, traceIdx, insts int, path, format string) error {
+func run(name string, traceIdx, insts int, export, format string, list bool) error {
+	if list {
+		t := stats.NewTable("Name", "Class", "Traces", "Insts/trace")
+		for _, p := range workload.Profiles {
+			t.Row(p.Name, p.Class, p.Traces, p.XInsts)
+		}
+		t.Write(os.Stdout)
+		return nil
+	}
+	if name == "" {
+		return fmt.Errorf("nothing to do; see -h")
+	}
 	p, err := workload.ByName(name)
 	if err != nil {
 		return err
@@ -59,28 +62,43 @@ func exportTrace(name string, traceIdx, insts int, path, format string) error {
 	if insts == 0 {
 		insts = p.XInsts
 	}
-	ss, err := sim.CaptureSlotStream(p, traceIdx, insts+sim.ReplaySlack)
+	prog, err := workload.Generate(p, traceIdx)
 	if err != nil {
 		return err
 	}
-	xt, err := xtrace.FromSlotStream(ss, insts)
+	if export != "" {
+		return exportTrace(prog, insts, export, format)
+	}
+	return summarize(prog, insts)
+}
+
+// exportTrace captures the program's retired slots (with replay slack
+// past the budget, so loaders can stream the same window the replay
+// pipeline sees) and writes them in the external format.
+func exportTrace(prog *workload.Program, insts int, path, format string) error {
+	var write func(io.Writer, *xtrace.Trace) error
+	switch format {
+	case "binary":
+		write = xtrace.WriteBinary
+	case "ndjson":
+		write = xtrace.WriteNDJSON
+	default:
+		return fmt.Errorf("unknown -format %q (want binary or ndjson)", format)
+	}
+	slots, err := sim.CaptureSlots(prog, insts+sim.ReplaySlack)
 	if err != nil {
 		return err
 	}
+	xt := xtrace.FromSlots(prog.Name, prog.Base, prog.Code, slots, insts)
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	switch format {
-	case "binary":
-		err = xtrace.WriteBinary(f, xt)
-	case "ndjson":
-		err = xtrace.WriteNDJSON(f, xt)
-	default:
-		return fmt.Errorf("unknown -format %q (want binary or ndjson)", format)
+	if err := write(f, xt); err != nil {
+		f.Close()
+		return err
 	}
-	if err != nil {
+	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s: %s format, %d records, %d insts, id %s\n",
@@ -88,142 +106,42 @@ func exportTrace(name string, traceIdx, insts int, path, format string) error {
 	return nil
 }
 
-func run(name string, traceIdx, insts int, out, slots, export, format, stat, slotStat string, list bool) error {
-	switch {
-	case list:
-		t := stats.NewTable("Name", "Class", "Traces", "Insts/trace")
-		for _, p := range workload.Profiles {
-			t.Row(p.Name, p.Class, p.Traces, p.XInsts)
-		}
-		t.Write(os.Stdout)
-		return nil
-
-	case stat != "":
-		f, err := os.Open(stat)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		tr, err := trace.Read(f)
-		if err != nil {
-			return err
-		}
-		printStats(tr)
-		return nil
-
-	case slotStat != "":
-		f, err := os.Open(slotStat)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		ss, err := trace.ReadSlots(f)
-		if err != nil {
-			return err
-		}
-		return printSlotStats(ss)
-
-	case name != "" && export != "":
-		return exportTrace(name, traceIdx, insts, export, format)
-
-	case name != "" && slots != "":
-		p, err := workload.ByName(name)
-		if err != nil {
-			return err
-		}
-		if insts == 0 {
-			insts = p.XInsts
-		}
-		ss, err := sim.CaptureSlotStream(p, traceIdx, insts)
-		if err != nil {
-			return err
-		}
-		f, err := os.Create(slots)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := ss.Write(f); err != nil {
-			return err
-		}
-		if err := printSlotStats(ss); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", slots)
-		return nil
-
-	case name != "":
-		p, err := workload.ByName(name)
-		if err != nil {
-			return err
-		}
-		if insts == 0 {
-			insts = p.XInsts
-		}
-		prog, err := workload.Generate(p, traceIdx)
-		if err != nil {
-			return err
-		}
-		tr, err := prog.Capture(insts)
-		if err != nil {
-			return err
-		}
-		printStats(tr)
-		if out != "" {
-			f, err := os.Create(out)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := tr.Write(f); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", out)
-		}
-		return nil
-	}
-	return fmt.Errorf("nothing to do; see -h")
-}
-
-// printSlotStats summarizes a retired slot stream: length, code image,
-// PC footprint, and the micro-op expansion of the retired mix.
-func printSlotStats(ss *trace.SlotStream) error {
-	slots, err := sim.SlotsFromRecorded(ss)
+// summarize captures the program's first insts retired instructions and
+// prints their length, PC footprint, micro-op expansion, memory mix and
+// taken control transfers.
+func summarize(prog *workload.Program, insts int) error {
+	slots, err := sim.CaptureSlots(prog, insts)
 	if err != nil {
 		return err
 	}
 	pcs := make(map[uint32]bool)
-	var uops, memops, transfers int
+	var uops, loads, stores, transfers int
 	for i := range slots {
 		s := &slots[i]
 		pcs[s.PC] = true
 		uops += len(s.UOps)
-		memops += len(s.MemAddrs)
+		for _, u := range s.UOps {
+			switch u.Op {
+			case uop.LOAD:
+				loads++
+			case uop.STORE:
+				stores++
+			}
+		}
 		if s.NextPC != s.PC+uint32(s.Inst.Len) {
 			transfers++
 		}
 	}
 	n := len(slots)
-	fmt.Printf("slot stream %s: code %d bytes at %#x\n", ss.Name, len(ss.Code), ss.CodeBase)
+	fmt.Printf("trace %s: code %d bytes at %#x\n", prog.Name, len(prog.Code), prog.Base)
 	t := stats.NewTable("Metric", "Value", "Per kinst")
 	per := func(v int) string { return fmt.Sprintf("%.1f", 1000*float64(v)/float64(n)) }
-	t.Row("retired slots (x86 insts)", n, "")
+	t.Row("x86 instructions", n, "")
 	t.Row("unique PCs", len(pcs), "")
 	t.Row("micro-ops", uops, per(uops))
-	t.Row("memory accesses", memops, per(memops))
+	t.Row("loads", loads, per(loads))
+	t.Row("stores", stores, per(stores))
 	t.Row("taken transfers", transfers, per(transfers))
 	t.Write(os.Stdout)
 	return nil
-}
-
-func printStats(tr *trace.Trace) {
-	s := tr.ComputeStats()
-	fmt.Printf("trace %s: code %d bytes at %#x\n", tr.Name, len(tr.Code), tr.CodeBase)
-	t := stats.NewTable("Metric", "Value", "Per kinst")
-	per := func(n int) string { return fmt.Sprintf("%.1f", 1000*float64(n)/float64(s.Insts)) }
-	t.Row("x86 instructions", s.Insts, "")
-	t.Row("loads", s.Loads, per(s.Loads))
-	t.Row("stores", s.Stores, per(s.Stores))
-	t.Row("taken transfers", s.Branches, per(s.Branches))
-	t.Write(os.Stdout)
 }

@@ -22,11 +22,11 @@ func testUpload(t *testing.T, budget int) (*sim.ExternalRun, Resolver) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := sim.CaptureSlotStream(p, 0, budget+sim.ReplaySlack)
+	prog, err := workload.Generate(p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slots, err := sim.SlotsFromRecorded(ss)
+	slots, err := sim.CaptureSlots(prog, budget+sim.ReplaySlack)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,11 +16,11 @@ func TestFramePrograms(t *testing.T) {
 	const insts = 40_000
 	var resched int
 	for _, p := range workload.Profiles {
-		ss, err := sim.CaptureSlotStream(p, 0, insts)
+		prog, err := workload.Generate(p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		slots, err := sim.SlotsFromRecorded(ss)
+		slots, err := sim.CaptureSlots(prog, insts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,14 +28,15 @@ func exportGzip(t *testing.T, budget int) ([]byte, *xtrace.Trace) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := sim.CaptureSlotStream(p, 0, budget+sim.ReplaySlack)
+	prog, err := workload.Generate(p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xt, err := xtrace.FromSlotStream(ss, budget)
+	slots, err := sim.CaptureSlots(prog, budget+sim.ReplaySlack)
 	if err != nil {
 		t.Fatal(err)
 	}
+	xt := xtrace.FromSlots(prog.Name, prog.Base, prog.Code, slots, budget)
 	var buf bytes.Buffer
 	if err := xtrace.WriteBinary(&buf, xt); err != nil {
 		t.Fatal(err)

@@ -42,7 +42,10 @@ func TestAttributionConservation(t *testing.T) {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
-			frames := CollectFrames(p, 30_000, 24)
+			frames, err := CollectFrames(p, 30_000, 24)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if len(frames) == 0 {
 				t.Fatalf("no frames constructed for %s", p.Name)
 			}

@@ -7,11 +7,7 @@ import (
 	"unsafe"
 
 	"repro/internal/pipeline"
-	"repro/internal/trace"
-	"repro/internal/translate"
-	"repro/internal/uop"
 	"repro/internal/workload"
-	"repro/internal/x86"
 )
 
 // The capture layer: the functional IA-32 interpreter runs once per
@@ -296,66 +292,26 @@ func CaptureOccupancy() (entries int, bytes int64, entryLimit int, byteLimit int
 	return len(captures.entries), captures.bytes, captures.maxEntries, captures.maxBytes
 }
 
-// CaptureSlotStream interprets one hot-spot trace of the profile and
-// returns the retired slot stream in the on-disk format (cmd/tracegen
-// dumps these; SlotsFromRecorded reloads them).
-func CaptureSlotStream(p workload.Profile, traceIdx, maxInsts int) (*trace.SlotStream, error) {
-	prog, err := workload.Generate(p, traceIdx)
-	if err != nil {
-		return nil, err
-	}
-	rec := captureRecorded(prog, maxInsts)
+// CaptureSlots interprets the program for at most n retired
+// instructions and returns them as engine-ready slots, each carrying its
+// decode-table entry's instruction and micro-op flow. An interpreter
+// error inside the window is returned.
+func CaptureSlots(prog *workload.Program, n int) ([]pipeline.Slot, error) {
+	rec := captureRecorded(prog, n)
 	if rec.err != nil {
 		return nil, rec.err
 	}
-	ss := &trace.SlotStream{Name: prog.Name, CodeBase: prog.Base, Code: prog.Code,
-		Slots: make([]trace.SlotRec, 0, rec.len())}
-	var s pipeline.Slot
-	for i := 0; i < rec.len(); i++ {
-		rec.slot(i, &s)
-		ss.Slots = append(ss.Slots, trace.SlotRec{PC: s.PC, NextPC: s.NextPC, MemAddrs: s.MemAddrs})
-	}
-	return ss, nil
-}
-
-// SlotsFromRecorded reconstructs engine-ready slots from an on-disk
-// stream, re-decoding and re-translating each PC from the code image
-// (decode is deterministic, so the result matches the original capture).
-func SlotsFromRecorded(ss *trace.SlotStream) ([]pipeline.Slot, error) {
-	insts := make(map[uint32]x86.Inst)
-	uops := make(map[uint32][]uop.UOp)
-	slots := make([]pipeline.Slot, 0, len(ss.Slots))
-	for i := range ss.Slots {
-		r := &ss.Slots[i]
-		in, ok := insts[r.PC]
-		var us []uop.UOp
-		if ok {
-			us = uops[r.PC]
-		} else {
-			b := ss.InstBytes(r.PC)
-			if b == nil {
-				return nil, fmt.Errorf("sim: slot %d PC %#x outside the code image", i, r.PC)
-			}
-			var err error
-			in, err = x86.Decode(b)
-			if err != nil {
-				return nil, fmt.Errorf("sim: slot %d PC %#x: %w", i, r.PC, err)
-			}
-			us, err = translate.UOps(in, r.PC)
-			if err != nil {
-				return nil, fmt.Errorf("sim: slot %d PC %#x: %w", i, r.PC, err)
-			}
-			insts[r.PC] = in
-			uops[r.PC] = us
-		}
-		slots = append(slots, pipeline.Slot{PC: r.PC, Inst: in, UOps: us, NextPC: r.NextPC, MemAddrs: r.MemAddrs})
+	slots := make([]pipeline.Slot, rec.len())
+	for i := range slots {
+		rec.slot(i, &slots[i])
 	}
 	return slots, nil
 }
 
-// NewSlotStream wraps a reconstructed slot slice as a correct-path
-// stream for pipeline.New (the replay path for on-disk captures). Slots
-// sharing a PC share its decode, as every producer's slots do.
+// NewSlotStream wraps a slot slice as a correct-path stream for
+// pipeline.New (the replay path for uploaded traces and captured
+// slots). Slots sharing a PC share its decode, as every producer's
+// slots do.
 func NewSlotStream(slots []pipeline.Slot) pipeline.Stream {
 	rec := &recordedStream{
 		entries: make([]int32, 0, len(slots)),

@@ -1,13 +1,12 @@
 package sim
 
 import (
-	"bytes"
 	"context"
 	"reflect"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/pipeline"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -118,65 +117,82 @@ func TestCaptureCacheBounded(t *testing.T) {
 	}
 }
 
-// TestSlotStreamDumpReload: the on-disk slot-stream capture reloads into
-// the slots the interpreter originally produced, and a timing run over
-// the reloaded stream matches a live run exactly.
-func TestSlotStreamDumpReload(t *testing.T) {
-	p, err := workload.ByName("bzip2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const insts = 8_000
-	ss, err := CaptureSlotStream(p, 0, insts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ss.Slots) != insts {
-		t.Fatalf("captured %d slots, want %d", len(ss.Slots), insts)
-	}
-
-	var buf bytes.Buffer
-	if err := ss.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := trace.ReadSlots(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slots, err := SlotsFromRecorded(loaded)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Reference: interpret live.
-	prog, err := workload.Generate(p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := captureRecorded(prog, insts)
-	if len(slots) != rec.len() {
-		t.Fatalf("reloaded %d slots, captured %d", len(slots), rec.len())
-	}
-	captured := make([]pipeline.Slot, rec.len())
-	for i := range captured {
-		rec.slot(i, &captured[i])
-	}
-	for i := range slots {
-		if !reflect.DeepEqual(slots[i], captured[i]) {
-			t.Fatalf("slot %d differs after dump/reload:\n got %+v\nwant %+v", i, slots[i], captured[i])
+// TestCaptureSlots: CaptureSlots yields slot for slot what the
+// interpreter stream does, ends where the program halts, and returns the
+// interpreter's error only when the fault lies inside the window.
+func TestCaptureSlots(t *testing.T) {
+	const iters = 100
+	const faultAt = 1 + 2*iters + 1 // slots retired before the div faults
+	for _, c := range []struct {
+		name    string
+		prog    *workload.Program
+		n, want int
+		fails   bool
+	}{
+		{"fault-outside", loopProgram(iters, tailFault...), faultAt, faultAt, false},
+		{"fault-inside", loopProgram(iters, tailFault...), faultAt + 1, 0, true},
+		{"halt", loopProgram(iters, tailHalt...), 10 * faultAt, faultAt - 1, false}, // hlt does not retire
+	} {
+		slots, err := CaptureSlots(c.prog, c.n)
+		if (err != nil) != c.fails || len(slots) != c.want {
+			t.Errorf("%s: %d slots, error %v; want %d slots, error %v", c.name, len(slots), err, c.want, c.fails)
+			continue
+		}
+		src := newCPUStream(c.prog)
+		var want pipeline.Slot
+		for i := range slots {
+			if !src.NextInto(&want) || !reflect.DeepEqual(slots[i], want) {
+				t.Fatalf("%s: slot %d = %+v, interpreter gives %+v", c.name, i, slots[i], want)
+			}
 		}
 	}
+}
 
-	// And the timing model agrees over both streams.
-	run := func(src pipeline.Stream) pipeline.Stats {
-		eng := pipeline.New(pipeline.DefaultConfig(pipeline.ModeRePLayOpt), pipeline.ModeRePLayOpt, src)
-		eng.Run(insts)
-		return eng.Stats()
+// TestCollectFramesMatchFeedTrace: frames constructed from the capture
+// equal the frames frame.FeedTrace builds from the interpreter's full
+// trace, on trace 0 of every profile, so benchmarks over either path
+// see the production decode.
+func TestCollectFramesMatchFeedTrace(t *testing.T) {
+	const insts = 30_000
+	for _, p := range workload.Profiles {
+		got, err := CollectFrames(p, insts, 1<<30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := workload.Generate(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := prog.Capture(insts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []*frame.Frame
+		cons := frame.NewConstructor(frame.DefaultConfig(), func(f *frame.Frame) { want = append(want, f) })
+		if err := frame.FeedTrace(cons, tr); err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s: no frames", p.Name)
+		}
+		for _, f := range append(got, want...) {
+			nilEmptySlices(f)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %d frames from the capture differ from FeedTrace's %d", p.Name, len(got), len(want))
+		}
 	}
-	live := run(NewSlotStream(captured))
-	reloaded := run(NewSlotStream(slots))
-	if !reflect.DeepEqual(live, reloaded) {
-		t.Error("timing stats differ between live and reloaded streams")
+}
+
+// nilEmptySlices sets the frame's empty slices to nil. A frame reused
+// from the frame pool keeps empty slices where a new one has nil ones,
+// and which frames the pool hands out varies from run to run.
+func nilEmptySlices(f *frame.Frame) {
+	v := reflect.ValueOf(f).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if fv := v.Field(i); fv.Kind() == reflect.Slice && fv.Len() == 0 {
+			fv.Set(reflect.Zero(fv.Type()))
+		}
 	}
 }
 

@@ -2,44 +2,20 @@ package sim
 
 import (
 	"repro/internal/frame"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// DecodeCounter tallies micro-op counts over a captured trace (used by
-// the Table 1 benchmark to report the micro-op/instruction ratio).
-type DecodeCounter struct {
-	tr *trace.Trace
-}
-
-// NewDecodeCounter returns a counter over the trace.
-func NewDecodeCounter(tr *trace.Trace) *DecodeCounter { return &DecodeCounter{tr: tr} }
-
-// TotalUOps decodes and translates every record, returning the total
-// micro-op count of the dynamic stream.
-func (d *DecodeCounter) TotalUOps() int {
-	dec := frame.NewDecoder(d.tr)
-	total := 0
-	for i := range d.tr.Records {
-		_, uops, err := dec.At(d.tr.Records[i].PC)
-		if err != nil {
-			continue
-		}
-		total += len(uops)
-	}
-	return total
-}
-
-// CollectFrames constructs up to max frames from a workload's first
-// hot-spot trace (used by optimizer micro-benchmarks).
-func CollectFrames(p workload.Profile, insts, max int) []*frame.Frame {
+// CollectFrames constructs up to max frames from the first insts
+// retired instructions of a workload's first hot-spot trace (used by
+// optimizer micro-benchmarks).
+func CollectFrames(p workload.Profile, insts, max int) ([]*frame.Frame, error) {
 	prog, err := workload.Generate(p, 0)
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	tr, err := prog.Capture(insts)
+	slots, err := CaptureSlots(prog, insts)
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	var out []*frame.Frame
 	cons := frame.NewConstructor(frame.DefaultConfig(), func(f *frame.Frame) {
@@ -47,8 +23,10 @@ func CollectFrames(p workload.Profile, insts, max int) []*frame.Frame {
 			out = append(out, f)
 		}
 	})
-	if err := frame.FeedTrace(cons, tr); err != nil {
-		return nil
+	for i := range slots {
+		s := &slots[i]
+		cons.Retire(s.PC, s.Inst, s.UOps, s.NextPC, s.MemAddrs)
 	}
-	return out
+	cons.Flush()
+	return out, nil
 }

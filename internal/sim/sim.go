@@ -93,7 +93,7 @@ func (s *cpuStream) step() (entry int32, nextPC uint32, addrs []uint32, ok bool)
 	}
 	s.addrs = grown
 	// nil (not empty) when the instruction touches no memory, so slots
-	// round-trip exactly through the on-disk slot-stream format. The
+	// deep-equal the ones xtrace's adapter rebuilds from an export. The
 	// addresses alias the arena chunk, capacity-clipped; slots are
 	// read-only downstream.
 	if n := len(grown); n > base {

@@ -88,11 +88,11 @@ func TestRunWorkloadProbeSpanAttrs(t *testing.T) {
 		t.Fatal(err)
 	}
 	const insts = 30_000
-	ss, err := CaptureSlotStream(p, 0, insts+ReplaySlack)
+	prog, err := workload.Generate(p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slots, err := SlotsFromRecorded(ss)
+	slots, err := CaptureSlots(prog, insts+ReplaySlack)
 	if err != nil {
 		t.Fatal(err)
 	}

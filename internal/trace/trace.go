@@ -1,4 +1,4 @@
-// Package trace defines the instruction trace format of the simulation
+// Package trace defines the instruction trace record of the simulation
 // environment — the stand-in for the hardware-generated x86 traces the
 // paper obtained from AMD (Section 5.1.1).
 //
@@ -8,14 +8,6 @@
 // trace reader consumes: load data drives the Micro-Op Injector, store
 // data and register changes drive the State Verifier.
 package trace
-
-import (
-	"bufio"
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
-)
 
 // MemOp is one memory transaction of an instruction.
 type MemOp struct {
@@ -120,147 +112,4 @@ func (t *Trace) ComputeStats() Stats {
 		}
 	}
 	return s
-}
-
-// Binary format: a small header, the code image, then the records.
-var magic = [4]byte{'r', 'P', 'L', '1'}
-
-var errBadMagic = errors.New("trace: bad magic")
-
-// Write serializes the trace.
-func (t *Trace) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	writeU32 := func(v uint32) { binary.Write(bw, binary.LittleEndian, v) }
-	name := []byte(t.Name)
-	writeU32(uint32(len(name)))
-	bw.Write(name)
-	writeU32(t.CodeBase)
-	writeU32(uint32(len(t.Code)))
-	bw.Write(t.Code)
-	writeU32(uint32(len(t.Records)))
-	for i := range t.Records {
-		r := &t.Records[i]
-		writeU32(r.PC)
-		bw.WriteByte(r.Len)
-		binary.Write(bw, binary.LittleEndian, r.RegMask)
-		for _, v := range r.RegVals {
-			writeU32(v)
-		}
-		if r.FlagsChanged() {
-			writeU32(r.Flags)
-		}
-		bw.WriteByte(uint8(len(r.MemOps)))
-		for _, m := range r.MemOps {
-			writeU32(m.Addr)
-			writeU32(m.Data)
-			if m.IsStore {
-				bw.WriteByte(1)
-			} else {
-				bw.WriteByte(0)
-			}
-		}
-		writeU32(r.NextPC)
-	}
-	return bw.Flush()
-}
-
-// Read deserializes a trace written by Write.
-func Read(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, err
-	}
-	if m != magic {
-		return nil, errBadMagic
-	}
-	readU32 := func() (uint32, error) {
-		var v uint32
-		err := binary.Read(br, binary.LittleEndian, &v)
-		return v, err
-	}
-	t := &Trace{}
-	n, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	if n > 1<<20 {
-		return nil, fmt.Errorf("trace: unreasonable name length %d", n)
-	}
-	name := make([]byte, n)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, err
-	}
-	t.Name = string(name)
-	if t.CodeBase, err = readU32(); err != nil {
-		return nil, err
-	}
-	if n, err = readU32(); err != nil {
-		return nil, err
-	}
-	if n > 1<<28 {
-		return nil, fmt.Errorf("trace: unreasonable code size %d", n)
-	}
-	t.Code = make([]byte, n)
-	if _, err := io.ReadFull(br, t.Code); err != nil {
-		return nil, err
-	}
-	count, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	t.Records = make([]Record, 0, count)
-	for i := uint32(0); i < count; i++ {
-		var rec Record
-		if rec.PC, err = readU32(); err != nil {
-			return nil, err
-		}
-		if rec.Len, err = br.ReadByte(); err != nil {
-			return nil, err
-		}
-		if err = binary.Read(br, binary.LittleEndian, &rec.RegMask); err != nil {
-			return nil, err
-		}
-		for reg := uint8(0); reg < 8; reg++ {
-			if rec.RegMask&(1<<reg) != 0 {
-				v, err := readU32()
-				if err != nil {
-					return nil, err
-				}
-				rec.RegVals = append(rec.RegVals, v)
-			}
-		}
-		if rec.FlagsChanged() {
-			if rec.Flags, err = readU32(); err != nil {
-				return nil, err
-			}
-		}
-		nm, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		for j := uint8(0); j < nm; j++ {
-			var mo MemOp
-			if mo.Addr, err = readU32(); err != nil {
-				return nil, err
-			}
-			if mo.Data, err = readU32(); err != nil {
-				return nil, err
-			}
-			b, err := br.ReadByte()
-			if err != nil {
-				return nil, err
-			}
-			mo.IsStore = b != 0
-			rec.MemOps = append(rec.MemOps, mo)
-		}
-		if rec.NextPC, err = readU32(); err != nil {
-			return nil, err
-		}
-		t.Records = append(t.Records, rec)
-	}
-	return t, nil
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 )
@@ -20,44 +19,6 @@ func sampleTrace() *Trace {
 	r2.MemOps = []MemOp{{Addr: 0x8000, Data: 0x1234, IsStore: true}, {Addr: 0x8000, Data: 0x1234}}
 	t.Records = []Record{r1, r2}
 	return t
-}
-
-func TestRoundTrip(t *testing.T) {
-	tr := sampleTrace()
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != tr.Name || got.CodeBase != tr.CodeBase || !bytes.Equal(got.Code, tr.Code) {
-		t.Errorf("header mismatch: %+v", got)
-	}
-	if !reflect.DeepEqual(got.Records, tr.Records) {
-		t.Errorf("records mismatch:\n got %+v\nwant %+v", got.Records, tr.Records)
-	}
-}
-
-func TestBadMagic(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("nope"))); err == nil {
-		t.Error("expected error on bad magic")
-	}
-}
-
-func TestTruncated(t *testing.T) {
-	tr := sampleTrace()
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	for _, n := range []int{5, 10, len(b) - 3} {
-		if _, err := Read(bytes.NewReader(b[:n])); err == nil {
-			t.Errorf("Read of %d/%d bytes succeeded", n, len(b))
-		}
-	}
 }
 
 func TestRecordHelpers(t *testing.T) {

@@ -46,14 +46,6 @@ func (p *Program) NewCPU() *cpu.CPU {
 	return c
 }
 
-// Tracefile pairs a captured trace with the profile that produced it,
-// mirroring the paper's per-hot-spot trace files.
-type Tracefile struct {
-	Profile Profile
-	Index   int
-	Trace   *trace.Trace
-}
-
 // Capture executes up to maxInsts x86 instructions and returns the
 // resulting trace (the reproduction's analogue of a hardware-captured
 // "hot spot" trace file).

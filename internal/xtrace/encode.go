@@ -6,64 +6,42 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"io"
 
-	"repro/internal/trace"
-	"repro/internal/translate"
+	"repro/internal/pipeline"
 	"repro/internal/uop"
-	"repro/internal/x86"
 )
 
-// FromSlotStream converts a captured retired-slot stream into an
+// FromSlots encodes retired slots captured from a program as an
 // external trace with an embedded code image, emitting one record per
-// translated micro-op. insts is the intended instruction budget (0 means
-// the whole stream is the budget); the stream is expected to carry slack
-// slots beyond it (FlagPadded is set when it does). The result
-// round-trips: adapting it back to slots reproduces the capture
-// bit-identically, because decode/translation are deterministic
-// functions of the code bytes.
-func FromSlotStream(ss *trace.SlotStream, insts int) (*Trace, error) {
+// micro-op of each slot's flow. name, codeBase and code describe the
+// program the slots were decoded from. insts is the intended
+// instruction budget (0 means the whole stream is the budget); the
+// slots are expected to carry slack beyond it (FlagPadded is set when
+// they do). The result round-trips: Slots decodes and translates the
+// same code bytes, so it reproduces the capture bit-identically.
+func FromSlots(name string, codeBase uint32, code []byte, slots []pipeline.Slot, insts int) *Trace {
 	t := &Trace{
 		Header: Header{
 			Version: FormatVersion,
-			Name:    ss.Name,
+			Name:    name,
 			Arch:    ArchIA32,
 			Flags:   FlagHasCode,
 		},
-		CodeBase: ss.CodeBase,
-		Code:     ss.Code,
+		CodeBase: codeBase,
+		Code:     code,
 	}
-	if insts > 0 && insts <= len(ss.Slots) {
+	if insts > 0 && insts <= len(slots) {
 		t.Header.Insts = uint32(insts)
-		if insts < len(ss.Slots) {
+		if insts < len(slots) {
 			t.Header.Flags |= FlagPadded
 		}
 	}
-	uops := make(map[uint32][]uop.UOp)
-	lens := make(map[uint32]uint32)
-	for i := range ss.Slots {
-		s := &ss.Slots[i]
-		us, ok := uops[s.PC]
-		if !ok {
-			b := ss.InstBytes(s.PC)
-			if b == nil {
-				return nil, fmt.Errorf("xtrace: slot %d PC %#x outside the code image", i, s.PC)
-			}
-			in, err := x86.Decode(b)
-			if err != nil {
-				return nil, fmt.Errorf("xtrace: slot %d PC %#x: %w", i, s.PC, err)
-			}
-			us, err = translate.UOps(in, s.PC)
-			if err != nil {
-				return nil, fmt.Errorf("xtrace: slot %d PC %#x: %w", i, s.PC, err)
-			}
-			uops[s.PC] = us
-			lens[s.PC] = uint32(in.Len)
-		}
-		taken := s.NextPC != s.PC+lens[s.PC]
+	for i := range slots {
+		s := &slots[i]
+		taken := s.NextPC != s.PC+uint32(s.Inst.Len)
 		mem := 0
-		for ui, u := range us {
+		for ui, u := range s.UOps {
 			r := Record{EIP: s.PC, Class: classOf(u.Op)}
 			if ui == 0 {
 				r.Flags |= RecFirst
@@ -79,13 +57,13 @@ func FromSlotStream(ss *trace.SlotStream, insts int) (*Trace, error) {
 			}
 			t.Records = append(t.Records, r)
 		}
-		if i == len(ss.Slots)-1 {
-			t.FinalPC = s.NextPC
-			t.HasFinal = true
-		}
+	}
+	if n := len(slots); n > 0 {
+		t.FinalPC = slots[n-1].NextPC
+		t.HasFinal = true
 	}
 	t.Header.UOps = uint64(len(t.Records))
-	return t, nil
+	return t
 }
 
 // classOf maps a micro-op opcode to its record class.

@@ -32,14 +32,7 @@ func TestRoundTripBitIdentical(t *testing.T) {
 	}
 
 	// Export: capture budget+slack slots, intended budget in the header.
-	ss, err := sim.CaptureSlotStream(p, 0, budget+sim.ReplaySlack)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xt, err := xtrace.FromSlotStream(ss, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
+	xt := exportWorkload(t, "gzip", 0, budget)
 	if got := xt.Header.Insts; got != budget {
 		t.Fatalf("header insts = %d, want %d", got, budget)
 	}
@@ -91,18 +84,15 @@ func TestAdaptedSlotsMatchCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := sim.CaptureSlotStream(p, 0, 5_000)
+	prog, err := workload.Generate(p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.SlotsFromRecorded(ss)
+	want, err := sim.CaptureSlots(prog, 5_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xt, err := xtrace.FromSlotStream(ss, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	xt := xtrace.FromSlots(prog.Name, prog.Base, prog.Code, want, 0)
 	var buf bytes.Buffer
 	if err := xtrace.WriteBinary(&buf, xt); err != nil {
 		t.Fatal(err)

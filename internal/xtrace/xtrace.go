@@ -19,8 +19,8 @@
 //
 // A trace that carries its IA-32 code image (the exporter's round-trip
 // mode) replays bit-identically: every slot is re-decoded and
-// re-translated from the code bytes, exactly like the on-disk
-// slot-stream captures. A trace without a code image — the
+// re-translated from the code bytes, exactly as the capture decoded
+// them. A trace without a code image — the
 // bring-your-own-trace case — is adapted by synthesizing a canonical
 // micro-op flow per record class, which the pipeline, frame cache, and
 // optimizer consume unmodified (the timing model never evaluates

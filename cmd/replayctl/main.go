@@ -65,9 +65,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -254,23 +254,16 @@ func printMetrics(r io.Reader, w io.Writer) error {
 				maxN = counts[i]
 			}
 		}
+		// Bucket labels use the exposition's shortest-float form, so
+		// close bounds (0.001, 0.0025) stay distinct; +Inf prints as such.
 		for i, b := range h.Buckets {
-			label := "+Inf"
-			if !math.IsInf(b.Le, 1) {
-				label = strings.TrimRight(strings.TrimRight(fmt.Sprintf("%.1f", b.Le), "0"), ".")
-			}
-			stats.Bar(w, "le="+label, counts[i], maxN, 40, "%.0f")
+			stats.Bar(w, "le="+strconv.FormatFloat(b.Le, 'g', -1, 64), counts[i], maxN, 40, "%.0f")
 		}
 		for _, b := range h.Buckets {
-			if b.Exemplar == nil || b.Exemplar.TraceID == "" {
-				continue
+			if b.Exemplar != nil && b.Exemplar.TraceID != "" {
+				fmt.Fprintf(w, "  exemplar le=%s: trace=%s value=%.4g\n",
+					strconv.FormatFloat(b.Le, 'g', -1, 64), b.Exemplar.TraceID, b.Exemplar.Value)
 			}
-			label := "+Inf"
-			if !math.IsInf(b.Le, 1) {
-				label = strings.TrimRight(strings.TrimRight(fmt.Sprintf("%.3f", b.Le), "0"), ".")
-			}
-			fmt.Fprintf(w, "  exemplar le=%s: trace=%s value=%.4g\n",
-				label, b.Exemplar.TraceID, b.Exemplar.Value)
 		}
 	}
 	return nil

@@ -139,10 +139,11 @@ func TestCyclesEndToEnd(t *testing.T) {
 	}
 }
 
-// TestCycleMetricsFold checks the aggregation directly: two folded
-// reports sum per bin and the loop rollups accumulate.
+// TestCycleMetricsFold checks the cycles rows of the report fold
+// directly: two folded reports sum per bin and the loop rollups
+// accumulate.
 func TestCycleMetricsFold(t *testing.T) {
-	m := newCycleMetrics()
+	m := newReportMetrics()
 	var rep sim.CycleReport
 	var r cycleprof.Report
 	r.Cycles = 40
@@ -150,8 +151,8 @@ func TestCycleMetricsFold(t *testing.T) {
 	r.Bins[pipeline.BinFrame] = 10
 	r.Loops = []cycleprof.LoopCycles{{Header: 0x10, Cycles: 25}}
 	rep.Rows = []sim.CycleRow{{Workload: "w", Report: r}}
-	m.fold(&rep)
-	m.fold(&rep)
+	m.fold(&api.RunResponse{Cycles: &rep}, "")
+	m.fold(&api.RunResponse{Cycles: &rep}, "")
 
 	var buf bytes.Buffer
 	p := stats.NewProm(&buf)

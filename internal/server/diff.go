@@ -4,11 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync/atomic"
 
 	"repro/internal/api"
-	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // The ablation-diff front end: POST /v1/diff compares two
@@ -17,38 +14,6 @@ import (
 // job, so comparisons share the queue, coalescing, memoization and
 // cancellation discipline of every other experiment. GET
 // /debug/diff?job=ID serves a finished diff job's report.
-
-// diffMetrics counts comparison traffic for /metrics.
-type diffMetrics struct {
-	jobs         atomic.Uint64 // finished diff jobs folded
-	loops        atomic.Uint64 // per-loop delta rows across folded reports
-	regressions  atomic.Uint64 // significance-gated regression verdicts
-	improvements atomic.Uint64 // significance-gated improvement verdicts
-}
-
-// fold merges one finished diff job's report into the counters.
-func (m *diffMetrics) fold(rep *sim.DiffReport) {
-	m.jobs.Add(1)
-	m.loops.Add(uint64(rep.LoopsCompared()))
-	m.regressions.Add(uint64(rep.SignificantRegressions()))
-	m.improvements.Add(uint64(rep.SignificantImprovements()))
-}
-
-// render writes the replayd_diff_* families.
-func (m *diffMetrics) render(p *stats.Prom) {
-	p.Counter("replayd_diff_jobs_total",
-		"Diff-experiment jobs whose comparison reports were folded into these aggregates.",
-		float64(m.jobs.Load()))
-	p.Counter("replayd_diff_loops_compared_total",
-		"Per-loop delta rows produced across diff-experiment jobs (union of both sides' loop partitions).",
-		float64(m.loops.Load()))
-	p.Counter("replayd_diff_significant_regressions_total",
-		"Top-line metric deltas that cleared the 2-sigma noise gate in the regressing direction across diff-experiment jobs.",
-		float64(m.regressions.Load()))
-	p.Counter("replayd_diff_significant_improvements_total",
-		"Top-line metric deltas that cleared the 2-sigma noise gate in the improving direction across diff-experiment jobs.",
-		float64(m.improvements.Load()))
-}
 
 // diffPostRequest is the POST /v1/diff body: either two run specs
 // (cell-style requests describing each side) or two finished job IDs
@@ -64,8 +29,8 @@ type diffPostRequest struct {
 }
 
 // handleDiff translates the comparison into one canonical diff job and
-// runs it synchronously (the handleRun discipline: a client disconnect
-// releases its interest). Because the pair reduces to a canonical
+// runs it through runSync, as handleRun does: a client disconnect
+// releases its interest. Because the pair reduces to a canonical
 // RunRequest, two clients asking for the same comparison — however
 // they spelled it — coalesce onto one job.
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
@@ -81,26 +46,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	j, coalesced, err := s.submit(r.Context(), req, false)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	select {
-	case <-j.done:
-		s.releaseWaiter(j)
-		v := j.view()
-		v.Coalesced = coalesced
-		status := http.StatusOK
-		if v.State == api.StateFailed {
-			status = http.StatusInternalServerError
-		} else if v.State == api.StateCanceled {
-			status = http.StatusConflict
-		}
-		writeJSON(w, status, v)
-	case <-r.Context().Done():
-		s.releaseWaiter(j)
-	}
+	s.runSync(w, r, req)
 }
 
 // diffRunRequest folds the two sides into one diff-experiment request:

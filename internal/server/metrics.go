@@ -132,9 +132,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// jobs: reuse depth buckets and loop-shape histograms (exemplars
 	// point at contributing jobs' traces), guest-cycle bins, and diff
 	// comparison counters.
-	for _, k := range reportKinds {
-		k.render(s, p)
-	}
+	s.reports.render(p)
 
 	// Frame-lifecycle histograms from the telemetry layer: every job
 	// (traced or not) observes into the same histogram set. Memoized

@@ -104,10 +104,11 @@ func TestReuseEndToEnd(t *testing.T) {
 	}
 }
 
-// TestReuseMetricsFold checks the metrics aggregation directly: two
-// folded reports sum, and histogram exemplars carry the job trace ID.
+// TestReuseMetricsFold checks the reuse rows of the report fold
+// directly: two folded reports sum, and histogram exemplars carry the
+// job trace ID.
 func TestReuseMetricsFold(t *testing.T) {
-	m := newReuseMetrics()
+	m := newReportMetrics()
 	rep := &sim.ReuseReport{Rows: []sim.ReuseRow{{
 		Workload: "w",
 		Report: reuse.Report{
@@ -121,8 +122,8 @@ func TestReuseMetricsFold(t *testing.T) {
 			TopLoops:    []reuse.Loop{{Header: 0x10, Entries: 1, BackEdges: 9, UOps: 500}},
 		},
 	}}}
-	m.fold(rep, "abc123")
-	m.fold(rep, "def456")
+	m.fold(&api.RunResponse{Reuse: rep}, "abc123")
+	m.fold(&api.RunResponse{Reuse: rep}, "def456")
 
 	var buf bytes.Buffer
 	// Render through a real Prom writer so label quoting is exercised.

@@ -264,17 +264,9 @@ type Server struct {
 	spool *xtrace.Spool
 	xmet  xtraceMetrics
 
-	// rmet aggregates finished reuse-experiment jobs for the
-	// replayd_reuse_* metric families.
-	rmet *reuseMetrics
-
-	// cmet aggregates finished cycles-experiment jobs for the
-	// replayd_fetch_cycles_* / replayd_cycleprof_* metric families.
-	cmet *cycleMetrics
-
-	// dmet aggregates finished diff-experiment jobs for the
-	// replayd_diff_* metric families.
-	dmet diffMetrics
+	// reports sums finished jobs' reports into each report kind's
+	// metric rows.
+	reports *reportMetrics
 }
 
 // New starts a server core: the worker pool is live on return.
@@ -291,8 +283,7 @@ func New(cfg Config) *Server {
 		mux:        http.NewServeMux(),
 		hist:       telemetry.NewHistogramSet(),
 		log:        cfg.Logger,
-		rmet:       newReuseMetrics(),
-		cmet:       newCycleMetrics(),
+		reports:    newReportMetrics(),
 	}
 	s.histCol = telemetry.NewHistograms(s.hist, "")
 	s.traces = tracing.NewStore(tracing.StoreConfig{
@@ -701,11 +692,7 @@ func (s *Server) settle(j *job, res *api.RunResponse, err error) {
 	// Fold the report metrics and count the outcome before finishing: a
 	// client that sees the job done must find it counted in /metrics.
 	if err == nil && res != nil {
-		for _, k := range reportKinds {
-			if _, ok := k.report(res); ok {
-				k.fold(s, res, j.traceID)
-			}
-		}
+		s.reports.fold(res, j.traceID)
 	}
 	switch {
 	case err == nil:
@@ -858,6 +845,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
+	s.runSync(w, r, req)
+}
+
+// runSync submits req (or coalesces it) for a waiting client and
+// writes the finished job, 500 when it failed and 409 when canceled. A
+// client disconnect releases its interest instead.
+func (s *Server) runSync(w http.ResponseWriter, r *http.Request, req api.RunRequest) {
 	j, coalesced, err := s.submit(r.Context(), req, false)
 	if err != nil {
 		writeErr(w, err)

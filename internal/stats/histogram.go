@@ -56,22 +56,22 @@ func NewHistogram(name, help string, bounds ...float64) *Histogram {
 func (h *Histogram) Name() string { return h.name }
 
 // Observe records one sample.
-func (h *Histogram) Observe(v uint64) {
-	h.counts[h.bucket(float64(v))].Add(1)
-	h.sum.Add(v)
-	h.total.Add(1)
-}
+func (h *Histogram) Observe(v uint64) { h.ObserveEx(v, "") }
 
 // ObserveEx records one sample and, when traceID is non-empty, stamps
 // the bucket's exemplar with it. A bucket already holding an exemplar
 // from the same trace is left alone — hot sites (FetchRetire observes
 // every uop) then pay one pointer load instead of an allocation per
 // sample, while a new trace still replaces a stale exemplar.
-func (h *Histogram) ObserveEx(v uint64, traceID string) {
-	f := float64(v)
+func (h *Histogram) ObserveEx(v uint64, traceID string) { h.observe(float64(v), v, traceID) }
+
+// observe counts value f in its bucket, adds sum to the running sum and
+// stamps the bucket's exemplar with f. The two differ only for
+// LatencyHistogram, which buckets seconds but sums nanoseconds.
+func (h *Histogram) observe(f float64, sum uint64, traceID string) {
 	i := h.bucket(f)
 	h.counts[i].Add(1)
-	h.sum.Add(v)
+	h.sum.Add(sum)
 	h.total.Add(1)
 	if traceID != "" {
 		if old := h.exemplars[i].Load(); old == nil || old.TraceID != traceID {
@@ -118,8 +118,13 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
+		if e := h.exemplars[i].Load(); e != nil {
+			if s.Exemplars == nil {
+				s.Exemplars = make([]Exemplar, len(h.counts))
+			}
+			s.Exemplars[i] = *e
+		}
 	}
-	s.Exemplars = loadExemplars(h.exemplars)
 	return s
 }
 
@@ -131,19 +136,11 @@ func (s HistogramSnapshot) Mean() float64 {
 	return s.Sum / float64(s.Count)
 }
 
-// LatencyHistogram is Histogram's wall-clock sibling: observations are
-// durations, bucket bounds and the exported sum are in seconds (the
-// Prometheus convention for *_seconds metrics). Internally it
+// LatencyHistogram is Histogram's wall-clock adapter: observations are
+// durations, bucket bounds, exemplar values and the exported sum are in
+// seconds (the Prometheus convention for *_seconds metrics). The sum
 // accumulates nanoseconds so the hot path stays integer-atomic.
-type LatencyHistogram struct {
-	name      string
-	help      string
-	bounds    []float64 // seconds
-	counts    []atomic.Uint64
-	exemplars []atomic.Pointer[Exemplar]
-	sumNS     atomic.Uint64
-	total     atomic.Uint64
-}
+type LatencyHistogram struct{ h *Histogram }
 
 // DefaultLatencyBounds covers the service-latency range replayd sees:
 // 1ms through 60s, roughly geometric.
@@ -156,18 +153,7 @@ var DefaultLatencyBounds = []float64{
 // inclusive upper bounds in seconds (strictly increasing; +Inf bucket
 // implicit).
 func NewLatencyHistogram(name, help string, bounds ...float64) *LatencyHistogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("stats: histogram %q bounds not increasing: %v", name, bounds))
-		}
-	}
-	return &LatencyHistogram{
-		name:      name,
-		help:      help,
-		bounds:    bounds,
-		counts:    make([]atomic.Uint64, len(bounds)+1),
-		exemplars: make([]atomic.Pointer[Exemplar], len(bounds)+1),
-	}
+	return &LatencyHistogram{NewHistogram(name, help, bounds...)}
 }
 
 // Observe records one duration.
@@ -176,52 +162,13 @@ func (h *LatencyHistogram) Observe(d time.Duration) { h.ObserveEx(d, "") }
 // ObserveEx records one duration and, when traceID is non-empty,
 // stamps the bucket's exemplar with it.
 func (h *LatencyHistogram) ObserveEx(d time.Duration, traceID string) {
-	if d < 0 {
-		d = 0
-	}
-	secs := d.Seconds()
-	i := 0
-	for i < len(h.bounds) && secs > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.sumNS.Add(uint64(d))
-	h.total.Add(1)
-	if traceID != "" {
-		if old := h.exemplars[i].Load(); old == nil || old.TraceID != traceID {
-			h.exemplars[i].Store(&Exemplar{TraceID: traceID, Value: secs, Ts: time.Now()})
-		}
-	}
+	d = max(d, 0)
+	h.h.observe(d.Seconds(), uint64(d), traceID)
 }
 
 // Snapshot copies the current state; Sum is in seconds.
 func (h *LatencyHistogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Name:   h.name,
-		Help:   h.help,
-		Bounds: h.bounds,
-		Counts: make([]uint64, len(h.counts)),
-		Sum:    float64(h.sumNS.Load()) / 1e9,
-		Count:  h.total.Load(),
-	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	s.Exemplars = loadExemplars(h.exemplars)
+	s := h.h.Snapshot()
+	s.Sum /= 1e9
 	return s
-}
-
-func loadExemplars(ptrs []atomic.Pointer[Exemplar]) []Exemplar {
-	out := make([]Exemplar, len(ptrs))
-	any := false
-	for i := range ptrs {
-		if e := ptrs[i].Load(); e != nil {
-			out[i] = *e
-			any = true
-		}
-	}
-	if !any {
-		return nil
-	}
-	return out
 }

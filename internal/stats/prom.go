@@ -8,10 +8,12 @@ import (
 )
 
 // Prom renders metrics in the Prometheus text exposition format
-// (version 0.0.4): one HELP and TYPE line per metric followed by its
-// sample. It is the minimal subset replayd's /metrics endpoint needs —
-// unlabeled counters and gauges — kept here beside the table renderers
-// so every output format the harness speaks lives in one package.
+// (version 0.0.4): one HELP and TYPE line per family followed by its
+// samples. It is the subset replayd's /metrics endpoint needs —
+// unlabeled counters and gauges, counters with one label dimension, and
+// histograms with OpenMetrics exemplars — kept here beside the table
+// renderers so every output format the harness speaks lives in one
+// package.
 type Prom struct {
 	w   io.Writer
 	err error

@@ -242,7 +242,10 @@ func printMetrics(r io.Reader, w io.Writer) error {
 		if h.Count > 0 {
 			mean = h.Sum / h.Count
 		}
-		fmt.Fprintf(w, "\n%s (histogram): %.0f samples, mean %.1f\n", h.Name, h.Count, mean)
+		// The mean keeps four significant digits, so a seconds-valued
+		// histogram of millisecond samples does not read "mean 0.0".
+		fmt.Fprintf(w, "\n%s (histogram): %.0f samples, mean %s\n", h.Name, h.Count,
+			strconv.FormatFloat(mean, 'g', 4, 64))
 		// Exposition buckets are cumulative; diff them back into
 		// per-bucket counts for the bars.
 		prev, maxN := 0.0, 1.0

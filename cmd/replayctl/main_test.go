@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -12,7 +13,7 @@ import (
 // TestPrintMetricsLatencyLabels renders a request-latency histogram over
 // DefaultLatencyBounds and checks every bucket gets its own bar label
 // (15 bounds plus +Inf), and that exemplars name their bucket the same
-// way.
+// way. The header's mean must show the 2 ms sample, not round it to 0.
 func TestPrintMetricsLatencyLabels(t *testing.T) {
 	h := stats.NewLatencyHistogram("replayd_http_request_seconds", "API request latency.",
 		stats.DefaultLatencyBounds...)
@@ -44,5 +45,13 @@ func TestPrintMetricsLatencyLabels(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
 		}
+	}
+	_, header, ok := strings.Cut(out.String(), "(histogram): 1 samples, mean ")
+	if !ok {
+		t.Fatalf("no histogram header:\n%s", out.String())
+	}
+	header, _, _ = strings.Cut(header, "\n")
+	if mean, err := strconv.ParseFloat(header, 64); err != nil || mean != 0.002 {
+		t.Errorf("header mean %q, want 0.002", header)
 	}
 }

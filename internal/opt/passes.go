@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/uop"
@@ -89,7 +90,25 @@ func OptimizeTraced(of *OptFrame, opts Options, rec PassRecorder) Stats {
 	return optimize(of, opts, rec)
 }
 
+// scratch is the per-call working memory of the passes: the CSE value-
+// numbering table, cpPass's constant state, dcePass's use counts and
+// memPass's unsafe-candidate list. optimize takes one from scratchPool
+// for the length of the call and returns it at exit; no frame keeps it.
+type scratch struct {
+	cse            cseTable
+	cs             constState
+	valUse, flgUse []int32
+	unsafe         []int32
+}
+
+var scratchPool = sync.Pool{
+	New: func() any { return new(scratch) },
+}
+
 func optimize(of *OptFrame, opts Options, rec PassRecorder) Stats {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+
 	var s Stats
 	s.UOpsIn = of.NumValid()
 	s.LoadsIn = of.NumValidLoads()
@@ -138,26 +157,26 @@ func optimize(of *OptFrame, opts Options, rec PassRecorder) Stats {
 	for iter := 0; iter < 4; iter++ {
 		changed := false
 		if opts.CP {
-			traced("cp", &s.FoldedCP, func() { changed = of.cpPass(&s) || changed })
+			traced("cp", &s.FoldedCP, func() { changed = of.cpPass(&s, sc) || changed })
 		}
 		if opts.RA {
 			traced("ra", &s.Reassoc, func() { changed = of.raPass(&s) || changed })
 		}
 		if opts.CSE {
-			traced("cse", &s.CSEVals, func() { changed = of.csePass(&s) || changed })
+			traced("cse", &s.CSEVals, func() { changed = of.csePass(&s, sc) || changed })
 		}
 		if opts.CSE || opts.SF {
 			// memPass only rewrites (loads become MOVs; DCE reaps them
 			// later), but it moves two counters, one per technique.
 			if rec == nil {
-				changed = of.memPass(&s, opts) || changed
+				changed = of.memPass(&s, opts, sc) || changed
 			} else {
 				c0, f0 := s.CSELoads, s.SFLoads
 				var t0 time.Time
 				if timed != nil {
 					t0 = time.Now()
 				}
-				changed = of.memPass(&s, opts) || changed
+				changed = of.memPass(&s, opts, sc) || changed
 				dcse, dsf := s.CSELoads-c0, s.SFLoads-f0
 				if timed != nil {
 					timed.RecordPassTimed(frameID, "mem", 0, dcse+dsf, time.Since(t0))
@@ -178,14 +197,19 @@ func optimize(of *OptFrame, opts Options, rec PassRecorder) Stats {
 		traced("assert", &s.FusedAsserts, func() { of.assertPass(&s) })
 	}
 	if opts.CP {
-		traced("cp", &s.FoldedCP, func() { of.cpPass(&s) })
+		traced("cp", &s.FoldedCP, func() { of.cpPass(&s, sc) })
 	}
-	traced("dce", nil, func() { of.dcePass(&s) })
+	traced("dce", nil, func() { of.dcePass(&s, sc) })
 
 	s.UOpsOut = of.NumValid()
 	s.LoadsOut = of.NumValidLoads()
 	return s
 }
+
+// References always point backward: Remap names an earlier producer for
+// every source, and every pass substitutes a ref that is earlier still
+// (TestRefsPointBackward). The scans for consumers of op i therefore
+// start at i+1.
 
 // flagsConsumed reports whether any valid op reads op i's flags, or the
 // flags are live-out.
@@ -193,7 +217,7 @@ func (of *OptFrame) flagsConsumed(i int32) bool {
 	if of.Ops[i].FlagsLiveOut {
 		return true
 	}
-	for j := range of.Ops {
+	for j := i + 1; j < int32(len(of.Ops)); j++ {
 		o := &of.Ops[j]
 		if o.Valid && o.SrcF.Kind == RefOp && o.SrcF.Idx == i {
 			return true
@@ -205,7 +229,7 @@ func (of *OptFrame) flagsConsumed(i int32) bool {
 // replaceValueRefs re-points all value references (SrcA/SrcB) from op i to
 // ref r.
 func (of *OptFrame) replaceValueRefs(i int32, r Ref) {
-	for j := range of.Ops {
+	for j := i + 1; j < int32(len(of.Ops)); j++ {
 		o := &of.Ops[j]
 		if !o.Valid {
 			continue
@@ -221,7 +245,7 @@ func (of *OptFrame) replaceValueRefs(i int32, r Ref) {
 
 // replaceFlagRefs re-points all flag references from op i to ref r.
 func (of *OptFrame) replaceFlagRefs(i int32, r Ref) {
-	for j := range of.Ops {
+	for j := i + 1; j < int32(len(of.Ops)); j++ {
 		o := &of.Ops[j]
 		if o.Valid && o.SrcF.Kind == RefOp && o.SrcF.Idx == i {
 			o.SrcF = r
@@ -246,6 +270,20 @@ type constState struct {
 	valKnown []bool
 	flg      []x86.Flags
 	flgKnown []bool
+}
+
+// reset sizes the state for n ops with nothing known. val and flg are
+// read only where their known bit is set, so only the bits are cleared.
+func (cs *constState) reset(n int) {
+	if cap(cs.valKnown) < n {
+		cs.val, cs.valKnown = make([]uint32, n), make([]bool, n)
+		cs.flg, cs.flgKnown = make([]x86.Flags, n), make([]bool, n)
+		return
+	}
+	cs.val, cs.valKnown = cs.val[:n], cs.valKnown[:n]
+	cs.flg, cs.flgKnown = cs.flg[:n], cs.flgKnown[:n]
+	clear(cs.valKnown)
+	clear(cs.flgKnown)
 }
 
 func (of *OptFrame) refConst(r Ref, cs *constState) (uint32, bool) {
@@ -290,12 +328,10 @@ func cpFoldable(op uop.Op) bool {
 // cpPass performs copy propagation, constant folding, memory address
 // absolutization, and constant-assert discharge. Returns whether anything
 // changed.
-func (of *OptFrame) cpPass(s *Stats) bool {
+func (of *OptFrame) cpPass(s *Stats, sc *scratch) bool {
 	n := len(of.Ops)
-	cs := &constState{
-		val: make([]uint32, n), valKnown: make([]bool, n),
-		flg: make([]x86.Flags, n), flgKnown: make([]bool, n),
-	}
+	cs := &sc.cs
+	cs.reset(n)
 	changed := false
 
 	for i := int32(0); i < int32(n); i++ {
@@ -497,6 +533,17 @@ type cseKey struct {
 	keepCF bool
 }
 
+// cseKeyOf is op o's value-numbering key, with the sources of a
+// commutative op in canonical order.
+func cseKeyOf(o *FrameOp) cseKey {
+	k := cseKey{op: o.Op, cond: o.Cond, a: o.SrcA, b: o.SrcB, f: o.SrcF,
+		imm: o.Imm, scale: o.Scale, keepCF: o.KeepCF}
+	if o.Op.Commutative() && !o.HasImmB() && refLess(k.b, k.a) {
+		k.a, k.b = k.b, k.a
+	}
+	return k
+}
+
 // cseEligible ops for ALU value numbering.
 func cseEligible(op uop.Op) bool {
 	switch op {
@@ -518,25 +565,87 @@ func refLess(a, b Ref) bool {
 	return a.Idx < b.Idx
 }
 
+// cseTable is csePass's value-numbering table, a map from cseKey to the
+// index of the key's first occurrence: open addressing with linear
+// probing over a power-of-two slot array of at least twice the frame's
+// ops, so it is never more than half full. A slot is live only when its
+// gen matches the table's, so reset empties it without clearing.
+type cseTable struct {
+	slots []cseSlot
+	mask  uint32
+	gen   uint32
+}
+
+type cseSlot struct {
+	key cseKey
+	idx int32
+	gen uint32
+}
+
+// reset empties the table and sizes it for a frame of n ops.
+func (t *cseTable) reset(n int) {
+	size := 16
+	for size < 2*n {
+		size <<= 1
+	}
+	if size > len(t.slots) {
+		t.slots = make([]cseSlot, size)
+		t.gen = 0
+	}
+	t.mask = uint32(size - 1)
+	t.gen++
+	if t.gen == 0 { // wrapped: stale stamps could read as live
+		clear(t.slots)
+		t.gen = 1
+	}
+}
+
+// packRef folds a Ref into one word for hashing.
+func packRef(r Ref) uint64 {
+	return uint64(r.Kind) | uint64(r.Arch)<<8 | uint64(uint32(r.Idx))<<32
+}
+
+// home is k's first probe slot: a multiplicative hash over its fields.
+func (t *cseTable) home(k *cseKey) uint32 {
+	const m = 0x9e3779b97f4a7c15
+	h := uint64(k.op) | uint64(k.cond)<<8 | uint64(k.scale)<<16 | uint64(uint32(k.imm))<<32
+	if k.keepCF {
+		h |= 1 << 24
+	}
+	h = (h ^ packRef(k.a)) * m
+	h = (h ^ packRef(k.b)) * m
+	h = (h ^ packRef(k.f)) * m
+	return uint32(h>>32) & t.mask
+}
+
+// lookupOrInsert returns the op index stored under k and true, or stores
+// i under k and returns false: the first occurrence of a key wins.
+func (t *cseTable) lookupOrInsert(k *cseKey, i int32) (int32, bool) {
+	for h := t.home(k); ; h = (h + 1) & t.mask {
+		sl := &t.slots[h]
+		if sl.gen != t.gen {
+			sl.key, sl.idx, sl.gen = *k, i, t.gen
+			return i, false
+		}
+		if sl.key == *k {
+			return sl.idx, true
+		}
+	}
+}
+
 // csePass commons identical ALU computations.
-func (of *OptFrame) csePass(s *Stats) bool {
-	seen := make(map[cseKey]int32)
+func (of *OptFrame) csePass(s *Stats, sc *scratch) bool {
+	seen := &sc.cse
+	seen.reset(len(of.Ops))
 	changed := false
 	for i := int32(0); i < int32(len(of.Ops)); i++ {
 		o := &of.Ops[i]
 		if !o.Valid || !cseEligible(o.Op) {
 			continue
 		}
-		k := cseKey{op: o.Op, cond: o.Cond, a: o.SrcA, b: o.SrcB, f: o.SrcF,
-			imm: o.Imm, scale: o.Scale, keepCF: o.KeepCF}
-		if o.Op.Commutative() && !o.HasImmB() && refLess(k.b, k.a) {
-			k.a, k.b = k.b, k.a
-		}
-		j, ok := seen[k]
+		k := cseKeyOf(o)
+		j, ok := seen.lookupOrInsert(&k, i)
 		if !ok || !of.sameRegion(i, j) {
-			if !ok {
-				seen[k] = i
-			}
 			continue
 		}
 		if o.FlagsLiveOut && o.WritesFlags {
@@ -632,14 +741,14 @@ func (of *OptFrame) canEliminate(i int32, r Ref) bool {
 
 // memPass eliminates loads via store forwarding and redundant-load CSE,
 // speculating past non-aliasing stores when enabled.
-func (of *OptFrame) memPass(s *Stats, opts Options) bool {
+func (of *OptFrame) memPass(s *Stats, opts Options, sc *scratch) bool {
 	changed := false
 	for i := int32(0); i < int32(len(of.Ops)); i++ {
 		ld := &of.Ops[i]
 		if !ld.Valid || ld.Op != uop.LOAD {
 			continue
 		}
-		var unsafeCandidates []int32
+		unsafeCandidates := sc.unsafe[:0]
 	scan:
 		for k := i - 1; k >= 0; k-- {
 			o := &of.Ops[k]
@@ -666,6 +775,7 @@ func (of *OptFrame) memPass(s *Stats, opts Options) bool {
 				default:
 					if opts.Speculative && profilesDisjoint(o, ld) {
 						unsafeCandidates = append(unsafeCandidates, k)
+						sc.unsafe = unsafeCandidates
 						continue
 					}
 					break scan
@@ -764,11 +874,15 @@ func sideEffect(op uop.Op) bool {
 }
 
 // dcePass removes ops whose value and flags are unused and not live-out.
-func (of *OptFrame) dcePass(s *Stats) {
+func (of *OptFrame) dcePass(s *Stats, sc *scratch) {
 	n := len(of.Ops)
+	if cap(sc.valUse) < n {
+		sc.valUse, sc.flgUse = make([]int32, n), make([]int32, n)
+	}
+	valUse, flgUse := sc.valUse[:n], sc.flgUse[:n]
 	for {
-		valUse := make([]int, n)
-		flgUse := make([]int, n)
+		clear(valUse)
+		clear(flgUse)
 		for j := range of.Ops {
 			o := &of.Ops[j]
 			if !o.Valid {

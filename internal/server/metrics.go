@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"sync/atomic"
 
-	"repro/internal/pipeline"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -120,9 +119,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// Fetch-cycle accounting (the paper's Figure 7/8 bins): every
 	// simulated cycle lands in exactly one bin, so the per-bin samples
 	// sum to replayd_pipeline_cycles_total.
-	binSamples := make([]stats.LabeledSample, pipeline.NumBins)
-	for i := range binSamples {
-		binSamples[i] = stats.LabeledSample{Label: pipeline.Bin(i).String(), Value: float64(agg.Bins[i])}
+	binSamples := make([]stats.LabeledSample, len(binLabels))
+	for i, l := range binLabels {
+		binSamples[i] = stats.LabeledSample{Label: l, Value: float64(agg.Bins[i])}
 	}
 	p.LabeledCounter("replayd_pipeline_fetch_cycles_total",
 		"Simulated fetch cycles per fetch bin across executed runs; bins sum to replayd_pipeline_cycles_total.",

@@ -6,13 +6,20 @@ package cache
 
 // Cache is a set-associative cache with true-LRU replacement. It models
 // hit/miss behaviour only (contents are tags, not data).
+//
+// The whole cache is two flat arrays of sets*ways entries, set s owning
+// [s*ways : s*ways+ways] of each: tags holds line+1 (0 marks an empty
+// way, so "valid" needs no array of its own) and stamps the access clock
+// of each way's last touch. Clock stamps are unique, so the LRU victim
+// of a full set is unique too, and an empty way (stamp 0) always loses
+// to a filled one: which empty way a miss fills never changes a later
+// hit or miss.
 type Cache struct {
 	lineShift uint
 	setMask   uint32
 	ways      int
-	tags      [][]uint32
-	valid     [][]bool
-	lruSeq    [][]uint64
+	tags      []uint32
+	stamps    []uint64
 	clock     uint64
 
 	// Accesses/Misses count lookups.
@@ -25,6 +32,9 @@ type Cache struct {
 // the size/line/way combination does not yield one: the set index is a
 // mask, and masking with a non-power-of-two count silently skips sets
 // and aliases lines (shrinking the effective capacity unpredictably).
+// The line size is likewise rounded down to a power of two, and lines
+// are at least 2 bytes: a tag is stored as line+1, which must not wrap
+// to the empty mark.
 func New(sizeBytes, lineBytes, ways int) *Cache {
 	sets := sizeBytes / lineBytes / ways
 	if sets < 1 {
@@ -38,15 +48,17 @@ func New(sizeBytes, lineBytes, ways int) *Cache {
 		lineBytes >>= 1
 		c.lineShift++
 	}
-	c.tags = make([][]uint32, sets)
-	c.valid = make([][]bool, sets)
-	c.lruSeq = make([][]uint64, sets)
-	for i := range c.tags {
-		c.tags[i] = make([]uint32, ways)
-		c.valid[i] = make([]bool, ways)
-		c.lruSeq[i] = make([]uint64, ways)
-	}
+	c.lineShift = max(c.lineShift, 1)
+	c.tags = make([]uint32, sets*ways)
+	c.stamps = make([]uint64, sets*ways)
 	return c
+}
+
+// set returns the tag and stamp windows of line's set.
+func (c *Cache) set(line uint32) ([]uint32, []uint64) {
+	base := int(line&c.setMask) * c.ways
+	end := base + c.ways
+	return c.tags[base:end:end], c.stamps[base:end:end]
 }
 
 // Access looks up addr, filling the line on a miss. Returns true on hit.
@@ -54,39 +66,33 @@ func (c *Cache) Access(addr uint32) bool {
 	c.clock++
 	c.Accesses++
 	line := addr >> c.lineShift
-	set := line & c.setMask
-	tag := line
-	ways := c.tags[set]
-	for w := 0; w < c.ways; w++ {
-		if c.valid[set][w] && ways[w] == tag {
-			c.lruSeq[set][w] = c.clock
+	tags, stamps := c.set(line)
+	stamps = stamps[:len(tags)]
+	for w, t := range tags {
+		if t == line+1 {
+			stamps[w] = c.clock
 			return true
 		}
 	}
 	c.Misses++
-	// Fill the LRU way.
+	// Fill the LRU way; an empty way's stamp is 0, below any clock.
 	victim := 0
-	for w := 1; w < c.ways; w++ {
-		if !c.valid[set][w] {
-			victim = w
-			break
-		}
-		if c.lruSeq[set][w] < c.lruSeq[set][victim] {
+	for w := 1; w < len(stamps); w++ {
+		if stamps[w] < stamps[victim] {
 			victim = w
 		}
 	}
-	c.tags[set][victim] = tag
-	c.valid[set][victim] = true
-	c.lruSeq[set][victim] = c.clock
+	tags[victim] = line + 1
+	stamps[victim] = c.clock
 	return false
 }
 
 // Contains reports whether addr currently hits without updating state.
 func (c *Cache) Contains(addr uint32) bool {
 	line := addr >> c.lineShift
-	set := line & c.setMask
-	for w := 0; w < c.ways; w++ {
-		if c.valid[set][w] && c.tags[set][w] == line {
+	tags, _ := c.set(line)
+	for _, t := range tags {
+		if t == line+1 {
 			return true
 		}
 	}

@@ -12,9 +12,8 @@ import (
 // fetch, deduplicated against an already-cached region, or evicted
 // from the frame cache. Recycling the shells plus their slice backings
 // removes the dominant allocation source on the frame-construction hot
-// path. The µop body itself cycles through the shared buffer pool in
-// internal/uop; the auxiliary per-µop and per-instruction slices ride
-// along with the shell.
+// path. The µop body and the auxiliary per-µop and per-instruction
+// slices all ride along with the shell.
 //
 // Ownership discipline (the -race suite pins it): PutFrame requires
 // the caller to hold the frame's only live reference. Two cases
@@ -28,10 +27,16 @@ var framePool = sync.Pool{
 	New: func() any { return new(Frame) },
 }
 
+// uopsCap is the µop capacity a frame without a buffer starts with: the
+// paper's maximum frame size, so construction never regrows it.
+const uopsCap = 256
+
 // getFrame returns an empty frame with recycled slice capacity.
 func getFrame() *Frame {
 	f := framePool.Get().(*Frame)
-	f.UOps = uop.GetBuf()
+	if cap(f.UOps) == 0 {
+		f.UOps = make([]uop.UOp, 0, uopsCap)
+	}
 	return f
 }
 
@@ -45,8 +50,7 @@ func PutFrame(f *Frame) {
 	f.ID = 0
 	f.StartPC, f.ExitPC = 0, 0
 	f.NumX86 = 0
-	uop.PutBuf(f.UOps)
-	f.UOps = nil
+	f.UOps = f.UOps[:0]
 	f.InstIdx = f.InstIdx[:0]
 	f.MemSub = f.MemSub[:0]
 	f.PCs = f.PCs[:0]

@@ -90,12 +90,12 @@ func (NopProbe) TraceFetch(uint64, uint64, uint32, int)              {}
 func (NopProbe) CycleCharge(uint32, Bin, uint64)                     {}
 
 // SetProbe attaches the engine's probe, its one observer. The probe
-// lives on the Engine, not Config, so the memo-key fingerprint stays a
-// pure value; attach after warmup so the probe covers exactly the
-// measured window ResetStats draws. Replacing or detaching (passing
-// nil) ends the outgoing probe's window: every entry still cached
-// reports its residency to it through Resident. Detached, each hook
-// site pays one nil check.
+// lives on the Engine, not Config, so Config, part of the run-memo
+// key, stays a pure value; attach after warmup so the probe covers
+// exactly the measured window ResetStats draws. Replacing or detaching
+// (passing nil) ends the outgoing probe's window: every entry still
+// cached reports its residency to it through Resident. Detached, each
+// hook site pays one nil check.
 func (e *Engine) SetProbe(p Probe) {
 	if e.probe != nil {
 		for _, t0 := range e.insertedAt {
@@ -126,7 +126,7 @@ func watchCache[T any](e *Engine, c *cache.UOpCache[T]) {
 
 // SetPassRecorder attaches a wall-clock pass-timing recorder to the
 // optimizer path (see opt.TimedPassRecorder). Like SetProbe it lives on
-// the Engine, not Config, so the memo-key fingerprint stays a value.
+// the Engine, not Config, so the run-memo key stays a value.
 // Detach by passing nil.
 func (e *Engine) SetPassRecorder(r opt.TimedPassRecorder) {
 	e.passRec = r

@@ -128,50 +128,26 @@ func TestStoreBufferBounded(t *testing.T) {
 	}
 }
 
-// TestFingerprintValueStruct guards the memoization key: Config must
-// remain a plain value struct, or Fingerprint's %#v rendering would not
-// be canonical.
-func TestFingerprintValueStruct(t *testing.T) {
-	var check func(ty reflect.Type, path string)
-	check = func(ty reflect.Type, path string) {
-		switch ty.Kind() {
-		case reflect.Struct:
-			for i := 0; i < ty.NumField(); i++ {
-				f := ty.Field(i)
-				check(f.Type, path+"."+f.Name)
-			}
-		case reflect.Bool, reflect.String,
-			reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-			reflect.Float32, reflect.Float64:
-			// value kinds: fine
-		default:
-			t.Errorf("Config field %s has non-value kind %v; Fingerprint is no longer canonical", path, ty.Kind())
-		}
-	}
-	check(reflect.TypeOf(Config{}), "Config")
-}
-
-// TestFingerprintDistinguishesConfigs: equal configs agree, and edits
-// anywhere in the struct (including nested frame and optimizer options)
-// change the fingerprint.
+// TestFingerprintDistinguishesConfigs: Config is compared by value, as
+// the run memo keys on it: equal configs agree, and edits anywhere in the
+// struct (including nested frame and optimizer options) tell them apart.
 func TestFingerprintDistinguishesConfigs(t *testing.T) {
 	a := DefaultConfig(ModeRePLayOpt)
 	b := DefaultConfig(ModeRePLayOpt)
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Error("identical configs have different fingerprints")
+	if a != b {
+		t.Error("identical configs compare unequal")
 	}
 	b.FrameCfg.MaxUOps = 128
-	if a.Fingerprint() == b.Fingerprint() {
-		t.Error("nested frame-config edit not reflected in fingerprint")
+	if a == b {
+		t.Error("nested frame-config edit not reflected in equality")
 	}
 	c := DefaultConfig(ModeRePLayOpt)
 	c.OptOptions.CSE = false
-	if a.Fingerprint() == c.Fingerprint() {
-		t.Error("nested optimizer-option edit not reflected in fingerprint")
+	if a == c {
+		t.Error("nested optimizer-option edit not reflected in equality")
 	}
 	ic := DefaultConfig(ModeICache)
-	if a.Fingerprint() == ic.Fingerprint() {
-		t.Error("IC and RPO default configs share a fingerprint")
+	if a == ic {
+		t.Error("IC and RPO default configs compare equal")
 	}
 }

@@ -3,6 +3,8 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -110,7 +112,9 @@ func TestMemoLRUBound(t *testing.T) {
 	})
 	SetMemoLimit(2)
 
-	k := func(i int) memoKey { return memoKey{profile: "p", mode: pipeline.ModeICache, budget: i} }
+	k := func(i int) memoKey {
+		return memoKey{input: inputID{xtrace: "xtrace:p"}, mode: pipeline.ModeICache, budget: i}
+	}
 	memoPut(k(1), pipeline.Stats{Cycles: 1})
 	memoPut(k(2), pipeline.Stats{Cycles: 2})
 	if _, ok := memoGet(k(1)); !ok { // refresh 1; 2 becomes LRU
@@ -134,6 +138,63 @@ func TestMemoLRUBound(t *testing.T) {
 	SetMemoLimit(1)
 	if n, _ := MemoOccupancy(); n != 1 {
 		t.Errorf("occupancy %d after shrinking the limit to 1", n)
+	}
+}
+
+// TestFingerprintValueStruct guards the run-memo and capture-cache keys:
+// every field, nested ones included, must be a bool, number or string.
+// A pointer, func, map, slice or interface field would make == compare
+// identity (or panic) rather than the inputs' values.
+func TestFingerprintValueStruct(t *testing.T) {
+	var check func(ty reflect.Type, path string)
+	check = func(ty reflect.Type, path string) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				f := ty.Field(i)
+				check(f.Type, path+"."+f.Name)
+			}
+		case reflect.Bool, reflect.String,
+			reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+			// value kinds: fine
+		default:
+			t.Errorf("key field %s has non-value kind %v; the key no longer compares by value", path, ty.Kind())
+		}
+	}
+	check(reflect.TypeOf(memoKey{}), "memoKey")
+	check(reflect.TypeOf(captureKey{}), "captureKey")
+}
+
+// TestNaNKnobSkipsCaches: a profile with a NaN knob can never be found
+// again under its own key, so its runs bypass the run memo and the
+// capture cache instead of leaving entries neither can delete.
+func TestNaNKnobSkipsCaches(t *testing.T) {
+	ResetCaches()
+	t.Cleanup(ResetCaches)
+	p, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.RedALU = math.NaN()
+	var first pipeline.Stats
+	for i := 0; i < 2; i++ {
+		res, err := RunWorkload(context.Background(), p, pipeline.ModeRePLay, Options{MaxInsts: 5_000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = res.Stats
+		} else if res.Stats != first {
+			t.Error("repeat run of a NaN-knob profile differs")
+		}
+	}
+	if n, _ := MemoOccupancy(); n != 0 {
+		t.Errorf("run memo holds %d entries for a NaN-knob profile", n)
+	}
+	if n, _, _, _ := CaptureOccupancy(); n != 0 {
+		t.Errorf("capture cache holds %d entries for a NaN-knob profile", n)
 	}
 }
 

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"unsafe"
 
@@ -137,13 +136,6 @@ func captureRecorded(prog *workload.Program, max int) *recordedStream {
 	return rec
 }
 
-// profileFingerprint canonically identifies a workload profile. Profile
-// is a plain value struct, so %#v covers every generator knob — two
-// custom workloads sharing a name but differing in shape never collide.
-func profileFingerprint(p *workload.Profile) string {
-	return fmt.Sprintf("%#v", *p)
-}
-
 // Default capture-cache budgets. A full-budget columnar recording is a
 // few MB, so the defaults comfortably cover every (workload, trace) of
 // the paper's sweep — later figures replay instead of re-interpreting —
@@ -153,8 +145,11 @@ const (
 	DefaultCaptureBytes   = 256 << 20
 )
 
+// captureKey identifies a recording by value: the profile covers every
+// generator knob, so two custom workloads sharing a name but differing
+// in shape never collide.
 type captureKey struct {
-	profile string
+	profile workload.Profile
 	trace   int
 	insts   int
 }
@@ -197,7 +192,11 @@ var captures = &captureCache{
 }
 
 func (c *captureCache) get(p workload.Profile, traceIdx, budget int) (*recordedStream, error) {
-	key := captureKey{profile: profileFingerprint(&p), trace: traceIdx, insts: budget}
+	key := captureKey{profile: p, trace: traceIdx, insts: budget}
+	if !selfEqual(key) {
+		// A NaN knob: the key could never be found, or deleted, again.
+		return record(p, traceIdx, budget)
+	}
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok {
@@ -210,13 +209,7 @@ func (c *captureCache) get(p workload.Profile, traceIdx, budget int) (*recordedS
 	built := false
 	e.once.Do(func() {
 		built = true
-		metrics.captureBuilds.Add(1)
-		prog, err := workload.Generate(p, traceIdx)
-		if err != nil {
-			e.genErr = err
-			return
-		}
-		e.rec = captureRecorded(prog, budget+captureSlack)
+		e.rec, e.genErr = record(p, traceIdx, budget)
 	})
 	if built {
 		if e.rec != nil {
@@ -234,6 +227,17 @@ func (c *captureCache) get(p workload.Profile, traceIdx, budget int) (*recordedS
 		metrics.captureHits.Add(1)
 	}
 	return e.rec, e.genErr
+}
+
+// record interprets trace traceIdx of p into a new recording of budget
+// instructions plus the replay slack.
+func record(p workload.Profile, traceIdx, budget int) (*recordedStream, error) {
+	metrics.captureBuilds.Add(1)
+	prog, err := workload.Generate(p, traceIdx)
+	if err != nil {
+		return nil, err
+	}
+	return captureRecorded(prog, budget+captureSlack), nil
 }
 
 // touch moves key to the most-recent end and evicts past the budgets.

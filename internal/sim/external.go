@@ -53,7 +53,7 @@ func externalSource(ext ExternalRun) source {
 			return NewSlotStream(ext.Slots).(slotSource), nil
 		}}
 	if ext.Fingerprint != "" {
-		src.memoID = "xtrace:" + ext.Fingerprint
+		src.memoID = inputID{xtrace: "xtrace:" + ext.Fingerprint}
 	}
 	return src
 }

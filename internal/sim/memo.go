@@ -1,13 +1,15 @@
 package sim
 
 import (
+	"container/list"
 	"sync"
 
 	"repro/internal/pipeline"
+	"repro/internal/workload"
 )
 
 // The run memo: a completed (profile, mode, budget, warmup, config)
-// simulation is recorded by the canonical fingerprints of its inputs, so
+// simulation is recorded under the value of its inputs, so
 // the RP/RPO runs that fig6, the fig7/fig8 breakdowns, table3 and fig9
 // all repeat execute once per sweep instead of once per figure.
 // Simulations are deterministic, so serving the memo is observationally
@@ -23,57 +25,77 @@ import (
 // DefaultMemoEntries is the default run-memo entry budget.
 const DefaultMemoEntries = 4096
 
+// memoKey is a comparable value: every field, nested ones included, is
+// a bool, number or string (TestFingerprintValueStruct pins it), so two
+// keys are equal exactly when their inputs are. == equates -0 and +0,
+// which the generator and engine treat alike; a NaN anywhere makes a key
+// unequal to itself, and run skips the memo for it.
 type memoKey struct {
-	profile  string // canonical profile fingerprint
+	input    inputID
 	mode     pipeline.Mode
 	budget   int
 	warmFrac float64
-	config   string // pipeline.Config fingerprint
+	config   pipeline.Config
 }
 
+// inputID is a run input's memo identity: a generated workload by its
+// profile, an external trace by "xtrace:" and its content ID. The zero
+// value disables the memo.
+type inputID struct {
+	profile workload.Profile
+	xtrace  string
+}
+
+// selfEqual reports whether k equals itself, false exactly when a
+// float field holds NaN. Such a key can never be found again in a map,
+// nor deleted from one.
+func selfEqual[K comparable](k K) bool { return k == k }
+
+// memoEntry is one memoized run, an element of memo.lru.
+type memoEntry struct {
+	key   memoKey
+	stats pipeline.Stats
+}
+
+// memo finds a run by key and keeps recency in a list, so a hit or an
+// eviction costs no scan over the other entries.
 var memo = struct {
 	sync.Mutex
-	m     map[memoKey]pipeline.Stats
-	order []memoKey // front = least recently used
+	m     map[memoKey]*list.Element // of *memoEntry
+	lru   *list.List                // front = most recently used
 	limit int
-}{m: map[memoKey]pipeline.Stats{}, limit: DefaultMemoEntries}
+}{m: map[memoKey]*list.Element{}, lru: list.New(), limit: DefaultMemoEntries}
 
 func memoGet(k memoKey) (pipeline.Stats, bool) {
 	memo.Lock()
 	defer memo.Unlock()
-	s, ok := memo.m[k]
-	if ok {
-		memoTouch(k)
-		metrics.memoHits.Add(1)
+	el, ok := memo.m[k]
+	if !ok {
+		return pipeline.Stats{}, false
 	}
-	return s, ok
+	memo.lru.MoveToFront(el)
+	metrics.memoHits.Add(1)
+	return el.Value.(*memoEntry).stats, true
 }
 
 func memoPut(k memoKey, s pipeline.Stats) {
 	memo.Lock()
 	defer memo.Unlock()
-	if _, ok := memo.m[k]; !ok {
-		memo.order = append(memo.order, k)
-	} else {
-		memoTouch(k)
+	if el, ok := memo.m[k]; ok {
+		el.Value.(*memoEntry).stats = s
+		memo.lru.MoveToFront(el)
+		return
 	}
-	memo.m[k] = s
-	for len(memo.order) > memo.limit {
-		old := memo.order[0]
-		memo.order = memo.order[1:]
-		delete(memo.m, old)
-	}
+	memo.m[k] = memo.lru.PushFront(&memoEntry{key: k, stats: s})
+	memoEvict()
 }
 
-// memoTouch moves k to the most-recent end. Caller holds memo.Mutex.
-func memoTouch(k memoKey) {
-	for i := range memo.order {
-		if memo.order[i] == k {
-			memo.order = append(memo.order[:i], memo.order[i+1:]...)
-			break
-		}
+// memoEvict drops least recently used entries down to the limit. Caller
+// holds memo.Mutex.
+func memoEvict() {
+	for memo.lru.Len() > memo.limit {
+		delete(memo.m, memo.lru.Remove(memo.lru.Back()).(*memoEntry).key)
 	}
-	memo.order = append(memo.order, k)
 }
 
 // SetMemoLimit sets the run-memo entry budget (minimum 1) and evicts
@@ -85,11 +107,7 @@ func SetMemoLimit(entries int) {
 	memo.Lock()
 	defer memo.Unlock()
 	memo.limit = entries
-	for len(memo.order) > memo.limit {
-		old := memo.order[0]
-		memo.order = memo.order[1:]
-		delete(memo.m, old)
-	}
+	memoEvict()
 }
 
 // MemoOccupancy reports the run memo's current and maximum entry count.
@@ -106,7 +124,7 @@ func MemoOccupancy() (entries, limit int) {
 func ResetCaches() {
 	captures.reset()
 	memo.Lock()
-	memo.m = map[memoKey]pipeline.Stats{}
-	memo.order = nil
+	memo.m = map[memoKey]*list.Element{}
+	memo.lru.Init()
 	memo.Unlock()
 }

@@ -200,9 +200,9 @@ func (r *Result) IPC() float64 { return r.Stats.IPC() }
 // trace. Every run, whatever its source, goes through run.
 type source struct {
 	name, class string
-	// memoID is the input's run-memo identity; empty disables the memo
-	// (it must never alias two different streams).
-	memoID string
+	// memoID is the input's run-memo identity; the zero value disables
+	// the memo (it must never alias two different streams).
+	memoID inputID
 	traces int
 	// budget is the default instruction budget; maxBudget, when > 0,
 	// caps Options.MaxInsts.
@@ -215,7 +215,7 @@ type source struct {
 // or interprets them live when the cache is disabled, ahead of the
 // engine when a CPU is free.
 func profileSource(p workload.Profile) source {
-	return source{name: p.Name, class: p.Class, memoID: profileFingerprint(&p),
+	return source{name: p.Name, class: p.Class, memoID: inputID{profile: p},
 		traces: p.Traces, budget: p.XInsts,
 		stream: func(t, budget int, disableCache bool) (slotSource, error) {
 			if disableCache {
@@ -295,11 +295,10 @@ func run(ctx context.Context, src source, mode pipeline.Mode, o Options) (res Re
 		o.ConfigMod(&cfg)
 	}
 
-	useMemo := src.memoID != "" && !o.DisableCache && !mustExecute(o.Probes)
-	var key memoKey
+	key := memoKey{input: src.memoID, mode: mode,
+		budget: budget, warmFrac: warmFrac, config: cfg}
+	useMemo := src.memoID != (inputID{}) && !o.DisableCache && !mustExecute(o.Probes) && selfEqual(key)
 	if useMemo {
-		key = memoKey{profile: src.memoID, mode: mode,
-			budget: budget, warmFrac: warmFrac, config: cfg.Fingerprint()}
 		if s, ok := memoGet(key); ok {
 			span.SetAttr("memo_hit", true)
 			res.Stats = s

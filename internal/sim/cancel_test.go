@@ -165,6 +165,17 @@ func TestFingerprintValueStruct(t *testing.T) {
 	}
 	check(reflect.TypeOf(memoKey{}), "memoKey")
 	check(reflect.TypeOf(captureKey{}), "captureKey")
+
+	// One recording serves every budget it covers, so the capture key
+	// names the stream alone: a budget field would split it again.
+	ty := reflect.TypeOf(captureKey{})
+	var fields []string
+	for i := 0; i < ty.NumField(); i++ {
+		fields = append(fields, ty.Field(i).Name)
+	}
+	if want := []string{"profile", "trace"}; !reflect.DeepEqual(fields, want) {
+		t.Errorf("captureKey fields %v, want %v", fields, want)
+	}
 }
 
 // TestNaNKnobSkipsCaches: a profile with a NaN knob can never be found

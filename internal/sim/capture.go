@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"container/list"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/pipeline"
@@ -10,11 +12,16 @@ import (
 )
 
 // The capture layer: the functional IA-32 interpreter runs once per
-// (profile, trace index, budget), recording the retired slot stream; all
-// four pipeline modes — and every later experiment over the same
-// workload — replay the recording instead of re-interpreting. The
-// decoded/translated stream is deterministic per (profile, trace), so
-// replayed runs are bit-identical to interpreted ones.
+// (profile, trace index), recording the retired slot stream; all four
+// pipeline modes — and every later experiment or request over the same
+// workload, at any budget the recording covers — replay the recording
+// instead of re-interpreting. A request for a longer budget records
+// again at that budget and publishes the new recording in place of the
+// old one; a published recording is never mutated, so runs still
+// replaying the old one keep a consistent stream. The decoded/translated
+// stream is deterministic per (profile, trace), so replayed runs are
+// bit-identical to interpreted ones, and a prefix of a longer recording
+// is slot for slot the recording a shorter budget would have made.
 
 // captureSlack is how many slots beyond the instruction budget a capture
 // records. The engine consumes past the budget by at most one frame of
@@ -39,7 +46,7 @@ func (s *cpuStream) Err() error { return s.err }
 // bytes per slot) while the decode and translation are shared per PC in
 // the interpreter's decode table. A full-budget capture is a few MB
 // instead of the tens of MB a []pipeline.Slot costs, which is what lets
-// maxLiveCaptures cover a whole sweep.
+// DefaultCaptureEntries cover a whole sweep.
 type recordedStream struct {
 	entries  []int32 // per slot: index into table.insts
 	nextPCs  []uint32
@@ -136,10 +143,11 @@ func captureRecorded(prog *workload.Program, max int) *recordedStream {
 	return rec
 }
 
-// Default capture-cache budgets. A full-budget columnar recording is a
-// few MB, so the defaults comfortably cover every (workload, trace) of
-// the paper's sweep — later figures replay instead of re-interpreting —
-// while still capping long-lived custom-workload hosts.
+// Default capture-cache budgets, counted per (profile, trace). A
+// full-budget columnar recording is a few MB, so the defaults
+// comfortably cover every (workload, trace) of the paper's sweep —
+// later figures replay instead of re-interpreting — while still capping
+// long-lived custom-workload hosts.
 const (
 	DefaultCaptureEntries = 32
 	DefaultCaptureBytes   = 256 << 20
@@ -147,86 +155,123 @@ const (
 
 // captureKey identifies a recording by value: the profile covers every
 // generator knob, so two custom workloads sharing a name but differing
-// in shape never collide.
+// in shape never collide. The budget is not part of the key: one
+// recording serves every budget it covers.
 type captureKey struct {
 	profile workload.Profile
 	trace   int
-	insts   int
 }
 
+// captureEntry is the current recording of one (profile, trace), an
+// element of captureCache.lru. A recording is immutable once published
+// in rec, so a request it covers loads it without waiting; build
+// serializes the re-recordings that grow it, so racing requests for a
+// budget it does not cover interpret once.
 type captureEntry struct {
-	once   sync.Once
-	rec    *recordedStream
-	genErr error
-	bytes  int64 // approximate residency, set once the recording exists
+	key    captureKey
+	rec    atomic.Pointer[recordedStream]
+	build  sync.Mutex
+	genErr error // under build: the program could not be generated
+	bytes  int64 // under captureCache.mu: the residency charged for rec
+}
+
+// covers reports whether the recording serves a run of budget
+// instructions: it ended with the program, or it holds the budget plus
+// the replay slack. The engine stops at its budget, so a replay reads
+// only the prefix an exact-budget capture would hold and times
+// identically.
+func (rec *recordedStream) covers(budget int) bool {
+	return rec != nil && (rec.atEnd || rec.len() >= budget+captureSlack)
 }
 
 // sizeBytes is a recording's heap residency: the columnar slot arrays
-// and the decode table they index.
+// and the decode table they index, charged by capacity.
 func (rec *recordedStream) sizeBytes() int64 {
-	b := int64(unsafe.Sizeof(int32(0))) * int64(len(rec.entries))
-	b += int64(unsafe.Sizeof(uint32(0))) * int64(len(rec.nextPCs)+len(rec.memOff)+len(rec.memAddrs))
+	b := int64(unsafe.Sizeof(int32(0))) * int64(cap(rec.entries))
+	b += int64(unsafe.Sizeof(uint32(0))) * int64(cap(rec.nextPCs)+cap(rec.memOff)+cap(rec.memAddrs))
 	return b + rec.table.sizeBytes()
 }
 
 // captureCache shares recordings across the concurrent (workload, mode)
-// jobs of a sweep. sync.Once per entry collapses the four modes' racing
-// requests into one interpretation; LRU eviction bounds residency by
-// entry count and by approximate bytes (an evicted entry still in use
-// stays alive via its users' references). The most recent entry is
-// never evicted, so one oversized capture degrades to cache-of-one
-// rather than thrashing.
+// jobs of a sweep and across the budgets of later requests. LRU
+// eviction bounds residency by entry count and by approximate bytes (an
+// evicted or replaced recording still in use stays alive via its users'
+// references). The most recent entry is never evicted, so one oversized
+// capture degrades to cache-of-one rather than thrashing.
 type captureCache struct {
 	mu         sync.Mutex
-	entries    map[captureKey]*captureEntry
-	order      []captureKey // front = least recently used
-	bytes      int64        // sum of completed entries' sizes
+	m          map[captureKey]*list.Element // of *captureEntry
+	lru        *list.List                   // front = most recently used
+	bytes      int64                        // sum of the entries' charged sizes
 	maxEntries int
 	maxBytes   int64
 }
 
 var captures = &captureCache{
-	entries:    map[captureKey]*captureEntry{},
+	m:          map[captureKey]*list.Element{},
+	lru:        list.New(),
 	maxEntries: DefaultCaptureEntries,
 	maxBytes:   DefaultCaptureBytes,
 }
 
+// get returns a recording of trace traceIdx of p that covers budget. A
+// covered request is a hit and never waits; an uncovered one records
+// again at its own budget and publishes the new recording in place of
+// the old one.
 func (c *captureCache) get(p workload.Profile, traceIdx, budget int) (*recordedStream, error) {
-	key := captureKey{profile: p, trace: traceIdx, insts: budget}
+	key := captureKey{profile: p, trace: traceIdx}
 	if !selfEqual(key) {
 		// A NaN knob: the key could never be found, or deleted, again.
 		return record(p, traceIdx, budget)
 	}
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok {
-		e = &captureEntry{}
-		c.entries[key] = e
-	}
-	c.touch(key)
-	c.mu.Unlock()
-
-	built := false
-	e.once.Do(func() {
-		built = true
-		e.rec, e.genErr = record(p, traceIdx, budget)
-	})
-	if built {
-		if e.rec != nil {
-			c.mu.Lock()
-			// The entry may already have been evicted by a racing insert;
-			// only charge residency it still holds.
-			if cur, live := c.entries[key]; live && cur == e {
-				e.bytes = e.rec.sizeBytes()
-				c.bytes += e.bytes
-				c.evict()
-			}
-			c.mu.Unlock()
-		}
-	} else {
+	e := c.entry(key)
+	if rec := e.rec.Load(); rec.covers(budget) {
 		metrics.captureHits.Add(1)
+		return rec, nil
 	}
-	return e.rec, e.genErr
+	e.build.Lock()
+	defer e.build.Unlock()
+	if rec := e.rec.Load(); rec.covers(budget) || e.genErr != nil {
+		// A racing request recorded far enough, or found the program
+		// cannot be generated, while this one waited.
+		metrics.captureHits.Add(1)
+		return rec, e.genErr
+	}
+	rec, err := record(p, traceIdx, budget)
+	if err != nil {
+		e.genErr = err
+		return nil, err
+	}
+	e.rec.Store(rec)
+	c.charge(e, rec.sizeBytes())
+	return rec, nil
+}
+
+// entry returns key's entry, inserting it if absent, as the most
+// recently used, and evicts past the budgets.
+func (c *captureCache) entry(key captureKey) *captureEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.m[key]; ok {
+		c.lru.MoveToFront(el)
+		return el.Value.(*captureEntry)
+	}
+	e := &captureEntry{key: key}
+	c.m[key] = c.lru.PushFront(e)
+	c.evict()
+	return e
+}
+
+// charge moves e's residency to bytes and evicts past the budgets. An
+// entry already evicted by a racing insert holds no residency to move.
+func (c *captureCache) charge(e *captureEntry, bytes int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, live := c.m[e.key]; live && el.Value.(*captureEntry) == e {
+		c.bytes += bytes - e.bytes
+		e.bytes = bytes
+		c.evict()
+	}
 }
 
 // record interprets trace traceIdx of p into a new recording of budget
@@ -240,37 +285,21 @@ func record(p workload.Profile, traceIdx, budget int) (*recordedStream, error) {
 	return captureRecorded(prog, budget+captureSlack), nil
 }
 
-// touch moves key to the most-recent end and evicts past the budgets.
-// Caller holds c.mu.
-func (c *captureCache) touch(key captureKey) {
-	for i, k := range c.order {
-		if k == key {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
-	c.order = append(c.order, key)
-	c.evict()
-}
-
 // evict drops least-recently-used entries while either budget is
 // exceeded, always retaining the most recent entry. Caller holds c.mu.
 func (c *captureCache) evict() {
-	for len(c.order) > 1 && (len(c.order) > c.maxEntries || c.bytes > c.maxBytes) {
-		old := c.order[0]
-		c.order = c.order[1:]
-		if e, ok := c.entries[old]; ok {
-			c.bytes -= e.bytes
-			delete(c.entries, old)
-		}
+	for c.lru.Len() > 1 && (c.lru.Len() > c.maxEntries || c.bytes > c.maxBytes) {
+		e := c.lru.Remove(c.lru.Back()).(*captureEntry)
+		c.bytes -= e.bytes
+		delete(c.m, e.key)
 	}
 }
 
 func (c *captureCache) reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = map[captureKey]*captureEntry{}
-	c.order = nil
+	c.m = map[captureKey]*list.Element{}
+	c.lru.Init()
 	c.bytes = 0
 }
 
@@ -293,7 +322,7 @@ func SetCaptureLimits(entries int, bytes int64) {
 func CaptureOccupancy() (entries int, bytes int64, entryLimit int, byteLimit int64) {
 	captures.mu.Lock()
 	defer captures.mu.Unlock()
-	return len(captures.entries), captures.bytes, captures.maxEntries, captures.maxBytes
+	return captures.lru.Len(), captures.bytes, captures.maxEntries, captures.maxBytes
 }
 
 // CaptureSlots interprets the program for at most n retired

@@ -2,13 +2,19 @@ package sim
 
 import (
 	"context"
+	"math/rand/v2"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/frame"
 	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
+
+var allModes = []pipeline.Mode{
+	pipeline.ModeICache, pipeline.ModeTraceCache, pipeline.ModeRePLay, pipeline.ModeRePLayOpt,
+}
 
 // TestCachedRunsBitIdentical: with capture+memo enabled, every mode's
 // statistics must equal the uncached (live-interpreted) run's exactly —
@@ -20,9 +26,7 @@ func TestCachedRunsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []pipeline.Mode{
-		pipeline.ModeICache, pipeline.ModeTraceCache, pipeline.ModeRePLay, pipeline.ModeRePLayOpt,
-	} {
+	for _, mode := range allModes {
 		cold, err := RunWorkload(context.Background(), p, mode, Options{MaxInsts: 20_000, DisableCache: true})
 		if err != nil {
 			t.Fatal(err)
@@ -71,31 +75,176 @@ func TestMemoKeyedByConfig(t *testing.T) {
 	}
 }
 
-// TestCaptureSharedAcrossModes: the four modes of one workload trigger
-// exactly one interpretation of its slot stream.
+// TestCaptureSharedAcrossModes: the four modes of a workload, at three
+// budgets asked largest first, interpret each trace's slot stream
+// exactly once and leave one recording per trace.
 func TestCaptureSharedAcrossModes(t *testing.T) {
 	ResetCaches()
 	defer ResetCaches()
+	p, err := workload.ByName("excel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds := SnapshotMetrics().CaptureBuilds
+	for _, budget := range []int{12_000, 8_000, 4_000} {
+		for _, mode := range allModes {
+			if _, err := RunWorkload(context.Background(), p, mode, Options{MaxInsts: budget}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n, _, _, _ := CaptureOccupancy(); n != p.Traces {
+		t.Errorf("capture cache holds %d entries after 4 modes x 3 budgets of %d traces, want %d", n, p.Traces, p.Traces)
+	}
+	if got := SnapshotMetrics().CaptureBuilds - builds; got != uint64(p.Traces) {
+		t.Errorf("%d capture builds for %d traces, want one per trace", got, p.Traces)
+	}
+}
+
+// TestCapturePrefixEquivalence: one recording per (profile, trace)
+// serves a shrink-then-grow sequence of budgets. In every mode, each
+// budget's stats equal the live interpreter's and those of a fresh
+// recording of exactly that budget plus the slack, and only the budgets
+// the current recording does not cover interpret again.
+func TestCapturePrefixEquivalence(t *testing.T) {
+	ResetCaches()
+	t.Cleanup(ResetCaches)
+	ctx := context.Background()
+	// The last budget lies inside the slack of the 40k recording, so it
+	// must grow it.
+	budgets := []int{30_000, 10_000, 40_000, 20_000, 41_000}
+	for _, name := range []string{"gzip", "excel"} {
+		p, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs := make([]*workload.Program, p.Traces)
+		for i := range progs {
+			if progs[i], err = workload.Generate(p, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// exact replays a new exact-budget recording of each trace,
+		// bypassing the capture cache and the run memo.
+		exact := source{name: p.Name, class: p.Class, traces: p.Traces, budget: p.XInsts,
+			stream: func(tr, budget int, _ bool) (slotSource, error) {
+				return &replayStream{rec: captureRecorded(progs[tr], budget+captureSlack)}, nil
+			}}
+		builds := SnapshotMetrics().CaptureBuilds
+		for _, budget := range budgets {
+			for _, mode := range allModes {
+				cached, err := RunWorkload(ctx, p, mode, Options{MaxInsts: budget})
+				if err != nil {
+					t.Fatal(err)
+				}
+				live, err := RunWorkload(ctx, p, mode, Options{MaxInsts: budget, DisableCache: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, _, err := run(ctx, exact, mode, Options{MaxInsts: budget})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cached.Stats != live.Stats || cached.Stats != fresh.Stats {
+					t.Errorf("%s/%v at %d: cached stats differ:\ncached %+v\n  live %+v\n fresh %+v",
+						name, mode, budget, cached.Stats, live.Stats, fresh.Stats)
+				}
+			}
+		}
+		// 30k, 40k and 41k record every trace; 10k and 20k replay prefixes.
+		if got, want := SnapshotMetrics().CaptureBuilds-builds, uint64(3*p.Traces); got != want {
+			t.Errorf("%s: %d capture builds over budgets %v, want %d", name, got, budgets, want)
+		}
+	}
+}
+
+// TestCaptureConcurrentGrowth: requests for random budgets on one
+// (profile, trace) race with the growths they cause. Every run must
+// equal the live run at its budget, and afterwards the cache's charged
+// bytes must equal the live entries' sizes.
+func TestCaptureConcurrentGrowth(t *testing.T) {
+	ResetCaches()
+	t.Cleanup(ResetCaches)
+	ctx := context.Background()
 	p, err := workload.ByName("gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []pipeline.Mode{
-		pipeline.ModeICache, pipeline.ModeTraceCache, pipeline.ModeRePLay, pipeline.ModeRePLayOpt,
-	} {
-		if _, err := RunWorkload(context.Background(), p, mode, Options{MaxInsts: 10_000}); err != nil {
+	budgets := []int{1_000, 3_000, 5_000, 7_000, 9_000}
+	want := make(map[int]pipeline.Stats, len(budgets))
+	for _, b := range budgets {
+		res, err := RunWorkload(ctx, p, pipeline.ModeRePLayOpt, Options{MaxInsts: b, DisableCache: true})
+		if err != nil {
 			t.Fatal(err)
 		}
+		want[b] = res.Stats
 	}
+	// Racing requests for a budget nothing covers interpret once. The
+	// recording then holds the smallest budget, so larger ones grow it.
+	builds := SnapshotMetrics().CaptureBuilds
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := captures.get(p, 0, budgets[0]); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := SnapshotMetrics().CaptureBuilds - builds; got != 1 {
+		t.Fatalf("4 racing requests for one budget made %d capture builds, want 1", got)
+	}
+	builds++
+	// Without a memo identity every request reaches the capture cache.
+	src := profileSource(p)
+	src.memoID = inputID{}
+	for g := range 6 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(uint64(g), 1))
+			for range 5 {
+				b := budgets[rng.IntN(len(budgets))]
+				res, _, err := run(ctx, src, pipeline.ModeRePLayOpt, Options{MaxInsts: b})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if res.Stats != want[b] {
+					t.Errorf("goroutine %d, budget %d: stats differ from the live run", g, b)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if SnapshotMetrics().CaptureBuilds == builds {
+		t.Error("no request grew the recording")
+	}
+	checkCaptureResidency(t)
+}
+
+// checkCaptureResidency fails t unless the capture cache's charged
+// bytes equal the sum of its entries' recording sizes.
+func checkCaptureResidency(t *testing.T) {
+	t.Helper()
 	captures.mu.Lock()
-	n := len(captures.entries)
+	var sum int64
+	for el := captures.lru.Front(); el != nil; el = el.Next() {
+		if rec := el.Value.(*captureEntry).rec.Load(); rec != nil {
+			sum += rec.sizeBytes()
+		}
+	}
 	captures.mu.Unlock()
-	if n != 1 {
-		t.Errorf("capture cache holds %d entries after 4 modes of 1 workload, want 1", n)
+	if _, bytes, _, _ := CaptureOccupancy(); bytes != sum {
+		t.Errorf("capture cache charges %d bytes, its entries hold %d", bytes, sum)
 	}
 }
 
-// TestCaptureCacheBounded: residency never exceeds maxLiveCaptures.
+// TestCaptureCacheBounded: occupancy never exceeds DefaultCaptureEntries,
+// and a growth that pushes the cache past its byte budget evicts the
+// least recently used entry, not the one it grew.
 func TestCaptureCacheBounded(t *testing.T) {
 	ResetCaches()
 	defer ResetCaches()
@@ -108,12 +257,77 @@ func TestCaptureCacheBounded(t *testing.T) {
 		if _, err := RunWorkload(context.Background(), p, pipeline.ModeICache, Options{MaxInsts: 2_000}); err != nil {
 			t.Fatal(err)
 		}
-		captures.mu.Lock()
-		n := len(captures.entries)
-		captures.mu.Unlock()
-		if n > DefaultCaptureEntries {
+		if n, _, _, _ := CaptureOccupancy(); n > DefaultCaptureEntries {
 			t.Fatalf("after %d workloads: %d live captures > bound %d", i+1, n, DefaultCaptureEntries)
 		}
+	}
+
+	ResetCaches()
+	_, _, entryLimit, byteLimit := CaptureOccupancy()
+	t.Cleanup(func() { SetCaptureLimits(entryLimit, byteLimit) })
+	gzip, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bzip2, err := workload.ByName("bzip2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(p workload.Profile, budget int) *recordedStream {
+		rec, err := captures.get(p, 0, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	small := get(gzip, 2_000)
+	other := get(bzip2, 2_000)
+	SetCaptureLimits(0, small.sizeBytes()+other.sizeBytes()+1)
+	grown := get(gzip, 50_000) // gzip is now the most recent: bzip2 goes
+	if grown == small {
+		t.Fatal("a 50k request was served by the 2k recording")
+	}
+	if n, bytes, _, _ := CaptureOccupancy(); n != 1 || bytes != grown.sizeBytes() {
+		t.Errorf("after the growth: %d entries, %d bytes; want 1 entry, the grown recording's %d bytes",
+			n, bytes, grown.sizeBytes())
+	}
+	if get(gzip, 40_000) != grown {
+		t.Error("a 40k request was not served by the surviving 50k recording")
+	}
+	checkCaptureResidency(t)
+}
+
+// TestCaptureLRUOrder: the capture cache evicts the least recently used
+// entry first, and a hit refreshes an entry's recency.
+func TestCaptureLRUOrder(t *testing.T) {
+	ResetCaches()
+	_, _, entryLimit, byteLimit := CaptureOccupancy()
+	t.Cleanup(func() {
+		SetCaptureLimits(entryLimit, byteLimit)
+		ResetCaches()
+	})
+	SetCaptureLimits(2, 0)
+	var ps []workload.Profile
+	for _, name := range []string{"gzip", "bzip2", "crafty"} {
+		p, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps = append(ps, p)
+	}
+	for _, i := range []int{0, 1, 0, 2} { // the hit on gzip leaves bzip2 least recent
+		if _, err := captures.get(ps[i], 0, 1_000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	captures.mu.Lock()
+	defer captures.mu.Unlock()
+	var got []string
+	for el := captures.lru.Front(); el != nil; el = el.Next() {
+		got = append(got, el.Value.(*captureEntry).key.profile.Name)
+	}
+	if want := []string{"crafty", "gzip"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("capture recency %v, want %v", got, want)
 	}
 }
 
@@ -220,9 +434,7 @@ func TestStreamAdapterEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := captureRecorded(prog, insts+captureSlack)
-		for _, mode := range []pipeline.Mode{
-			pipeline.ModeICache, pipeline.ModeTraceCache, pipeline.ModeRePLay, pipeline.ModeRePLayOpt,
-		} {
+		for _, mode := range allModes {
 			run := func(src pipeline.Stream) pipeline.Stats {
 				eng := pipeline.New(pipeline.DefaultConfig(mode), mode, src)
 				eng.Run(insts)

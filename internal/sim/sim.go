@@ -239,12 +239,14 @@ func profileSource(p workload.Profile) source {
 // a nil ctx means run to completion.
 //
 // Unless o.DisableCache is set, two layers of reuse apply: the retired
-// slot stream of each (profile, trace, budget) is captured once and
-// replayed for every mode, and a completed (profile, mode, budget,
-// warmup, config) run is memoized outright, so experiment sweeps that
-// share runs (fig6/fig7/fig8/table3/fig9 all repeat the RP and RPO
-// baselines) execute them once. Both layers are observationally
-// transparent: the stream is deterministic per (profile, trace).
+// slot stream of each (profile, trace) is captured once and replayed for
+// every mode and every budget the recording covers (a longer budget
+// records it again, and the new recording replaces the old), and a
+// completed (profile, mode, budget, warmup, config) run is memoized
+// outright, so experiment sweeps that share runs (fig6/fig7/fig8/table3/
+// fig9 all repeat the RP and RPO baselines) execute them once. Both
+// layers are observationally transparent: the stream is deterministic
+// per (profile, trace).
 func RunWorkload(ctx context.Context, p workload.Profile, mode pipeline.Mode, o Options) (Result, error) {
 	return foldNow(run(ctx, profileSource(p), mode, o))
 }

@@ -19,8 +19,8 @@ import (
 // the caller to hold the frame's only live reference. Two cases
 // therefore never recycle:
 //
-//   - a frame handed to a Deposit callback or DepositHook that may
-//     retain it (engines only recycle when no hook is attached);
+//   - a frame handed to a Deposit callback that may retain it (the
+//     engine's callback recycles only the frames it drops);
 //   - the donor of a Truncate, whose slices alias the surviving
 //     truncated frame — the donor is simply left to the GC.
 var framePool = sync.Pool{

@@ -140,15 +140,6 @@ type Engine struct {
 	// buffers the fetch is still reading), and pull keeps the deque's
 	// slots in place while it is set.
 	activeSrc *frame.Frame
-
-	// MispredictHook, when set, is called on every misprediction-style
-	// fetch stall (diagnostics).
-	MispredictHook func(pc uint32, kind string)
-	// AbortHook, when set, is called on every frame abort with the frame
-	// start and the PC of the diverging/conflicting instruction.
-	AbortHook func(startPC, instPC uint32, unsafe bool)
-	// DepositHook observes every frame offered by the constructor.
-	DepositHook func(f *frame.Frame)
 }
 
 type pendingFrame struct {
@@ -207,13 +198,11 @@ func New(cfg Config, mode Mode, src Stream) *Engine {
 // recycleFrame returns a displaced frame-cache entry's buffers — its
 // program, optimized frame and source frame — to their pools (the
 // cache's Recycle hook: capacity eviction, same-PC replacement, and
-// invalidation). Recycling is skipped when a DepositHook is attached —
-// the hook may have retained the source frame — and for the frame
-// currently being fetched, which an Invalidate or replacement can
-// displace while the fetch still reads it; that entry is left to the
-// garbage collector.
+// invalidation). Recycling is skipped for the frame currently being
+// fetched, which an Invalidate or replacement can displace while the
+// fetch still reads it; that entry is left to the garbage collector.
 func (e *Engine) recycleFrame(c *cachedFrame) {
-	if e.DepositHook != nil || c == nil || c.of.Source == e.activeSrc {
+	if c == nil || c.of.Source == e.activeSrc {
 		return
 	}
 	src := c.of.Source
@@ -460,68 +449,71 @@ func (e *Engine) dispatchOp(units []uint64, lat uint64, flags uint8, ready, fetc
 	return doneAt
 }
 
-// readyOf computes an arch-register dataflow ready time for a micro-op on
-// the decoded (ICache / trace cache) path.
-func (e *Engine) readyOf(u uop.UOp) uint64 {
-	var r uint64
-	if u.UsesSrcA() {
-		if t := e.archReady[u.SrcA]; t > r {
-			r = t
-		}
-	}
-	if u.UsesSrcB() {
-		if t := e.archReady[u.SrcB]; t > r {
-			r = t
-		}
-	}
-	if u.ReadsFlags() {
-		if t := e.archReady[uop.FLAGS]; t > r {
-			r = t
-		}
-	}
-	return r
-}
-
-// dispatchDecoded dispatches one decoded-path micro-op, updating the arch
-// scoreboard. Returns its completion time.
-func (e *Engine) dispatchDecoded(u uop.UOp, fetchAt uint64, memAddr uint32, hasAddr bool) uint64 {
-	done := e.dispatch(u.Op, e.readyOf(u), fetchAt, memAddr, hasAddr)
-	if d := u.DestReg(); d != uop.RegNone {
-		e.archReady[d] = done
-	}
-	if u.WritesFlags {
-		e.archReady[uop.FLAGS] = done
-	}
-	return done
-}
-
-// retireSlot books the committed-path accounting for one instruction.
-func (e *Engine) retireSlot(s *Slot, fromFrame bool, uopsExecuted, loadsExecuted int) {
-	e.stats.X86Retired++
-	e.stats.UOpsRetired += uint64(uopsExecuted)
-	e.stats.LoadsRetired += uint64(loadsExecuted)
-	base := len(s.UOps)
-	loads := 0
+// issueSlot dispatches a decoded-path instruction's micro-ops in a
+// fetch group that left the front end at fetchAt, pairing memory
+// micro-ops with the slot's addresses in order, then retires it: the
+// committed-path accounting (fromTrace marks trace-cache coverage), the
+// probe, and the frame constructor or trace fill unit. It returns the
+// completion time of the instruction's control micro-op, which is when
+// a misprediction resolves.
+func (e *Engine) issueSlot(s *Slot, fetchAt uint64, fromTrace bool) (brDone uint64) {
+	mi, loads := 0, 0
 	for _, u := range s.UOps {
+		var addr uint32
+		hasAddr := false
+		if u.Op.IsMem() {
+			if mi < len(s.MemAddrs) {
+				addr = s.MemAddrs[mi]
+				hasAddr = true
+			}
+			mi++
+		}
+		// Dataflow through the arch-register scoreboard.
+		var ready uint64
+		if u.UsesSrcA() {
+			ready = max(ready, e.archReady[u.SrcA])
+		}
+		if u.UsesSrcB() {
+			ready = max(ready, e.archReady[u.SrcB])
+		}
+		if u.ReadsFlags() {
+			ready = max(ready, e.archReady[uop.FLAGS])
+		}
+		done := e.dispatch(u.Op, ready, fetchAt, addr, hasAddr)
+		if d := u.DestReg(); d != uop.RegNone {
+			e.archReady[d] = done
+		}
+		if u.WritesFlags {
+			e.archReady[uop.FLAGS] = done
+		}
+		if u.Op.IsControl() {
+			brDone = done
+		}
 		if u.Op == uop.LOAD {
 			loads++
 		}
 	}
-	e.stats.UOpsBaseline += uint64(base)
+	// Every micro-op of a decoded-path instruction executes, so the
+	// retired and baseline counts agree.
+	n := uint64(len(s.UOps))
+	e.stats.X86Retired++
+	e.stats.UOpsRetired += n
+	e.stats.LoadsRetired += uint64(loads)
+	e.stats.UOpsBaseline += n
 	e.stats.LoadsBaseline += uint64(loads)
-	if fromFrame {
-		e.stats.CoveredBaseline += uint64(base)
+	if fromTrace {
+		e.stats.CoveredBaseline += n
 	}
-}
-
-// feedConstructor offers a retired instruction to the frame constructor.
-func (e *Engine) feedConstructor(s *Slot) {
+	if e.probe != nil {
+		e.probe.SlotRetired(s, fromTrace, len(s.UOps))
+	}
 	if e.cons != nil {
 		e.cons.Retire(s.PC, s.Inst, s.UOps, s.NextPC, s.MemAddrs)
 	}
 	if e.fill != nil {
 		e.fillTrace(s)
 	}
+	return brDone
 }
 
 // Run drives the engine until the stream ends or maxInsts instructions
@@ -650,35 +642,7 @@ func (e *Engine) fetchICache() {
 		e.next()
 		instsLeft--
 		uopsLeft -= len(s.UOps)
-
-		mi := 0
-		loads := 0
-		var brDone uint64
-		for _, u := range s.UOps {
-			var addr uint32
-			hasAddr := false
-			if u.Op.IsMem() {
-				if mi < len(s.MemAddrs) {
-					addr = s.MemAddrs[mi]
-					hasAddr = true
-				}
-				mi++
-			}
-			done := e.dispatchDecoded(u, fetchAt, addr, hasAddr)
-			if u.Op.IsControl() {
-				brDone = done
-			}
-			if u.Op == uop.LOAD {
-				loads++
-			}
-		}
-		e.retireSlot(s, false, len(s.UOps), loads)
-		// Hook kept out of retireSlot so it stays inlinable at the
-		// retirement sites; the detached cost is this one nil check.
-		if e.probe != nil {
-			e.probe.SlotRetired(s, false, len(s.UOps))
-		}
-		e.feedConstructor(s)
+		brDone := e.issueSlot(s, fetchAt, false)
 
 		// Control-flow handling.
 		if stop := e.handleControl(s, brDone); stop {
@@ -722,9 +686,6 @@ func (e *Engine) handleControl(s *Slot, resolveAt uint64) bool {
 		e.gshare.Update(s.PC, actualTaken)
 		if pred != actualTaken {
 			e.stats.Mispredicts++
-			if e.MispredictHook != nil {
-				e.MispredictHook(s.PC, "cond")
-			}
 			e.stallUntil(resolveAt, BinMispred)
 			return true
 		}
@@ -732,9 +693,6 @@ func (e *Engine) handleControl(s *Slot, resolveAt uint64) bool {
 			// Correctly predicted taken: need the target from the BTB.
 			if tgt, ok := e.btb.Lookup(s.PC); !ok || tgt != s.NextPC {
 				e.stats.BTBMisses++
-				if e.MispredictHook != nil {
-					e.MispredictHook(s.PC, "btb")
-				}
 				e.btb.Update(s.PC, s.NextPC)
 				e.stallUntil(resolveAt, BinMispred)
 				return true
@@ -759,9 +717,6 @@ func (e *Engine) handleControl(s *Slot, resolveAt uint64) bool {
 	case x86.OpRET:
 		if e.ras.Pop() != s.NextPC {
 			e.stats.Mispredicts++
-			if e.MispredictHook != nil {
-				e.MispredictHook(s.PC, "ret")
-			}
 			e.stallUntil(resolveAt, BinMispred)
 		}
 		return true

@@ -16,25 +16,17 @@ func (e *Engine) depositFrame(f *frame.Frame) {
 	if e.probe != nil {
 		e.probe.FrameBuilt(e.cycle, f.ID, f.StartPC, len(f.UOps))
 	}
-	if e.DepositHook != nil {
-		e.DepositHook(f)
-	}
 	// Skip when a comparable frame is already cached or in flight; a
 	// replacement must grow the frame substantially (50%) to be worth
 	// another pass through the optimization engine. Deposit transferred
-	// ownership, so dropped frames are recycled (unless a DepositHook
-	// may have retained them).
+	// ownership, so dropped frames are recycled.
 	if ex, ok := e.frames.Lookup(f.StartPC); ok && f.NumX86 < ex.of.Source.NumX86+ex.of.Source.NumX86/2 {
-		if e.DepositHook == nil {
-			frame.PutFrame(f)
-		}
+		frame.PutFrame(f)
 		return
 	}
 	for _, p := range e.optPending {
 		if p.of.StartPC == f.StartPC && f.NumX86 < p.of.Source.NumX86+p.of.Source.NumX86/2 {
-			if e.DepositHook == nil {
-				frame.PutFrame(f)
-			}
+			frame.PutFrame(f)
 			return
 		}
 	}
@@ -58,16 +50,12 @@ func (e *Engine) depositFrame(f *frame.Frame) {
 	// buffer is full (the paper's policy for a busy optimizer).
 	if len(e.optQueue) >= optQueueDepth {
 		e.stats.FramesDropped++
-		if e.DepositHook == nil {
-			frame.PutFrame(f)
-		}
+		frame.PutFrame(f)
 		return
 	}
 	for _, q := range e.optQueue {
 		if q.StartPC == f.StartPC && f.NumX86 < q.NumX86+q.NumX86/2 {
-			if e.DepositHook == nil {
-				frame.PutFrame(f)
-			}
+			frame.PutFrame(f)
 			return
 		}
 	}
@@ -279,13 +267,6 @@ func (e *Engine) runFrame(c *cachedFrame) {
 		e.stats.FrameAborts++
 		if unsafeConflict && !diverged {
 			e.stats.UnsafeAborts++
-		}
-		if e.AbortHook != nil {
-			pc := uint32(0)
-			if len(consumed) > 0 {
-				pc = consumed[len(consumed)-1].PC
-			}
-			e.AbortHook(src.StartPC, pc, unsafeConflict && !diverged)
 		}
 		if e.probe != nil {
 			e.probe.AssertFired(e.cycle, src.ID, src.StartPC, unsafeConflict && !diverged)

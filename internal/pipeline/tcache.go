@@ -100,33 +100,7 @@ func (e *Engine) fetchTraceEntry(tr *traceEntry) {
 		}
 		e.next()
 		uopsLeft -= len(s.UOps)
-
-		mi := 0
-		loads := 0
-		var brDone uint64
-		for _, u := range s.UOps {
-			var addr uint32
-			hasAddr := false
-			if u.Op.IsMem() {
-				if mi < len(s.MemAddrs) {
-					addr = s.MemAddrs[mi]
-					hasAddr = true
-				}
-				mi++
-			}
-			done := e.dispatchDecoded(u, fetchAt, addr, hasAddr)
-			if u.Op.IsControl() {
-				brDone = done
-			}
-			if u.Op == uop.LOAD {
-				loads++
-			}
-		}
-		e.retireSlot(s, true, len(s.UOps), loads)
-		if e.probe != nil {
-			e.probe.SlotRetired(s, true, len(s.UOps))
-		}
-		e.feedConstructor(s)
+		brDone := e.issueSlot(s, fetchAt, true)
 
 		// Trace-internal control: unlike the decoded path, a correctly
 		// predicted taken branch does not end fetch — the target's code is

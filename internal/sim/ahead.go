@@ -1,6 +1,9 @@
 package sim
 
-import "repro/internal/pipeline"
+import (
+	"repro/internal/pipeline"
+	"repro/internal/translate"
+)
 
 // Run-ahead: the live interpreter stream on a goroutine of its own. The
 // timing model never feeds anything back into the correct-path stream,
@@ -22,7 +25,7 @@ const (
 // valid (and race-free to read) after the table's backing array grows;
 // the addresses alias the interpreter's never-reused arena.
 type aheadRec struct {
-	d      *decodedInst
+	d      *translate.Entry
 	nextPC uint32
 	addrs  []uint32
 }
@@ -96,7 +99,7 @@ func (a *aheadStream) produce(s *cpuStream) {
 				a.full <- b
 				return
 			}
-			b.recs = append(b.recs, aheadRec{d: &s.table.insts[i], nextPC: nextPC, addrs: addrs})
+			b.recs = append(b.recs, aheadRec{d: s.table.Entry(i), nextPC: nextPC, addrs: addrs})
 		}
 		a.full <- b
 	}
@@ -122,7 +125,7 @@ func (a *aheadStream) NextInto(sl *pipeline.Slot) bool {
 	r := &a.cur.recs[a.pos]
 	a.pos++
 	d := r.d
-	sl.PC, sl.Inst, sl.UOps, sl.NextPC, sl.MemAddrs = d.pc, d.in, d.uops, r.nextPC, r.addrs
+	sl.PC, sl.Inst, sl.UOps, sl.NextPC, sl.MemAddrs = d.PC, d.Inst, d.UOps, r.nextPC, r.addrs
 	return true
 }
 

@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"repro/internal/pipeline"
+	"repro/internal/translate"
 	"repro/internal/workload"
 )
 
@@ -48,11 +49,11 @@ func (s *cpuStream) Err() error { return s.err }
 // instead of the tens of MB a []pipeline.Slot costs, which is what lets
 // DefaultCaptureEntries cover a whole sweep.
 type recordedStream struct {
-	entries  []int32 // per slot: index into table.insts
+	entries  []int32 // per slot: a table entry index
 	nextPCs  []uint32
 	memOff   []uint32 // prefix offsets into memAddrs; len = len(entries)+1
 	memAddrs []uint32
-	table    *decodeTable
+	table    *translate.Table
 	err      error // interpreter error hit at the end of the slots, if any
 	atEnd    bool  // the program genuinely ended (vs the capture bound)
 }
@@ -68,8 +69,8 @@ func (rec *recordedStream) slot(i int, s *pipeline.Slot) {
 	if lo, hi := rec.memOff[i], rec.memOff[i+1]; hi > lo {
 		addrs = rec.memAddrs[lo:hi:hi]
 	}
-	d := &rec.table.insts[rec.entries[i]]
-	s.PC, s.Inst, s.UOps, s.NextPC, s.MemAddrs = d.pc, d.in, d.uops, rec.nextPCs[i], addrs
+	d := rec.table.Entry(rec.entries[i])
+	s.PC, s.Inst, s.UOps, s.NextPC, s.MemAddrs = d.PC, d.Inst, d.UOps, rec.nextPCs[i], addrs
 }
 
 // errCaptureExhausted reports a replay that consumed the whole recording
@@ -189,7 +190,7 @@ func (rec *recordedStream) covers(budget int) bool {
 func (rec *recordedStream) sizeBytes() int64 {
 	b := int64(unsafe.Sizeof(int32(0))) * int64(cap(rec.entries))
 	b += int64(unsafe.Sizeof(uint32(0))) * int64(cap(rec.nextPCs)+cap(rec.memOff)+cap(rec.memAddrs))
-	return b + rec.table.sizeBytes()
+	return b + rec.table.SizeBytes()
 }
 
 // captureCache shares recordings across the concurrent (workload, mode)
@@ -350,14 +351,14 @@ func NewSlotStream(slots []pipeline.Slot) pipeline.Stream {
 		entries: make([]int32, 0, len(slots)),
 		nextPCs: make([]uint32, 0, len(slots)),
 		memOff:  make([]uint32, 1, len(slots)+1),
-		table:   newDecodeTable(0, 0), // no code image: PCs go to the map, at build time only
+		table:   translate.NewTable(0, 0), // no code image: PCs go to the map, at build time only
 		atEnd:   true,
 	}
 	for i := range slots {
 		s := &slots[i]
-		e := rec.table.find(s.PC)
+		e := rec.table.Find(s.PC)
 		if e < 0 {
-			e = rec.table.add(decodedInst{pc: s.PC, in: s.Inst, uops: s.UOps})
+			e = rec.table.Add(translate.Entry{PC: s.PC, Inst: s.Inst, UOps: s.UOps})
 		}
 		rec.entries = append(rec.entries, e)
 		rec.nextPCs = append(rec.nextPCs, s.NextPC)

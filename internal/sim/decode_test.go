@@ -62,84 +62,7 @@ func TestDecodeTableEquivalence(t *testing.T) {
 					t.Fatalf("%s/t%d slot %d:\n got %+v\nwant %+v", p.Name, tr, n, got, want)
 				}
 			}
-			if len(s.table.far) != 0 {
-				t.Errorf("%s/t%d: %d PCs outside the code image took the fallback map", p.Name, tr, len(s.table.far))
-			}
 		}
-	}
-}
-
-// TestDecodeTableFallback: a PC outside the code image, above it or
-// below its base, is decoded into the fallback map and yields the same
-// entry a decode at that PC does, and is found again without decoding.
-func TestDecodeTableFallback(t *testing.T) {
-	p, err := workload.ByName("gzip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := workload.Generate(p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	size := uint32(len(prog.Code))
-	if prog.Base < size {
-		t.Fatalf("code image at %#x leaves no room below it", prog.Base)
-	}
-	// The same code at the image and on either side of it.
-	below, above := prog.Base-size, prog.Base+size
-	mem := cpu.NewMemory()
-	for _, at := range []uint32{below, prog.Base, above} {
-		mem.WriteBytes(at, prog.Code)
-	}
-	// The PCs the program retires first.
-	var offs []uint32
-	seen := map[uint32]bool{}
-	s := newCPUStream(prog)
-	for n := 0; n < 5_000; n++ {
-		sl, ok := s.Next()
-		if !ok {
-			break
-		}
-		if !seen[sl.PC] {
-			seen[sl.PC] = true
-			offs = append(offs, sl.PC-prog.Base)
-		}
-	}
-
-	tab := newDecodeTable(prog.Base, len(prog.Code))
-	for _, off := range offs {
-		for _, pc := range []uint32{below + off, prog.Base + off, above + off} {
-			i, err := tab.decode(pc, mem)
-			if err != nil {
-				t.Fatalf("decode at %#x: %v", pc, err)
-			}
-			_, far := tab.far[pc]
-			if inImage := pc-prog.Base < size; far == inImage {
-				t.Errorf("PC %#x: in fallback map = %v, inside the image = %v", pc, far, inImage)
-			}
-			in, err := x86.Decode(mem.ReadBytes(pc, 15))
-			if err != nil {
-				t.Fatal(err)
-			}
-			us, err := translate.UOps(in, pc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := decodedInst{pc: pc, in: in, uops: us}
-			if got := tab.insts[i]; !reflect.DeepEqual(got, want) {
-				t.Errorf("PC %#x: entry %+v, want %+v", pc, got, want)
-			}
-			entries := len(tab.insts)
-			if j := tab.find(pc); j != i {
-				t.Errorf("PC %#x: found entry %d, decoded %d", pc, j, i)
-			}
-			if len(tab.insts) != entries {
-				t.Errorf("PC %#x: find added an entry", pc)
-			}
-		}
-	}
-	if want := 2 * len(offs); len(tab.far) != want {
-		t.Errorf("fallback map holds %d PCs, want %d", len(tab.far), want)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/reuse"
 	"repro/internal/tracing"
+	"repro/internal/translate"
 	"repro/internal/workload"
 	"repro/internal/x86"
 )
@@ -33,7 +34,7 @@ const maxSlotMemOps = 8
 // correct-path instruction stream (the Micro-Op Injector).
 type cpuStream struct {
 	c     *cpu.CPU
-	table *decodeTable
+	table *translate.Table
 	addrs []uint32 // current arena chunk for slot MemAddrs
 	err   error
 }
@@ -41,7 +42,7 @@ type cpuStream struct {
 func newCPUStream(prog *workload.Program) *cpuStream {
 	return &cpuStream{
 		c:     prog.NewCPU(),
-		table: newDecodeTable(prog.Base, len(prog.Code)),
+		table: translate.NewTable(prog.Base, len(prog.Code)),
 	}
 }
 
@@ -58,8 +59,8 @@ func (s *cpuStream) NextInto(sl *pipeline.Slot) bool {
 	if !ok {
 		return false
 	}
-	d := &s.table.insts[i]
-	sl.PC, sl.Inst, sl.UOps, sl.NextPC, sl.MemAddrs = d.pc, d.in, d.uops, nextPC, addrs
+	d := s.table.Entry(i)
+	sl.PC, sl.Inst, sl.UOps, sl.NextPC, sl.MemAddrs = d.PC, d.Inst, d.UOps, nextPC, addrs
 	return true
 }
 
@@ -70,23 +71,23 @@ func (s *cpuStream) step() (entry int32, nextPC uint32, addrs []uint32, ok bool)
 	if s.c.Halted || s.err != nil {
 		return 0, 0, nil, false
 	}
-	i := s.table.find(s.c.PC)
+	i := s.table.Find(s.c.PC)
 	if i < 0 {
 		var err error
-		if i, err = s.table.decode(s.c.PC, s.c.Mem); err != nil {
+		if i, err = s.table.Decode(s.c.PC, s.c.Mem.ReadBytes(s.c.PC, 15)); err != nil {
 			s.err = err
 			return 0, 0, nil, false
 		}
 	}
-	d := &s.table.insts[i]
-	if d.in.Op == x86.OpHLT {
+	d := s.table.Entry(i)
+	if d.Inst.Op == x86.OpHLT {
 		return 0, 0, nil, false
 	}
 	if cap(s.addrs)-len(s.addrs) < maxSlotMemOps {
 		s.addrs = make([]uint32, 0, addrChunk)
 	}
 	base := len(s.addrs)
-	grown, nextPC, err := s.c.StepInst(&d.in, s.addrs)
+	grown, nextPC, err := s.c.StepInst(&d.Inst, s.addrs)
 	if err != nil {
 		s.err = err
 		return 0, 0, nil, false

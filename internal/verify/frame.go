@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/cpu"
@@ -67,19 +68,19 @@ func checkFrames(prog *workload.Program, maxInsts int, optsFn func() opt.Options
 		}
 	})
 
-	dec := newCPUDecoder(ref)
+	tab := translate.NewTable(prog.Base, len(prog.Code))
 
 	for stats.Insts < maxInsts && !ref.Halted {
 		pc := ref.PC
 		if of, ok := frames[pc]; ok {
-			n, err := checkOneFrame(ref, of, cons, dec, &stats)
+			n, err := checkOneFrame(ref, of, cons, tab, &stats)
 			stats.Insts += n
 			if err != nil {
 				return stats, err
 			}
 			continue
 		}
-		in, uops, err := dec.at(pc)
+		d, err := decodeAt(tab, ref, pc)
 		if err != nil {
 			return stats, err
 		}
@@ -91,7 +92,7 @@ func checkFrames(prog *workload.Program, maxInsts int, optsFn func() opt.Options
 		for _, m := range rec.MemOps {
 			addrs = append(addrs, m.Addr)
 		}
-		cons.Retire(pc, in, uops, rec.NextPC, addrs)
+		cons.Retire(pc, d.Inst, d.UOps, rec.NextPC, addrs)
 		stats.Insts++
 	}
 	return stats, nil
@@ -100,7 +101,7 @@ func checkFrames(prog *workload.Program, maxInsts int, optsFn func() opt.Options
 // checkOneFrame executes a frame functionally, steps the reference
 // through the frame's path, and cross-checks the two. It returns the
 // number of reference instructions consumed.
-func checkOneFrame(ref *cpu.CPU, of *opt.OptFrame, cons *frame.Constructor, dec *cpuDecoder, stats *FrameCheckStats) (int, error) {
+func checkOneFrame(ref *cpu.CPU, of *opt.OptFrame, cons *frame.Constructor, tab *translate.Table, stats *FrameCheckStats) (int, error) {
 	src := of.Source
 	stats.Checked++
 
@@ -126,7 +127,7 @@ func checkOneFrame(ref *cpu.CPU, of *opt.OptFrame, cons *frame.Constructor, dec 
 			return steps, fmt.Errorf("frame %s: reference at %#x, path[%d]=%#x", src, ref.PC, k, src.PCs[k])
 		}
 		pc := ref.PC
-		in, uops, err := dec.at(pc)
+		d, err := decodeAt(tab, ref, pc)
 		if err != nil {
 			return steps, err
 		}
@@ -141,7 +142,7 @@ func checkOneFrame(ref *cpu.CPU, of *opt.OptFrame, cons *frame.Constructor, dec 
 		for _, m := range rec.MemOps {
 			addrs = append(addrs, m.Addr)
 		}
-		cons.Retire(pc, in, uops, rec.NextPC, addrs)
+		cons.Retire(pc, d.Inst, d.UOps, rec.NextPC, addrs)
 		for _, m := range rec.MemOps {
 			if m.IsStore {
 				refStores = append(refStores, storeRec{m.Addr, m.Data})
@@ -192,34 +193,19 @@ func checkOneFrame(ref *cpu.CPU, of *opt.OptFrame, cons *frame.Constructor, dec 
 	return steps, nil
 }
 
-// cpuDecoder caches decode+translate against live CPU memory.
-type cpuDecoder struct {
-	c     *cpu.CPU
-	insts map[uint32]x86.Inst
-	uops  map[uint32][]uop.UOp
-}
-
-func newCPUDecoder(c *cpu.CPU) *cpuDecoder {
-	return &cpuDecoder{c: c, insts: make(map[uint32]x86.Inst), uops: make(map[uint32][]uop.UOp)}
-}
-
-func (d *cpuDecoder) at(pc uint32) (x86.Inst, []uop.UOp, error) {
-	if in, ok := d.insts[pc]; ok {
-		return in, d.uops[pc], nil
+// decodeAt returns pc's table entry, decoding it from the reference
+// CPU's memory on its first visit.
+func decodeAt(tab *translate.Table, ref *cpu.CPU, pc uint32) (*translate.Entry, error) {
+	i := tab.Find(pc)
+	if i < 0 {
+		var err error
+		if i, err = tab.Decode(pc, ref.Mem.ReadBytes(pc, 15)); err != nil {
+			var de *translate.DecodeError
+			if errors.As(err, &de) {
+				return nil, fmt.Errorf("verify: decode at %#x: %w", pc, de.Err)
+			}
+			return nil, err
+		}
 	}
-	in, err := x86.Decode(d.c.Mem.ReadBytes(pc, 15))
-	if err != nil {
-		return x86.Inst{}, nil, fmt.Errorf("verify: decode at %#x: %w", pc, err)
-	}
-	uops, err := translateCached(in, pc)
-	if err != nil {
-		return x86.Inst{}, nil, err
-	}
-	d.insts[pc] = in
-	d.uops[pc] = uops
-	return in, uops, nil
-}
-
-func translateCached(in x86.Inst, pc uint32) ([]uop.UOp, error) {
-	return translate.UOps(in, pc)
+	return tab.Entry(i), nil
 }

@@ -79,31 +79,22 @@ func (t *Trace) memAddrs(g group) []uint32 {
 // from the end-of-stream sentinel, falling back to the decoded
 // fall-through (or direct-branch target) when the sentinel is absent.
 func (t *Trace) codeSlots(groups []group) ([]pipeline.Slot, error) {
-	insts := make(map[uint32]x86.Inst)
-	uopsOf := make(map[uint32][]uop.UOp)
+	tab := translate.NewTable(t.CodeBase, len(t.Code))
 	slots := make([]pipeline.Slot, 0, len(groups))
 	for gi, g := range groups {
-		in, ok := insts[g.eip]
-		var us []uop.UOp
-		if ok {
-			us = uopsOf[g.eip]
-		} else {
+		e := tab.Find(g.eip)
+		if e < 0 {
 			if g.eip < t.CodeBase || g.eip >= t.CodeBase+uint32(len(t.Code)) {
 				return nil, fmt.Errorf("%w: record %d EIP %#x outside code image [%#x,%#x)",
 					ErrInconsistent, g.lo, g.eip, t.CodeBase, t.CodeBase+uint32(len(t.Code)))
 			}
 			var err error
-			in, err = x86.Decode(t.Code[g.eip-t.CodeBase:])
-			if err != nil {
+			if e, err = tab.Decode(g.eip, t.Code[g.eip-t.CodeBase:]); err != nil {
 				return nil, fmt.Errorf("%w: record %d EIP %#x: %v", ErrInconsistent, g.lo, g.eip, err)
 			}
-			us, err = translate.UOps(in, g.eip)
-			if err != nil {
-				return nil, fmt.Errorf("%w: record %d EIP %#x: %v", ErrInconsistent, g.lo, g.eip, err)
-			}
-			insts[g.eip] = in
-			uopsOf[g.eip] = us
 		}
+		d := tab.Entry(e)
+		in, us := d.Inst, d.UOps
 		// The record grouping must agree with the translation: one record
 		// per cracked micro-op, and no more address-carrying records than
 		// the flow has memory micro-ops (exporters may legitimately omit

@@ -305,6 +305,33 @@ func TestCodeSlotsInconsistent(t *testing.T) {
 	}
 }
 
+// A code-carrying trace whose EIP lies outside its code image, or whose
+// image bytes at an EIP do not decode, is rejected as ErrInconsistent
+// before any slot is built.
+func TestCodeSlotsDecodeErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		code []byte
+		eip  uint32
+		want string
+	}{
+		{"above the image", []byte{0x90}, 0x1001, "outside code image [0x1000,0x1001)"},
+		{"below the image", []byte{0x90}, 0xfff, "outside code image [0x1000,0x1001)"},
+		{"undecodable bytes", []byte{0xd6}, 0x1000, "x86: unknown opcode"},
+	} {
+		tr := Trace{
+			Header:   Header{Version: FormatVersion, Arch: ArchIA32, Flags: FlagHasCode},
+			CodeBase: 0x1000,
+			Code:     tc.code,
+			Records:  []Record{{EIP: tc.eip, Class: ClassExec, Flags: RecFirst}},
+		}
+		slots, err := tr.Slots()
+		if !errors.Is(err, ErrInconsistent) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Slots() = %d slots, err %v; want ErrInconsistent mentioning %q", tc.name, len(slots), err, tc.want)
+		}
+	}
+}
+
 // Synthesized decode is per-PC static: repeated visits to an EIP share
 // one instruction identity, which frame-cache replay relies on.
 func TestSynthDeterministicPerPC(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -363,12 +364,15 @@ func BenchmarkOptimizerThroughput(b *testing.B) {
 }
 
 // BenchmarkTelemetryOverhead pins the cost of the lifecycle histograms
-// replayd attaches to every job, against no collector at all. Both
-// sub-benchmarks disable the capture and memo caches so each iteration
-// executes the identical full simulation; the "hist" variant attaches
-// the histogram-only collector over one shared set, as replayd does, so
-// it pays the probe fan-out and a histogram sample per lifecycle event
-// and per dispatched micro-op.
+// replayd attaches to every job, against no collector at all. Every
+// sub-benchmark disables the capture and memo caches so each run
+// executes the identical full simulation. "hist" attaches the
+// histogram-only collector over one set, as replayd does: each engine
+// run counts its lifecycle samples, one per dispatched micro-op among
+// them, into its own tallies and folds them into the set when it ends.
+// "shared" runs two simulations at once into one set under distinct
+// trace IDs, as replayd's two workers do, so it sees what the runs'
+// writes to the set cost each other; its ns/op covers both.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	p, err := workload.ByName("gzip")
 	if err != nil {
@@ -378,13 +382,26 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			o := sim.Options{MaxInsts: 30_000, DisableCache: true, Probes: probes}
 			if _, err := sim.RunWorkload(context.Background(), p, pipeline.ModeRePLayOpt, o); err != nil {
-				b.Fatal(err)
+				b.Error(err)
+				return
 			}
 		}
 	}
 	b.Run("off", func(b *testing.B) { run(b, nil) })
 	b.Run("hist", func(b *testing.B) {
 		run(b, []sim.Collector{telemetry.NewHistograms(telemetry.NewHistogramSet(), "")})
+	})
+	b.Run("shared", func(b *testing.B) {
+		set := telemetry.NewHistogramSet()
+		var wg sync.WaitGroup
+		for _, id := range []string{"0af7651916cd43dd8448eb211c80319c", "4bf92f3577b34da6a3ce929d0e0e4736"} {
+			wg.Add(1)
+			go func(c sim.Collector) {
+				defer wg.Done()
+				run(b, []sim.Collector{c})
+			}(telemetry.NewHistograms(set, id))
+		}
+		wg.Wait()
 	})
 }
 

@@ -18,16 +18,32 @@ const (
 
 type page [pageSize]byte
 
+// recentPages is the size of Memory's direct-mapped page cache; a power
+// of two, so a page number's low bits pick its slot.
+const recentPages = 64
+
+// pageRef is one slot of the direct-mapped page cache: a mapped page
+// and its page number, or a nil page for an empty slot.
+type pageRef struct {
+	p  *page
+	pn uint32
+}
+
 // Memory is a sparse, byte-addressable 32-bit memory. It is owned by one
 // CPU and is not safe for concurrent use.
 type Memory struct {
 	pages map[uint32]*page
 
 	// last and lastPN cache the most recently used mapped page, so runs
-	// of accesses to one page skip the map. A nil page is never cached:
-	// an unmapped page must still be created by its first store.
+	// of accesses to one page skip the map; recent holds the pages used
+	// lately, tagged by page number, so alternating between code, stack
+	// and data pages skips it too. The map stays the owner (pages are
+	// never unmapped, so a cached page never goes stale), and a nil page
+	// is never cached: an unmapped page must still be created by its
+	// first store.
 	last   *page
 	lastPN uint32
+	recent [recentPages]pageRef
 }
 
 // NewMemory returns an empty memory.
@@ -40,16 +56,20 @@ func (m *Memory) pageFor(addr uint32, create bool) *page {
 	if m.last != nil && pn == m.lastPN {
 		return m.last
 	}
-	p := m.pages[pn]
-	if p == nil {
-		if !create {
-			return nil
+	r := &m.recent[pn&(recentPages-1)]
+	if r.p == nil || r.pn != pn {
+		p := m.pages[pn]
+		if p == nil {
+			if !create {
+				return nil
+			}
+			p = new(page)
+			m.pages[pn] = p
 		}
-		p = new(page)
-		m.pages[pn] = p
+		r.p, r.pn = p, pn
 	}
-	m.last, m.lastPN = p, pn
-	return p
+	m.last, m.lastPN = r.p, pn
+	return r.p
 }
 
 // LoadByte returns the byte at addr (zero if never written).

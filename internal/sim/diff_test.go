@@ -218,7 +218,9 @@ func TestDiffDoesNotPolluteMemo(t *testing.T) {
 // checks each one's conservation held while the feeds fanned out, and
 // that each collector's report is identical to the one it produces
 // attached alone: the shared loop stack gives every probe the view its
-// own detector would. gzip runs one trace; excel's three fan out, and
+// own detector would. The lifecycle histograms, a Sampler, also match
+// beside the reuse collector alone, and no probe set changes the run's
+// Stats. gzip runs one trace; excel's three fan out, and
 // its reports must not depend on the schedule. Run under -race this
 // also proves the fan-out paths are data-race-free.
 func TestAllProbesTogether(t *testing.T) {
@@ -273,19 +275,41 @@ func TestAllProbesTogether(t *testing.T) {
 				t.Errorf("telemetry kills %d != diff partition kills %d", telKilled, diffKilled)
 			}
 
-			alone := func(c Collector) {
-				if _, err := RunWorkload(context.Background(), p, pipeline.ModeRePLayOpt,
-					Options{MaxInsts: 30_000, Probes: []Collector{c}, DisableCache: true}); err != nil {
+			// No probe set changes an unprobed run's Stats, the
+			// histograms alone among them (no loop stack, no fan).
+			unprobed, err := RunWorkload(context.Background(), p, pipeline.ModeRePLayOpt,
+				Options{MaxInsts: 30_000, DisableCache: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *st != unprobed.Stats {
+				t.Errorf("all probes together changed the Stats")
+			}
+			attached := func(cs ...Collector) {
+				res, err := RunWorkload(context.Background(), p, pipeline.ModeRePLayOpt,
+					Options{MaxInsts: 30_000, Probes: cs, DisableCache: true})
+				if err != nil {
 					t.Fatal(err)
+				}
+				if res.Stats != unprobed.Stats {
+					t.Errorf("Stats changed with %d probe(s) attached, first %T", len(cs), cs[0])
 				}
 			}
 			rAlone, cAlone, dAlone := reuse.NewCollector(), cycleprof.NewCollector(), diff.NewCollector()
 			tAlone, hsetAlone, hAlone, ringAlone := lifecycle()
 			for _, c := range []Collector{rAlone, cAlone, dAlone, tAlone, hAlone, ringAlone} {
-				alone(c)
+				attached(c)
 			}
+			// The histograms beside the reuse collector: a Sampler sharing
+			// the fan with a loop-stack reader.
+			_, hsetPair, hPair, _ := lifecycle()
+			rPair := reuse.NewCollector()
+			attached(hPair, rPair)
 			if got := rAlone.Snapshot(); !reflect.DeepEqual(rrep, got) {
 				t.Errorf("reuse report differs attached alone:\n together %+v\n alone    %+v", rrep, got)
+			}
+			if got := rPair.Snapshot(); !reflect.DeepEqual(rrep, got) {
+				t.Errorf("reuse report differs beside the histograms:\n together %+v\n pair     %+v", rrep, got)
 			}
 			if got := cAlone.Snapshot(); !reflect.DeepEqual(crep, got) {
 				t.Errorf("cycleprof report differs attached alone")
@@ -299,6 +323,9 @@ func TestAllProbesTogether(t *testing.T) {
 			for i, h := range hset.All() {
 				if got, want := hsetAlone.All()[i].Snapshot(), h.Snapshot(); !reflect.DeepEqual(want, got) {
 					t.Errorf("histogram %s differs attached alone:\n together %+v\n alone    %+v", h.Name(), want, got)
+				}
+				if got, want := hsetPair.All()[i].Snapshot(), h.Snapshot(); !reflect.DeepEqual(want, got) {
+					t.Errorf("histogram %s differs beside reuse:\n together %+v\n pair     %+v", h.Name(), want, got)
 				}
 			}
 			var together, solo bytes.Buffer
@@ -380,10 +407,10 @@ func TestAllProbesTogether(t *testing.T) {
 // and its first closing branch already belongs to the loop's row.
 func TestProbeFanAdvancesLoopsFirst(t *testing.T) {
 	rcol, dcol := reuse.NewCollector(), diff.NewCollector()
-	fan := &probeFan{}
+	fan := &probeFan{loops: new(reuse.LoopStack)}
 	var folds []func()
 	for _, c := range []Collector{rcol, dcol} {
-		p, done := c.Attach("", 0, &fan.loops)
+		p, done := c.Attach("", 0, fan.loops)
 		fan.probes = append(fan.probes, p)
 		folds = append(folds, done)
 	}

@@ -151,7 +151,9 @@ type Collector interface {
 // Sampler is a Collector that only samples distributions (telemetry's
 // lifecycle histograms). A run it misses costs it samples, not
 // correctness, so runs whose collectors are all Samplers keep the run
-// memo, and memo hits add no samples.
+// memo, and memo hits add no samples. A Sampler's probe reads no loop
+// stack: a run whose collectors are all Samplers attaches them with a
+// nil one and advances none.
 type Sampler interface {
 	Collector
 	SamplesOnly()
@@ -454,16 +456,25 @@ func runTrace(ctx context.Context, src *source, mode pipeline.Mode, cfg pipeline
 	// window — the same boundary ResetStats draws for the counters.
 	// Attaching per engine keeps a collector shared across parallel runs
 	// race-free. One loop stack per engine, advanced once per retired
-	// slot, feeds every probe's loop view.
+	// slot, feeds every probe's loop view; Samplers read none, so a run
+	// of Samplers alone has none, and one Sampler gets the events
+	// without the fan.
 	if len(o.Probes) > 0 {
 		run := fmt.Sprintf("%s/%s/t%d", src.name, mode, t)
 		fan := &probeFan{}
+		if mustExecute(o.Probes) {
+			fan.loops = new(reuse.LoopStack)
+		}
 		for _, c := range o.Probes {
-			p, done := c.Attach(run, t, &fan.loops)
+			p, done := c.Attach(run, t, fan.loops)
 			folds = append(folds, done)
 			fan.probes = append(fan.probes, p)
 		}
-		eng.SetProbe(fan)
+		if fan.loops == nil && len(fan.probes) == 1 {
+			eng.SetProbe(fan.probes[0])
+		} else {
+			eng.SetProbe(fan)
+		}
 	}
 	eng.ResetStats()
 	mctx, mspan := tracing.Start(ctx, "sim.measure")
@@ -494,15 +505,17 @@ func runTrace(ctx context.Context, src *source, mode pipeline.Mode, cfg pipeline
 }
 
 // probeFan is the engine's probe when collectors attach: it advances
-// the engine's loop stack once per retired slot, then forwards every
-// event to each collector's probe in attach order.
+// the engine's loop stack, if it has one, once per retired slot, then
+// forwards every event to each collector's probe in attach order.
 type probeFan struct {
-	loops  reuse.LoopStack
+	loops  *reuse.LoopStack // nil when every collector is a Sampler
 	probes []pipeline.Probe
 }
 
 func (f *probeFan) SlotRetired(s *pipeline.Slot, fromFrame bool, uopsExecuted int) {
-	f.loops.Retire(s)
+	if f.loops != nil {
+		f.loops.Retire(s)
+	}
 	for _, p := range f.probes {
 		p.SlotRetired(s, fromFrame, uopsExecuted)
 	}

@@ -3,6 +3,7 @@ package stats
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -32,6 +33,44 @@ func TestHistogramExemplar(t *testing.T) {
 	h.ObserveEx(4, "ffffeeeeddddccccffffeeeeddddcccc")
 	if ex := h.Snapshot().Exemplars[1]; ex.TraceID != "ffffeeeeddddccccffffeeeeddddcccc" {
 		t.Errorf("exemplar not replaced: %+v", ex)
+	}
+}
+
+// TestTallyFold: a tally reaches its histogram only at Fold, which adds
+// its counts and sum once and stamps each filled bucket with the first
+// sample since the last fold, leaving a bucket alone that already holds
+// an exemplar of the same trace.
+func TestTallyFold(t *testing.T) {
+	const a, b = "aaaabbbbccccddddaaaabbbbccccdddd", "11112222333344441111222233334444"
+	h := NewHistogram("lat", "latency", 1, 4, 16)
+	tl := h.Tally()
+	for _, v := range []uint64{3, 2, 100, 0} {
+		tl.Observe(v)
+	}
+	if s := h.Snapshot(); s.Count != 0 {
+		t.Fatalf("tally reached the histogram before Fold: %+v", s)
+	}
+	tl.Fold(a)
+	tl.Fold(a) // empty: adds nothing, stamps nothing
+	s := h.Snapshot()
+	if !slices.Equal(s.Counts, []uint64{1, 2, 0, 1}) || s.Sum != 105 || s.Count != 4 {
+		t.Fatalf("after Fold: counts %v sum %v count %d", s.Counts, s.Sum, s.Count)
+	}
+	for i, want := range []float64{0, 3, -1, 100} {
+		if ex := s.Exemplars[i]; want < 0 && ex.TraceID != "" || want >= 0 && (ex.TraceID != a || ex.Value != want) {
+			t.Errorf("bucket %d exemplar %+v, want value %v", i, ex, want)
+		}
+	}
+
+	tl.Observe(4)
+	tl.Fold(a) // same trace: bucket 1 keeps its exemplar
+	if ex := h.Snapshot().Exemplars[1]; ex != s.Exemplars[1] {
+		t.Errorf("same-trace fold replaced %+v with %+v", s.Exemplars[1], ex)
+	}
+	tl.Observe(4)
+	tl.Fold(b)
+	if ex := h.Snapshot().Exemplars[1]; ex.TraceID != b || ex.Value != 4 {
+		t.Errorf("new-trace fold left exemplar %+v", ex)
 	}
 }
 

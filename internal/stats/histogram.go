@@ -60,9 +60,10 @@ func (h *Histogram) Observe(v uint64) { h.ObserveEx(v, "") }
 
 // ObserveEx records one sample and, when traceID is non-empty, stamps
 // the bucket's exemplar with it. A bucket already holding an exemplar
-// from the same trace is left alone — hot sites (FetchRetire observes
-// every uop) then pay one pointer load instead of an allocation per
-// sample, while a new trace still replaces a stale exemplar.
+// from the same trace is left alone — repeated samples from one request
+// then pay one pointer load instead of an allocation each, while a new
+// trace still replaces a stale exemplar. Per-event sites on a hot path
+// count into a Tally instead.
 func (h *Histogram) ObserveEx(v uint64, traceID string) { h.observe(float64(v), v, traceID) }
 
 // observe counts value f in its bucket, adds sum to the running sum and
@@ -78,6 +79,64 @@ func (h *Histogram) observe(f float64, sum uint64, traceID string) {
 			h.exemplars[i].Store(&Exemplar{TraceID: traceID, Value: f, Ts: time.Now()})
 		}
 	}
+}
+
+// Tally counts samples bound for one Histogram on a single goroutine,
+// with plain adds, and Fold adds them into the histogram in one batch.
+// A producer that observes on every simulated event keeps one Tally per
+// run, so concurrent runs stop contending on the histogram's shared
+// counters; the histogram sees the run's samples when it folds.
+type Tally struct {
+	h      *Histogram
+	counts []uint64
+	first  []uint64 // each bucket's first sample since the last Fold
+	sum    uint64
+}
+
+// Tally returns an empty tally over h's buckets.
+func (h *Histogram) Tally() *Tally {
+	return &Tally{h: h, counts: make([]uint64, len(h.counts)), first: make([]uint64, len(h.counts))}
+}
+
+// Observe counts one sample.
+func (t *Tally) Observe(v uint64) {
+	i := t.h.bucket(float64(v))
+	if t.counts[i] == 0 {
+		t.first[i] = v
+	}
+	t.counts[i]++
+	t.sum += v
+}
+
+// Fold adds the tally into its histogram and empties it, so a second
+// Fold adds nothing. With a non-empty traceID every bucket the tally
+// filled gets an exemplar, as ObserveEx would give it: the bucket's
+// first sample since the last Fold, stamped with the fold time, unless
+// the bucket already holds one from this trace.
+func (t *Tally) Fold(traceID string) {
+	var total uint64
+	var now time.Time
+	for i, n := range t.counts {
+		if n == 0 {
+			continue
+		}
+		t.h.counts[i].Add(n)
+		total += n
+		if traceID != "" {
+			if old := t.h.exemplars[i].Load(); old == nil || old.TraceID != traceID {
+				if now.IsZero() {
+					now = time.Now()
+				}
+				t.h.exemplars[i].Store(&Exemplar{TraceID: traceID, Value: float64(t.first[i]), Ts: now})
+			}
+		}
+		t.counts[i] = 0
+	}
+	if total > 0 {
+		t.h.sum.Add(t.sum)
+		t.h.total.Add(total)
+	}
+	t.sum = 0
 }
 
 func (h *Histogram) bucket(f float64) int {

@@ -56,7 +56,8 @@ func (h *HistogramSet) All() []*stats.Histogram {
 }
 
 // Histograms is the collector feeding a HistogramSet. It only samples
-// distributions, so it lets the run memo serve runs (see SamplesOnly).
+// distributions, so it lets the run memo serve runs and needs no loop
+// stack (see SamplesOnly).
 type Histograms struct {
 	set     *HistogramSet
 	traceID string
@@ -64,45 +65,59 @@ type Histograms struct {
 
 // NewHistograms returns a collector observing into set. A non-empty
 // traceID is stamped as the exemplar on every bucket its samples land
-// in, linking /metrics back to the request's stored span trace.
+// in, linking /metrics back to the request's stored span trace; the
+// exemplar's time is the time its run folded.
 func NewHistograms(set *HistogramSet, traceID string) *Histograms {
 	return &Histograms{set: set, traceID: traceID}
 }
 
 // SamplesOnly marks the collector as a sim.Sampler: a run served from
 // the memo costs it samples, not correctness, so attaching it keeps the
-// memo on and memo hits add no samples.
+// memo on and memo hits add no samples. Its probe never reads the loop
+// stack.
 func (h *Histograms) SamplesOnly() {}
 
-// Attach returns the probe for one engine run; samples land in the
-// shared set as they happen, so there is nothing to fold.
+// Attach returns the probe for one engine run. The probe counts into
+// its own tallies, one per histogram, with no shared writes; the
+// returned func folds them into the shared set in one batch (a second
+// call adds nothing), so the run's samples reach the set when it ends.
 func (h *Histograms) Attach(string, int, *reuse.LoopStack) (pipeline.Probe, func()) {
-	return histProbe{h: h}, func() {}
+	p := &histProbe{
+		frameUOps:      h.set.FrameUOps.Tally(),
+		optDwell:       h.set.OptDwell.Tally(),
+		cacheResidency: h.set.CacheResidency.Tally(),
+		fetchRetire:    h.set.FetchRetire.Tally(),
+	}
+	return p, func() {
+		for _, t := range []*stats.Tally{p.frameUOps, p.optDwell, p.cacheResidency, p.fetchRetire} {
+			t.Fold(h.traceID)
+		}
+	}
 }
 
 type histProbe struct {
 	pipeline.NopProbe
-	h *Histograms
+	frameUOps, optDwell, cacheResidency, fetchRetire *stats.Tally
 }
 
-func (p histProbe) FrameBuilt(_, _ uint64, _ uint32, uops int) {
-	p.h.set.FrameUOps.ObserveEx(uint64(uops), p.h.traceID)
+func (p *histProbe) FrameBuilt(_, _ uint64, _ uint32, uops int) {
+	p.frameUOps.Observe(uint64(uops))
 }
 
-func (p histProbe) OptRemoved(_, _ uint64, _ uint32, _, _ int, dwell uint64) {
-	p.h.set.OptDwell.ObserveEx(dwell, p.h.traceID)
+func (p *histProbe) OptRemoved(_, _ uint64, _ uint32, _, _ int, dwell uint64) {
+	p.optDwell.Observe(dwell)
 }
 
-func (p histProbe) Evict(_ uint64, _ uint32, _ int, residency uint64) {
-	p.h.set.CacheResidency.ObserveEx(residency, p.h.traceID)
+func (p *histProbe) Evict(_ uint64, _ uint32, _ int, residency uint64) {
+	p.cacheResidency.Observe(residency)
 }
 
-func (p histProbe) Resident(residency uint64) {
-	p.h.set.CacheResidency.ObserveEx(residency, p.h.traceID)
+func (p *histProbe) Resident(residency uint64) {
+	p.cacheResidency.Observe(residency)
 }
 
-func (p histProbe) FetchRetire(latency uint64) {
-	p.h.set.FetchRetire.ObserveEx(latency, p.h.traceID)
+func (p *histProbe) FetchRetire(latency uint64) {
+	p.fetchRetire.Observe(latency)
 }
 
 // PassStat is one row of the attribution table: what a named optimizer

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/sim"
@@ -64,5 +65,28 @@ func TestExportGolden(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != tc.ndjson {
 			t.Errorf("%s trace %d: ndjson sha256 %s, want %s", tc.name, tc.trace, got, tc.ndjson)
 		}
+	}
+}
+
+// The synthesis path is pinned too: gzip's 60k capture exported without
+// its code image adapts to slots fabricated from the record classes
+// alone, and the sha256 of their JSON encoding (every field of every
+// slot: PC, instruction, micro-op flow, successor, addresses) must not
+// move when the per-PC decode behind it is restructured.
+func TestSynthSlotsGolden(t *testing.T) {
+	xt := exportWorkload(t, "gzip", 0, 60_000)
+	xt.Code, xt.CodeBase = nil, 0
+	slots, err := xt.Slots()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	const want = "8d4416f10b8a6c0f474442a6115ee24bb07badf13053d172daa2082ef4d9060f"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("gzip without code: %d synthesized slots hash %s, want %s", len(slots), got, want)
 	}
 }

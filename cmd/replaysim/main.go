@@ -13,8 +13,9 @@
 // per-PC fetch-cycle attribution with loop-joined hotspots; -pprof
 // additionally writes a gzipped pprof profile for `go tool pprof`),
 // diff (ablation diff engine: the RPO baseline against the -vs variant
-// spec, joined per loop and per optimizer pass with significance-gated
-// verdicts, e.g. -experiment diff -vs cse,sf,repeats=3), all.
+// spec, one run per side, joined per loop and per optimizer pass with
+// improved/regressed/unchanged verdicts, e.g. -experiment diff -vs
+// cse,sf), all.
 //
 // Every experiment runs through api.Run, the dispatcher replayd uses
 // too, so -json prints exactly the result a replayd job carries for the
@@ -70,7 +71,7 @@ func main() {
 	pprofOut := flag.String("pprof", "",
 		"with -experiment cycles: write the guest-cycle profile as gzipped pprof protobuf to this file (inspect with `go tool pprof`)")
 	vs := flag.String("vs", "",
-		"with -experiment diff: the variant spec to compare against the RPO baseline — comma-separated tokens: pass names to disable (nop,cp,ra,cse,sf,asst,spec), scope=block|inter|frame, mode=IC|TC|RP|RPO, repeats=N")
+		"with -experiment diff: the variant spec to compare against the RPO baseline — comma-separated tokens: pass names to disable (nop,cp,ra,cse,sf,asst,spec), scope=block|inter|frame, mode=IC|TC|RP|RPO")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
 	logLevel := flag.String("log-level", "warn", "minimum log level: debug, info, warn, error")
 	flag.Parse()

@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -132,9 +131,6 @@ type DiffSpec struct {
 	// clone. The baseline must then be a single source (an xtrace or
 	// exactly one workload).
 	XTrace string `json:"xtrace,omitempty"`
-	// Repeats is how many runs per side feed the significance gate
-	// (default 1; the first run of each side carries the diff probe).
-	Repeats int `json:"repeats,omitempty"`
 }
 
 // Canonical returns the request in canonical form: names are trimmed
@@ -185,9 +181,6 @@ func (r RunRequest) Canonical() RunRequest {
 		d.Mode = strings.ToUpper(strings.TrimSpace(d.Mode))
 		d.XTrace = strings.ToLower(strings.TrimSpace(d.XTrace))
 		d.Config = canonicalConfig(d.Config)
-		if d.Repeats < 1 {
-			d.Repeats = 1
-		}
 		c.Diff = &d
 	} else {
 		c.Diff = nil
@@ -248,8 +241,7 @@ func (r RunRequest) Key() string {
 }
 
 // Validate rejects unknown experiment, workload or mode names and
-// out-of-range config overrides or diff repeats up front, before the
-// request is queued.
+// out-of-range config overrides up front, before the request is queued.
 func (r RunRequest) Validate() error {
 	c := r.Canonical()
 	known := false
@@ -294,9 +286,6 @@ func (r RunRequest) Validate() error {
 		if r.Diff == nil {
 			return fmt.Errorf("diff experiment needs a diff spec (the variant side)")
 		}
-		if n := r.Diff.Repeats; n < 0 || n > maxRepeats {
-			return fmt.Errorf("repeats %d out of range (want 1-%d)", n, maxRepeats)
-		}
 		d := c.Diff
 		if d.Mode != "" {
 			if _, err := ParseMode(d.Mode); err != nil {
@@ -313,14 +302,13 @@ func (r RunRequest) Validate() error {
 	return nil
 }
 
-// Ranges of the numeric overrides and of diff repeats. Each admits the
-// Table 2 defaults, the paper's 8-256 frame-size ablation and the
-// repeat counts the docs use, with headroom; outside them a request
-// describes no machine worth building (pipeline.New sizes its retire
-// ring and optimizer slots from width and opt_pipe_depth). The width
-// floor is the translator's longest flow, CALL through memory: the
-// ICache path fetches an instruction's whole flow in one group, so a
-// narrower machine never fetches it.
+// Ranges of the numeric overrides. Each admits the Table 2 defaults and
+// the paper's 8-256 frame-size ablation, with headroom; outside them a
+// request describes no machine worth building (pipeline.New sizes its
+// retire ring and optimizer slots from width and opt_pipe_depth). The
+// width floor is the translator's longest flow, CALL through memory:
+// the ICache path fetches an instruction's whole flow in one group, so
+// a narrower machine never fetches it.
 const (
 	minWidth           = 5
 	maxWidth           = 64
@@ -329,7 +317,6 @@ const (
 	maxFrameUOps       = 1024
 	maxOptCyclesPerUOp = 1000
 	maxOptPipeDepth    = 64
-	maxRepeats         = 10
 )
 
 func validateConfig(c *ConfigOverrides) error {
@@ -378,9 +365,8 @@ func validateConfig(c *ConfigOverrides) error {
 // for -vs: a comma-separated token list where a bare token disables
 // that optimization on the variant side (asst, cp, cse, nop, ra, sf,
 // spec), "scope=block|inter|frame" narrows the optimizer scope,
-// "mode=IC|TC|RP|RPO" switches the fetch engine, "repeats=N" sets the
-// significance repeat count, and "xtrace=ID" replays an uploaded trace
-// as the variant. The spec's label defaults to the input string.
+// "mode=IC|TC|RP|RPO" switches the fetch engine, and "xtrace=ID"
+// replays an uploaded trace as the variant. The spec's label defaults to the input string.
 func ParseDiffSpec(s string) (*DiffSpec, error) {
 	d := &DiffSpec{Label: strings.TrimSpace(s)}
 	var disable []string
@@ -403,16 +389,10 @@ func ParseDiffSpec(s string) (*DiffSpec, error) {
 			d.Config.OptScope = strings.ToLower(val)
 		case "mode":
 			d.Mode = strings.ToUpper(val)
-		case "repeats":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 1 {
-				return nil, fmt.Errorf("bad repeats %q in diff spec", val)
-			}
-			d.Repeats = n
 		case "xtrace":
 			d.XTrace = strings.ToLower(val)
 		default:
-			return nil, fmt.Errorf("unknown token %q in diff spec (want an optimization name, scope=, mode=, repeats= or xtrace=)", tok)
+			return nil, fmt.Errorf("unknown token %q in diff spec (want an optimization name, scope=, mode= or xtrace=)", tok)
 		}
 	}
 	if len(disable) > 0 {

@@ -196,7 +196,7 @@ func runCount(req RunRequest, n int) int {
 	case ExpSummary:
 		return 6 * n
 	case ExpDiff:
-		return 2 * req.Diff.Repeats * n
+		return 2 * n
 	}
 	return n
 }
@@ -252,8 +252,8 @@ func runDiff(ctx context.Context, req RunRequest, src sources, opts sim.Options,
 			return nil, err
 		}
 	}
-	base := sim.DiffSide{Label: "baseline", Mode: baseMode, HasMode: true, ConfigMod: req.Config.Mod()}
-	vari := sim.DiffSide{Label: d.Label, Mode: varMode, HasMode: true, ConfigMod: d.Config.Mod()}
+	base := sim.DiffSide{Label: "baseline", Mode: baseMode, ConfigMod: req.Config.Mod()}
+	vari := sim.DiffSide{Label: d.Label, Mode: varMode, ConfigMod: d.Config.Mod()}
 	pairs := make([]sim.DiffPair, 0, src.len())
 	pair := func(p *workload.Profile, ext *sim.ExternalRun) {
 		b, v := base, vari
@@ -273,5 +273,5 @@ func runDiff(ctx context.Context, req RunRequest, src sources, opts sim.Options,
 	// Each side carries its own config; the shared options must not also
 	// carry the baseline's, or the variant would inherit it.
 	opts.ConfigMod = nil
-	return sim.Diff(ctx, pairs, opts, d.Repeats)
+	return sim.Diff(ctx, pairs, opts)
 }

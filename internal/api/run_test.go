@@ -97,7 +97,7 @@ func TestRunMapping(t *testing.T) {
 	spec := []string{"bzip2", "crafty", "eon", "gzip", "parser", "twolf", "vortex"}
 	desktop := []string{"access", "excel", "lotus", "power", "dream", "photo", "sound"}
 	listed := []string{"gzip", "access"}
-	noCSE := &DiffSpec{Config: &ConfigOverrides{DisableOpts: []string{"cse"}}, Repeats: 2}
+	noCSE := &DiffSpec{Config: &ConfigOverrides{DisableOpts: []string{"cse"}}}
 
 	for _, tc := range []struct {
 		name string

@@ -3,20 +3,17 @@ package diff
 import (
 	"sort"
 
-	"repro/internal/noise"
 	"repro/internal/pipeline"
 	"repro/internal/telemetry"
 )
 
 // RunSide bundles everything one side of a comparison contributes: a
-// label for reports, the loop-partitioned profile of the probed run,
-// and the measured-window Stats of every repeat (Runs[0] is the run the
-// profile was attached to; additional repeats only feed the
-// significance gate).
+// label for reports, the loop-partitioned profile of the side's run,
+// and that run's measured-window Stats.
 type RunSide struct {
 	Label   string
 	Profile Profile
-	Runs    []pipeline.Stats
+	Stats   pipeline.Stats
 }
 
 // PassDelta is one optimizer pass's baseline-vs-variant change, either
@@ -68,9 +65,17 @@ type SideSummary struct {
 	Loops       int     `json:"loops"`
 }
 
-// MetricDelta is one significance-gated top-line metric: the two means,
-// the raw delta, the 2×SEM bound it was gated on, and the
-// direction-aware verdict (improved / regressed / noise).
+// Direction-aware verdicts for a variant-vs-baseline metric delta.
+const (
+	VerdictImproved  = "improved"
+	VerdictRegressed = "regressed"
+	VerdictUnchanged = "unchanged"
+)
+
+// MetricDelta is one top-line metric: its value on each side, the raw
+// delta, and the direction-aware verdict (improved / regressed /
+// unchanged). The simulator is deterministic, so each side is one exact
+// run and any nonzero delta is a real change.
 type MetricDelta struct {
 	Name    string  `json:"name"`
 	Unit    string  `json:"unit"`
@@ -78,18 +83,16 @@ type MetricDelta struct {
 	Base    float64 `json:"base"`
 	Var     float64 `json:"var"`
 	Delta   float64 `json:"delta"` // variant − baseline
-	Noise   float64 `json:"noise"` // the 2×SEM significance bound
 	Verdict string  `json:"verdict"`
 }
 
 // Report is the full comparison: per-loop × per-pass deltas, per-pass
-// totals, significance-gated metric verdicts, and the conservation
-// residuals (pinned to zero by construction; computed honestly here so
-// tests can pin them).
+// totals, top-line metric verdicts, and the conservation residuals
+// (pinned to zero by construction; computed honestly here so tests can
+// pin them).
 type Report struct {
 	Baseline SideSummary `json:"baseline"`
 	Variant  SideSummary `json:"variant"`
-	Repeats  int         `json:"repeats"`
 
 	// Loops is sorted by |DCycles| descending (the loop whose cycle
 	// count moved most first); ties break on (trace, header) so the
@@ -98,7 +101,7 @@ type Report struct {
 	// Passes totals the per-loop pass deltas across the run, in
 	// canonical pass order.
 	Passes []PassDelta `json:"passes,omitempty"`
-	// Metrics carries the gated top-line verdicts.
+	// Metrics carries the top-line verdicts.
 	Metrics []MetricDelta `json:"metrics"`
 
 	// ResidualUOpsRemoved is Δ(Stats.Opt.Removed) − Σ per-loop
@@ -107,13 +110,14 @@ type Report struct {
 	ResidualUOpsRemoved int64 `json:"residual_uops_removed"`
 	ResidualCycles      int64 `json:"residual_cycles"`
 
-	// SignificantRegressions / SignificantImprovements count metric
-	// verdicts that cleared the noise gate in each direction.
+	// SignificantRegressions / SignificantImprovements count the
+	// regressed and improved metric verdicts. Each side is one exact
+	// run, so every nonzero delta is significant; the wire names say so.
 	SignificantRegressions  int `json:"significant_regressions"`
 	SignificantImprovements int `json:"significant_improvements"`
 }
 
-// metricSpec defines one gated top-line metric.
+// metricSpec defines one top-line metric.
 type metricSpec struct {
 	name, unit string
 	higher     bool
@@ -128,13 +132,11 @@ var metricSpecs = []metricSpec{
 	{"frame_coverage", "frac", true, func(s *pipeline.Stats) float64 { return s.FrameCoverage() }},
 }
 
-// Compare joins two sides into the delta report. Both sides must carry
-// at least one run; the profile of Runs[0] is the partition compared.
+// Compare joins two sides into the delta report.
 func Compare(base, vari RunSide) *Report {
 	r := &Report{
 		Baseline: summarize(base),
 		Variant:  summarize(vari),
-		Repeats:  min(len(base.Runs), len(vari.Runs)),
 	}
 
 	// Join the two partitions on (trace, straight, header), zero-filling
@@ -197,12 +199,12 @@ func Compare(base, vari RunSide) *Report {
 	// Total per-pass deltas are re-summed from the rows (not taken from
 	// the profile's own totals), so Passes and Loops can never disagree.
 	r.Passes = passDeltas(sumPasses(base.Profile.Rows), sumPasses(vari.Profile.Rows))
-	r.Metrics = metricDeltas(base.Runs, vari.Runs)
+	r.Metrics = metricDeltas(&base.Stats, &vari.Stats)
 	for _, m := range r.Metrics {
 		switch m.Verdict {
-		case noise.VerdictRegressed:
+		case VerdictRegressed:
 			r.SignificantRegressions++
-		case noise.VerdictImproved:
+		case VerdictImproved:
 			r.SignificantImprovements++
 		}
 	}
@@ -214,14 +216,14 @@ func Compare(base, vari RunSide) *Report {
 		dRemoved += r.Loops[i].DOptRemoved
 		dCycles += r.Loops[i].DCycles
 	}
-	bs, vs := &base.Runs[0], &vari.Runs[0]
+	bs, vs := &base.Stats, &vari.Stats
 	r.ResidualUOpsRemoved = (int64(vs.Opt.Removed()) - int64(bs.Opt.Removed())) - dRemoved
 	r.ResidualCycles = (int64(vs.Cycles) - int64(bs.Cycles)) - dCycles
 	return r
 }
 
 func summarize(s RunSide) SideSummary {
-	st := &s.Runs[0]
+	st := &s.Stats
 	return SideSummary{
 		Label:       s.Label,
 		IPC:         st.IPC(),
@@ -292,30 +294,30 @@ func passDeltas(b, v map[string]PassCount) []PassDelta {
 	return out
 }
 
-// metricDeltas gates the top-line metrics on the shared 2×SEM rule.
-func metricDeltas(base, vari []pipeline.Stats) []MetricDelta {
+// metricDeltas compares the top-line metrics of the two runs: a zero
+// delta is unchanged, and a nonzero one improved or regressed by its
+// sign and the metric's better-direction.
+func metricDeltas(base, vari *pipeline.Stats) []MetricDelta {
 	out := make([]MetricDelta, 0, len(metricSpecs))
 	for _, spec := range metricSpecs {
-		bs := noise.Summarize(samples(base, spec.get))
-		vs := noise.Summarize(samples(vari, spec.get))
-		verdict, delta, bound := noise.Verdict(bs, vs, spec.higher)
+		b, v := spec.get(base), spec.get(vari)
+		delta := v - b
+		verdict := VerdictUnchanged
+		if delta != 0 {
+			if (delta > 0) == spec.higher {
+				verdict = VerdictImproved
+			} else {
+				verdict = VerdictRegressed
+			}
+		}
 		better := "lower"
 		if spec.higher {
 			better = "higher"
 		}
 		out = append(out, MetricDelta{
 			Name: spec.name, Unit: spec.unit, Better: better,
-			Base: bs.Mean, Var: vs.Mean,
-			Delta: delta, Noise: bound, Verdict: verdict,
+			Base: b, Var: v, Delta: delta, Verdict: verdict,
 		})
-	}
-	return out
-}
-
-func samples(runs []pipeline.Stats, get func(*pipeline.Stats) float64) []float64 {
-	out := make([]float64, len(runs))
-	for i := range runs {
-		out[i] = get(&runs[i])
 	}
 	return out
 }

@@ -3,7 +3,6 @@ package diff
 import (
 	"testing"
 
-	"repro/internal/noise"
 	"repro/internal/opt"
 	"repro/internal/pipeline"
 	"repro/internal/reuse"
@@ -134,14 +133,14 @@ func mkStats(cycles, removed uint64) pipeline.Stats {
 // deltas (residual zero), and a counter drift shows up as a nonzero
 // residual rather than being silently absorbed.
 func TestCompareJoinAndResiduals(t *testing.T) {
-	base := RunSide{Label: "base", Runs: []pipeline.Stats{mkStats(100, 10)}, Profile: Profile{
+	base := RunSide{Label: "base", Stats: mkStats(100, 10), Profile: Profile{
 		Rows: []Row{
 			{Trace: 0, Header: 0x10, Cycles: 60, OptRemoved: 10,
 				Passes: map[string]PassCount{"dce": {Calls: 1, Killed: 10}}},
 			{Trace: 0, Straight: true, Cycles: 40},
 		},
 	}}
-	vari := RunSide{Label: "var", Runs: []pipeline.Stats{mkStats(80, 4)}, Profile: Profile{
+	vari := RunSide{Label: "var", Stats: mkStats(80, 4), Profile: Profile{
 		Rows: []Row{
 			{Trace: 0, Header: 0x10, Cycles: 30, OptRemoved: 4,
 				Passes: map[string]PassCount{"dce": {Calls: 1, Killed: 4}}},
@@ -172,64 +171,56 @@ func TestCompareJoinAndResiduals(t *testing.T) {
 
 	// Drift: claim the variant run used 81 cycles while its rows still
 	// sum to 80 — the residual must expose the missing cycle.
-	vari.Runs[0].Cycles = 81
+	vari.Stats.Cycles = 81
 	r = Compare(base, vari)
 	if r.ResidualCycles != 1 {
 		t.Fatalf("drifted residual = %d, want 1", r.ResidualCycles)
 	}
 }
 
-// TestCompareVerdicts: the significance gate is direction-aware and
-// the 2×SEM bound suppresses within-noise deltas.
+// TestCompareVerdicts: one run per side, and each verdict follows the
+// delta's sign and the metric's better-direction; a zero delta is
+// unchanged and counts in neither direction.
 func TestCompareVerdicts(t *testing.T) {
-	mk := func(cycles ...uint64) []pipeline.Stats {
-		out := make([]pipeline.Stats, len(cycles))
-		for i, c := range cycles {
-			out[i] = mkStats(c, 0)
-			out[i].X86Retired = 1000 // nonzero IPC denominatorless metric
+	side := func(cycles uint64) RunSide {
+		s := mkStats(cycles, 0)
+		s.X86Retired = 1000
+		return RunSide{Stats: s}
+	}
+	verdicts := func(r *Report) map[string]string {
+		out := map[string]string{}
+		for _, m := range r.Metrics {
+			out[m.Name] = m.Verdict
 		}
 		return out
 	}
-	find := func(r *Report, name string) MetricDelta {
-		for _, m := range r.Metrics {
-			if m.Name == name {
-				return m
+
+	for _, tc := range []struct {
+		name                string
+		base, vari          uint64
+		cycles, ipc         string
+		regressed, improved int
+	}{
+		// Twice the cycles for the same instructions: cycles (lower is
+		// better) and IPC (higher is better) both regress.
+		{"regressed", 100, 200, VerdictRegressed, VerdictRegressed, 2, 0},
+		{"improved", 200, 100, VerdictImproved, VerdictImproved, 0, 2},
+		{"unchanged", 100, 100, VerdictUnchanged, VerdictUnchanged, 0, 0},
+	} {
+		r := Compare(side(tc.base), side(tc.vari))
+		v := verdicts(r)
+		if v["cycles"] != tc.cycles || v["ipc"] != tc.ipc {
+			t.Errorf("%s: cycles %q, ipc %q, want %q, %q", tc.name, v["cycles"], v["ipc"], tc.cycles, tc.ipc)
+		}
+		// The remaining metrics read zero on both sides.
+		for _, name := range []string{"uops_retired", "uops_removed", "frame_coverage"} {
+			if v[name] != VerdictUnchanged {
+				t.Errorf("%s: %s verdict %q, want unchanged", tc.name, name, v[name])
 			}
 		}
-		t.Fatalf("metric %s missing", name)
-		return MetricDelta{}
-	}
-
-	// Tight repeats, big separation: cycles (lower-better) regressed.
-	r := Compare(
-		RunSide{Runs: mk(100, 101, 99)},
-		RunSide{Runs: mk(200, 201, 199)},
-	)
-	if m := find(r, "cycles"); m.Verdict != noise.VerdictRegressed || m.Noise <= 0 {
-		t.Errorf("cycles verdict %+v, want regressed with bound", m)
-	}
-	if r.SignificantRegressions == 0 {
-		t.Errorf("no significant regressions counted: %+v", r.Metrics)
-	}
-
-	// Overlapping noisy repeats: the same mean shift gates to noise.
-	r = Compare(
-		RunSide{Runs: mk(100, 300, 200)},
-		RunSide{Runs: mk(150, 350, 250)},
-	)
-	if m := find(r, "cycles"); m.Verdict != noise.VerdictNoise {
-		t.Errorf("noisy cycles verdict %+v, want noise", m)
-	}
-
-	// Improvement direction: fewer cycles is better.
-	r = Compare(
-		RunSide{Runs: mk(200, 201, 199)},
-		RunSide{Runs: mk(100, 101, 99)},
-	)
-	if m := find(r, "cycles"); m.Verdict != noise.VerdictImproved {
-		t.Errorf("cycles verdict %+v, want improved", m)
-	}
-	if r.SignificantImprovements == 0 {
-		t.Errorf("no significant improvements counted")
+		if r.SignificantRegressions != tc.regressed || r.SignificantImprovements != tc.improved {
+			t.Errorf("%s: counts (%d regressed, %d improved), want (%d, %d)", tc.name,
+				r.SignificantRegressions, r.SignificantImprovements, tc.regressed, tc.improved)
+		}
 	}
 }

@@ -8,26 +8,20 @@ import (
 	"repro/internal/stats"
 )
 
-// WriteReport renders one workload's comparison as text: the
-// significance-gated top-line metrics (with the ±2×SEM bound each
-// verdict was gated on), the per-pass removal deltas, the heaviest
-// per-loop deltas with signed delta bars, and the conservation
-// residuals. Both replaysim and replayctl render through this one
+// WriteReport renders one workload's comparison as text: the top-line
+// metrics with their deltas and verdicts, the per-pass removal deltas,
+// the heaviest per-loop deltas with signed delta bars, and the
+// conservation residuals. Both replaysim and replayctl render through this one
 // function, so a diff reads identically from either surface.
 func WriteReport(w io.Writer, workload, class string, r *Report) {
-	fmt.Fprintf(w, "%s (%s): %s vs %s", workload, class, r.Baseline.Label, r.Variant.Label)
-	if r.Repeats > 1 {
-		fmt.Fprintf(w, " (%d repeats/side)", r.Repeats)
-	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%s (%s): %s vs %s\n", workload, class, r.Baseline.Label, r.Variant.Label)
 
-	t := stats.NewTable("Metric", r.Baseline.Label, r.Variant.Label, "Delta", "±noise", "Verdict")
+	t := stats.NewTable("Metric", r.Baseline.Label, r.Variant.Label, "Delta", "Verdict")
 	for _, m := range r.Metrics {
 		t.Row(m.Name,
 			fmt.Sprintf("%.4g", m.Base),
 			fmt.Sprintf("%.4g", m.Var),
 			fmt.Sprintf("%+.4g", m.Delta),
-			fmt.Sprintf("%.3g", m.Noise),
 			m.Verdict)
 	}
 	t.Write(w)

@@ -23,9 +23,6 @@ type diffPostRequest struct {
 	Variant *api.RunRequest `json:"variant,omitempty"`
 	BaseJob string          `json:"base_job,omitempty"`
 	VarJob  string          `json:"var_job,omitempty"`
-	// Repeats is the per-side repeat count feeding the significance
-	// gate (default 1).
-	Repeats int `json:"repeats,omitempty"`
 }
 
 // handleDiff translates the comparison into one canonical diff job and
@@ -115,10 +112,9 @@ func (s *Server) diffRunRequest(dr diffPostRequest) (api.RunRequest, error) {
 		Config:     b.Config,
 		XTrace:     b.XTrace,
 		Diff: &api.DiffSpec{
-			Mode:    v.Mode,
-			Config:  v.Config,
-			XTrace:  varXTrace,
-			Repeats: dr.Repeats,
+			Mode:   v.Mode,
+			Config: v.Config,
+			XTrace: varXTrace,
 		},
 	}
 	return req, nil

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/api"
+	"repro/internal/diff"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -61,16 +62,13 @@ func TestDiffEndToEnd(t *testing.T) {
 	vari := cell
 	vari.Config = &api.ConfigOverrides{
 		DisableOpts: []string{"nop", "cp", "ra", "cse", "sf", "asst", "spec"}}
-	env, status := postDiff(t, ts.URL, diffPostRequest{Base: &cell, Variant: &vari, Repeats: 2})
+	env, status := postDiff(t, ts.URL, diffPostRequest{Base: &cell, Variant: &vari})
 	if status != http.StatusOK {
 		t.Fatalf("status %d (%s)", status, env.Error)
 	}
 	rep := decodeDiff(t, env)
 	if len(rep.Rows) != 1 || rep.Rows[0].Workload != "gzip" {
 		t.Fatalf("wrong report shape: %+v", rep)
-	}
-	if rep.Repeats != 2 {
-		t.Errorf("repeats = %d, want 2", rep.Repeats)
 	}
 	r := &rep.Rows[0].Report
 	if r.ResidualUOpsRemoved != 0 || r.ResidualCycles != 0 {
@@ -80,7 +78,7 @@ func TestDiffEndToEnd(t *testing.T) {
 		t.Error("no per-loop delta rows")
 	}
 	if len(r.Metrics) == 0 {
-		t.Fatal("no gated metrics")
+		t.Fatal("no metric verdicts")
 	}
 	for _, m := range r.Metrics {
 		if m.Verdict == "" {
@@ -198,7 +196,7 @@ func TestDiffValidation(t *testing.T) {
 
 	cases := []struct {
 		name string
-		body diffPostRequest
+		body any
 		want int
 	}{
 		{"no sides", diffPostRequest{}, http.StatusBadRequest},
@@ -208,7 +206,8 @@ func TestDiffValidation(t *testing.T) {
 		{"non-cell side", diffPostRequest{Base: &sweep, Variant: &cell}, http.StatusBadRequest},
 		{"different workloads", diffPostRequest{Base: &cell, Variant: &other}, http.StatusBadRequest},
 		{"different budgets", diffPostRequest{Base: &cell, Variant: &shortBudget}, http.StatusBadRequest},
-		{"repeats over cap", diffPostRequest{Base: &cell, Variant: &cell, Repeats: 1_000_000}, http.StatusBadRequest},
+		// One run per side is exact; a repeat count is an unknown field.
+		{"repeats", map[string]any{"base": &cell, "variant": &cell, "repeats": 2}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		env, status := postDiff(t, ts.URL, tc.body)
@@ -228,13 +227,26 @@ func TestDiffValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d, want 400", resp.StatusCode)
 	}
+
+	// A diff spec naming repeats is rejected on /v1/run too.
+	resp, err = http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(
+		`{"experiment":"diff","workloads":["gzip"],"insts":20000,"diff":{"repeats":2}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env jobEnvelope
+	json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(env.Error, `"repeats"`) {
+		t.Errorf("/v1/run diff with repeats: status %d (%s), want 400 naming repeats", resp.StatusCode, env.Error)
+	}
 }
 
 // TestDiffXTraceVsSyntheticClone uploads a captured gzip trace and
 // compares the upload against its own workload source — the paper's
 // "upload vs synthetic clone" check. Replaying the exported trace is
 // bit-exact with the direct run, so every per-loop delta and both
-// residuals must be zero and every verdict noise.
+// residuals must be zero and every verdict unchanged.
 func TestDiffXTraceVsSyntheticClone(t *testing.T) {
 	const budget = 10_000
 	s := New(Config{Workers: 2, SpoolDir: t.TempDir()})
@@ -269,8 +281,8 @@ func TestDiffXTraceVsSyntheticClone(t *testing.T) {
 		}
 	}
 	for _, m := range r.Metrics {
-		if m.Delta != 0 {
-			t.Errorf("metric %s: delta %v against a bit-exact clone", m.Name, m.Delta)
+		if m.Delta != 0 || m.Verdict != diff.VerdictUnchanged {
+			t.Errorf("metric %s: delta %v verdict %q against a bit-exact clone", m.Name, m.Delta, m.Verdict)
 		}
 	}
 	if r.SignificantRegressions != 0 || r.SignificantImprovements != 0 {

@@ -62,10 +62,10 @@ func fixedCycleReport() *sim.CycleReport {
 	return &sim.CycleReport{Rows: []sim.CycleRow{{Workload: "w", Report: r}}}
 }
 
-// fixedDiffReport has two workloads, three compared loops and gated
-// verdicts in both directions.
+// fixedDiffReport has two workloads, three compared loops and verdicts
+// in both directions.
 func fixedDiffReport() *sim.DiffReport {
-	return &sim.DiffReport{Baseline: "base", Variant: "var", Repeats: 2, Rows: []sim.DiffRow{
+	return &sim.DiffReport{Baseline: "base", Variant: "var", Rows: []sim.DiffRow{
 		{Workload: "a", Report: diff.Report{
 			Loops:                  make([]diff.LoopDelta, 2),
 			SignificantRegressions: 2, SignificantImprovements: 1,

@@ -191,9 +191,9 @@ var reportKinds = []reportKind{
 			{name: "replayd_diff_loops_compared_total", add: diffTotal((*sim.DiffReport).LoopsCompared),
 				help: "Per-loop delta rows produced across diff-experiment jobs (union of both sides' loop partitions)."},
 			{name: "replayd_diff_significant_regressions_total", add: diffTotal((*sim.DiffReport).SignificantRegressions),
-				help: "Top-line metric deltas that cleared the 2-sigma noise gate in the regressing direction across diff-experiment jobs."},
+				help: "Top-line metric deltas in the regressing direction across diff-experiment jobs (one exact run per side, so every nonzero delta counts)."},
 			{name: "replayd_diff_significant_improvements_total", add: diffTotal((*sim.DiffReport).SignificantImprovements),
-				help: "Top-line metric deltas that cleared the 2-sigma noise gate in the improving direction across diff-experiment jobs."},
+				help: "Top-line metric deltas in the improving direction across diff-experiment jobs (one exact run per side, so every nonzero delta counts)."},
 		},
 	},
 }

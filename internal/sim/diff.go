@@ -20,20 +20,11 @@ type DiffSide struct {
 	Profile *workload.Profile
 	// External is an adapted uploaded trace to replay instead.
 	External *ExternalRun
-	// Mode selects the fetch engine when HasMode is set; the default is
-	// the optimizing configuration (RPO).
-	Mode    pipeline.Mode
-	HasMode bool
+	// Mode selects the fetch engine.
+	Mode pipeline.Mode
 	// ConfigMod further narrows this side's configuration (e.g. a
 	// disabled optimizer subset). It runs after Options.ConfigMod.
 	ConfigMod func(*pipeline.Config)
-}
-
-func (s *DiffSide) mode() pipeline.Mode {
-	if s.HasMode {
-		return s.Mode
-	}
-	return pipeline.ModeRePLayOpt
 }
 
 // src is the side's simulation input.
@@ -62,11 +53,10 @@ type DiffRow struct {
 type DiffReport struct {
 	Baseline string    `json:"baseline"`
 	Variant  string    `json:"variant"`
-	Repeats  int       `json:"repeats"`
 	Rows     []DiffRow `json:"rows"`
 }
 
-// SignificantRegressions totals the gated regression verdicts across
+// SignificantRegressions totals the regressed metric verdicts across
 // all workloads.
 func (r *DiffReport) SignificantRegressions() int {
 	n := 0
@@ -76,7 +66,7 @@ func (r *DiffReport) SignificantRegressions() int {
 	return n
 }
 
-// SignificantImprovements totals the gated improvement verdicts.
+// SignificantImprovements totals the improved metric verdicts.
 func (r *DiffReport) SignificantImprovements() int {
 	n := 0
 	for i := range r.Rows {
@@ -104,56 +94,34 @@ func chainMod(a, b func(*pipeline.Config)) func(*pipeline.Config) {
 	return func(c *pipeline.Config) { a(c); b(c) }
 }
 
-// diffRuns is one side's runs: the first repeat carries the diff
-// collector (forcing execution; its per-trace folds apply in trace
-// order, so its partition is conservation-exact and independent of
-// scheduling), later repeats run plain and only feed the significance
-// gate.
-type diffRuns struct {
-	label   string
-	col     *diff.Collector
-	results []Result
+// sideJob appends one side's run to jobs, with a private diff
+// collector attached (forcing execution; its per-trace folds apply in
+// trace order, so its partition is conservation-exact and independent
+// of scheduling). The returned func assembles the finished run into one
+// side of the comparison.
+func sideJob(jobs *[]runJob, side DiffSide, o Options) func() diff.RunSide {
+	col := diff.NewCollector()
+	var res Result
+	var err error
+	po := o
+	po.ConfigMod = chainMod(o.ConfigMod, side.ConfigMod)
+	po.Probes = withProbe(o.Probes, col)
+	*jobs = append(*jobs, runJob{src: side.src(), mode: side.Mode, opts: po, out: &res, err: &err})
+	return func() diff.RunSide {
+		return diff.RunSide{Label: side.Label, Profile: col.Snapshot(), Stats: res.Stats}
+	}
 }
 
-// sideJobs appends one side's runs to jobs.
-func sideJobs(jobs *[]runJob, side DiffSide, o Options, repeats int) *diffRuns {
-	d := &diffRuns{label: side.Label, col: diff.NewCollector(), results: make([]Result, repeats)}
-	errs := make([]error, repeats)
-	src := side.src()
-	for r := 0; r < repeats; r++ {
-		po := o
-		po.ConfigMod = chainMod(o.ConfigMod, side.ConfigMod)
-		if r == 0 {
-			po.Probes = withProbe(o.Probes, d.col)
-		}
-		*jobs = append(*jobs, runJob{src: src, mode: side.mode(), opts: po, out: &d.results[r], err: &errs[r]})
-	}
-	return d
-}
-
-// side assembles the finished runs into one side of a comparison.
-func (d *diffRuns) side() diff.RunSide {
-	runs := make([]pipeline.Stats, len(d.results))
-	for i := range d.results {
-		runs[i] = d.results[i].Stats
-	}
-	return diff.RunSide{Label: d.label, Profile: d.col.Snapshot(), Runs: runs}
-}
-
-// Diff runs every pair's two sides, each repeats times (the first run
-// of each side carries a private diff probe), and joins each pair's two
-// partitions into one conservation-exact delta report with
-// significance-gated top-line verdicts. Each side's mode and config come
-// from the side itself (chained after Options.ConfigMod), so the variant
-// does not inherit the baseline's overrides. Rows are named after the
-// baseline side and come back in pair order, deterministic.
-func Diff(ctx context.Context, pairs []DiffPair, o Options, repeats int) (*DiffReport, error) {
-	if repeats < 1 {
-		repeats = 1
-	}
-	rep := &DiffReport{Baseline: "baseline", Variant: "variant", Repeats: repeats,
-		Rows: make([]DiffRow, len(pairs))}
-	sides := make([][2]*diffRuns, len(pairs))
+// Diff runs every pair's two sides once each, every run carrying a
+// private diff probe, and joins each pair's two partitions into one
+// conservation-exact delta report with top-line verdicts. The simulator
+// is deterministic, so one run per side is exact. Each side's mode and
+// config come from the side itself (chained after Options.ConfigMod), so
+// the variant does not inherit the baseline's overrides. Rows are named
+// after the baseline side and come back in pair order, deterministic.
+func Diff(ctx context.Context, pairs []DiffPair, o Options) (*DiffReport, error) {
+	rep := &DiffReport{Baseline: "baseline", Variant: "variant", Rows: make([]DiffRow, len(pairs))}
+	sides := make([][2]func() diff.RunSide, len(pairs))
 	var jobs []runJob
 	for i, p := range pairs {
 		for _, s := range []*DiffSide{&p.Base, &p.Variant} {
@@ -170,7 +138,7 @@ func Diff(ctx context.Context, pairs []DiffPair, o Options, repeats int) (*DiffR
 		if i == 0 {
 			rep.Baseline, rep.Variant = p.Base.Label, p.Variant.Label
 		}
-		sides[i] = [2]*diffRuns{sideJobs(&jobs, p.Base, o, repeats), sideJobs(&jobs, p.Variant, o, repeats)}
+		sides[i] = [2]func() diff.RunSide{sideJob(&jobs, p.Base, o), sideJob(&jobs, p.Variant, o)}
 		base := p.Base.src()
 		rep.Rows[i].Workload, rep.Rows[i].Class = base.name, base.class
 	}
@@ -178,7 +146,7 @@ func Diff(ctx context.Context, pairs []DiffPair, o Options, repeats int) (*DiffR
 		return nil, err
 	}
 	for i := range pairs {
-		rep.Rows[i].Report = *diff.Compare(sides[i][0].side(), sides[i][1].side())
+		rep.Rows[i].Report = *diff.Compare(sides[i][0](), sides[i][1]())
 	}
 	return rep, nil
 }

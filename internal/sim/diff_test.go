@@ -82,19 +82,69 @@ func TestDiffProbeConservation(t *testing.T) {
 // TestDiffPairZeroResidual pins the acceptance invariant end to end:
 // comparing a baseline against an ablated variant, the per-loop deltas
 // sum exactly to the difference of the two runs' Stats counters — the
-// unattributed residual is zero — and the gated metric verdicts are
-// present.
+// unattributed residual is zero — and the metric verdicts are present.
+// A self-diff of RPO on every profile, both sides executed, reads zero
+// everywhere: one run per side is exact only while the simulator is
+// deterministic, and this is the check that says so.
 func TestDiffPairZeroResidual(t *testing.T) {
+	t.Run("self", func(t *testing.T) {
+		pairs := make([]DiffPair, len(workload.Profiles))
+		for i := range workload.Profiles {
+			p := &workload.Profiles[i]
+			pairs[i] = DiffPair{Base: DiffSide{Profile: p, Mode: pipeline.ModeRePLayOpt},
+				Variant: DiffSide{Profile: p, Mode: pipeline.ModeRePLayOpt}}
+		}
+		rep, err := Diff(context.Background(), pairs, Options{MaxInsts: 20_000, DisableCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rep.Rows {
+			r := &row.Report
+			if r.ResidualUOpsRemoved != 0 || r.ResidualCycles != 0 {
+				t.Errorf("%s: residuals (%d uops, %d cycles), want zero",
+					row.Workload, r.ResidualUOpsRemoved, r.ResidualCycles)
+			}
+			if len(r.Loops) == 0 {
+				t.Errorf("%s: no loop rows", row.Workload)
+			}
+			for _, l := range r.Loops {
+				if l.DCycles != 0 || l.DOptRemoved != 0 || l.DUOpsRetired != 0 || l.DCovered != 0 || l.DFrameHits != 0 {
+					t.Errorf("%s: loop %#x moved against itself: %+v", row.Workload, l.Header, l)
+				}
+				for _, pd := range l.Passes {
+					if pd.DKilled != 0 || pd.DRewritten != 0 {
+						t.Errorf("%s: loop %#x pass %s moved against itself: %+v", row.Workload, l.Header, pd.Pass, pd)
+					}
+				}
+			}
+			for _, pd := range r.Passes {
+				if pd.DKilled != 0 || pd.DRewritten != 0 {
+					t.Errorf("%s: pass %s moved against itself: %+v", row.Workload, pd.Pass, pd)
+				}
+			}
+			for _, m := range r.Metrics {
+				if m.Delta != 0 || m.Verdict != diff.VerdictUnchanged {
+					t.Errorf("%s: metric %s delta %v verdict %q, want 0 unchanged",
+						row.Workload, m.Name, m.Delta, m.Verdict)
+				}
+			}
+			if r.SignificantRegressions != 0 || r.SignificantImprovements != 0 {
+				t.Errorf("%s: self-diff counts %d regressed, %d improved",
+					row.Workload, r.SignificantRegressions, r.SignificantImprovements)
+			}
+		}
+	})
+
 	for _, name := range []string{"gzip", "access"} {
 		p, err := workload.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, v := range reuseOptVariants[1:] { // variants that actually differ
-			base := DiffSide{Label: "baseline", Profile: &p}
-			vari := DiffSide{Label: v.name, Profile: &p, ConfigMod: v.mod}
+			base := DiffSide{Label: "baseline", Profile: &p, Mode: pipeline.ModeRePLayOpt}
+			vari := DiffSide{Label: v.name, Profile: &p, Mode: pipeline.ModeRePLayOpt, ConfigMod: v.mod}
 			rep, err := Diff(context.Background(), []DiffPair{{Base: base, Variant: vari}},
-				Options{MaxInsts: 40_000, DisableCache: true}, 1)
+				Options{MaxInsts: 40_000, DisableCache: true})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, v.name, err)
 			}
@@ -129,7 +179,7 @@ func TestDiffPairZeroResidual(t *testing.T) {
 }
 
 // TestDiffSweep checks the per-workload driver: rows in profile order,
-// each row conservation-exact, repeats recorded, and the roll-up
+// each row conservation-exact, side labels recorded, and the roll-up
 // counters consistent with the rows.
 func TestDiffSweep(t *testing.T) {
 	var ps []workload.Profile
@@ -143,14 +193,14 @@ func TestDiffSweep(t *testing.T) {
 	noOpt := func(c *pipeline.Config) { c.OptOptions = opt.Options{} }
 	pairs := make([]DiffPair, len(ps))
 	for i := range ps {
-		pairs[i] = DiffPair{Base: DiffSide{Profile: &ps[i]},
-			Variant: DiffSide{Label: "no-opt", Profile: &ps[i], ConfigMod: noOpt}}
+		pairs[i] = DiffPair{Base: DiffSide{Profile: &ps[i], Mode: pipeline.ModeRePLayOpt},
+			Variant: DiffSide{Label: "no-opt", Profile: &ps[i], Mode: pipeline.ModeRePLayOpt, ConfigMod: noOpt}}
 	}
-	rep, err := Diff(context.Background(), pairs, Options{MaxInsts: 40_000}, 2)
+	rep, err := Diff(context.Background(), pairs, Options{MaxInsts: 40_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Repeats != 2 || rep.Variant != "no-opt" {
+	if rep.Baseline != "baseline" || rep.Variant != "no-opt" {
 		t.Fatalf("header: %+v", rep)
 	}
 	if len(rep.Rows) != len(ps) {

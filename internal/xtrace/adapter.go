@@ -147,20 +147,13 @@ func synthReg(eip uint32, salt int) uop.Reg {
 	return synthRegs[(uint32(salt)+eip*2654435761)%uint32(len(synthRegs))]
 }
 
-// synthDecoded is the per-PC synthesized decode. Like a real decode it
-// is a pure function of the (first-seen) static properties of the PC, so
-// repeated visits share one instruction identity — which the frame
-// cache's PC-comparison replay discipline requires.
-type synthDecoded struct {
-	in   x86.Inst
-	uops []uop.UOp
-}
-
 // synthSlots fabricates a canonical instruction per group. Per-PC decode
 // is first-wins: the first dynamic occurrence of an EIP fixes its
-// instruction shape, and the instruction length is chosen so the
-// taken-vs-fallthrough relation (NextPC != PC+Len exactly when taken)
-// holds for the observed successor pattern.
+// decode-table entry, so repeated visits share one instruction identity
+// (which the frame cache's PC-comparison replay discipline requires).
+// The instruction length is chosen so the taken-vs-fallthrough relation
+// (NextPC != PC+Len exactly when taken) holds for the observed successor
+// pattern.
 func (t *Trace) synthSlots(groups []group) []pipeline.Slot {
 	// Pass 1: pick a static Len per PC. A non-taken occurrence fixes it
 	// exactly (Len = successor delta); otherwise default to 1, bumping to
@@ -199,15 +192,16 @@ func (t *Trace) synthSlots(groups []group) []pipeline.Slot {
 		return l
 	}
 
-	// Pass 2: synthesize the per-PC decode and materialize slots.
-	decoded := make(map[uint32]synthDecoded)
+	// Pass 2: synthesize the per-PC decode and materialize slots. There
+	// is no code image, so every entry lives in the table's map.
+	tab := translate.NewTable(0, 0)
 	slots := make([]pipeline.Slot, 0, len(groups))
 	for gi, g := range groups {
-		d, ok := decoded[g.eip]
-		if !ok {
-			d = t.synthDecode(g, lenOf(g.eip), takenNext[g.eip])
-			decoded[g.eip] = d
+		e := tab.Find(g.eip)
+		if e < 0 {
+			e = tab.Add(t.synthDecode(g, lenOf(g.eip), takenNext[g.eip]))
 		}
+		d := tab.Entry(e)
 		var next uint32
 		switch {
 		case gi+1 < len(groups):
@@ -217,18 +211,18 @@ func (t *Trace) synthSlots(groups []group) []pipeline.Slot {
 		case g.taken:
 			next = g.eip // any successor != PC+Len keeps the taken relation
 		default:
-			next = g.eip + uint32(d.in.Len)
+			next = g.eip + uint32(d.Inst.Len)
 		}
 		slots = append(slots, pipeline.Slot{
-			PC: g.eip, Inst: d.in, UOps: d.uops, NextPC: next, MemAddrs: t.memAddrs(g),
+			PC: g.eip, Inst: d.Inst, UOps: d.UOps, NextPC: next, MemAddrs: t.memAddrs(g),
 		})
 	}
 	return slots
 }
 
-// synthDecode fabricates the instruction and micro-op flow for one PC
-// from its first dynamic occurrence.
-func (t *Trace) synthDecode(g group, length uint32, takenNext uint32) synthDecoded {
+// synthDecode fabricates the decode-table entry for one PC from its
+// first dynamic occurrence.
+func (t *Trace) synthDecode(g group, length uint32, takenNext uint32) translate.Entry {
 	var us []uop.UOp
 	dominant := ClassExec
 	for i := g.lo; i < g.hi; i++ {
@@ -266,8 +260,7 @@ func (t *Trace) synthDecode(g group, length uint32, takenNext uint32) synthDecod
 				Dest: synthReg(g.eip, salt), SrcA: synthReg(g.eip, salt), SrcB: synthReg(g.eip, salt+1)})
 		}
 	}
-	in := synthInst(g.eip, dominant, length, takenNext)
-	return synthDecoded{in: in, uops: us}
+	return translate.Entry{PC: g.eip, Inst: synthInst(g.eip, dominant, length, takenNext), UOps: us}
 }
 
 // synthInst fabricates the x86-level identity of a synthesized

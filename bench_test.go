@@ -99,14 +99,15 @@ func BenchmarkTable1Workloads(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				slots, err := sim.CaptureSlots(prog, 20_000)
+				rec, err := sim.Capture(prog, 20_000)
 				if err != nil {
 					b.Fatal(err)
 				}
-				insts, loads, uops = len(slots), 0, 0
-				for _, s := range slots {
-					uops += len(s.UOps)
-					for _, u := range s.UOps {
+				insts, loads, uops = rec.Len(), 0, 0
+				for j := range insts {
+					d, _, _ := rec.At(j)
+					uops += len(d.UOps)
+					for _, u := range d.UOps {
 						if u.Op == uop.LOAD {
 							loads++
 						}

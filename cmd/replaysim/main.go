@@ -188,7 +188,7 @@ func loadRequest(path, mode string, insts int) ([]api.RunRequest, api.Resolver, 
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	slots, err := xt.Slots()
+	rec, err := xt.Recording()
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -199,7 +199,7 @@ func loadRequest(path, mode string, insts int) ([]api.RunRequest, api.Resolver, 
 	ext := &sim.ExternalRun{
 		Name:        name,
 		Fingerprint: xtrace.TraceID(xt),
-		Slots:       slots,
+		Recording:   rec,
 		Insts:       int(xt.Header.Insts),
 	}
 	req := api.RunRequest{XTrace: ext.Fingerprint, Mode: mode, Insts: insts}

@@ -75,7 +75,7 @@ func checkXTrace(path string) error {
 	if err != nil {
 		return err
 	}
-	slots, err := t.Slots()
+	rec, err := t.Recording()
 	if err != nil {
 		return fmt.Errorf("adapting to slots: %w", err)
 	}
@@ -84,6 +84,6 @@ func checkXTrace(path string) error {
 		code = fmt.Sprintf("%d-byte code image", len(t.Code))
 	}
 	fmt.Printf("%s: ok: id %s, %d records, %d slots (budget %d), %s\n",
-		path, xtrace.TraceID(t), len(t.Records), len(slots), t.Header.Insts, code)
+		path, xtrace.TraceID(t), len(t.Records), rec.Len(), t.Header.Insts, code)
 	return nil
 }

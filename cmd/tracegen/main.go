@@ -72,7 +72,7 @@ func run(name string, traceIdx, insts int, export, format string, list bool) err
 	return summarize(prog, insts)
 }
 
-// exportTrace captures the program's retired slots (with replay slack
+// exportTrace records the program's retired slots (with replay slack
 // past the budget, so loaders can stream the same window the replay
 // pipeline sees) and writes them in the external format.
 func exportTrace(prog *workload.Program, insts int, path, format string) error {
@@ -85,11 +85,11 @@ func exportTrace(prog *workload.Program, insts int, path, format string) error {
 	default:
 		return fmt.Errorf("unknown -format %q (want binary or ndjson)", format)
 	}
-	slots, err := sim.CaptureSlots(prog, insts+sim.ReplaySlack)
+	rec, err := sim.Capture(prog, insts+sim.ReplaySlack)
 	if err != nil {
 		return err
 	}
-	xt := xtrace.FromSlots(prog.Name, prog.Base, prog.Code, slots, insts)
+	xt := xtrace.FromRecording(prog.Name, prog.Base, prog.Code, rec, insts)
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -110,17 +110,18 @@ func exportTrace(prog *workload.Program, insts int, path, format string) error {
 // prints their length, PC footprint, micro-op expansion, memory mix and
 // taken control transfers.
 func summarize(prog *workload.Program, insts int) error {
-	slots, err := sim.CaptureSlots(prog, insts)
+	rec, err := sim.Capture(prog, insts)
 	if err != nil {
 		return err
 	}
 	pcs := make(map[uint32]bool)
 	var uops, loads, stores, transfers int
-	for i := range slots {
-		s := &slots[i]
-		pcs[s.PC] = true
-		uops += len(s.UOps)
-		for _, u := range s.UOps {
+	n := rec.Len()
+	for i := range n {
+		d, nextPC, _ := rec.At(i)
+		pcs[d.PC] = true
+		uops += len(d.UOps)
+		for _, u := range d.UOps {
 			switch u.Op {
 			case uop.LOAD:
 				loads++
@@ -128,11 +129,10 @@ func summarize(prog *workload.Program, insts int) error {
 				stores++
 			}
 		}
-		if s.NextPC != s.PC+uint32(s.Inst.Len) {
+		if nextPC != d.PC+uint32(d.Inst.Len) {
 			transfers++
 		}
 	}
-	n := len(slots)
 	fmt.Printf("trace %s: code %d bytes at %#x\n", prog.Name, len(prog.Code), prog.Base)
 	t := stats.NewTable("Metric", "Value", "Per kinst")
 	per := func(v int) string { return fmt.Sprintf("%.1f", 1000*float64(v)/float64(n)) }

@@ -26,11 +26,11 @@ func testUpload(t *testing.T, budget int) (*sim.ExternalRun, Resolver) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slots, err := sim.CaptureSlots(prog, budget+sim.ReplaySlack)
+	rec, err := sim.Capture(prog, budget+sim.ReplaySlack)
 	if err != nil {
 		t.Fatal(err)
 	}
-	up := &sim.ExternalRun{Name: "upload", Fingerprint: "test-upload", Slots: slots, Insts: budget}
+	up := &sim.ExternalRun{Name: "upload", Fingerprint: "test-upload", Recording: rec, Insts: budget}
 	return up, func(id string) (*sim.ExternalRun, error) {
 		if id != up.Fingerprint {
 			return nil, fmt.Errorf("no uploaded trace %q", id)

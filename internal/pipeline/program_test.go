@@ -6,8 +6,24 @@ import (
 
 	"repro/internal/pipeline"
 	"repro/internal/sim"
+	"repro/internal/translate"
 	"repro/internal/workload"
 )
+
+// recordingStream replays a recording as a pipeline.Stream.
+type recordingStream struct {
+	rec *translate.Recording
+	pos int
+}
+
+func (r *recordingStream) Next() (pipeline.Slot, bool) {
+	if r.pos >= r.rec.Len() {
+		return pipeline.Slot{}, false
+	}
+	d, nextPC, addrs := r.rec.At(r.pos)
+	r.pos++
+	return pipeline.Slot{PC: d.PC, Inst: d.Inst, UOps: d.UOps, NextPC: nextPC, MemAddrs: addrs}, true
+}
 
 // TestFramePrograms verifies the dispatch program of every frame that
 // enters the frame cache, over trace 0 of all 14 profiles, in RP and RPO
@@ -20,7 +36,7 @@ func TestFramePrograms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		slots, err := sim.CaptureSlots(prog, insts)
+		rec, err := sim.Capture(prog, insts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,7 +45,7 @@ func TestFramePrograms(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%v/resched=%v", p.Name, mode, rs), func(t *testing.T) {
 					cfg := pipeline.DefaultConfig(mode)
 					cfg.OptReschedule = rs
-					eng := pipeline.New(cfg, mode, sim.NewSlotStream(slots))
+					eng := pipeline.New(cfg, mode, &recordingStream{rec: rec})
 					check := pipeline.CheckPrograms(eng, t.Errorf)
 					eng.Run(insts)
 					if check.Entries == 0 {

@@ -90,8 +90,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := sim.SnapshotMetrics()
 	p.Counter("replayd_sim_runs_executed_total", "Simulations executed to completion (memo misses).", float64(m.RunsExecuted))
 	p.Counter("replayd_sim_memo_hits_total", "Runs served from the run memo.", float64(m.MemoHits))
-	p.Counter("replayd_sim_capture_builds_total", "Slot streams interpreted into shared captures.", float64(m.CaptureBuilds))
-	p.Counter("replayd_sim_capture_hits_total", "Capture lookups served from a live recording.", float64(m.CaptureHits))
+	p.Counter("replayd_sim_capture_builds_total", "Recordings built into the capture cache: slot streams interpreted and uploaded traces adapted.", float64(m.CaptureBuilds))
+	p.Counter("replayd_sim_capture_hits_total", "Capture lookups, workload or upload, served from a live recording.", float64(m.CaptureHits))
 	p.Gauge("replayd_sim_memo_entries", "Run-memo occupancy.", float64(m.MemoEntries))
 	p.Gauge("replayd_sim_memo_entry_limit", "Run-memo entry budget.", float64(m.MemoLimit))
 	p.Gauge("replayd_sim_capture_entries", "Capture-cache occupancy.", float64(m.CaptureEntries))

@@ -30,7 +30,7 @@ type jobEnvelope struct {
 	Result    json.RawMessage `json:"result"`
 }
 
-func postRun(t *testing.T, url string, req api.RunRequest) (jobEnvelope, int) {
+func postRun(t testing.TB, url string, req api.RunRequest) (jobEnvelope, int) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/sim"
+	"repro/internal/translate"
 	"repro/internal/xtrace"
 )
 
@@ -77,8 +78,10 @@ func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	// Adapt now so a trace that decodes but cannot be simulated (EIP
 	// outside its code image, mid-instruction EIP change) fails the
-	// upload with a 400 instead of failing every later job.
-	if _, err := t.Slots(); err != nil {
+	// upload with a 400 instead of failing every later job. The capture
+	// cache keeps the result, so the jobs that follow adapt nothing.
+	rec, err := t.Recording()
+	if err != nil {
 		s.rejectUpload(w, r, err)
 		return
 	}
@@ -87,6 +90,8 @@ func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 		s.rejectUpload(w, r, err)
 		return
 	}
+	// Cannot fail: the closure returns the run already adapted.
+	_, _ = sim.CachedExternal(id, func() (*sim.ExternalRun, error) { return externalRunOf(id, t, rec), nil })
 	s.xmet.uploads.Add(1)
 	s.xmet.uploadBytes.Add(uint64(size))
 	s.log.Info("trace uploaded",
@@ -232,25 +237,28 @@ func (s *Server) unpinXTrace(req api.RunRequest) {
 	}
 }
 
-// externalRun loads and adapts one spooled trace: the dispatcher's
-// resolver for the xtrace IDs a request names.
+// externalRun returns one spooled trace's adapted run from the capture
+// cache, loading and adapting it again after an eviction or a restart:
+// the dispatcher's resolver for the xtrace IDs a request names.
 func (s *Server) externalRun(id string) (*sim.ExternalRun, error) {
-	t, err := s.spool.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	slots, err := t.Slots()
-	if err != nil {
-		return nil, err
-	}
+	return sim.CachedExternal(id, func() (*sim.ExternalRun, error) {
+		t, err := s.spool.Get(id)
+		if err != nil {
+			return nil, err
+		}
+		rec, err := t.Recording()
+		if err != nil {
+			return nil, err
+		}
+		return externalRunOf(id, t, rec), nil
+	})
+}
+
+// externalRunOf is the run of spooled trace id, adapted into rec.
+func externalRunOf(id string, t *xtrace.Trace, rec *translate.Recording) *sim.ExternalRun {
 	name := t.Header.Name
 	if name == "" {
 		name = "xtrace-" + id[:12]
 	}
-	return &sim.ExternalRun{
-		Name:        name,
-		Fingerprint: id,
-		Slots:       slots,
-		Insts:       int(t.Header.Insts),
-	}, nil
+	return &sim.ExternalRun{Name: name, Fingerprint: id, Recording: rec, Insts: int(t.Header.Insts)}
 }

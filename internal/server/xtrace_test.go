@@ -22,7 +22,7 @@ import (
 
 // exportGzip captures and exports a small gzip trace in the external
 // binary encoding.
-func exportGzip(t *testing.T, budget int) ([]byte, *xtrace.Trace) {
+func exportGzip(t testing.TB, budget int) ([]byte, *xtrace.Trace) {
 	t.Helper()
 	p, err := workload.ByName("gzip")
 	if err != nil {
@@ -32,11 +32,11 @@ func exportGzip(t *testing.T, budget int) ([]byte, *xtrace.Trace) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slots, err := sim.CaptureSlots(prog, budget+sim.ReplaySlack)
+	rec, err := sim.Capture(prog, budget+sim.ReplaySlack)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xt := xtrace.FromSlots(prog.Name, prog.Base, prog.Code, slots, budget)
+	xt := xtrace.FromRecording(prog.Name, prog.Base, prog.Code, rec, budget)
 	var buf bytes.Buffer
 	if err := xtrace.WriteBinary(&buf, xt); err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ func exportGzip(t *testing.T, budget int) ([]byte, *xtrace.Trace) {
 	return buf.Bytes(), xt
 }
 
-func upload(t *testing.T, url string, body []byte) (map[string]any, int) {
+func upload(t testing.TB, url string, body []byte) (map[string]any, int) {
 	t.Helper()
 	resp, err := http.Post(url+"/v1/traces", "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
@@ -266,5 +266,77 @@ func TestXTraceListInfoAndMetrics(t *testing.T) {
 		if !strings.Contains(string(b), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// An upload is adapted once per capture-cache residency: at upload,
+// then never again while its entry stays, whatever the runs over it
+// (a server with MaxInsts resolves the trace once more, at submit, for
+// its budget check). Once the entry is evicted, the next run adapts the
+// spooled trace again and replays it bit-identically to a direct run.
+func TestXTraceAdaptedOnce(t *testing.T) {
+	const budget = 10_000
+	sim.ResetCaches()
+	t.Cleanup(func() {
+		sim.SetCaptureLimits(sim.DefaultCaptureEntries, sim.DefaultCaptureBytes)
+		sim.ResetCaches()
+	})
+	dir := t.TempDir()
+	s := New(Config{Workers: 1, SpoolDir: dir})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	cell := func(url string, req api.RunRequest) pipeline.Stats {
+		t.Helper()
+		env, status := postRun(t, url+"/v1/run", req)
+		if status != http.StatusOK || env.State != api.StateDone {
+			t.Fatalf("run %+v: status %d state %q error %q", req, status, env.State, env.Error)
+		}
+		var res api.RunResponse
+		if err := json.Unmarshal(env.Result, &res); err != nil {
+			t.Fatal(err)
+		}
+		return res.Cells[0].Stats
+	}
+	builds := func() uint64 { return sim.SnapshotMetrics().CaptureBuilds }
+
+	start := builds()
+	body, _ := exportGzip(t, budget)
+	out, status := upload(t, ts.URL, body)
+	if status != http.StatusCreated {
+		t.Fatalf("upload status %d: %v", status, out)
+	}
+	id := out["id"].(string)
+	cell(ts.URL, api.RunRequest{XTrace: id})
+	cell(ts.URL, api.RunRequest{XTrace: id})
+	capped := New(Config{Workers: 1, SpoolDir: dir, MaxInsts: 1_000_000})
+	defer capped.Shutdown(context.Background())
+	tsCapped := httptest.NewServer(capped.Handler())
+	defer tsCapped.Close()
+	cell(tsCapped.URL, api.RunRequest{XTrace: id})
+	if n := builds() - start; n != 1 {
+		t.Fatalf("one upload and three runs adapted %d times, want 1", n)
+	}
+
+	// A built-in run takes the only entry, evicting the upload's.
+	sim.SetCaptureLimits(1, 0)
+	cell(ts.URL, api.RunRequest{Experiment: api.ExpCell, Workloads: []string{"bzip2"}, Insts: 2_000})
+	start = builds()
+	const insts = budget - 1_000 // a budget no earlier run memoized
+	got := cell(ts.URL, api.RunRequest{XTrace: id, Insts: insts})
+	if n := builds() - start; n != 1 {
+		t.Errorf("the run after eviction adapted %d times, want 1", n)
+	}
+	p, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := sim.RunWorkload(context.Background(), p, pipeline.ModeRePLayOpt, sim.Options{MaxInsts: insts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, direct.Stats) {
+		t.Errorf("re-adapted upload stats differ from the direct run:\n served: %+v\n direct: %+v", got, direct.Stats)
 	}
 }

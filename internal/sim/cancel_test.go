@@ -167,13 +167,14 @@ func TestFingerprintValueStruct(t *testing.T) {
 	check(reflect.TypeOf(captureKey{}), "captureKey")
 
 	// One recording serves every budget it covers, so the capture key
-	// names the stream alone: a budget field would split it again.
+	// names the stream alone (a profile's trace, or an upload's content
+	// ID): a budget field would split it again.
 	ty := reflect.TypeOf(captureKey{})
 	var fields []string
 	for i := 0; i < ty.NumField(); i++ {
 		fields = append(fields, ty.Field(i).Name)
 	}
-	if want := []string{"profile", "trace"}; !reflect.DeepEqual(fields, want) {
+	if want := []string{"profile", "trace", "upload"}; !reflect.DeepEqual(fields, want) {
 		t.Errorf("captureKey fields %v, want %v", fields, want)
 	}
 }

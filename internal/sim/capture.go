@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/pipeline"
 	"repro/internal/translate"
@@ -22,7 +21,9 @@ import (
 // replaying the old one keep a consistent stream. The decoded/translated
 // stream is deterministic per (profile, trace), so replayed runs are
 // bit-identical to interpreted ones, and a prefix of a longer recording
-// is slot for slot the recording a shorter budget would have made.
+// is slot for slot the recording a shorter budget would have made. An
+// uploaded trace is kept here too, adapted once into a recording of the
+// same form and keyed on its content ID (CachedExternal).
 
 // captureSlack is how many slots beyond the instruction budget a capture
 // records. The engine consumes past the budget by at most one frame of
@@ -41,36 +42,17 @@ type slotSource interface {
 // Err surfaces an interpreter failure after a live run.
 func (s *cpuStream) Err() error { return s.err }
 
-// recordedStream is one captured retired-slot stream, stored columnar:
-// per retired instruction only the decode-table entry, the successor PC
-// and the memory addresses vary, so those are kept in flat arrays (~12
-// bytes per slot) while the decode and translation are shared per PC in
-// the interpreter's decode table. A full-budget capture is a few MB
-// instead of the tens of MB a []pipeline.Slot costs, which is what lets
-// DefaultCaptureEntries cover a whole sweep.
+// recordedStream is a recording and how its stream ended. A capture's
+// recording shares the interpreter's decode table, so a full-budget
+// capture is a few MB instead of the tens of MB a []pipeline.Slot
+// costs, which is what lets DefaultCaptureEntries cover a whole sweep.
+// The recording is held by value (copied in empty and appended in
+// place, or copied once complete), so NextInto, which runs once per
+// replayed instruction, reaches the columns through one pointer.
 type recordedStream struct {
-	entries  []int32 // per slot: a table entry index
-	nextPCs  []uint32
-	memOff   []uint32 // prefix offsets into memAddrs; len = len(entries)+1
-	memAddrs []uint32
-	table    *translate.Table
-	err      error // interpreter error hit at the end of the slots, if any
-	atEnd    bool  // the program genuinely ended (vs the capture bound)
-}
-
-func (rec *recordedStream) len() int { return len(rec.entries) }
-
-// slot materializes retired slot i into s. MemAddrs aliases the shared
-// backing array (capacity-clipped); the engine only reads it. Filling a
-// Slot in place rather than returning one spares the replay hot path a
-// 112-byte zero-and-copy per instruction.
-func (rec *recordedStream) slot(i int, s *pipeline.Slot) {
-	var addrs []uint32
-	if lo, hi := rec.memOff[i], rec.memOff[i+1]; hi > lo {
-		addrs = rec.memAddrs[lo:hi:hi]
-	}
-	d := rec.table.Entry(rec.entries[i])
-	s.PC, s.Inst, s.UOps, s.NextPC, s.MemAddrs = d.PC, d.Inst, d.UOps, rec.nextPCs[i], addrs
+	translate.Recording
+	err   error // interpreter error hit at the end of the slots, if any
+	atEnd bool  // the program genuinely ended (vs the capture bound)
 }
 
 // errCaptureExhausted reports a replay that consumed the whole recording
@@ -92,13 +74,17 @@ func (r *replayStream) Next() (s pipeline.Slot, ok bool) {
 }
 
 // NextInto materializes the next recorded slot into s, which the engine
-// passes from its own slot storage.
+// passes from its own slot storage. Filling a Slot in place rather than
+// returning one spares the replay hot path a 112-byte zero-and-copy per
+// instruction; MemAddrs aliases the recording, which the engine only
+// reads.
 func (r *replayStream) NextInto(s *pipeline.Slot) bool {
-	if r.pos >= r.rec.len() {
+	if r.pos >= r.rec.Len() {
 		r.exhausted = true
 		return false
 	}
-	r.rec.slot(r.pos, s)
+	d, nextPC, addrs := r.rec.At(r.pos)
+	s.PC, s.Inst, s.UOps, s.NextPC, s.MemAddrs = d.PC, d.Inst, d.UOps, nextPC, addrs
 	r.pos++
 	return true
 }
@@ -123,23 +109,15 @@ func (r *replayStream) Err() error {
 // so every replayed slot shares it.
 func captureRecorded(prog *workload.Program, max int) *recordedStream {
 	src := newCPUStream(prog)
-	rec := &recordedStream{
-		entries: make([]int32, 0, max),
-		nextPCs: make([]uint32, 0, max),
-		memOff:  make([]uint32, 1, max+1),
-		table:   src.table,
-	}
-	for len(rec.entries) < max {
+	rec := &recordedStream{Recording: *translate.NewRecording(src.table, max)}
+	for rec.Len() < max {
 		i, nextPC, addrs, ok := src.step()
 		if !ok {
 			rec.atEnd = true
 			rec.err = src.err
 			return rec
 		}
-		rec.entries = append(rec.entries, i)
-		rec.nextPCs = append(rec.nextPCs, nextPC)
-		rec.memAddrs = append(rec.memAddrs, addrs...)
-		rec.memOff = append(rec.memOff, uint32(len(rec.memAddrs)))
+		rec.Append(i, nextPC, addrs)
 	}
 	return rec
 }
@@ -157,23 +135,28 @@ const (
 // captureKey identifies a recording by value: the profile covers every
 // generator knob, so two custom workloads sharing a name but differing
 // in shape never collide. The budget is not part of the key: one
-// recording serves every budget it covers.
+// recording serves every budget it covers. An uploaded trace's entry
+// keys on its content ID alone.
 type captureKey struct {
 	profile workload.Profile
 	trace   int
+	upload  string
 }
 
-// captureEntry is the current recording of one (profile, trace), an
-// element of captureCache.lru. A recording is immutable once published
-// in rec, so a request it covers loads it without waiting; build
-// serializes the re-recordings that grow it, so racing requests for a
-// budget it does not cover interpret once.
+// captureEntry is the current recording of one (profile, trace), or
+// the adapted run of one upload, an element of captureCache.lru. A
+// recording is immutable once published in rec, so a request it covers
+// loads it without waiting; build serializes the re-recordings that
+// grow it, so racing requests for a budget it does not cover interpret
+// once, and guards the adaptation that fills ext, so racing runs over
+// an upload adapt it once.
 type captureEntry struct {
 	key    captureKey
 	rec    atomic.Pointer[recordedStream]
+	ext    atomic.Pointer[ExternalRun] // stored under build
 	build  sync.Mutex
 	genErr error // under build: the program could not be generated
-	bytes  int64 // under captureCache.mu: the residency charged for rec
+	bytes  int64 // under captureCache.mu: the residency charged for rec or ext
 }
 
 // covers reports whether the recording serves a run of budget
@@ -182,15 +165,7 @@ type captureEntry struct {
 // only the prefix an exact-budget capture would hold and times
 // identically.
 func (rec *recordedStream) covers(budget int) bool {
-	return rec != nil && (rec.atEnd || rec.len() >= budget+captureSlack)
-}
-
-// sizeBytes is a recording's heap residency: the columnar slot arrays
-// and the decode table they index, charged by capacity.
-func (rec *recordedStream) sizeBytes() int64 {
-	b := int64(unsafe.Sizeof(int32(0))) * int64(cap(rec.entries))
-	b += int64(unsafe.Sizeof(uint32(0))) * int64(cap(rec.nextPCs)+cap(rec.memOff)+cap(rec.memAddrs))
-	return b + rec.table.SizeBytes()
+	return rec != nil && (rec.atEnd || rec.Len() >= budget+captureSlack)
 }
 
 // captureCache shares recordings across the concurrent (workload, mode)
@@ -244,7 +219,7 @@ func (c *captureCache) get(p workload.Profile, traceIdx, budget int) (*recordedS
 		return nil, err
 	}
 	e.rec.Store(rec)
-	c.charge(e, rec.sizeBytes())
+	c.charge(e, rec.SizeBytes())
 	return rec, nil
 }
 
@@ -326,44 +301,13 @@ func CaptureOccupancy() (entries int, bytes int64, entryLimit int, byteLimit int
 	return captures.lru.Len(), captures.bytes, captures.maxEntries, captures.maxBytes
 }
 
-// CaptureSlots interprets the program for at most n retired
-// instructions and returns them as engine-ready slots, each carrying its
-// decode-table entry's instruction and micro-op flow. An interpreter
-// error inside the window is returned.
-func CaptureSlots(prog *workload.Program, n int) ([]pipeline.Slot, error) {
+// Capture interprets the program for at most n retired instructions
+// and returns their recording, whose decode table is the interpreter's.
+// An interpreter error inside the window is returned.
+func Capture(prog *workload.Program, n int) (*translate.Recording, error) {
 	rec := captureRecorded(prog, n)
 	if rec.err != nil {
 		return nil, rec.err
 	}
-	slots := make([]pipeline.Slot, rec.len())
-	for i := range slots {
-		rec.slot(i, &slots[i])
-	}
-	return slots, nil
-}
-
-// NewSlotStream wraps a slot slice as a correct-path stream for
-// pipeline.New (the replay path for uploaded traces and captured
-// slots). Slots sharing a PC share its decode, as every producer's
-// slots do.
-func NewSlotStream(slots []pipeline.Slot) pipeline.Stream {
-	rec := &recordedStream{
-		entries: make([]int32, 0, len(slots)),
-		nextPCs: make([]uint32, 0, len(slots)),
-		memOff:  make([]uint32, 1, len(slots)+1),
-		table:   translate.NewTable(0, 0), // no code image: PCs go to the map, at build time only
-		atEnd:   true,
-	}
-	for i := range slots {
-		s := &slots[i]
-		e := rec.table.Find(s.PC)
-		if e < 0 {
-			e = rec.table.Add(translate.Entry{PC: s.PC, Inst: s.Inst, UOps: s.UOps})
-		}
-		rec.entries = append(rec.entries, e)
-		rec.nextPCs = append(rec.nextPCs, s.NextPC)
-		rec.memAddrs = append(rec.memAddrs, s.MemAddrs...)
-		rec.memOff = append(rec.memOff, uint32(len(rec.memAddrs)))
-	}
-	return &replayStream{rec: rec}
+	return &rec.Recording, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/frame"
@@ -226,14 +227,18 @@ func TestCaptureConcurrentGrowth(t *testing.T) {
 }
 
 // checkCaptureResidency fails t unless the capture cache's charged
-// bytes equal the sum of its entries' recording sizes.
+// bytes equal the sum of its entries' recording sizes, uploads' included.
 func checkCaptureResidency(t *testing.T) {
 	t.Helper()
 	captures.mu.Lock()
 	var sum int64
 	for el := captures.lru.Front(); el != nil; el = el.Next() {
-		if rec := el.Value.(*captureEntry).rec.Load(); rec != nil {
-			sum += rec.sizeBytes()
+		e := el.Value.(*captureEntry)
+		if rec := e.rec.Load(); rec != nil {
+			sum += rec.SizeBytes()
+		}
+		if ext := e.ext.Load(); ext != nil {
+			sum += ext.Recording.SizeBytes()
 		}
 	}
 	captures.mu.Unlock()
@@ -282,14 +287,14 @@ func TestCaptureCacheBounded(t *testing.T) {
 	}
 	small := get(gzip, 2_000)
 	other := get(bzip2, 2_000)
-	SetCaptureLimits(0, small.sizeBytes()+other.sizeBytes()+1)
+	SetCaptureLimits(0, small.SizeBytes()+other.SizeBytes()+1)
 	grown := get(gzip, 50_000) // gzip is now the most recent: bzip2 goes
 	if grown == small {
 		t.Fatal("a 50k request was served by the 2k recording")
 	}
-	if n, bytes, _, _ := CaptureOccupancy(); n != 1 || bytes != grown.sizeBytes() {
+	if n, bytes, _, _ := CaptureOccupancy(); n != 1 || bytes != grown.SizeBytes() {
 		t.Errorf("after the growth: %d entries, %d bytes; want 1 entry, the grown recording's %d bytes",
-			n, bytes, grown.sizeBytes())
+			n, bytes, grown.SizeBytes())
 	}
 	if get(gzip, 40_000) != grown {
 		t.Error("a 40k request was not served by the surviving 50k recording")
@@ -331,8 +336,62 @@ func TestCaptureLRUOrder(t *testing.T) {
 	}
 }
 
-// TestCaptureSlots: CaptureSlots yields slot for slot what the
-// interpreter stream does, ends where the program halts, and returns the
+// TestCaptureExternal: racing lookups of one upload adapt it once and
+// share its run, the cache charges the run's recording, and once the
+// upload's entry is evicted the next lookup adapts it again.
+func TestCaptureExternal(t *testing.T) {
+	ResetCaches()
+	t.Cleanup(func() {
+		SetCaptureLimits(DefaultCaptureEntries, DefaultCaptureBytes)
+		ResetCaches()
+	})
+	p, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := workload.Generate(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Capture(prog, 5_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var adapts atomic.Int32
+	adapt := func() (*ExternalRun, error) {
+		adapts.Add(1)
+		return &ExternalRun{Name: "upload", Fingerprint: "upload-id", Recording: rec}, nil
+	}
+	runs := make([]*ExternalRun, 4)
+	var wg sync.WaitGroup
+	for i := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runs[i], _ = CachedExternal("upload-id", adapt)
+		}()
+	}
+	wg.Wait()
+	if n := adapts.Load(); n != 1 || runs[0] == nil || runs[1] != runs[0] || runs[2] != runs[0] || runs[3] != runs[0] {
+		t.Fatalf("4 racing lookups adapted %d times, runs %v; want 1 adaptation and one shared run", n, runs)
+	}
+	if _, bytes, _, _ := CaptureOccupancy(); bytes != rec.SizeBytes() {
+		t.Errorf("capture cache charges %d bytes for the upload, its recording holds %d", bytes, rec.SizeBytes())
+	}
+	checkCaptureResidency(t)
+
+	SetCaptureLimits(1, 0)
+	if _, err := captures.get(p, 0, 1_000); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CachedExternal("upload-id", adapt); err != nil || adapts.Load() != 2 {
+		t.Errorf("lookup after eviction: error %v, %d adaptations in all; want 2", err, adapts.Load())
+	}
+	checkCaptureResidency(t)
+}
+
+// TestCaptureSlots: Capture records slot for slot what the interpreter
+// stream yields, ends where the program halts, and returns the
 // interpreter's error only when the fault lies inside the window.
 func TestCaptureSlots(t *testing.T) {
 	const iters = 100
@@ -347,16 +406,27 @@ func TestCaptureSlots(t *testing.T) {
 		{"fault-inside", loopProgram(iters, tailFault...), faultAt + 1, 0, true},
 		{"halt", loopProgram(iters, tailHalt...), 10 * faultAt, faultAt - 1, false}, // hlt does not retire
 	} {
-		slots, err := CaptureSlots(c.prog, c.n)
-		if (err != nil) != c.fails || len(slots) != c.want {
-			t.Errorf("%s: %d slots, error %v; want %d slots, error %v", c.name, len(slots), err, c.want, c.fails)
+		rec, err := Capture(c.prog, c.n)
+		if c.fails {
+			if err == nil {
+				t.Errorf("%s: %d slots and no error; want the interpreter's error", c.name, rec.Len())
+			}
 			continue
 		}
+		if err != nil {
+			t.Errorf("%s: error %v; want %d slots", c.name, err, c.want)
+			continue
+		}
+		if rec.Len() != c.want {
+			t.Errorf("%s: %d slots, want %d", c.name, rec.Len(), c.want)
+			continue
+		}
+		got := &replayStream{rec: &recordedStream{Recording: *rec}}
 		src := newCPUStream(c.prog)
-		var want pipeline.Slot
-		for i := range slots {
-			if !src.NextInto(&want) || !reflect.DeepEqual(slots[i], want) {
-				t.Fatalf("%s: slot %d = %+v, interpreter gives %+v", c.name, i, slots[i], want)
+		var slot, want pipeline.Slot
+		for i := range rec.Len() {
+			if !got.NextInto(&slot) || !src.NextInto(&want) || !reflect.DeepEqual(slot, want) {
+				t.Fatalf("%s: slot %d = %+v, interpreter gives %+v", c.name, i, slot, want)
 			}
 		}
 	}

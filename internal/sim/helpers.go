@@ -13,7 +13,7 @@ func CollectFrames(p workload.Profile, insts, max int) ([]*frame.Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	slots, err := CaptureSlots(prog, insts)
+	rec, err := Capture(prog, insts)
 	if err != nil {
 		return nil, err
 	}
@@ -23,9 +23,9 @@ func CollectFrames(p workload.Profile, insts, max int) ([]*frame.Frame, error) {
 			out = append(out, f)
 		}
 	})
-	for i := range slots {
-		s := &slots[i]
-		cons.Retire(s.PC, s.Inst, s.UOps, s.NextPC, s.MemAddrs)
+	for i := range rec.Len() {
+		d, nextPC, addrs := rec.At(i)
+		cons.Retire(d.PC, d.Inst, d.UOps, nextPC, addrs)
 	}
 	cons.Flush()
 	return out, nil

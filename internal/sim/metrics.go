@@ -17,8 +17,8 @@ import (
 var metrics struct {
 	runsExecuted  atomic.Uint64 // simulations actually executed (memo misses)
 	memoHits      atomic.Uint64 // runs served from the memo
-	captureBuilds atomic.Uint64 // slot streams interpreted into captures
-	captureHits   atomic.Uint64 // capture lookups served without interpreting
+	captureBuilds atomic.Uint64 // slot streams interpreted or uploads adapted into captures
+	captureHits   atomic.Uint64 // capture lookups served without interpreting or adapting
 
 	mu        sync.Mutex
 	aggregate pipeline.Stats // sum over executed runs
@@ -36,8 +36,8 @@ func recordRun(s *pipeline.Stats) {
 type Metrics struct {
 	RunsExecuted  uint64 // simulations executed to completion
 	MemoHits      uint64 // runs served from the run memo
-	CaptureBuilds uint64 // slot streams interpreted
-	CaptureHits   uint64 // capture gets served from a live recording
+	CaptureBuilds uint64 // slot streams interpreted and uploads adapted
+	CaptureHits   uint64 // capture lookups served from a live recording
 
 	MemoEntries       int // current run-memo occupancy
 	MemoLimit         int

@@ -92,11 +92,11 @@ func TestRunWorkloadProbeSpanAttrs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slots, err := CaptureSlots(prog, insts+ReplaySlack)
+	rec, err := Capture(prog, insts+ReplaySlack)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext := ExternalRun{Name: "gzip-upload", Fingerprint: "span-attrs-gzip", Slots: slots, Insts: insts}
+	ext := ExternalRun{Name: "gzip-upload", Fingerprint: "span-attrs-gzip", Recording: rec, Insts: insts}
 	for _, c := range []struct {
 		name string
 		run  func(context.Context, Options) (Result, error)

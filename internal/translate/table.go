@@ -18,10 +18,12 @@ type Entry struct {
 // Table decodes and translates each PC once and then finds it without
 // hashing: PCs inside a code image index a dense array by their offset
 // from the image base, and only PCs outside the image (none, for
-// generated programs) fall back to a map. Entries are append-only and
-// never written once added, so an entry index stays valid for the
-// table's lifetime, an entry pointer stays valid after the entry list
-// grows, and a built table may be read from any number of goroutines.
+// generated programs) fall back to a map. A table over an empty image
+// is map-only, its size set by the PCs added rather than by any image.
+// Entries are append-only and never written once added, so an entry
+// index stays valid for the table's lifetime, an entry pointer stays
+// valid after the entry list grows, and a built table may be read from
+// any number of goroutines.
 type Table struct {
 	base    uint32
 	dense   []int32          // entry index by pc-base; -1 = not decoded yet
@@ -37,8 +39,8 @@ const (
 	// regrowing.
 	bytesPerInst = 3
 	// maxPrealloc caps that first allocation (~5 MB of entries), so a
-	// large uploaded image that a trace barely visits costs its dense
-	// index, not a full entry list up front.
+	// large image that a run barely visits costs its dense index, not a
+	// full entry list up front.
 	maxPrealloc = 1 << 16
 )
 

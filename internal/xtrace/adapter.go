@@ -3,15 +3,14 @@ package xtrace
 import (
 	"fmt"
 
-	"repro/internal/pipeline"
 	"repro/internal/translate"
 	"repro/internal/uop"
 	"repro/internal/x86"
 )
 
-// Slots materializes the trace as engine-ready retired slots — the same
-// abstraction the capture/replay layer feeds the pipeline, so the frame
-// cache and optimizer run on external traces unmodified.
+// Recording adapts the trace into a recording of retired slots — the
+// form the capture layer stores and replays into the pipeline, so the
+// frame cache and optimizer run on external traces unmodified.
 //
 // Traces with an embedded code image take the exact path: every EIP is
 // decoded and translated from the code bytes (deterministic, so an
@@ -22,7 +21,7 @@ import (
 // indices and control divergence is detected by PC comparison — so
 // synthesized flows exercise the pipeline, frame constructor, and
 // optimizer exactly like interpreted ones.
-func (t *Trace) Slots() ([]pipeline.Slot, error) {
+func (t *Trace) Recording() (*translate.Recording, error) {
 	groups, err := t.groups()
 	if err != nil {
 		return nil, err
@@ -62,25 +61,38 @@ func (t *Trace) groups() ([]group, error) {
 	return gs, nil
 }
 
-// memAddrs collects the group's record addresses in flow order (nil when
-// none, matching the capture layer's columnar representation).
-func (t *Trace) memAddrs(g group) []uint32 {
-	var addrs []uint32
+// groupAddrs returns group g's record addresses in flow order, in buf
+// (scratch reused across groups).
+func (t *Trace) groupAddrs(g group, buf []uint32) []uint32 {
+	buf = buf[:0]
 	for i := g.lo; i < g.hi; i++ {
 		if t.Records[i].HasAddr() {
-			addrs = append(addrs, t.Records[i].Addr)
+			buf = append(buf, t.Records[i].Addr)
 		}
 	}
-	return addrs
+	return buf
+}
+
+// successor is group gi's observed successor: the next group's EIP, or
+// after the last group the end-of-stream sentinel, when present.
+func (t *Trace) successor(groups []group, gi int) (uint32, bool) {
+	if gi+1 < len(groups) {
+		return groups[gi+1].eip, true
+	}
+	return t.FinalPC, t.HasFinal
 }
 
 // codeSlots re-decodes every instruction from the embedded image. The
 // successor of each slot is the next group's EIP; the last slot's comes
 // from the end-of-stream sentinel, falling back to the decoded
 // fall-through (or direct-branch target) when the sentinel is absent.
-func (t *Trace) codeSlots(groups []group) ([]pipeline.Slot, error) {
-	tab := translate.NewTable(t.CodeBase, len(t.Code))
-	slots := make([]pipeline.Slot, 0, len(groups))
+// The table has no dense index: its map grows with the PCs the records
+// visit, not with the image, so a large image that a trace barely
+// visits costs what is visited.
+func (t *Trace) codeSlots(groups []group) (*translate.Recording, error) {
+	tab := translate.NewTable(0, 0)
+	rec := translate.NewRecording(tab, len(groups))
+	var buf []uint32
 	for gi, g := range groups {
 		e := tab.Find(g.eip)
 		if e < 0 {
@@ -110,32 +122,20 @@ func (t *Trace) codeSlots(groups []group) ([]pipeline.Slot, error) {
 				memUops++
 			}
 		}
-		addrRecs := 0
-		for i := g.lo; i < g.hi; i++ {
-			if t.Records[i].HasAddr() {
-				addrRecs++
+		if buf = t.groupAddrs(g, buf); len(buf) > memUops {
+			return nil, fmt.Errorf("%w: record %d EIP %#x: %d address-carrying records for an instruction with %d memory micro-ops",
+				ErrInconsistent, g.lo, g.eip, len(buf), memUops)
+		}
+		next, ok := t.successor(groups, gi)
+		if !ok {
+			next = g.eip + uint32(in.Len)
+			if g.taken && in.IsBranch() && in.Dst.Kind == x86.KindImm {
+				next = in.TargetPC(g.eip)
 			}
 		}
-		if addrRecs > memUops {
-			return nil, fmt.Errorf("%w: record %d EIP %#x: %d address-carrying records for an instruction with %d memory micro-ops",
-				ErrInconsistent, g.lo, g.eip, addrRecs, memUops)
-		}
-		var next uint32
-		switch {
-		case gi+1 < len(groups):
-			next = groups[gi+1].eip
-		case t.HasFinal:
-			next = t.FinalPC
-		case g.taken && in.IsBranch() && in.Dst.Kind == x86.KindImm:
-			next = in.TargetPC(g.eip)
-		default:
-			next = g.eip + uint32(in.Len)
-		}
-		slots = append(slots, pipeline.Slot{
-			PC: g.eip, Inst: in, UOps: us, NextPC: next, MemAddrs: t.memAddrs(g),
-		})
+		rec.Append(e, next, buf)
 	}
-	return slots, nil
+	return rec, nil
 }
 
 // synthRegs are the GPRs the synthesis path rotates through for operand
@@ -154,19 +154,15 @@ func synthReg(eip uint32, salt int) uop.Reg {
 // The instruction length is chosen so the taken-vs-fallthrough relation
 // (NextPC != PC+Len exactly when taken) holds for the observed successor
 // pattern.
-func (t *Trace) synthSlots(groups []group) []pipeline.Slot {
+func (t *Trace) synthSlots(groups []group) *translate.Recording {
 	// Pass 1: pick a static Len per PC. A non-taken occurrence fixes it
 	// exactly (Len = successor delta); otherwise default to 1, bumping to
 	// 2 when a taken successor happens to land on PC+1.
 	lens := make(map[uint32]uint32)
 	takenNext := make(map[uint32]uint32)
 	for gi, g := range groups {
-		var next uint32
-		if gi+1 < len(groups) {
-			next = groups[gi+1].eip
-		} else if t.HasFinal {
-			next = t.FinalPC
-		} else {
+		next, ok := t.successor(groups, gi)
+		if !ok {
 			continue
 		}
 		delta := next - g.eip
@@ -192,32 +188,27 @@ func (t *Trace) synthSlots(groups []group) []pipeline.Slot {
 		return l
 	}
 
-	// Pass 2: synthesize the per-PC decode and materialize slots. There
+	// Pass 2: synthesize the per-PC decode and record the slots. There
 	// is no code image, so every entry lives in the table's map.
 	tab := translate.NewTable(0, 0)
-	slots := make([]pipeline.Slot, 0, len(groups))
+	rec := translate.NewRecording(tab, len(groups))
+	var buf []uint32
 	for gi, g := range groups {
 		e := tab.Find(g.eip)
 		if e < 0 {
 			e = tab.Add(t.synthDecode(g, lenOf(g.eip), takenNext[g.eip]))
 		}
-		d := tab.Entry(e)
-		var next uint32
-		switch {
-		case gi+1 < len(groups):
-			next = groups[gi+1].eip
-		case t.HasFinal:
-			next = t.FinalPC
-		case g.taken:
-			next = g.eip // any successor != PC+Len keeps the taken relation
-		default:
-			next = g.eip + uint32(d.Inst.Len)
+		next, ok := t.successor(groups, gi)
+		if !ok {
+			next = g.eip + uint32(tab.Entry(e).Inst.Len)
+			if g.taken {
+				next = g.eip // any successor != PC+Len keeps the taken relation
+			}
 		}
-		slots = append(slots, pipeline.Slot{
-			PC: g.eip, Inst: d.Inst, UOps: d.UOps, NextPC: next, MemAddrs: t.memAddrs(g),
-		})
+		buf = t.groupAddrs(g, buf)
+		rec.Append(e, next, buf)
 	}
-	return slots
+	return rec
 }
 
 // synthDecode fabricates the decode-table entry for one PC from its

@@ -8,19 +8,20 @@ import (
 	"encoding/json"
 	"io"
 
-	"repro/internal/pipeline"
+	"repro/internal/translate"
 	"repro/internal/uop"
 )
 
-// FromSlots encodes retired slots captured from a program as an
+// FromRecording encodes a recording captured from a program as an
 // external trace with an embedded code image, emitting one record per
 // micro-op of each slot's flow. name, codeBase and code describe the
-// program the slots were decoded from. insts is the intended
+// program the recording was decoded from. insts is the intended
 // instruction budget (0 means the whole stream is the budget); the
-// slots are expected to carry slack beyond it (FlagPadded is set when
-// they do). The result round-trips: Slots decodes and translates the
-// same code bytes, so it reproduces the capture bit-identically.
-func FromSlots(name string, codeBase uint32, code []byte, slots []pipeline.Slot, insts int) *Trace {
+// recording is expected to carry slack beyond it (FlagPadded is set
+// when it does). The result round-trips: Recording decodes and
+// translates the same code bytes, so it reproduces the capture
+// bit-identically.
+func FromRecording(name string, codeBase uint32, code []byte, rec *translate.Recording, insts int) *Trace {
 	t := &Trace{
 		Header: Header{
 			Version: FormatVersion,
@@ -31,24 +32,25 @@ func FromSlots(name string, codeBase uint32, code []byte, slots []pipeline.Slot,
 		CodeBase: codeBase,
 		Code:     code,
 	}
-	if insts > 0 && insts <= len(slots) {
+	n := rec.Len()
+	if insts > 0 && insts <= n {
 		t.Header.Insts = uint32(insts)
-		if insts < len(slots) {
+		if insts < n {
 			t.Header.Flags |= FlagPadded
 		}
 	}
-	for i := range slots {
-		s := &slots[i]
-		taken := s.NextPC != s.PC+uint32(s.Inst.Len)
+	for i := range n {
+		d, nextPC, addrs := rec.At(i)
+		taken := nextPC != d.PC+uint32(d.Inst.Len)
 		mem := 0
-		for ui, u := range s.UOps {
-			r := Record{EIP: s.PC, Class: classOf(u.Op)}
+		for ui, u := range d.UOps {
+			r := Record{EIP: d.PC, Class: classOf(u.Op)}
 			if ui == 0 {
 				r.Flags |= RecFirst
 			}
-			if u.Op.IsMem() && mem < len(s.MemAddrs) {
+			if u.Op.IsMem() && mem < len(addrs) {
 				r.Flags |= RecHasAddr
-				r.Addr = s.MemAddrs[mem]
+				r.Addr = addrs[mem]
 				r.Size = 4
 				mem++
 			}
@@ -58,8 +60,8 @@ func FromSlots(name string, codeBase uint32, code []byte, slots []pipeline.Slot,
 			t.Records = append(t.Records, r)
 		}
 	}
-	if n := len(slots); n > 0 {
-		t.FinalPC = slots[n-1].NextPC
+	if n > 0 {
+		_, t.FinalPC, _ = rec.At(n - 1)
 		t.HasFinal = true
 	}
 	t.Header.UOps = uint64(len(t.Records))

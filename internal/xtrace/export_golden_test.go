@@ -7,7 +7,9 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/pipeline"
 	"repro/internal/sim"
+	"repro/internal/translate"
 	"repro/internal/workload"
 	"repro/internal/xtrace"
 )
@@ -25,11 +27,22 @@ func exportWorkload(t *testing.T, name string, traceIdx, budget int) *xtrace.Tra
 	if err != nil {
 		t.Fatal(err)
 	}
-	slots, err := sim.CaptureSlots(prog, budget+sim.ReplaySlack)
+	rec, err := sim.Capture(prog, budget+sim.ReplaySlack)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return xtrace.FromSlots(prog.Name, prog.Base, prog.Code, slots, budget)
+	return xtrace.FromRecording(prog.Name, prog.Base, prog.Code, rec, budget)
+}
+
+// slotsOf reads a recording back as engine slots, the form the replay
+// stream hands the pipeline.
+func slotsOf(rec *translate.Recording) []pipeline.Slot {
+	slots := make([]pipeline.Slot, rec.Len())
+	for i := range slots {
+		d, nextPC, addrs := rec.At(i)
+		slots[i] = pipeline.Slot{PC: d.PC, Inst: d.Inst, UOps: d.UOps, NextPC: nextPC, MemAddrs: addrs}
+	}
+	return slots
 }
 
 // The exported bytes are pinned: the content ID (sha256 of the binary
@@ -71,15 +84,17 @@ func TestExportGolden(t *testing.T) {
 // The synthesis path is pinned too: gzip's 60k capture exported without
 // its code image adapts to slots fabricated from the record classes
 // alone, and the sha256 of their JSON encoding (every field of every
-// slot: PC, instruction, micro-op flow, successor, addresses) must not
-// move when the per-PC decode behind it is restructured.
+// slot read back from the recording: PC, instruction, micro-op flow,
+// successor, addresses) must not move when the per-PC decode or the
+// recording behind it is restructured.
 func TestSynthSlotsGolden(t *testing.T) {
 	xt := exportWorkload(t, "gzip", 0, 60_000)
 	xt.Code, xt.CodeBase = nil, 0
-	slots, err := xt.Slots()
+	rec, err := xt.Recording()
 	if err != nil {
 		t.Fatal(err)
 	}
+	slots := slotsOf(rec)
 	b, err := json.Marshal(slots)
 	if err != nil {
 		t.Fatal(err)

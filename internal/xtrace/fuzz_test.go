@@ -9,7 +9,9 @@ import (
 // FuzzDecode drives the streaming decoder with corrupt, truncated, and
 // mutated inputs. The invariant is total: Decode either returns a trace
 // or a typed error — it never panics, and a successfully decoded trace
-// re-encodes and re-decodes to the same record stream.
+// re-encodes and re-decodes to the same record stream. A trace that
+// adapts holds a recording bounded by its record count, whatever the
+// size of its code image.
 func FuzzDecode(f *testing.F) {
 	// Valid binary and NDJSON encodings as mutation bases.
 	tr := tinyTrace()
@@ -40,6 +42,17 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte(`{"magic":"xuop","version":1}` + "\n" + `not json at all`))
 	f.Add([]byte(`{"magic":"xuop","version":1,"code":"!!!"}` + "\n" + `{"eip":1}`))
 
+	// A code image far larger than its one record adapts to a recording
+	// the size of the record.
+	var big bytes.Buffer
+	WriteBinary(&big, &Trace{
+		Header:   Header{Version: FormatVersion, Arch: ArchIA32, Flags: FlagHasCode},
+		CodeBase: 0x1000,
+		Code:     bytes.Repeat([]byte{0x90}, 4096), // NOPs
+		Records:  []Record{{EIP: 0x1000, Class: ClassSync, Flags: RecFirst}},
+	})
+	f.Add(big.Bytes())
+
 	lim := Limits{MaxRecords: 4096, MaxBytes: 1 << 20, MaxCodeBytes: 1 << 16}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := Decode(bytes.NewReader(data), lim)
@@ -64,6 +77,19 @@ func FuzzDecode(f *testing.F) {
 			}
 		}
 		// Adapting must not panic either; errors are fine.
-		dec.Slots()
+		rec, err := dec.Recording()
+		if err != nil {
+			return
+		}
+		if got, max := rec.SizeBytes(), recordingBound(len(dec.Records)); got > max {
+			t.Fatalf("%d records (%d-byte code image) adapt to %d bytes, bound %d",
+				len(dec.Records), len(dec.Code), got, max)
+		}
 	})
 }
+
+// recordingBound is the most a recording adapted from n records may
+// hold: per record at most one decode entry (80 bytes, its slice grown
+// to twice that), its index and map slot, one micro-op and the columns,
+// with room to spare.
+func recordingBound(n int) int64 { return 256*int64(n) + 256 }

@@ -56,14 +56,14 @@ func TestRoundTripBitIdentical(t *testing.T) {
 			if !dec.Header.HasCode() {
 				t.Fatal("decoded trace lost its code image")
 			}
-			slots, err := dec.Slots()
+			rec, err := dec.Recording()
 			if err != nil {
 				t.Fatal(err)
 			}
 			res, err := sim.RunExternal(context.Background(), sim.ExternalRun{
 				Name:        dec.Header.Name,
 				Fingerprint: xtrace.TraceID(dec),
-				Slots:       slots,
+				Recording:   rec,
 				Insts:       int(dec.Header.Insts),
 			}, pipeline.ModeRePLayOpt, sim.Options{})
 			if err != nil {
@@ -77,8 +77,9 @@ func TestRoundTripBitIdentical(t *testing.T) {
 	}
 }
 
-// The adapted slot stream itself must reproduce the capture exactly:
-// same PCs, successors, instructions, micro-op flows, and addresses.
+// The adapted recording itself must reproduce the capture exactly, slot
+// for slot: same PCs, successors, instructions, micro-op flows, and
+// addresses.
 func TestAdaptedSlotsMatchCapture(t *testing.T) {
 	p, err := workload.ByName("gzip")
 	if err != nil {
@@ -88,11 +89,11 @@ func TestAdaptedSlotsMatchCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.CaptureSlots(prog, 5_000)
+	capture, err := sim.Capture(prog, 5_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xt := xtrace.FromSlots(prog.Name, prog.Base, prog.Code, want, 0)
+	xt := xtrace.FromRecording(prog.Name, prog.Base, prog.Code, capture, 0)
 	var buf bytes.Buffer
 	if err := xtrace.WriteBinary(&buf, xt); err != nil {
 		t.Fatal(err)
@@ -101,10 +102,11 @@ func TestAdaptedSlotsMatchCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dec.Slots()
+	rec, err := dec.Recording()
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, want := slotsOf(rec), slotsOf(capture)
 	if len(got) != len(want) {
 		t.Fatalf("adapted %d slots, capture has %d", len(got), len(want))
 	}

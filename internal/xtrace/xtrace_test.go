@@ -100,23 +100,23 @@ func TestNDJSONHandWritten(t *testing.T) {
 	if r := dec.Records[1]; !r.HasAddr() || r.Addr != 32768 || r.Size != 8 {
 		t.Errorf("record 1 = %+v", r)
 	}
-	slots, err := dec.Slots()
+	rec, err := dec.Recording()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(slots) != 3 {
-		t.Fatalf("adapted %d slots, want 3", len(slots))
+	if rec.Len() != 3 {
+		t.Fatalf("adapted %d slots, want 3", rec.Len())
 	}
 	// Non-taken fallthrough fixes Len; NextPC relations must encode the
 	// taken bits (slot 2 was taken).
-	if slots[0].NextPC != slots[0].PC+uint32(slots[0].Inst.Len) {
-		t.Errorf("slot 0 reads as taken: %+v", slots[0])
+	if d, next, _ := rec.At(0); next != d.PC+uint32(d.Inst.Len) {
+		t.Errorf("slot 0 reads as taken: %+v, next %#x", d, next)
 	}
-	if slots[2].NextPC == slots[2].PC+uint32(slots[2].Inst.Len) {
-		t.Errorf("slot 2 lost its taken bit: %+v", slots[2])
+	if d, next, _ := rec.At(2); next == d.PC+uint32(d.Inst.Len) {
+		t.Errorf("slot 2 lost its taken bit: %+v, next %#x", d, next)
 	}
-	if len(slots[1].MemAddrs) != 1 || slots[1].MemAddrs[0] != 32768 {
-		t.Errorf("slot 1 addrs = %v", slots[1].MemAddrs)
+	if _, _, addrs := rec.At(1); len(addrs) != 1 || addrs[0] != 32768 {
+		t.Errorf("slot 1 addrs = %v", addrs)
 	}
 }
 
@@ -266,7 +266,7 @@ func TestGroupsRejectEIPChange(t *testing.T) {
 			{EIP: 0x14, Class: ClassExec}, // continues 0x10's group
 		},
 	}
-	if _, err := tr.Slots(); !errors.Is(err, ErrMalformed) {
+	if _, err := tr.Recording(); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("err = %v, want ErrMalformed", err)
 	}
 }
@@ -286,7 +286,7 @@ func TestCodeSlotsInconsistent(t *testing.T) {
 		{EIP: 0x1000, Class: ClassExec, Flags: RecFirst},
 		{EIP: 0x1000, Class: ClassExec},
 	}
-	if _, err := twoRec.Slots(); !errors.Is(err, ErrInconsistent) {
+	if _, err := twoRec.Recording(); !errors.Is(err, ErrInconsistent) {
 		t.Fatalf("uop count mismatch: err = %v, want ErrInconsistent", err)
 	}
 
@@ -294,13 +294,13 @@ func TestCodeSlotsInconsistent(t *testing.T) {
 	addrRec.Records = []Record{
 		{EIP: 0x1000, Class: ClassLoad, Flags: RecFirst | RecHasAddr, Addr: 0x8000, Size: 4},
 	}
-	if _, err := addrRec.Slots(); !errors.Is(err, ErrInconsistent) {
+	if _, err := addrRec.Recording(); !errors.Is(err, ErrInconsistent) {
 		t.Fatalf("addr count mismatch: err = %v, want ErrInconsistent", err)
 	}
 
 	ok := base
 	ok.Records = []Record{{EIP: 0x1000, Class: ClassSync, Flags: RecFirst}}
-	if _, err := ok.Slots(); err != nil {
+	if _, err := ok.Recording(); err != nil {
 		t.Fatalf("consistent trace rejected: %v", err)
 	}
 }
@@ -325,10 +325,30 @@ func TestCodeSlotsDecodeErrors(t *testing.T) {
 			Code:     tc.code,
 			Records:  []Record{{EIP: tc.eip, Class: ClassExec, Flags: RecFirst}},
 		}
-		slots, err := tr.Slots()
+		rec, err := tr.Recording()
 		if !errors.Is(err, ErrInconsistent) || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: Slots() = %d slots, err %v; want ErrInconsistent mentioning %q", tc.name, len(slots), err, tc.want)
+			t.Errorf("%s: Recording() = %v, err %v; want ErrInconsistent mentioning %q", tc.name, rec, err, tc.want)
 		}
+	}
+}
+
+// Adapting a trace costs memory by its records, not its code image: a
+// 16 MB image (the server's upload cap) with one record yields a
+// recording far under 1 MB.
+func TestRecordingSizedByRecords(t *testing.T) {
+	code := bytes.Repeat([]byte{0x90}, 16<<20) // NOPs
+	tr := Trace{
+		Header:   Header{Version: FormatVersion, Arch: ArchIA32, Flags: FlagHasCode},
+		CodeBase: 0x1000,
+		Code:     code,
+		Records:  []Record{{EIP: 0x1000 + uint32(len(code)) - 1, Class: ClassSync, Flags: RecFirst}},
+	}
+	rec, err := tr.Recording()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.SizeBytes(); rec.Len() != 1 || got >= 1<<20 {
+		t.Errorf("one record over a 16 MB image: %d slots, %d bytes; want 1 slot under 1 MB", rec.Len(), got)
 	}
 }
 
@@ -336,14 +356,15 @@ func TestCodeSlotsDecodeErrors(t *testing.T) {
 // one instruction identity, which frame-cache replay relies on.
 func TestSynthDeterministicPerPC(t *testing.T) {
 	tr := tinyTrace()
-	slots, err := tr.Slots()
+	rec, err := tr.Recording()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(slots) != 4 {
-		t.Fatalf("adapted %d slots, want 4", len(slots))
+	if rec.Len() != 4 {
+		t.Fatalf("adapted %d slots, want 4", rec.Len())
 	}
-	a, b := slots[0], slots[3] // both EIP 0x1000
+	a, _, _ := rec.At(0) // both EIP 0x1000
+	b, _, _ := rec.At(3)
 	if a.Inst != b.Inst {
 		t.Errorf("same PC decoded differently: %+v vs %+v", a.Inst, b.Inst)
 	}
@@ -356,9 +377,8 @@ func TestSynthDeterministicPerPC(t *testing.T) {
 		}
 	}
 	// Taken relation: slot 2 (branch, taken) must not read as fallthrough.
-	s := slots[2]
-	if s.NextPC == s.PC+uint32(s.Inst.Len) {
-		t.Errorf("taken branch reads as fallthrough: %+v", s)
+	if d, next, _ := rec.At(2); next == d.PC+uint32(d.Inst.Len) {
+		t.Errorf("taken branch reads as fallthrough: %+v, next %#x", d, next)
 	}
 }
 

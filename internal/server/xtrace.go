@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/sim"
-	"repro/internal/translate"
 	"repro/internal/xtrace"
 )
 
@@ -57,6 +56,13 @@ type traceInfo struct {
 	Duplicate bool   `json:"duplicate,omitempty"`
 }
 
+// infoOf describes the trace with content ID id, header h (whose UOps
+// is the record count, as after Decode) and canonical size.
+func infoOf(id string, h xtrace.Header, size int64) traceInfo {
+	return traceInfo{ID: id, Name: h.Name, Arch: h.Arch, Records: h.UOps,
+		Insts: h.Insts, HasCode: h.HasCode(), Bytes: size}
+}
+
 // handleTraceUpload ingests one external trace. Failures are structured
 // and typed: 400 {"kind":"decode"} for malformed streams, 413
 // {"kind":"oversize"} for bodies over the upload cap or decode limits,
@@ -76,41 +82,39 @@ func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 		s.rejectUpload(w, r, err)
 		return
 	}
-	// Adapt now so a trace that decodes but cannot be simulated (EIP
-	// outside its code image, mid-instruction EIP change) fails the
-	// upload with a 400 instead of failing every later job. The capture
-	// cache keeps the result, so the jobs that follow adapt nothing.
-	rec, err := t.Recording()
+	// A trace the spool can never hold is refused first, so it charges
+	// no adaptation to the capture cache. Then adapt before spooling, so
+	// a trace that decodes but cannot be simulated (EIP outside its code
+	// image, mid-instruction EIP change) fails the upload with a 400
+	// instead of failing every later job. The capture cache keeps the
+	// result, so the jobs that follow, and a re-post of the same trace,
+	// adapt nothing.
+	c := xtrace.Canonicalize(t)
+	if err := s.spool.Fits(c); err != nil {
+		s.rejectUpload(w, r, err)
+		return
+	}
+	if _, err := sim.CachedExternal(c.ID(), func() (*sim.ExternalRun, error) { return adaptedRun(c.ID(), t) }); err != nil {
+		s.rejectUpload(w, r, err)
+		return
+	}
+	dup, err := s.spool.Put(c)
 	if err != nil {
 		s.rejectUpload(w, r, err)
 		return
 	}
-	id, size, dup, err := s.spool.Put(t)
-	if err != nil {
-		s.rejectUpload(w, r, err)
-		return
-	}
-	// Cannot fail: the closure returns the run already adapted.
-	_, _ = sim.CachedExternal(id, func() (*sim.ExternalRun, error) { return externalRunOf(id, t, rec), nil })
+	info := infoOf(c.ID(), t.Header, c.Size())
+	info.Duplicate = dup
 	s.xmet.uploads.Add(1)
-	s.xmet.uploadBytes.Add(uint64(size))
+	s.xmet.uploadBytes.Add(uint64(info.Bytes))
 	s.log.Info("trace uploaded",
-		"trace", id,
-		"name", t.Header.Name,
-		"arch", t.Header.Arch,
-		"records", len(t.Records),
-		"bytes", size,
+		"trace", info.ID,
+		"name", info.Name,
+		"arch", info.Arch,
+		"records", info.Records,
+		"bytes", info.Bytes,
 		"duplicate", dup)
-	writeJSON(w, http.StatusCreated, traceInfo{
-		ID:        id,
-		Name:      t.Header.Name,
-		Arch:      t.Header.Arch,
-		Records:   uint64(len(t.Records)),
-		Insts:     t.Header.Insts,
-		HasCode:   t.Header.HasCode(),
-		Bytes:     size,
-		Duplicate: dup,
-	})
+	writeJSON(w, http.StatusCreated, info)
 }
 
 // rejectUpload maps an ingestion failure to its status and structured
@@ -169,20 +173,12 @@ func (s *Server) handleTraceInfo(w http.ResponseWriter, r *http.Request) {
 			"error": "trace spool disabled", "kind": "disabled"})
 		return
 	}
-	t, err := s.spool.Get(id)
+	h, size, err := s.spool.Info(id)
 	if err != nil {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, traceInfo{
-		ID:      id,
-		Name:    t.Header.Name,
-		Arch:    t.Header.Arch,
-		Records: uint64(len(t.Records)),
-		Insts:   t.Header.Insts,
-		HasCode: t.Header.HasCode(),
-		Bytes:   int64(len(xtrace.CanonicalBytes(t))),
-	})
+	writeJSON(w, http.StatusOK, infoOf(id, h, size))
 }
 
 // reqTraceIDs lists every spooled-trace ID a request names: the main
@@ -246,19 +242,19 @@ func (s *Server) externalRun(id string) (*sim.ExternalRun, error) {
 		if err != nil {
 			return nil, err
 		}
-		rec, err := t.Recording()
-		if err != nil {
-			return nil, err
-		}
-		return externalRunOf(id, t, rec), nil
+		return adaptedRun(id, t)
 	})
 }
 
-// externalRunOf is the run of spooled trace id, adapted into rec.
-func externalRunOf(id string, t *xtrace.Trace, rec *translate.Recording) *sim.ExternalRun {
+// adaptedRun adapts trace t, whose content ID is id, into its run.
+func adaptedRun(id string, t *xtrace.Trace) (*sim.ExternalRun, error) {
+	rec, err := t.Recording()
+	if err != nil {
+		return nil, err
+	}
 	name := t.Header.Name
 	if name == "" {
 		name = "xtrace-" + id[:12]
 	}
-	return &sim.ExternalRun{Name: name, Fingerprint: id, Recording: rec, Insts: int(t.Header.Insts)}
+	return &sim.ExternalRun{Name: name, Fingerprint: id, Recording: rec, Insts: int(t.Header.Insts)}, nil
 }

@@ -168,12 +168,17 @@ func TestXTraceUploadOversize413(t *testing.T) {
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
 
+	builds := sim.SnapshotMetrics().CaptureBuilds
 	out2, status2 := upload(t, ts2.URL, body)
 	if status2 != http.StatusRequestEntityTooLarge {
 		t.Fatalf("spool-budget status = %d, want 413 (%v)", status2, out2)
 	}
 	if out2["kind"] != "spool_budget" {
 		t.Errorf("kind = %v, want spool_budget", out2["kind"])
+	}
+	// Refused before adaptation: nothing is charged to the capture cache.
+	if n := sim.SnapshotMetrics().CaptureBuilds - builds; n != 0 {
+		t.Errorf("spool-budget upload adapted %d times, want 0", n)
 	}
 
 	found := false
@@ -265,6 +270,86 @@ func TestXTraceListInfoAndMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(string(b), want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}
+
+// GET /v1/traces/{id} answers from the spooled header with the fields
+// the upload response reported, for a binary and an NDJSON upload; a
+// re-post of a spooled trace adapts nothing, and a trace that decodes
+// but fails adaptation is rejected with 400 and never spooled.
+func TestXTraceInfoMatchesUpload(t *testing.T) {
+	s := New(Config{Workers: 1, SpoolDir: t.TempDir()})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for budget, write := range map[int]func(io.Writer, *xtrace.Trace) error{
+		2_000: xtrace.WriteBinary,
+		3_000: xtrace.WriteNDJSON,
+	} {
+		_, xt := exportGzip(t, budget)
+		var body bytes.Buffer
+		if err := write(&body, xt); err != nil {
+			t.Fatal(err)
+		}
+		out, status := upload(t, ts.URL, body.Bytes())
+		if status != http.StatusCreated {
+			t.Fatalf("upload: %d %v", status, out)
+		}
+		var up traceInfo
+		raw, _ := json.Marshal(out)
+		if err := json.Unmarshal(raw, &up); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(ts.URL + "/v1/traces/" + up.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var info traceInfo
+		err = json.NewDecoder(resp.Body).Decode(&info)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("info: %d %v", resp.StatusCode, err)
+		}
+		if info != up || up.Records != uint64(len(xt.Records)) || up.Bytes != int64(len(xtrace.CanonicalBytes(xt))) {
+			t.Errorf("budget %d: info %+v, upload %+v", budget, info, up)
+		}
+
+		builds := sim.SnapshotMetrics().CaptureBuilds
+		if out, _ := upload(t, ts.URL, body.Bytes()); out["duplicate"] != true {
+			t.Errorf("re-post not a duplicate: %v", out)
+		}
+		if n := sim.SnapshotMetrics().CaptureBuilds - builds; n != 0 {
+			t.Errorf("budget %d: re-post adapted the trace %d times, want 0", budget, n)
+		}
+	}
+
+	_, bad := exportGzip(t, 1_000)
+	bad.Records[0].EIP = bad.CodeBase - 16 // outside the code image
+	out, status := upload(t, ts.URL, xtrace.CanonicalBytes(bad))
+	if status != http.StatusBadRequest || out["kind"] != "decode" {
+		t.Errorf("unadaptable upload: status %d, %v", status, out)
+	}
+	if entries, _, _, _ := s.spool.Stats(); entries != 2 {
+		t.Errorf("spool holds %d traces, want 2", entries)
+	}
+
+	noSpool := New(Config{Workers: 1})
+	defer noSpool.Shutdown(context.Background())
+	tsNoSpool := httptest.NewServer(noSpool.Handler())
+	defer tsNoSpool.Close()
+	for url, want := range map[string]int{
+		ts.URL + "/v1/traces/" + strings.Repeat("ab", 32):        http.StatusNotFound,
+		tsNoSpool.URL + "/v1/traces/" + strings.Repeat("ab", 32): http.StatusServiceUnavailable,
+	} {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s: status %d, want %d", url, resp.StatusCode, want)
 		}
 	}
 }

@@ -142,7 +142,7 @@ func TestCapturePrefixEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fresh, _, err := run(ctx, exact, mode, Options{MaxInsts: budget})
+				fresh, err := run(ctx, exact, mode, Options{MaxInsts: budget})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -208,7 +208,7 @@ func TestCaptureConcurrentGrowth(t *testing.T) {
 			rng := rand.New(rand.NewPCG(uint64(g), 1))
 			for range 5 {
 				b := budgets[rng.IntN(len(budgets))]
-				res, _, err := run(ctx, src, pipeline.ModeRePLayOpt, Options{MaxInsts: b})
+				res, err := run(ctx, src, pipeline.ModeRePLayOpt, Options{MaxInsts: b})
 				if err != nil {
 					t.Error(err)
 					return

@@ -97,14 +97,16 @@ func chainMod(a, b func(*pipeline.Config)) func(*pipeline.Config) {
 // sideJob appends one side's run to jobs, with a private diff
 // collector attached (forcing execution; its per-trace folds apply in
 // trace order, so its partition is conservation-exact and independent
-// of scheduling). The returned func assembles the finished run into one
-// side of the comparison.
-func sideJob(jobs *[]runJob, side DiffSide, o Options) func() diff.RunSide {
+// of scheduling) and its probe runs named with variant, which tells
+// the variant side's runs from the baseline's. The returned func
+// assembles the finished run into one side of the comparison.
+func sideJob(jobs *[]runJob, side DiffSide, variant string, o Options) func() diff.RunSide {
 	col := diff.NewCollector()
 	var res Result
 	var err error
 	po := o
 	po.ConfigMod = chainMod(o.ConfigMod, side.ConfigMod)
+	po.variant = variant
 	po.Probes = withProbe(o.Probes, col)
 	*jobs = append(*jobs, runJob{src: side.src(), mode: side.Mode, opts: po, out: &res, err: &err})
 	return func() diff.RunSide {
@@ -138,7 +140,7 @@ func Diff(ctx context.Context, pairs []DiffPair, o Options) (*DiffReport, error)
 		if i == 0 {
 			rep.Baseline, rep.Variant = p.Base.Label, p.Variant.Label
 		}
-		sides[i] = [2]func() diff.RunSide{sideJob(&jobs, p.Base, o), sideJob(&jobs, p.Variant, o)}
+		sides[i] = [2]func() diff.RunSide{sideJob(&jobs, p.Base, "", o), sideJob(&jobs, p.Variant, "variant", o)}
 		base := p.Base.src()
 		rep.Rows[i].Workload, rep.Rows[i].Class = base.name, base.class
 	}

@@ -132,6 +132,7 @@ type Fig9Row struct {
 func Fig9(ctx context.Context, profiles []workload.Profile, o Options) ([]Fig9Row, error) {
 	blockOpts := o
 	blockOpts.ConfigMod = chainMod(o.ConfigMod, func(c *pipeline.Config) { c.OptScope = opt.ScopeIntraBlock })
+	blockOpts.variant = "intra-block"
 
 	results := make([][3]Result, len(profiles))
 	errs := make([][3]error, len(profiles))
@@ -205,6 +206,7 @@ func Fig10(ctx context.Context, o Options) ([]Fig10Row, error) {
 			mod := Fig10Variants[v].Mod
 			vo := o
 			vo.ConfigMod = chainMod(o.ConfigMod, func(c *pipeline.Config) { mod(&c.OptOptions) })
+			vo.variant = Fig10Variants[v].Name
 			jobs = append(jobs, runJob{src: src, mode: pipeline.ModeRePLayOpt, opts: vo,
 				out: &results[i][2+v], err: &errs[i][2+v]})
 		}

@@ -89,5 +89,5 @@ func externalSource(ext ExternalRun) source {
 // so a re-run of the same uploaded trace under the same configuration is
 // served from memory.
 func RunExternal(ctx context.Context, ext ExternalRun, mode pipeline.Mode, o Options) (Result, error) {
-	return foldNow(run(ctx, externalSource(ext), mode, o))
+	return run(ctx, externalSource(ext), mode, o)
 }

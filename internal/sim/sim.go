@@ -135,16 +135,28 @@ type Options struct {
 	// scheduling. Any probe but a Sampler forces execution (a memoized
 	// run would observe nothing).
 	Probes []Collector
+
+	// variant names the configuration a sweep derived from the caller's
+	// (an ablation variant, a diff's variant side), so probe runs of
+	// different configurations never share a name.
+	variant string
 }
 
 // Collector gathers one probe's results across every engine a run
 // creates: the reuse, cycleprof and diff collectors, and telemetry's
 // lifecycle histograms, pass attribution and event ring.
+//
+// A run's folds apply in trace order after its traces join; across the
+// runs of a sweep they apply as each run ends, in no fixed order, so a
+// collector's folded state must not depend on the order of its runs.
 type Collector interface {
 	// Attach returns the probe for one engine run, named
-	// "<workload>/<mode>/t<trace>", over trace t, reading the engine's
-	// shared loop stack, and the func that folds the probe into the
-	// collector once the engine's measured window ends.
+	// "<workload>/<mode>/t<trace>", or "<workload>/<mode>/<variant>/t<trace>"
+	// for a configuration a sweep derived (an ablation variant, a diff's
+	// variant side), over trace t, reading the engine's shared loop stack, and
+	// the func that folds the probe into the collector once the engine's
+	// measured window ends. Runs that share a name share their
+	// configuration, so they are the same deterministic run.
 	Attach(run string, t int, loops *reuse.LoopStack) (probe pipeline.Probe, done func())
 }
 
@@ -157,18 +169,6 @@ type Collector interface {
 type Sampler interface {
 	Collector
 	SamplesOnly()
-}
-
-// Ordered is a Collector whose folded state depends on the order its
-// folds apply in (telemetry's event ring numbers its trace processes,
-// and applies its bounded wrap, in fold order). Every collector's folds
-// apply in trace order within a run; an Ordered collector's also apply
-// in job order across the runs of one sweep, each run's as soon as
-// every earlier job's have, so what it holds does not depend on which
-// jobs finished first.
-type Ordered interface {
-	Collector
-	FoldsInOrder()
 }
 
 // mustExecute reports whether a collector needs every run executed.
@@ -251,24 +251,14 @@ func profileSource(p workload.Profile) source {
 // layers are observationally transparent: the stream is deterministic
 // per (profile, trace).
 func RunWorkload(ctx context.Context, p workload.Profile, mode pipeline.Mode, o Options) (Result, error) {
-	return foldNow(run(ctx, profileSource(p), mode, o))
-}
-
-// foldNow applies a lone run's Ordered folds, in their trace order.
-func foldNow(res Result, ordered []func(), err error) (Result, error) {
-	for _, fold := range ordered {
-		fold()
-	}
-	return res, err
+	return run(ctx, profileSource(p), mode, o)
 }
 
 // run simulates every trace of src under the mode: budget, warmup and
 // configuration from o, the run memo, the per-trace fan-out, metrics
 // and Notify. It opens one sim.run span, a no-op nil span unless the
-// caller's context carries an active trace (replayd requests do). The
-// folds of Ordered collectors come back unapplied, in trace order, for
-// the caller to apply in its job order.
-func run(ctx context.Context, src source, mode pipeline.Mode, o Options) (res Result, ordered []func(), err error) {
+// caller's context carries an active trace (replayd requests do).
+func run(ctx context.Context, src source, mode pipeline.Mode, o Options) (res Result, err error) {
 	ctx, span := tracing.Start(ctx, "sim.run")
 	span.SetAttr("workload", src.name)
 	span.SetAttr("mode", mode.String())
@@ -310,12 +300,12 @@ func run(ctx context.Context, src source, mode pipeline.Mode, o Options) (res Re
 			if o.Notify != nil {
 				o.Notify(res)
 			}
-			return res, nil, nil
+			return res, nil
 		}
 	}
 
-	if res.Stats, ordered, err = runTraces(ctx, &src, mode, cfg, o, budget, warmFrac); err != nil {
-		return res, ordered, err
+	if res.Stats, err = runTraces(ctx, &src, mode, cfg, o, budget, warmFrac); err != nil {
+		return res, err
 	}
 	if span != nil {
 		spanSummaries(span, o.Probes)
@@ -327,7 +317,7 @@ func run(ctx context.Context, src source, mode pipeline.Mode, o Options) (res Re
 	if o.Notify != nil {
 		o.Notify(res)
 	}
-	return res, ordered, nil
+	return res, nil
 }
 
 // runTraces runs every trace of src concurrently, each on its own
@@ -338,13 +328,11 @@ func run(ctx context.Context, src source, mode pipeline.Mode, o Options) (res Re
 // never depends on a token being free. After the join, per-trace stats
 // are added and the collectors' folds applied in trace-index order:
 // integer counters added in a fixed order make the aggregate
-// bit-identical to a serial loop's, and ordered folds give every
-// collector the report a serial loop would. The folds of Ordered
-// collectors are returned instead, in the same order, for run's caller.
-// Folds apply even when the run fails, so a failed run's events stay
-// inspectable.
+// bit-identical to a serial loop's, and folds in that order give every
+// collector the report a serial loop would. Folds apply even when the
+// run fails, so a failed run's events stay inspectable.
 func runTraces(ctx context.Context, src *source, mode pipeline.Mode,
-	cfg pipeline.Config, o Options, budget int, warmFrac float64) (pipeline.Stats, []func(), error) {
+	cfg pipeline.Config, o Options, budget int, warmFrac float64) (pipeline.Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -383,22 +371,16 @@ func runTraces(ctx context.Context, src *source, mode pipeline.Mode,
 	wg.Wait()
 
 	var total pipeline.Stats
-	var ordered []func()
 	for t := range stats {
-		// runTrace attaches every probe or none, in o.Probes order.
-		for k, fold := range folds[t] {
-			if _, ok := o.Probes[k].(Ordered); ok {
-				ordered = append(ordered, fold)
-			} else {
-				fold()
-			}
+		for _, fold := range folds[t] {
+			fold()
 		}
 		total.Add(&stats[t])
 	}
 	if err := jobsError(errs, parent); err != nil {
-		return pipeline.Stats{}, ordered, err
+		return pipeline.Stats{}, err
 	}
-	return total, ordered, nil
+	return total, nil
 }
 
 // jobsError selects the deterministic error for a completed fan-out:
@@ -461,6 +443,9 @@ func runTrace(ctx context.Context, src *source, mode pipeline.Mode, cfg pipeline
 	// without the fan.
 	if len(o.Probes) > 0 {
 		run := fmt.Sprintf("%s/%s/t%d", src.name, mode, t)
+		if o.variant != "" {
+			run = fmt.Sprintf("%s/%s/%s/t%d", src.name, mode, o.variant, t)
+		}
 		fan := &probeFan{}
 		if mustExecute(o.Probes) {
 			fan.loops = new(reuse.LoopStack)
@@ -661,11 +646,6 @@ func runProbed[C Collector](ctx context.Context, srcs []source, o Options, newCo
 // reported only when nothing better exists; an error that merely
 // wraps context.Canceled is a real failure that absorbed a
 // cancellation somewhere in its chain and is never skipped.
-//
-// Ordered collectors' folds apply in job order, each job's once every
-// earlier job has finished. Jobs are dispatched in index order and
-// dispatch only ever stops for good, so every dispatched job's folds
-// have applied when runAll returns.
 func runAll(ctx context.Context, jobs []runJob) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -674,7 +654,6 @@ func runAll(ctx context.Context, jobs []runJob) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	seq := foldSeq{held: make([][]func(), len(jobs)), done: make([]bool, len(jobs))}
 	sem := acquireSem()
 	var wg sync.WaitGroup
 	for i := range jobs {
@@ -682,16 +661,13 @@ func runAll(ctx context.Context, jobs []runJob) error {
 			break // cancelled: stop dispatching
 		}
 		wg.Add(1)
-		go func(i int, j *runJob) {
+		go func(j *runJob) {
 			defer wg.Done()
 			defer sem.Release()
-			var ordered []func()
-			*j.out, ordered, *j.err = run(ctx, j.src, j.mode, j.opts)
-			seq.finish(i, ordered)
-			if *j.err != nil {
+			if *j.out, *j.err = run(ctx, j.src, j.mode, j.opts); *j.err != nil {
 				cancel()
 			}
-		}(i, &jobs[i])
+		}(&jobs[i])
 	}
 	wg.Wait()
 
@@ -700,28 +676,4 @@ func runAll(ctx context.Context, jobs []runJob) error {
 		errs[i] = *jobs[i].err
 	}
 	return jobsError(errs, parent)
-}
-
-// foldSeq applies each job's Ordered folds in job order: a finished
-// job's folds wait only for the jobs before it, so events reach an
-// Ordered collector while the sweep is still running.
-type foldSeq struct {
-	mu   sync.Mutex
-	held [][]func()
-	done []bool
-	next int // first job whose folds have not applied
-}
-
-// finish records job i's folds and applies every held job's whose
-// predecessors have all finished.
-func (q *foldSeq) finish(i int, folds []func()) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.held[i], q.done[i] = folds, true
-	for ; q.next < len(q.done) && q.done[q.next]; q.next++ {
-		for _, fold := range q.held[q.next] {
-			fold()
-		}
-		q.held[q.next] = nil
-	}
 }

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/pipeline"
+	"repro/internal/reuse"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -215,11 +218,13 @@ func TestSamplersKeepMemo(t *testing.T) {
 
 // TestSweepRingOrder: one event ring attached to a sweep of several
 // jobs exports the same bytes whether the jobs ran one at a time
-// (parallelism 1) or concurrently (parallelism 4), where excel's three
-// traces finish after the one-trace jobs dispatched behind it. The ring
-// is small enough to wrap, so the window it keeps depends on the order
-// runs reach it as well as their pids. Folding the ring in job
-// completion order fails this.
+// (parallelism 1) or concurrently (parallelism 4). In the attr sweep
+// excel's three traces finish after the one-trace jobs dispatched
+// behind it; in Figure 10 the RPO run and its six leave-one-out
+// variants of each workload share one run name. The ring is small
+// enough to wrap, so the window it keeps depends on the order of its
+// runs as well as their pids. A ring that numbered and wrapped its
+// runs in fold order fails this.
 func TestSweepRingOrder(t *testing.T) {
 	var profiles []workload.Profile
 	for _, name := range []string{"excel", "sound", "gzip", "vortex"} {
@@ -229,26 +234,109 @@ func TestSweepRingOrder(t *testing.T) {
 		}
 		profiles = append(profiles, p)
 	}
-	export := func(parallelism int) []byte {
-		old := SetParallelism(parallelism)
-		defer SetParallelism(old)
-		ring := telemetry.NewRing(1<<12, "", "")
-		if _, err := Attribution(context.Background(), profiles,
-			Options{MaxInsts: 30_000, Probes: []Collector{ring}}); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := ring.WriteTrace(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+	sweeps := []struct {
+		name string
+		run  func(Options) error
+	}{
+		{"attr", func(o Options) error {
+			_, err := Attribution(context.Background(), profiles, o)
+			return err
+		}},
+		{"fig10", func(o Options) error {
+			_, err := Fig10(context.Background(), o)
+			return err
+		}},
 	}
-	serial, parallel := export(1), export(4)
-	if bytes.Contains(serial, []byte(`"dropped_events":0`)) {
-		t.Fatal("event ring did not wrap; shrink it")
+	for _, sweep := range sweeps {
+		t.Run(sweep.name, func(t *testing.T) {
+			export := func(parallelism int) []byte {
+				old := SetParallelism(parallelism)
+				defer SetParallelism(old)
+				ring := telemetry.NewRing(1<<12, "", "")
+				if err := sweep.run(Options{MaxInsts: 30_000, Probes: []Collector{ring}}); err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := ring.WriteTrace(&buf); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
+			serial, parallel := export(1), export(4)
+			if bytes.Contains(serial, []byte(`"dropped_events":0`)) {
+				t.Fatal("event ring did not wrap; shrink it")
+			}
+			if !bytes.Equal(serial, parallel) {
+				t.Errorf("sweep trace export depends on scheduling: %d bytes at parallelism 1, %d at 4",
+					len(serial), len(parallel))
+			}
+		})
 	}
-	if !bytes.Equal(serial, parallel) {
-		t.Errorf("sweep trace export depends on scheduling: %d bytes at parallelism 1, %d at 4",
-			len(serial), len(parallel))
+}
+
+// runNames records the name of every probe run attached to it.
+type runNames struct {
+	mu    sync.Mutex
+	names []string
+}
+
+func (c *runNames) Attach(run string, _ int, _ *reuse.LoopStack) (pipeline.Probe, func()) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.names = append(c.names, run)
+	return pipeline.NopProbe{}, func() {}
+}
+
+// TestProbeRunNamesPerConfig: within one sweep, runs of different
+// configurations never share a probe run name (the ring orders its runs
+// by name alone): Figure 9's intra-block runs, Figure 10's leave-one-out
+// variants and a diff's variant side are named apart from the baseline
+// runs beside them.
+func TestProbeRunNamesPerConfig(t *testing.T) {
+	gzip, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	noCSE := func(c *pipeline.Config) { c.OptOptions.CSE = false }
+	sweeps := []struct {
+		name string
+		run  func(Options) error
+		want []string // names the sweep must produce
+	}{
+		{"fig9", func(o Options) error {
+			_, err := Fig9(context.Background(), []workload.Profile{gzip}, o)
+			return err
+		}, []string{"gzip/RP/t0", "gzip/RPO/t0", "gzip/RPO/intra-block/t0"}},
+		{"fig10", func(o Options) error {
+			_, err := Fig10(context.Background(), o)
+			return err
+		}, []string{"bzip2/RPO/t0", "bzip2/RPO/no ASST/t0", "excel/RPO/no SF/t0"}},
+		{"diff", func(o Options) error {
+			_, err := Diff(context.Background(), []DiffPair{{
+				Base:    DiffSide{Profile: &gzip, Mode: pipeline.ModeRePLayOpt},
+				Variant: DiffSide{Profile: &gzip, Mode: pipeline.ModeRePLayOpt, ConfigMod: noCSE},
+			}}, o)
+			return err
+		}, []string{"gzip/RPO/t0", "gzip/RPO/variant/t0"}},
+	}
+	for _, sweep := range sweeps {
+		t.Run(sweep.name, func(t *testing.T) {
+			c := &runNames{}
+			if err := sweep.run(Options{MaxInsts: 10_000, Probes: []Collector{c}}); err != nil {
+				t.Fatal(err)
+			}
+			names := slices.Clone(c.names)
+			slices.Sort(names)
+			for i := 1; i < len(names); i++ {
+				if names[i] == names[i-1] {
+					t.Errorf("two runs named %q", names[i])
+				}
+			}
+			for _, w := range sweep.want {
+				if !slices.Contains(names, w) {
+					t.Errorf("no run named %q in %v", w, names)
+				}
+			}
+		})
 	}
 }

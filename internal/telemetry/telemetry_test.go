@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -88,42 +89,98 @@ func TestRingWrap(t *testing.T) {
 	}
 }
 
-// TestRingFoldOrder: runs reach the ring in fold order, not in the
-// order their events happened, and a run that overflows its own buffer
-// is counted as if it had wrapped the ring: the ring keeps the newest
-// capacity events of the runs concatenated in fold order.
+// TestRingFoldOrder: the ring exports the same bytes and the same
+// dropped count whatever order its runs' folds apply in, and its window
+// is the newest capacity events of the runs concatenated in name order,
+// each numbered by its position. The runs include the same run folded
+// twice (one sweep repeating another's run), a variant whose name sorts
+// among them, and one that overflowed its own buffer; the ring is small
+// enough that runs fall wholly before its window, and it never holds
+// more than twice its capacity of events.
 func TestRingFoldOrder(t *testing.T) {
-	r := NewRing(4, "", "")
-	p0, done0 := r.Attach("w/RPO/t0", 0, nil)
-	p1, done1 := r.Attach("w/RPO/t1", 1, nil)
-	for i := uint64(0); i < 3; i++ {
-		p1.FrameBuilt(100+i, i+1, 0x20, 8)
+	const capacity = 6
+	runs := []struct {
+		name   string
+		start  uint64
+		pc     uint32
+		events uint64
+	}{
+		{"w/RPO/t0", 100, 0x10, 10}, // overflows its own buffer
+		{"w/RPO/t1", 200, 0x20, 2},
+		{"w/RPO/t1", 200, 0x20, 2}, // the same run again
+		{"a/RP/t0", 300, 0x40, 1},
+		{"w/RPO/no CSE/t1", 400, 0x50, 2},
 	}
-	for i := uint64(0); i < 10; i++ {
-		p0.FrameBuilt(i, i+1, 0x10, 8)
-	}
-	done0()
-	done1()
-	done1() // a second fold is a no-op
-	events, dropped, runs := r.snapshot()
-	if len(runs) != 2 || runs[0] != "w/RPO/t0" || runs[1] != "w/RPO/t1" {
-		t.Fatalf("runs = %v, want fold order", runs)
-	}
-	if dropped != 9 {
-		t.Errorf("dropped = %d, want 9 (13 events, capacity 4)", dropped)
-	}
-	want := []struct {
+	type kept struct {
 		pid int
 		ts  uint64
-	}{{1, 9}, {2, 100}, {2, 101}, {2, 102}}
-	if len(events) != len(want) {
-		t.Fatalf("ring kept %d events, want %d", len(events), len(want))
 	}
-	for i, w := range want {
-		if events[i].pid != w.pid || events[i].ts != w.ts {
-			t.Errorf("event %d = pid %d ts %d, want pid %d ts %d", i, events[i].pid, events[i].ts, w.pid, w.ts)
+	// In name order: a/RP/t0 (pid 1), w/RPO/no CSE/t1 (2), w/RPO/t0 (3,
+	// its newest 6 events kept by its probe), w/RPO/t1 twice (4, 5).
+	wantWindow := []kept{{3, 108}, {3, 109}, {4, 200}, {4, 201}, {5, 200}, {5, 201}}
+	export := func(order []int) ([]byte, uint64) {
+		t.Helper()
+		r := NewRing(capacity, "", "")
+		folds := make([]func(), len(runs))
+		for i, run := range runs {
+			p, done := r.Attach(run.name, 0, nil)
+			for k := uint64(0); k < run.events; k++ {
+				p.FrameBuilt(run.start+k, k+1, run.pc, 8)
+			}
+			folds[i] = done
+		}
+		for _, i := range order {
+			folds[i]()
+			held := 0
+			for _, run := range r.runs {
+				held += len(run.events)
+			}
+			if held >= 2*capacity {
+				t.Fatalf("order %v: ring holds %d events, capacity %d", order, held, capacity)
+			}
+		}
+		folds[order[0]]() // a second fold is a no-op
+		events, dropped, names := r.snapshot()
+		if want := []string{"a/RP/t0", "w/RPO/no CSE/t1", "w/RPO/t0", "w/RPO/t1", "w/RPO/t1"}; !slices.Equal(names, want) {
+			t.Fatalf("order %v: runs = %v, want %v", order, names, want)
+		}
+		var window []kept
+		for _, e := range events {
+			window = append(window, kept{e.pid, e.ts})
+		}
+		if !slices.Equal(window, wantWindow) {
+			t.Fatalf("order %v: window = %v, want %v", order, window, wantWindow)
+		}
+		var buf bytes.Buffer
+		if err := r.WriteTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), dropped
+	}
+	want, wantDropped := export([]int{0, 1, 2, 3, 4})
+	// 17 events seen, 4 of them overwritten in run 0's own buffer.
+	if wantDropped != 11 {
+		t.Errorf("dropped = %d, want 11 (17 events, capacity 6)", wantDropped)
+	}
+	if err := ValidateTrace(want); err != nil {
+		t.Fatal(err)
+	}
+	var permute func(order []int, k int)
+	permute = func(order []int, k int) {
+		if k == len(order) {
+			got, dropped := export(order)
+			if !bytes.Equal(got, want) || dropped != wantDropped {
+				t.Errorf("fold order %v: export differs (dropped %d, want %d)", order, dropped, wantDropped)
+			}
+			return
+		}
+		for i := k; i < len(order); i++ {
+			order[k], order[i] = order[i], order[k]
+			permute(order, k+1)
+			order[k], order[i] = order[i], order[k]
 		}
 	}
+	permute([]int{0, 1, 2, 3, 4}, 0)
 }
 
 func TestValidateTraceRejects(t *testing.T) {

@@ -1,14 +1,17 @@
 package telemetry
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 
 	"repro/internal/pipeline"
 	"repro/internal/reuse"
+	"repro/internal/tracing"
 )
 
 // Thread (tid) lanes for trace events: one per lifecycle stage so
@@ -36,7 +39,7 @@ type ringEvent struct {
 	ph    string
 	ts    uint64 // cycle the event starts at
 	dur   uint64 // span length (phComplete only)
-	pid   int    // engine run (one per Attach), set at fold
+	pid   int    // engine run, set at export
 	tid   int    // lifecycle lane (Tid* constants)
 	frame uint64 // frame id, 0 if not applicable
 	pc    uint32 // frame/entry start PC, 0 if not applicable
@@ -44,47 +47,33 @@ type ringEvent struct {
 	aux   uint64 // event-specific secondary payload
 }
 
-// Ring is the collector recording lifecycle events into a bounded
-// overwrite-oldest buffer for Chrome trace_event export. Each engine run
-// it attaches to becomes one trace process (pid), named after the run,
-// so cycle counters that restart per run stay monotonic within a track.
-// A run buffers its own events and appends them, under a new pid, when
-// its fold applies. The ring is a sim.Ordered collector: sim applies
-// its folds in trace order and, across a sweep's runs, in job order, so
-// the export does not depend on how the runs were scheduled.
+// Ring is the collector recording lifecycle events for Chrome
+// trace_event export. Each engine run it attaches to keeps its newest
+// capacity events and becomes one trace process (pid), named after the
+// run, so cycle counters that restart per run stay monotonic within a
+// track. The export is a function of the set of runs folded in, never
+// of the order their folds apply in: runs are ordered by name, pids
+// follow that order, and the ring keeps the newest capacity events of
+// the runs concatenated in it. A run's name must identify its
+// configuration (sim names ablation variants and a diff's variant side
+// apart), so runs sharing a name are the same deterministic run, whose
+// relative order changes nothing.
 type Ring struct {
-	label string
-	jobID string
+	label    string
+	jobID    string
+	capacity int
 
-	mu   sync.Mutex
-	buf  eventBuf
-	runs []string // process names; pid i+1 is runs[i]
+	mu      sync.Mutex
+	runs    []ringRun // by name
+	dropped uint64    // events seen and released
 }
 
-// eventBuf keeps the newest limit events, overwriting the oldest, and
-// counts the events it overwrote.
-type eventBuf struct {
-	limit   int
-	events  []ringEvent
-	next    int // oldest event once full
-	dropped uint64
-}
-
-func (b *eventBuf) push(e ringEvent) {
-	if len(b.events) < b.limit {
-		b.events = append(b.events, e)
-		return
-	}
-	b.events[b.next] = e
-	if b.next++; b.next == b.limit {
-		b.next = 0
-	}
-	b.dropped++
-}
-
-// ordered returns a copy of the buffered events, oldest first.
-func (b *eventBuf) ordered() []ringEvent {
-	return append(append([]ringEvent(nil), b.events[b.next:]...), b.events[:b.next]...)
+// ringRun is one folded engine run. Its events are released (and
+// counted dropped) once the runs after it hold capacity events, since
+// no later fold can bring them back into the window.
+type ringRun struct {
+	name   string
+	events []ringEvent
 }
 
 // NewRing returns a ring holding the newest capacity events. label and
@@ -92,74 +81,103 @@ func (b *eventBuf) ordered() []ringEvent {
 // mode the job's coalescing key and id, so ring events join the job's
 // log lines and progress events.
 func NewRing(capacity int, label, jobID string) *Ring {
-	return &Ring{label: label, jobID: jobID,
-		buf: eventBuf{limit: capacity, events: make([]ringEvent, 0, capacity)}}
+	return &Ring{label: label, jobID: jobID, capacity: capacity}
 }
 
 // Attach returns the probe for one engine run, buffering at most the
-// ring's capacity of its newest events, and the fold that registers the
-// run as a new trace process and appends its events to the ring.
+// ring's capacity of its newest events, and the fold that adds the run
+// to the ring.
 func (r *Ring) Attach(run string, _ int, _ *reuse.LoopStack) (pipeline.Probe, func()) {
-	p := &ringProbe{buf: eventBuf{limit: r.buf.limit}}
+	p := &ringProbe{limit: r.capacity}
 	return p, sync.OnceFunc(func() {
+		events := slices.Concat(p.events[p.next:], p.events[:p.next]) // oldest first
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		r.runs = append(r.runs, run)
-		r.buf.dropped += p.buf.dropped
-		for _, e := range p.buf.ordered() {
-			e.pid = len(r.runs)
-			r.buf.push(e)
+		i, _ := slices.BinarySearchFunc(r.runs, run, func(a ringRun, name string) int { return cmp.Compare(a.name, name) })
+		r.runs = slices.Insert(r.runs, i, ringRun{name: run, events: events})
+		r.dropped += p.dropped
+		held := 0
+		for i := len(r.runs) - 1; i >= 0; i-- {
+			if held >= r.capacity {
+				r.dropped += uint64(len(r.runs[i].events))
+				r.runs[i].events = nil
+			}
+			held += len(r.runs[i].events)
 		}
 	})
 }
 
-// FoldsInOrder marks the ring as a sim.Ordered collector: its pids and
-// its bounded wrap follow the order its folds apply in.
-func (r *Ring) FoldsInOrder() {}
-
-// snapshot returns the buffered events in ring order (each run's
-// events in arrival order, run after run) and the run names.
+// snapshot returns the window (the newest capacity events of the runs
+// in ring order, each run's oldest first), the dropped count and the
+// run names; pid i+1 is runs[i].
 func (r *Ring) snapshot() (events []ringEvent, dropped uint64, runs []string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.buf.ordered(), r.buf.dropped, append([]string(nil), r.runs...)
+	for i, run := range r.runs {
+		runs = append(runs, run.name)
+		for _, e := range run.events {
+			e.pid = i + 1
+			events = append(events, e)
+		}
+	}
+	dropped = r.dropped
+	if n := len(events) - r.capacity; n > 0 {
+		events, dropped = events[n:], dropped+uint64(n)
+	}
+	return events, dropped, runs
 }
 
-// ringProbe turns one engine run's lifecycle events into ring events.
+// ringProbe turns one engine run's lifecycle events into ring events,
+// keeping the newest limit of them and counting the ones it overwrote.
 // FrameHit opens a frame fetch and FrameRetired closes it as one
 // frame-commit or frame-abort span.
 type ringProbe struct {
 	pipeline.NopProbe
-	buf eventBuf
+	limit   int
+	events  []ringEvent
+	next    int // oldest event once full
+	dropped uint64
 
 	fetchAt    uint64
 	fetchFrame uint64
 	fetchPC    uint32
 }
 
+func (p *ringProbe) push(e ringEvent) {
+	if len(p.events) < p.limit {
+		p.events = append(p.events, e)
+		return
+	}
+	p.events[p.next] = e
+	if p.next++; p.next == p.limit {
+		p.next = 0
+	}
+	p.dropped++
+}
+
 func (p *ringProbe) FrameBuilt(cycle, id uint64, pc uint32, uops int) {
-	p.buf.push(ringEvent{name: "construct", ph: phInstant, ts: cycle,
+	p.push(ringEvent{name: "construct", ph: phInstant, ts: cycle,
 		tid: TidConstruct, frame: id, pc: pc, uops: uops})
 }
 
 func (p *ringProbe) OptRemoved(cycle, id uint64, pc uint32, uopsIn, uopsOut int, dwell uint64) {
-	p.buf.push(ringEvent{name: "optimize", ph: phComplete, ts: cycle, dur: dwell,
+	p.push(ringEvent{name: "optimize", ph: phComplete, ts: cycle, dur: dwell,
 		tid: TidOptimize, frame: id, pc: pc, uops: uopsIn, aux: uint64(uopsOut)})
 }
 
 func (p *ringProbe) CacheInsert(cycle uint64, pc uint32, uops int) {
-	p.buf.push(ringEvent{name: "cache-insert", ph: phInstant, ts: cycle,
+	p.push(ringEvent{name: "cache-insert", ph: phInstant, ts: cycle,
 		tid: TidCache, pc: pc, uops: uops})
 }
 
 func (p *ringProbe) Evict(cycle uint64, pc uint32, uops int, residency uint64) {
-	p.buf.push(ringEvent{name: "cache-evict", ph: phInstant, ts: cycle,
+	p.push(ringEvent{name: "cache-evict", ph: phInstant, ts: cycle,
 		tid: TidCache, pc: pc, uops: uops, aux: residency})
 }
 
 func (p *ringProbe) FrameHit(cycle, id uint64, pc uint32) {
 	p.fetchAt, p.fetchFrame, p.fetchPC = cycle, id, pc
-	p.buf.push(ringEvent{name: "cache-hit", ph: phInstant, ts: cycle, tid: TidCache, pc: pc})
+	p.push(ringEvent{name: "cache-hit", ph: phInstant, ts: cycle, tid: TidCache, pc: pc})
 }
 
 func (p *ringProbe) FrameRetired(cycle uint64, uops int, committed bool) {
@@ -167,7 +185,7 @@ func (p *ringProbe) FrameRetired(cycle uint64, uops int, committed bool) {
 	if !committed {
 		name = "frame-abort"
 	}
-	p.buf.push(ringEvent{name: name, ph: phComplete, ts: p.fetchAt, dur: cycle - p.fetchAt,
+	p.push(ringEvent{name: name, ph: phComplete, ts: p.fetchAt, dur: cycle - p.fetchAt,
 		tid: TidFetch, frame: p.fetchFrame, pc: p.fetchPC, uops: uops})
 }
 
@@ -176,36 +194,16 @@ func (p *ringProbe) AssertFired(cycle, id uint64, pc uint32, unsafe bool) {
 	if unsafe {
 		aux = 1
 	}
-	p.buf.push(ringEvent{name: "assert-fire", ph: phInstant, ts: cycle,
+	p.push(ringEvent{name: "assert-fire", ph: phInstant, ts: cycle,
 		tid: TidFetch, frame: id, pc: pc, aux: aux})
 }
 
 // TraceFetch records a trace-cache hit and the line's fetch span (TC
 // mode has no frame ids).
 func (p *ringProbe) TraceFetch(start, end uint64, pc uint32, uops int) {
-	p.buf.push(ringEvent{name: "cache-hit", ph: phInstant, ts: start, tid: TidCache, pc: pc})
-	p.buf.push(ringEvent{name: "trace-fetch", ph: phComplete, ts: start, dur: end - start,
+	p.push(ringEvent{name: "cache-hit", ph: phInstant, ts: start, tid: TidCache, pc: pc})
+	p.push(ringEvent{name: "trace-fetch", ph: phComplete, ts: start, dur: end - start,
 		tid: TidFetch, pc: pc, uops: uops})
-}
-
-// traceEvent is the exported Chrome trace_event JSON shape.
-type traceEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	TS   uint64         `json:"ts"`
-	Dur  uint64         `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"` // instant scope
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// traceFile is the JSON-object form of the trace format; viewers also
-// accept a bare array, but the object form carries metadata.
-type traceFile struct {
-	TraceEvents []traceEvent   `json:"traceEvents"`
-	OtherData   map[string]any `json:"otherData,omitempty"`
 }
 
 var tidNames = map[int]string{
@@ -221,25 +219,28 @@ var tidNames = map[int]string{
 // and equal timestamps keep ring order.
 func (r *Ring) WriteTrace(w io.Writer) error {
 	events, dropped, runs := r.snapshot()
-	sort.SliceStable(events, func(i, j int) bool { return events[i].ts < events[j].ts })
+	slices.SortStableFunc(events, func(a, b ringEvent) int { return cmp.Compare(a.ts, b.ts) })
 
-	out := traceFile{OtherData: map[string]any{"dropped_events": dropped}}
+	// The job tags go on the file and on every event.
+	tags := map[string]any{}
 	if r.label != "" {
-		out.OtherData["job"] = r.label
+		tags["job"] = r.label
 	}
 	if r.jobID != "" {
-		out.OtherData["job_id"] = r.jobID
+		tags["job_id"] = r.jobID
 	}
+	out := tracing.ChromeFile{OtherData: maps.Clone(tags)}
+	out.OtherData["dropped_events"] = dropped
 
 	// Metadata first: name each run's process and each lane's thread.
 	for i, name := range runs {
 		pid := i + 1
-		out.TraceEvents = append(out.TraceEvents, traceEvent{
+		out.TraceEvents = append(out.TraceEvents, tracing.ChromeEvent{
 			Name: "process_name", Ph: phMetadata, Pid: pid,
 			Args: map[string]any{"name": name},
 		})
 		for tid := TidConstruct; tid <= TidCache; tid++ {
-			out.TraceEvents = append(out.TraceEvents, traceEvent{
+			out.TraceEvents = append(out.TraceEvents, tracing.ChromeEvent{
 				Name: "thread_name", Ph: phMetadata, Pid: pid, Tid: tid,
 				Args: map[string]any{"name": tidNames[tid]},
 			})
@@ -247,12 +248,12 @@ func (r *Ring) WriteTrace(w io.Writer) error {
 	}
 
 	for _, e := range events {
-		te := traceEvent{
+		te := tracing.ChromeEvent{
 			Name: e.name,
 			Cat:  tidNames[e.tid],
 			Ph:   e.ph,
-			TS:   e.ts,
-			Dur:  e.dur,
+			TS:   int64(e.ts),
+			Dur:  int64(e.dur),
 			Pid:  e.pid,
 			Tid:  e.tid,
 			Args: map[string]any{},
@@ -280,20 +281,14 @@ func (r *Ring) WriteTrace(w io.Writer) error {
 				te.Args["uops"] = e.uops
 			}
 		}
-		if r.label != "" {
-			te.Args["job"] = r.label
-		}
-		if r.jobID != "" {
-			te.Args["job_id"] = r.jobID
-		}
+		maps.Copy(te.Args, tags)
 		if len(te.Args) == 0 {
 			te.Args = nil
 		}
 		out.TraceEvents = append(out.TraceEvents, te)
 	}
 
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	return json.NewEncoder(w).Encode(out)
 }
 
 // ValidateTrace checks data against the Chrome trace-event shape the

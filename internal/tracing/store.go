@@ -199,10 +199,11 @@ func (s *Store) Stats() StoreStats {
 	return s.stats
 }
 
-// chromeEvent mirrors telemetry/trace.go's traceEvent shape so both
-// exporters produce files the same tooling (cmd/tracecheck, Perfetto)
-// accepts. Here ts/dur are microseconds since the trace start.
-type chromeEvent struct {
+// ChromeEvent is one Chrome trace_event record, the shape both trace
+// exporters write (this package's wall-clock spans, in µs since the
+// trace start, and internal/telemetry's lifecycle events, in cycles),
+// so the same tooling (cmd/tracecheck, Perfetto) accepts either file.
+type ChromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
@@ -210,11 +211,14 @@ type chromeEvent struct {
 	Dur  int64          `json:"dur,omitempty"`
 	Pid  int            `json:"pid"`
 	Tid  int            `json:"tid"`
+	S    string         `json:"s,omitempty"` // instant scope
 	Args map[string]any `json:"args,omitempty"`
 }
 
-type chromeFile struct {
-	TraceEvents []chromeEvent  `json:"traceEvents"`
+// ChromeFile is the JSON-object form of the trace format; viewers also
+// accept a bare array, but the object form carries metadata.
+type ChromeFile struct {
+	TraceEvents []ChromeEvent  `json:"traceEvents"`
 	OtherData   map[string]any `json:"otherData,omitempty"`
 }
 
@@ -226,11 +230,11 @@ func (tr *StoredTrace) WriteChrome(w io.Writer) error {
 	if tr == nil {
 		return fmt.Errorf("tracing: no trace")
 	}
-	out := chromeFile{OtherData: map[string]any{
+	out := ChromeFile{OtherData: map[string]any{
 		"trace_id": tr.TraceID,
 		"reason":   tr.Reason,
 	}}
-	out.TraceEvents = append(out.TraceEvents, chromeEvent{
+	out.TraceEvents = append(out.TraceEvents, ChromeEvent{
 		Name: "process_name", Ph: "M", Pid: 1,
 		Args: map[string]any{"name": "trace " + tr.TraceID},
 	})
@@ -244,7 +248,7 @@ func (tr *StoredTrace) WriteChrome(w io.Writer) error {
 		return spans[i].Start.Before(spans[j].Start)
 	})
 	var laneEnd []time.Time
-	events := make([]chromeEvent, 0, len(spans))
+	events := make([]ChromeEvent, 0, len(spans))
 	for _, sp := range spans {
 		tid := -1
 		for i, end := range laneEnd {
@@ -275,7 +279,7 @@ func (tr *StoredTrace) WriteChrome(w io.Writer) error {
 		if dur < 1 {
 			dur = 1
 		}
-		events = append(events, chromeEvent{
+		events = append(events, ChromeEvent{
 			Name: sp.Name,
 			Cat:  "span",
 			Ph:   "X",

@@ -114,74 +114,15 @@ func validate(t *Trace) error {
 }
 
 func decodeBinary(br *bufio.Reader, lr *limitedReader, lim Limits) (*Trace, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, lr.eofErr("header magic")
-	}
-	if magic != Magic {
-		return nil, fmt.Errorf("%w: %q", ErrBadMagic, magic[:])
-	}
-	var u32b [4]byte
-	readU32 := func(what string) (uint32, error) {
-		if _, err := io.ReadFull(br, u32b[:]); err != nil {
-			return 0, lr.eofErr(what)
-		}
-		return binary.LittleEndian.Uint32(u32b[:]), nil
-	}
-	t := &Trace{}
-	v, err := readU32("header version")
+	t, err := decodeBinaryHeader(br, lr, lim)
 	if err != nil {
-		return nil, err
-	}
-	if v != FormatVersion {
-		return nil, fmt.Errorf("%w: %d (want %d)", ErrBadVersion, v, FormatVersion)
-	}
-	t.Header.Version = v
-	var u16b [2]byte
-	if _, err := io.ReadFull(br, u16b[:]); err != nil {
-		return nil, lr.eofErr("name length")
-	}
-	nameLen := binary.LittleEndian.Uint16(u16b[:])
-	if nameLen > maxNameLen {
-		return nil, fmt.Errorf("%w: name length %d > %d", ErrMalformed, nameLen, maxNameLen)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, lr.eofErr("name")
-	}
-	t.Header.Name = string(name)
-	archLen, err := br.ReadByte()
-	if err != nil {
-		return nil, lr.eofErr("arch length")
-	}
-	if archLen > maxArchLen {
-		return nil, fmt.Errorf("%w: arch length %d > %d", ErrMalformed, archLen, maxArchLen)
-	}
-	arch := make([]byte, archLen)
-	if _, err := io.ReadFull(br, arch); err != nil {
-		return nil, lr.eofErr("arch")
-	}
-	t.Header.Arch = string(arch)
-	if t.Header.Flags, err = readU32("header flags"); err != nil {
-		return nil, err
-	}
-	var u64b [8]byte
-	if _, err := io.ReadFull(br, u64b[:]); err != nil {
-		return nil, lr.eofErr("uop count")
-	}
-	t.Header.UOps = binary.LittleEndian.Uint64(u64b[:])
-	if t.Header.UOps > lim.MaxRecords {
-		return nil, fmt.Errorf("%w: header declares %d uops (cap %d)",
-			ErrLimit, t.Header.UOps, lim.MaxRecords)
-	}
-	if t.Header.Insts, err = readU32("inst budget"); err != nil {
 		return nil, err
 	}
 	if t.Header.HasCode() {
-		if t.CodeBase, err = readU32("code base"); err != nil {
+		if t.CodeBase, err = readU32(br, lr, "code base"); err != nil {
 			return nil, err
 		}
-		codeLen, err := readU32("code length")
+		codeLen, err := readU32(br, lr, "code length")
 		if err != nil {
 			return nil, err
 		}
@@ -248,6 +189,76 @@ func decodeBinary(br *bufio.Reader, lr *limitedReader, lim Limits) (*Trace, erro
 			return nil, fmt.Errorf("%w: more than %d records", ErrLimit, lim.MaxRecords)
 		}
 		t.Records = append(t.Records, r)
+	}
+	return t, nil
+}
+
+func readU32(br *bufio.Reader, lr *limitedReader, what string) (uint32, error) {
+	var b [4]byte
+	if _, err := io.ReadFull(br, b[:]); err != nil {
+		return 0, lr.eofErr(what)
+	}
+	return binary.LittleEndian.Uint32(b[:]), nil
+}
+
+// decodeBinaryHeader reads a binary stream's fixed header, up to the
+// instruction budget; the code image and the records follow it.
+func decodeBinaryHeader(br *bufio.Reader, lr *limitedReader, lim Limits) (*Trace, error) {
+	var magic [4]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		return nil, lr.eofErr("header magic")
+	}
+	if magic != Magic {
+		return nil, fmt.Errorf("%w: %q", ErrBadMagic, magic[:])
+	}
+	t := &Trace{}
+	v, err := readU32(br, lr, "header version")
+	if err != nil {
+		return nil, err
+	}
+	if v != FormatVersion {
+		return nil, fmt.Errorf("%w: %d (want %d)", ErrBadVersion, v, FormatVersion)
+	}
+	t.Header.Version = v
+	var u16b [2]byte
+	if _, err := io.ReadFull(br, u16b[:]); err != nil {
+		return nil, lr.eofErr("name length")
+	}
+	nameLen := binary.LittleEndian.Uint16(u16b[:])
+	if nameLen > maxNameLen {
+		return nil, fmt.Errorf("%w: name length %d > %d", ErrMalformed, nameLen, maxNameLen)
+	}
+	name := make([]byte, nameLen)
+	if _, err := io.ReadFull(br, name); err != nil {
+		return nil, lr.eofErr("name")
+	}
+	t.Header.Name = string(name)
+	archLen, err := br.ReadByte()
+	if err != nil {
+		return nil, lr.eofErr("arch length")
+	}
+	if archLen > maxArchLen {
+		return nil, fmt.Errorf("%w: arch length %d > %d", ErrMalformed, archLen, maxArchLen)
+	}
+	arch := make([]byte, archLen)
+	if _, err := io.ReadFull(br, arch); err != nil {
+		return nil, lr.eofErr("arch")
+	}
+	t.Header.Arch = string(arch)
+	if t.Header.Flags, err = readU32(br, lr, "header flags"); err != nil {
+		return nil, err
+	}
+	var u64b [8]byte
+	if _, err := io.ReadFull(br, u64b[:]); err != nil {
+		return nil, lr.eofErr("uop count")
+	}
+	t.Header.UOps = binary.LittleEndian.Uint64(u64b[:])
+	if t.Header.UOps > lim.MaxRecords {
+		return nil, fmt.Errorf("%w: header declares %d uops (cap %d)",
+			ErrLimit, t.Header.UOps, lim.MaxRecords)
+	}
+	if t.Header.Insts, err = readU32(br, lr, "inst budget"); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

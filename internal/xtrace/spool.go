@@ -1,6 +1,7 @@
 package xtrace
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -98,35 +99,56 @@ func validID(id string) bool {
 	return err == nil
 }
 
-// TraceID returns the content ID of a trace: the hex SHA-256 of its
-// canonical binary encoding.
-func TraceID(t *Trace) string {
-	sum := sha256.Sum256(CanonicalBytes(t))
-	return hex.EncodeToString(sum[:])
+// Canonical is a trace's canonical binary encoding and its content ID,
+// the hex SHA-256 of that encoding. Only Canonicalize builds one, so
+// the ID always names the bytes.
+type Canonical struct {
+	id    string
+	bytes []byte
 }
 
-// Put stores the trace, returning its content ID, its canonical size,
-// and whether it was already present (a deduplicated re-upload). A
-// trace larger than the whole budget fails with ErrSpoolBudget.
-func (s *Spool) Put(t *Trace) (id string, size int64, dup bool, err error) {
+// Canonicalize encodes t canonically and derives its content ID.
+func Canonicalize(t *Trace) Canonical {
 	b := CanonicalBytes(t)
 	sum := sha256.Sum256(b)
-	id = hex.EncodeToString(sum[:])
-	size = int64(len(b))
+	return Canonical{id: hex.EncodeToString(sum[:]), bytes: b}
+}
 
+// ID is the trace's content ID.
+func (c Canonical) ID() string { return c.id }
+
+// Size is the length of the canonical encoding.
+func (c Canonical) Size() int64 { return int64(len(c.bytes)) }
+
+// TraceID returns the content ID of a trace.
+func TraceID(t *Trace) string { return Canonicalize(t).id }
+
+// Fits reports, as ErrSpoolBudget, a trace larger than the whole
+// budget, which Put would reject even with everything else evicted.
+func (s *Spool) Fits(c Canonical) error {
+	if c.Size() > s.maxBytes {
+		return fmt.Errorf("%w: trace is %d bytes, budget %d", ErrSpoolBudget, c.Size(), s.maxBytes)
+	}
+	return nil
+}
+
+// Put stores a canonically encoded trace and reports whether it was
+// already present (a deduplicated re-upload). A trace that does not
+// fit the budget fails with ErrSpoolBudget.
+func (s *Spool) Put(c Canonical) (dup bool, err error) {
+	id, b, size := c.id, c.bytes, c.Size()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.sizes[id]; ok {
 		s.touch(id)
-		return id, size, true, nil
+		return true, nil
 	}
-	if size > s.maxBytes {
-		return "", size, false, fmt.Errorf("%w: trace is %d bytes, budget %d",
-			ErrSpoolBudget, size, s.maxBytes)
+	if err := s.Fits(c); err != nil {
+		return false, err
 	}
 	tmp, err := os.CreateTemp(s.dir, "put-*.tmp")
 	if err != nil {
-		return "", size, false, fmt.Errorf("xtrace: spool write: %w", err)
+		return false, fmt.Errorf("xtrace: spool write: %w", err)
 	}
 	_, werr := tmp.Write(b)
 	cerr := tmp.Close()
@@ -138,35 +160,62 @@ func (s *Spool) Put(t *Trace) (id string, size int64, dup bool, err error) {
 	}
 	if werr != nil {
 		os.Remove(tmp.Name())
-		return "", size, false, fmt.Errorf("xtrace: spool write: %w", werr)
+		return false, fmt.Errorf("xtrace: spool write: %w", werr)
 	}
 	s.sizes[id] = size
 	s.order = append(s.order, id)
 	s.bytes += size
 	s.evict()
-	return id, size, false, nil
+	return false, nil
 }
 
 // Get loads a spooled trace by content ID.
 func (s *Spool) Get(id string) (*Trace, error) {
+	f, _, err := s.open(id)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return Decode(f, Limits{})
+}
+
+// Info reads only the header of a spooled trace and returns it with the
+// trace's size. Spooled files are canonical binary, so the header's
+// UOps is the exact record count.
+func (s *Spool) Info(id string) (Header, int64, error) {
+	f, size, err := s.open(id)
+	if err != nil {
+		return Header{}, 0, err
+	}
+	defer f.Close()
+	lr := &limitedReader{r: f, n: size}
+	t, err := decodeBinaryHeader(bufio.NewReader(lr), lr, DefaultLimits)
+	if err != nil {
+		return Header{}, 0, err
+	}
+	return t.Header, size, nil
+}
+
+// open opens the spool file of id, marking it recently used, and
+// returns its size.
+func (s *Spool) open(id string) (*os.File, int64, error) {
 	if !validID(id) {
-		return nil, fmt.Errorf("%w: malformed ID %q", ErrNotFound, id)
+		return nil, 0, fmt.Errorf("%w: malformed ID %q", ErrNotFound, id)
 	}
 	s.mu.Lock()
-	_, ok := s.sizes[id]
+	size, ok := s.sizes[id]
 	if ok {
 		s.touch(id)
 	}
 	s.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
+		return nil, 0, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	f, err := os.Open(s.path(id))
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s (spool file: %v)", ErrNotFound, id, err)
+		return nil, 0, fmt.Errorf("%w: %s (spool file: %v)", ErrNotFound, id, err)
 	}
-	defer f.Close()
-	return Decode(f, Limits{})
+	return f, size, nil
 }
 
 // Pin marks id as in use, protecting it from eviction until a matching

@@ -22,32 +22,49 @@ func TestSpoolPutGetDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := spoolTrace(0x1000, 8)
-	id, size, dup, err := s.Put(tr)
+	c := Canonicalize(tr)
+	dup, err := s.Put(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dup || size <= 0 || !validID(id) {
-		t.Fatalf("put: id=%q size=%d dup=%v", id, size, dup)
+	if dup || !validID(c.ID()) {
+		t.Fatalf("put: id=%q dup=%v", c.ID(), dup)
 	}
-	if id != TraceID(tr) {
-		t.Fatalf("put ID %s != TraceID %s", id, TraceID(tr))
+	if c.ID() != TraceID(tr) {
+		t.Fatalf("put ID %s != TraceID %s", c.ID(), TraceID(tr))
 	}
-	if _, _, dup, _ := s.Put(tr); !dup {
+	if dup, _ := s.Put(c); !dup {
 		t.Fatal("re-upload not deduplicated")
 	}
-	got, err := s.Get(id)
+	got, err := s.Get(c.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Records) != 8 || got.Header.Name != "sp" {
 		t.Fatalf("got %+v", got.Header)
 	}
-	if _, err := s.Get(strings.Repeat("ab", 32)); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("unknown id: err = %v", err)
+	h, size, err := s.Info(c.ID())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := s.Get("../escape"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("traversal id: err = %v", err)
+	if h != got.Header || size != c.Size() {
+		t.Fatalf("info = %+v, %d bytes; want %+v, %d bytes", h, size, got.Header, c.Size())
 	}
+	for _, id := range []string{strings.Repeat("ab", 32), "../escape"} {
+		if _, err := s.Get(id); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("get %q: err = %v", id, err)
+		}
+		if _, _, err := s.Info(id); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("info %q: err = %v", id, err)
+		}
+	}
+}
+
+// put spools tr and returns its content ID.
+func put(s *Spool, tr *Trace) (string, error) {
+	c := Canonicalize(tr)
+	_, err := s.Put(c)
+	return c.ID(), err
 }
 
 func TestSpoolBudgetAndEviction(t *testing.T) {
@@ -60,7 +77,7 @@ func TestSpoolBudgetAndEviction(t *testing.T) {
 	}
 	ids := make([]string, 3)
 	for i := range ids {
-		id, _, _, err := s.Put(spoolTrace(uint32(0x1000*(i+1)), 4))
+		id, err := put(s, spoolTrace(uint32(0x1000*(i+1)), 4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +99,13 @@ func TestSpoolBudgetAndEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := tiny.Put(one); !errors.Is(err, ErrSpoolBudget) {
+	if err := tiny.Fits(Canonicalize(one)); !errors.Is(err, ErrSpoolBudget) {
+		t.Fatalf("oversize fits: err = %v, want ErrSpoolBudget", err)
+	}
+	if err := s.Fits(Canonicalize(one)); err != nil {
+		t.Fatalf("fits: %v", err)
+	}
+	if _, err := put(tiny, one); !errors.Is(err, ErrSpoolBudget) {
 		t.Fatalf("oversize put: err = %v, want ErrSpoolBudget", err)
 	}
 }
@@ -97,11 +120,11 @@ func TestSpoolPinBlocksEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idA, _, _, err := s.Put(spoolTrace(0x1000, 4))
+	idA, err := put(s, spoolTrace(0x1000, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	idB, _, _, err := s.Put(spoolTrace(0x2000, 4))
+	idB, err := put(s, spoolTrace(0x2000, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +134,7 @@ func TestSpoolPinBlocksEviction(t *testing.T) {
 	if s.Pin(strings.Repeat("ab", 32)) {
 		t.Fatal("pin of an absent trace succeeded")
 	}
-	idC, _, _, err := s.Put(spoolTrace(0x3000, 4))
+	idC, err := put(s, spoolTrace(0x3000, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +145,7 @@ func TestSpoolPinBlocksEviction(t *testing.T) {
 		t.Fatalf("eviction fell on the wrong entry: B=%v C=%v", s.Has(idB), s.Has(idC))
 	}
 	s.Unpin(idA)
-	if _, _, _, err := s.Put(spoolTrace(0x4000, 4)); err != nil {
+	if _, err := put(s, spoolTrace(0x4000, 4)); err != nil {
 		t.Fatal(err)
 	}
 	if s.Has(idA) {
@@ -136,7 +159,7 @@ func TestSpoolReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, _, _, err := s.Put(spoolTrace(0x2000, 6))
+	id, err := put(s, spoolTrace(0x2000, 6))
 	if err != nil {
 		t.Fatal(err)
 	}

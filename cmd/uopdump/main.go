@@ -106,17 +106,24 @@ func run(hexStr string, fig2, optimize bool, scopeStr string, base uint32) error
 	var frames []*frame.Frame
 	cons := frame.NewConstructor(cfg, func(f *frame.Frame) { frames = append(frames, f) })
 
+	tab := translate.NewTable(0, 0)
 	pc := base
 	total := 0
 	for int(pc-base) < len(code) {
-		in, err := x86.Decode(code[pc-base:])
-		if err != nil {
-			return fmt.Errorf("decode at %#x: %w", pc, err)
+		i := tab.Find(pc)
+		if i < 0 {
+			in, err := x86.Decode(code[pc-base:])
+			if err != nil {
+				return fmt.Errorf("decode at %#x: %w", pc, err)
+			}
+			uops, err := translate.UOps(in, pc)
+			if err != nil {
+				return err
+			}
+			i = tab.Add(translate.Entry{PC: pc, Inst: in, UOps: uops})
 		}
-		uops, err := translate.UOps(in, pc)
-		if err != nil {
-			return err
-		}
+		d := tab.Entry(i)
+		in, uops := d.Inst, d.UOps
 		fmt.Printf("%08x  %-28s", pc, in.String())
 		for i, u := range uops {
 			if i > 0 {
@@ -139,10 +146,10 @@ func run(hexStr string, fig2, optimize bool, scopeStr string, base uint32) error
 			}
 		}
 		if in.Op == x86.OpRET {
-			cons.Retire(pc, in, uops, base+uint32(len(code)), nil)
+			cons.Retire(d, base+uint32(len(code)), nil)
 			break
 		}
-		cons.Retire(pc, in, uops, next, nil)
+		cons.Retire(d, next, nil)
 		pc = next
 	}
 	cons.Flush()

@@ -57,6 +57,7 @@ func buildFrame() (*frame.Frame, error) {
 	var out *frame.Frame
 	cons := frame.NewConstructor(cfg, func(f *frame.Frame) { out = f })
 
+	tab := translate.NewTable(0, 0)
 	esp := entrySP
 	for i, in := range insts {
 		if i == skipped {
@@ -85,7 +86,7 @@ func buildFrame() (*frame.Frame, error) {
 				next = retAddr
 			}
 		}
-		cons.Retire(pcs[i], in, uops, next, addrs)
+		cons.Retire(tab.Entry(tab.Add(translate.Entry{PC: pcs[i], Inst: in, UOps: uops})), next, addrs)
 	}
 	cons.Flush()
 	return out, nil

@@ -72,7 +72,7 @@ func (p *probe) CycleCharge(pc uint32, bin pipeline.Bin, n uint64) {
 	c.cycles += n
 }
 
-func (p *probe) SlotRetired(s *pipeline.Slot, fromFrame bool, uopsExecuted int) {
+func (p *probe) SlotRetired(s *pipeline.Rec, fromFrame bool, uopsExecuted int) {
 	c := p.cell(s.PC)
 	c.x86++
 	n := uint64(len(s.UOps))

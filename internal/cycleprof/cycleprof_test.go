@@ -6,13 +6,14 @@ import (
 
 	"repro/internal/pipeline"
 	"repro/internal/reuse"
+	"repro/internal/translate"
 	"repro/internal/x86"
 )
 
 // slot fabricates a retired-instruction record: a 2-byte JCC at pc
 // jumping to next (taken if next != pc+2).
-func slot(pc, next uint32) pipeline.Slot {
-	return pipeline.Slot{PC: pc, NextPC: next, Inst: x86.Inst{Op: x86.OpJCC, Len: 2}}
+func slot(pc, next uint32) pipeline.Rec {
+	return pipeline.Rec{Entry: &translate.Entry{PC: pc, Ctl: translate.CtlCond, Inst: x86.Inst{Op: x86.OpJCC, Len: 2}}, NextPC: next}
 }
 
 // attached is one collector probe over its own loop stack, fed the way
@@ -29,7 +30,7 @@ func attach(c *Collector, trace int) *attached {
 	return a
 }
 
-func (a *attached) retire(s pipeline.Slot) {
+func (a *attached) retire(s pipeline.Rec) {
 	a.loops.Retire(&s)
 	a.SlotRetired(&s, false, 1)
 }

@@ -136,7 +136,7 @@ func (p *probe) row() *Row {
 
 // SlotRetired attributes the slot to the loop active after its own
 // back edge: a closing branch counts toward the loop it closes.
-func (p *probe) SlotRetired(s *pipeline.Slot, fromFrame bool, uopsExecuted int) {
+func (p *probe) SlotRetired(s *pipeline.Rec, fromFrame bool, uopsExecuted int) {
 	r := p.row()
 	r.X86++
 	n := uint64(len(s.UOps))

@@ -6,24 +6,26 @@ import (
 	"repro/internal/opt"
 	"repro/internal/pipeline"
 	"repro/internal/reuse"
+	"repro/internal/translate"
 	"repro/internal/uop"
 	"repro/internal/x86"
 )
 
 // slot builds one synthetic retired instruction: a 4-byte instruction
 // at pc with dynamic successor next and the given micro-op flow.
-func slot(pc, next uint32, op x86.Op, uops ...uop.Op) pipeline.Slot {
+func slot(pc, next uint32, op x86.Op, uops ...uop.Op) pipeline.Rec {
 	us := make([]uop.UOp, len(uops))
 	for i, o := range uops {
 		us[i] = uop.UOp{Op: o}
 	}
-	return pipeline.Slot{PC: pc, Inst: x86.Inst{Op: op, Len: 4}, NextPC: next, UOps: us}
+	in := x86.Inst{Op: op, Len: 4}
+	return pipeline.Rec{Entry: &translate.Entry{PC: pc, Ctl: translate.ControlOf(&in), Inst: in, UOps: us}, NextPC: next}
 }
 
 // loopStream is 2 straight instructions, then trips executions of a
 // 3-instruction loop body at 0x10..0x18, then 2 straight instructions.
-func loopStream(trips int) []pipeline.Slot {
-	var slots []pipeline.Slot
+func loopStream(trips int) []pipeline.Rec {
+	var slots []pipeline.Rec
 	slots = append(slots,
 		slot(0x0, 0x4, x86.OpADD, uop.ADD),
 		slot(0x4, 0x10, x86.OpADD, uop.ADD))

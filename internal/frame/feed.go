@@ -12,6 +12,8 @@ import (
 // retired x86 instruction is decoded and translated once per PC, through
 // a table over the trace's code image, and offered with its dynamic
 // outcome and memory addresses. The pending frame is flushed at the end.
+// The table is new on each call, so c must not have retired entries of
+// another table: feed it one trace.
 func FeedTrace(c *Constructor, tr *trace.Trace) error {
 	tab := translate.NewTable(tr.CodeBase, len(tr.Code))
 	addrs := make([]uint32, 0, 4)
@@ -32,12 +34,11 @@ func FeedTrace(c *Constructor, tr *trace.Trace) error {
 				return err
 			}
 		}
-		d := tab.Entry(e)
 		addrs = addrs[:0]
 		for _, m := range r.MemOps {
 			addrs = append(addrs, m.Addr)
 		}
-		c.Retire(r.PC, d.Inst, d.UOps, r.NextPC, addrs)
+		c.Retire(tab.Entry(e), r.NextPC, addrs)
 	}
 	c.Flush()
 	return nil

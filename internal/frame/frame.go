@@ -8,6 +8,7 @@ package frame
 import (
 	"fmt"
 
+	"repro/internal/translate"
 	"repro/internal/uop"
 	"repro/internal/x86"
 )
@@ -87,21 +88,24 @@ func DefaultConfig() Config {
 	return Config{MinUOps: 8, MaxUOps: 256, BiasThreshold: 16, TargetThreshold: 16}
 }
 
-type biasEntry struct {
-	dir   bool // last observed direction
-	count int  // consecutive observations of dir
-}
-
-type targetEntry struct {
+// branchState is the constructor's confidence in one branch: the last
+// direction of a conditional one, the last target of an indirect one,
+// and how many consistent outcomes back it up (decaying on contrary
+// ones). pc is the branch's address, set on its first outcome.
+type branchState struct {
+	pc     uint32
 	target uint32
 	count  int
+	dir    bool
+	seen   bool
 }
 
 // Constructor synthesizes frames from the retired instruction stream.
 type Constructor struct {
-	cfg     Config
-	bias    map[uint32]*biasEntry
-	targets map[uint32]*targetEntry
+	cfg Config
+	// branches holds each branch's state, indexed by its entry's ID:
+	// every entry a constructor retires comes from one decode table.
+	branches []branchState
 
 	pending  *Frame
 	nextID   uint64
@@ -122,59 +126,39 @@ type Constructor struct {
 
 // NewConstructor returns a Constructor with the given configuration.
 func NewConstructor(cfg Config, deposit func(*Frame)) *Constructor {
-	return &Constructor{
-		cfg:     cfg,
-		bias:    make(map[uint32]*biasEntry),
-		targets: make(map[uint32]*targetEntry),
-		Deposit: deposit,
-	}
+	return &Constructor{cfg: cfg, Deposit: deposit}
 }
 
-// controlKind classifies an instruction's effect on frame construction.
-type controlKind int
-
-const (
-	ctlNone controlKind = iota
-	ctlCond
-	ctlDirect   // direct JMP or CALL
-	ctlIndirect // RET, indirect JMP/CALL
-	ctlHalt
-)
-
-func classify(in x86.Inst) controlKind {
-	switch in.Op {
-	case x86.OpJCC:
-		return ctlCond
-	case x86.OpJMP, x86.OpCALL:
-		if in.Dst.Kind == x86.KindImm {
-			return ctlDirect
-		}
-		return ctlIndirect
-	case x86.OpRET:
-		return ctlIndirect
-	case x86.OpHLT:
-		return ctlHalt
+// branch returns the state of the branch at entry d, by its ID. It
+// panics when the ID already belongs to another PC, which means d comes
+// from a different decode table than earlier entries.
+func (c *Constructor) branch(d *translate.Entry) *branchState {
+	if int(d.ID) >= len(c.branches) {
+		c.branches = append(c.branches, make([]branchState, int(d.ID)+1-len(c.branches))...)
 	}
-	return ctlNone
+	b := &c.branches[d.ID]
+	if !b.seen {
+		b.pc, b.seen = d.PC, true
+	} else if b.pc != d.PC {
+		panic(fmt.Sprintf("frame: entry ID %d retired at %#x and %#x: entries from two decode tables", d.ID, b.pc, d.PC))
+	}
+	return b
 }
 
-// Retire feeds one retired x86 instruction: its decoded form, translated
-// micro-ops, dynamic outcome (taken, nextPC) and the dynamic addresses of
-// its memory micro-ops, in flow order.
-func (c *Constructor) Retire(pc uint32, in x86.Inst, uops []uop.UOp, nextPC uint32, memAddrs []uint32) {
-	kind := classify(in)
-	taken := nextPC != pc+uint32(in.Len)
+// Retire feeds one retired x86 instruction: its decode-table entry,
+// dynamic outcome (nextPC) and the dynamic addresses of its memory
+// micro-ops, in flow order. Every entry a constructor retires must come
+// from one decode table, since branch state is kept by entry ID.
+func (c *Constructor) Retire(d *translate.Entry, nextPC uint32, memAddrs []uint32) {
+	pc := d.PC
+	taken := nextPC != pc+uint32(d.Inst.Len)
 
-	switch kind {
-	case ctlHalt:
+	switch {
+	case d.Ctl == translate.CtlHalt:
 		c.finish()
 		return
-	case ctlCond:
-		e := c.bias[pc]
-		if e == nil {
-			e = &biasEntry{}
-			c.bias[pc] = e
-		}
+	case d.Ctl == translate.CtlCond:
+		e := c.branch(d)
 		// Decaying bias counter: an occasional contrary outcome weakens
 		// confidence without discarding it, so strongly biased branches
 		// stay promoted through rare flips.
@@ -196,12 +180,8 @@ func (c *Constructor) Retire(pc uint32, in x86.Inst, uops []uop.UOp, nextPC uint
 			c.startAt(nextPC)
 			return
 		}
-	case ctlIndirect:
-		e := c.targets[pc]
-		if e == nil {
-			e = &targetEntry{}
-			c.targets[pc] = e
-		}
+	case d.Ctl.IsIndirect():
+		e := c.branch(d)
 		if e.count > 0 && e.target == nextPC {
 			if e.count < 4*c.cfg.TargetThreshold {
 				e.count++
@@ -221,7 +201,7 @@ func (c *Constructor) Retire(pc uint32, in x86.Inst, uops []uop.UOp, nextPC uint
 	}
 
 	// Room check: close the pending frame at a clean boundary first.
-	if c.pending != nil && len(c.pending.UOps)+len(uops) > c.cfg.MaxUOps {
+	if c.pending != nil && len(c.pending.UOps)+len(d.UOps) > c.cfg.MaxUOps {
 		c.EndMaxSize++
 		c.finishAligned()
 	}
@@ -235,7 +215,7 @@ func (c *Constructor) Retire(pc uint32, in x86.Inst, uops []uop.UOp, nextPC uint
 	f.NextPCs = append(f.NextPCs, nextPC)
 
 	mi := 0
-	for _, u := range uops {
+	for _, u := range d.UOps {
 		conv := u
 		switch {
 		case u.Op == uop.BR:
@@ -266,7 +246,7 @@ func (c *Constructor) Retire(pc uint32, in x86.Inst, uops []uop.UOp, nextPC uint
 		f.MemAddr = append(f.MemAddr, addr)
 		f.MemSub = append(f.MemSub, sub)
 	}
-	if kind != ctlNone {
+	if d.Ctl != translate.CtlNone {
 		f.BlockEnd = append(f.BlockEnd, len(f.UOps)-1)
 	}
 	c.lastNext = nextPC
@@ -276,7 +256,7 @@ func (c *Constructor) Retire(pc uint32, in x86.Inst, uops []uop.UOp, nextPC uint
 	// at the loop head. All entries into a hot loop then converge on one
 	// canonical self-chaining frame instead of a precessing family of
 	// shifted tilings.
-	if kind != ctlNone && nextPC <= pc && nextPC != f.StartPC {
+	if d.Ctl != translate.CtlNone && nextPC <= pc && nextPC != f.StartPC {
 		c.finish()
 		c.startAt(nextPC)
 		return

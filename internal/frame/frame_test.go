@@ -3,6 +3,7 @@ package frame
 import (
 	"testing"
 
+	"repro/internal/translate"
 	"repro/internal/uop"
 	"repro/internal/workload"
 	"repro/internal/x86"
@@ -12,6 +13,25 @@ func collect(cfg Config) (*Constructor, *[]*Frame) {
 	frames := &[]*Frame{}
 	c := NewConstructor(cfg, func(f *Frame) { *frames = append(*frames, f) })
 	return c, frames
+}
+
+// tables holds the one decode table each test constructor's entries
+// come from.
+var tables = map[*Constructor]*translate.Table{}
+
+// retire feeds c one synthetic instruction through its map-only table,
+// where the PC's first retirement makes its entry.
+func retire(c *Constructor, pc uint32, in x86.Inst, uops []uop.UOp, next uint32, addrs []uint32) {
+	tab := tables[c]
+	if tab == nil {
+		tab = translate.NewTable(0, 0)
+		tables[c] = tab
+	}
+	i := tab.Find(pc)
+	if i < 0 {
+		i = tab.Add(translate.Entry{PC: pc, Inst: in, UOps: uops})
+	}
+	c.Retire(tab.Entry(i), next, addrs)
 }
 
 // feedProfile captures a workload trace and runs it through a constructor.
@@ -90,9 +110,9 @@ func TestBiasPromotion(t *testing.T) {
 	addU := []uop.UOp{{Op: uop.ADD, Dest: uop.EBX, SrcA: uop.EBX, SrcB: uop.RegNone, Imm: 1, WritesFlags: true, KeepCF: true}}
 
 	for i := 0; i < 20; i++ {
-		c.Retire(0x1000, add, addU, 0x1003, nil)
-		c.Retire(0x1003, cmp, cmpU, 0x1006, nil)
-		c.Retire(0x1006, br, brU, 0x1000, nil) // taken every time
+		retire(c, 0x1000, add, addU, 0x1003, nil)
+		retire(c, 0x1003, cmp, cmpU, 0x1006, nil)
+		retire(c, 0x1006, br, brU, 0x1000, nil) // taken every time
 	}
 	c.Flush()
 
@@ -117,6 +137,31 @@ func TestBiasPromotion(t *testing.T) {
 	}
 }
 
+// TestBranchStateOneTable: branch state is kept by entry ID, so a
+// constructor fed a second table's entry whose ID names another PC's
+// branch panics instead of mixing the two branches' state.
+func TestBranchStateOneTable(t *testing.T) {
+	br := x86.Inst{Op: x86.OpJCC, Cond: x86.CondE, Dst: x86.ImmOp(-5), Len: 2}
+	brU := []uop.UOp{{Op: uop.BR, Cond: x86.CondE}}
+	c, _ := collect(DefaultConfig())
+	var entries []*translate.Entry
+	for _, pc := range []uint32{0x1000, 0x2000} {
+		tab := translate.NewTable(0, 0)
+		entries = append(entries, tab.Entry(tab.Add(translate.Entry{PC: pc, Inst: br, UOps: brU})))
+	}
+	if entries[0].ID != entries[1].ID {
+		t.Fatalf("entry IDs %d and %d; the test needs one ID at two PCs", entries[0].ID, entries[1].ID)
+	}
+	c.Retire(entries[0], 0x0ffd, nil)
+	c.Retire(entries[0], 0x0ffd, nil) // the same entry again is fine
+	defer func() {
+		if recover() == nil {
+			t.Error("an entry of a second table reused another PC's branch state without a panic")
+		}
+	}()
+	c.Retire(entries[1], 0x1ffd, nil)
+}
+
 // TestIndirectStability: stable indirect targets become CASSERTs; unstable
 // ones terminate frames.
 func TestIndirectStability(t *testing.T) {
@@ -131,9 +176,9 @@ func TestIndirectStability(t *testing.T) {
 
 	for i := 0; i < 12; i++ {
 		for k := 0; k < 4; k++ {
-			c.Retire(0x2000+uint32(3*k), add, addU, 0x2000+uint32(3*k)+3, nil)
+			retire(c, 0x2000+uint32(3*k), add, addU, 0x2000+uint32(3*k)+3, nil)
 		}
-		c.Retire(0x200C, jr, jrU, 0x2000, nil) // always the same target
+		retire(c, 0x200C, jr, jrU, 0x2000, nil) // always the same target
 	}
 	c.Flush()
 

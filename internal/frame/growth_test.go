@@ -144,7 +144,7 @@ func TestFinishAlignedCutsAtLoopClosure(t *testing.T) {
 	total := 0
 	for total < cfg.MaxUOps+5 {
 		for k := 0; k < loop.NumX86; k++ {
-			c.Retire(loop.PCs[k], add, uops, loop.NextPCs[k], nil)
+			retire(c, loop.PCs[k], add, uops, loop.NextPCs[k], nil)
 			total++
 		}
 	}

@@ -40,12 +40,13 @@ func buildCallFrame(t *testing.T) *frame.Frame {
 	cons := frame.NewConstructor(cfg, func(f *frame.Frame) { out = f })
 
 	const sp = uint32(0x9_0000)
+	tab := translate.NewTable(0, 0)
 	feed := func(in x86.Inst, pc, next uint32, addrs ...uint32) {
 		uops, err := translate.UOps(in, pc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cons.Retire(pc, in, uops, next, addrs)
+		cons.Retire(tab.Entry(tab.Add(translate.Entry{PC: pc, Inst: in, UOps: uops})), next, addrs)
 	}
 	feed(call, 0x1000, fPC, sp-4)                   // pushes 0x1005
 	feed(addEAX, fPC, fPC+uint32(addEAX.Len))       // callee body

@@ -64,6 +64,7 @@ func buildFigure2Frame(t *testing.T) *frame.Frame {
 	cfg.TargetThreshold = 1
 	var frames []*frame.Frame
 	c := frame.NewConstructor(cfg, func(f *frame.Frame) { frames = append(frames, f) })
+	tab := translate.NewTable(0, 0)
 
 	esp := S
 	for i, in := range insts {
@@ -97,7 +98,7 @@ func buildFigure2Frame(t *testing.T) *frame.Frame {
 			esp += 4
 			next = K
 		}
-		c.Retire(pcs[i], in, uops, next, addrs)
+		c.Retire(tab.Entry(tab.Add(translate.Entry{PC: pcs[i], Inst: in, UOps: uops})), next, addrs)
 	}
 	c.Flush()
 

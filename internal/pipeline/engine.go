@@ -8,13 +8,34 @@ import (
 	"repro/internal/opt"
 	"repro/internal/predict"
 	"repro/internal/tracing"
+	"repro/internal/translate"
 	"repro/internal/uop"
 	"repro/internal/x86"
 )
 
-// Slot is one retired x86 instruction offered to the timing model: its
-// decoded form, micro-op flow, dynamic successor and memory addresses
-// (in flow order).
+// Rec is one retired x86 instruction as the engine holds it: the
+// decode-table entry its PC shares with every other retirement of it,
+// and its own dynamic successor and memory addresses (in flow order).
+type Rec struct {
+	*translate.Entry
+	NextPC   uint32
+	MemAddrs []uint32
+}
+
+// Taken reports whether the instruction redirected control flow.
+func (r *Rec) Taken() bool { return r.NextPC != r.PC+uint32(r.Inst.Len) }
+
+// Source supplies the correct-path instruction stream as records. All
+// of a source's entries come from one decode table.
+type Source interface {
+	// NextInto overwrites every field of r with the next retired
+	// instruction, or returns false at the end.
+	NextInto(r *Rec) bool
+}
+
+// Slot is one retired x86 instruction in the by-value form a Stream
+// offers: its decoded form, micro-op flow, dynamic successor and memory
+// addresses (in flow order).
 type Slot struct {
 	PC       uint32
 	Inst     x86.Inst
@@ -23,52 +44,55 @@ type Slot struct {
 	MemAddrs []uint32
 }
 
-// Taken reports whether the instruction redirected control flow.
-func (s *Slot) Taken() bool { return s.NextPC != s.PC+uint32(s.Inst.Len) }
-
-// Stream supplies the correct-path instruction stream.
+// Stream supplies the correct-path instruction stream as slots.
 type Stream interface {
 	// Next returns the next retired instruction, or ok=false at the end.
 	Next() (Slot, bool)
 }
 
-// slotFiller is a Stream that decodes its next slot straight into the
-// engine's storage, sparing the copy of Next's by-value result. Streams
-// without NextInto are wrapped in nextAdapter.
-type slotFiller interface {
-	// NextInto overwrites every field of s with the next retired
-	// instruction, or returns false at the end.
-	NextInto(s *Slot) bool
+// nextAdapter is the Source over a Stream: each PC's first slot makes
+// its entry in a map-only table, which every later slot at the PC
+// shares.
+type nextAdapter struct {
+	src Stream
+	tab *translate.Table
 }
 
-type nextAdapter struct{ Stream }
-
-func (a nextAdapter) NextInto(s *Slot) (ok bool) {
-	*s, ok = a.Next()
-	return ok
+func (a *nextAdapter) NextInto(r *Rec) bool {
+	s, ok := a.src.Next()
+	if !ok {
+		return false
+	}
+	i := a.tab.Find(s.PC)
+	if i < 0 {
+		i = a.tab.Add(translate.Entry{PC: s.PC, Inst: s.Inst, UOps: s.UOps})
+	}
+	r.Entry, r.NextPC, r.MemAddrs = a.tab.Entry(i), s.NextPC, s.MemAddrs
+	return true
 }
 
 // Engine is the cycle-level timing model.
 type Engine struct {
 	cfg  Config
 	mode Mode
-	src  slotFiller
+	src  Source
 
-	// The stream's slots, decoded in place into a head-indexed deque:
-	// consumption advances pendingLo, and a slot stays where it was
-	// decoded until pull rewinds the drained deque (see peek and pull).
-	pending   []Slot
+	// The stream's records, filled in place into a head-indexed deque:
+	// consumption advances pendingLo, and a record stays where it was
+	// filled until pull rewinds the drained deque (see peek and pull).
+	pending   []Rec
 	pendingLo int
 
 	cycle uint64
 	stats Stats
 	base  Stats // snapshot at ResetStats
 
-	// Dataflow state: availability time of each architectural register.
-	archReady [uop.NumRegs]uint64
+	// Dataflow state: availability time of each architectural register,
+	// laid out as the ready table translate.DispOp indexes.
+	regReady [translate.ReadySlots]uint64
 
-	// Functional units: next-free cycle per unit, per class (see opClass).
-	fu [numClasses][]uint64
+	// Functional units: next-free cycle per unit, per class (uop.Op.Class).
+	fu [uop.NumClasses][]uint64
 
 	// In-order retirement: FIFO of retire times of in-flight micro-ops,
 	// plus a ring of the last Width retire times for the width constraint.
@@ -155,16 +179,19 @@ const (
 	srcFC
 )
 
-// New returns an engine in the given mode over the instruction stream.
+// New returns an engine in the given mode over a slot stream, read
+// through nextAdapter.
 func New(cfg Config, mode Mode, src Stream) *Engine {
-	fill, ok := src.(slotFiller)
-	if !ok {
-		fill = nextAdapter{src}
-	}
+	return NewFrom(cfg, mode, &nextAdapter{src: src, tab: translate.NewTable(0, 0)})
+}
+
+// NewFrom returns an engine in the given mode over the instruction
+// stream.
+func NewFrom(cfg Config, mode Mode, src Source) *Engine {
 	e := &Engine{
 		cfg:        cfg,
 		mode:       mode,
-		src:        fill,
+		src:        src,
 		icache:     cache.New(cfg.ICacheBytes, cfg.LineBytes, 2),
 		l1d:        cache.New(cfg.L1DBytes, cfg.LineBytes, 4),
 		l2:         cache.New(cfg.L2Bytes, cfg.LineBytes, 8),
@@ -175,9 +202,9 @@ func New(cfg Config, mode Mode, src Stream) *Engine {
 		retireRing: make([]uint64, cfg.Width),
 		insertedAt: make(map[uint32]uint64),
 	}
-	e.fu[classSimple] = make([]uint64, cfg.SimpleALUs)
-	e.fu[classComplex] = make([]uint64, cfg.ComplexALUs)
-	e.fu[classLSU] = make([]uint64, cfg.LSUs)
+	e.fu[uop.ClassSimple] = make([]uint64, cfg.SimpleALUs)
+	e.fu[uop.ClassComplex] = make([]uint64, cfg.ComplexALUs)
+	e.fu[uop.ClassLSU] = make([]uint64, cfg.LSUs)
 	switch mode {
 	case ModeRePLay, ModeRePLayOpt:
 		e.frames = cache.NewUOpCache[*cachedFrame](cfg.FrameCacheUOps)
@@ -211,6 +238,30 @@ func (e *Engine) recycleFrame(c *cachedFrame) {
 	putEntry(c)
 }
 
+// Close returns the constructor frames the engine still holds — cached,
+// queued for or in the optimizer — to the frame pool, for the next
+// engine's constructor. Their optimized forms and programs are left to
+// the collector: pooled too, they stayed live across a GC cycle for few
+// reuses. Call Close once the run's Stats are read; the engine must not
+// run again.
+func (e *Engine) Close() {
+	if e.frames == nil {
+		return
+	}
+	for pc := range e.insertedAt {
+		if c, ok := e.frames.Lookup(pc); ok {
+			frame.PutFrame(c.of.Source)
+		}
+	}
+	for _, p := range e.optPending {
+		frame.PutFrame(p.of.Source)
+	}
+	for _, f := range e.optQueue {
+		frame.PutFrame(f)
+	}
+	e.optPending, e.optQueue = nil, nil
+}
+
 // snapshotStats copies the full running totals, including the clock and
 // the counters kept by the frame constructor.
 func (e *Engine) snapshotStats() Stats {
@@ -242,33 +293,33 @@ func (e *Engine) ResetStats() {
 
 // peek returns the next correct-path instruction without consuming it,
 // or nil at the end of the stream. The pointer is valid until the next
-// peek, which may pull and so move the deque. The slot itself stays in
+// peek, which may pull and so move the deque. The record itself stays in
 // place until the drained deque is rewound (see pull): a caller may read
-// the slot it just consumed until it peeks again, and fetchFrame may
-// read every slot from its frame's start up to the head until it
+// the record it just consumed until it peeks again, and fetchFrame may
+// read every record from its frame's start up to the head until it
 // returns.
-func (e *Engine) peek() *Slot {
+func (e *Engine) peek() *Rec {
 	if e.pendingLo < len(e.pending) {
 		return &e.pending[e.pendingLo]
 	}
 	return e.pull()
 }
 
-// pull decodes the stream's next slot into the drained deque. Outside a
+// pull fills the stream's next record into the drained deque. Outside a
 // frame fetch the deque is first rewound, so the backing array is
-// reused; during one it only grows, keeping the frame's slots in place
+// reused; during one it only grows, keeping the frame's records in place
 // until fetchFrame returns. It is kept out of peek so that peek inlines
 // at its call sites.
-func (e *Engine) pull() *Slot {
+func (e *Engine) pull() *Rec {
 	if e.activeSrc == nil {
 		e.pending, e.pendingLo = e.pending[:0], 0
 	}
-	// Extend without zeroing the slot: NextInto overwrites every field.
+	// Extend without zeroing the record: NextInto overwrites every field.
 	n := len(e.pending)
 	if n < cap(e.pending) {
 		e.pending = e.pending[:n+1]
 	} else {
-		e.pending = append(e.pending, Slot{})
+		e.pending = append(e.pending, Rec{})
 	}
 	s := &e.pending[n]
 	if !e.src.NextInto(s) {
@@ -389,24 +440,20 @@ func (e *Engine) loadLatency(addr uint32, issueAt uint64) uint64 {
 	return issueAt + uint64(e.cfg.MemLat)
 }
 
-// dispatch models one decoded-path micro-op; see dispatchOp.
-func (e *Engine) dispatch(op uop.Op, ready uint64, fetchAt uint64, memAddr uint32, hasAddr bool) uint64 {
-	return e.dispatchOp(e.fu[opClass(op)], opLatency(op), opFlags(op), ready, fetchAt, memAddr, hasAddr)
-}
-
 // dispatchOp models one micro-op: rename, schedule, execute, retire.
 // units are its class's functional units, lat its execution latency and
-// flags its opFlags; ready is the dataflow availability of its sources,
-// fetchAt the cycle it was fetched. Returns the completion (writeback)
-// time. Both fetch paths run this one body: the decoded path through
-// dispatch, the frame path with the facts its program compiled.
+// flags its dispatch flags; ready is the dataflow availability of its
+// sources, fetchAt the cycle it was fetched. Returns the completion
+// (writeback) time. Both fetch paths run this one body with the facts
+// compiled for them: the decoded path its entry's Ops, the frame path
+// its program.
 func (e *Engine) dispatchOp(units []uint64, lat uint64, flags uint8, ready, fetchAt uint64, memAddr uint32, hasAddr bool) uint64 {
 	earliest := fetchAt + uint64(e.cfg.FrontLatency)
 	if ready < earliest {
 		ready = earliest
 	}
 	unit, issueAt := fuPick(units, ready)
-	if flags&flagControl != 0 {
+	if flags&uop.FlagControl != 0 {
 		// Deep pipe: a control micro-op cannot resolve before the minimum
 		// branch resolution depth.
 		if min := fetchAt + uint64(e.cfg.MinBranchResolve); issueAt < min {
@@ -417,9 +464,9 @@ func (e *Engine) dispatchOp(units []uint64, lat uint64, flags uint8, ready, fetc
 
 	var doneAt uint64
 	switch {
-	case flags&flagLoad != 0 && hasAddr:
+	case flags&uop.FlagLoad != 0 && hasAddr:
 		doneAt = e.loadLatency(memAddr, issueAt)
-	case flags&flagStore != 0:
+	case flags&uop.FlagStore != 0:
 		doneAt = issueAt + 1
 		if hasAddr {
 			e.l1d.Access(memAddr)
@@ -449,19 +496,20 @@ func (e *Engine) dispatchOp(units []uint64, lat uint64, flags uint8, ready, fetc
 	return doneAt
 }
 
-// issueSlot dispatches a decoded-path instruction's micro-ops in a
-// fetch group that left the front end at fetchAt, pairing memory
-// micro-ops with the slot's addresses in order, then retires it: the
+// issueSlot dispatches a decoded-path instruction's compiled micro-ops
+// in a fetch group that left the front end at fetchAt, pairing memory
+// micro-ops with the record's addresses in order, then retires it: the
 // committed-path accounting (fromTrace marks trace-cache coverage), the
 // probe, and the frame constructor or trace fill unit. It returns the
 // completion time of the instruction's control micro-op, which is when
 // a misprediction resolves.
-func (e *Engine) issueSlot(s *Slot, fetchAt uint64, fromTrace bool) (brDone uint64) {
-	mi, loads := 0, 0
-	for _, u := range s.UOps {
+func (e *Engine) issueSlot(s *Rec, fetchAt uint64, fromTrace bool) (brDone uint64) {
+	mi := 0
+	ready := &e.regReady
+	for _, o := range s.Ops {
 		var addr uint32
 		hasAddr := false
-		if u.Op.IsMem() {
+		if o.Flags&(uop.FlagLoad|uop.FlagStore) != 0 {
 			if mi < len(s.MemAddrs) {
 				addr = s.MemAddrs[mi]
 				hasAddr = true
@@ -469,46 +517,30 @@ func (e *Engine) issueSlot(s *Slot, fetchAt uint64, fromTrace bool) (brDone uint
 			mi++
 		}
 		// Dataflow through the arch-register scoreboard.
-		var ready uint64
-		if u.UsesSrcA() {
-			ready = max(ready, e.archReady[u.SrcA])
-		}
-		if u.UsesSrcB() {
-			ready = max(ready, e.archReady[u.SrcB])
-		}
-		if u.ReadsFlags() {
-			ready = max(ready, e.archReady[uop.FLAGS])
-		}
-		done := e.dispatch(u.Op, ready, fetchAt, addr, hasAddr)
-		if d := u.DestReg(); d != uop.RegNone {
-			e.archReady[d] = done
-		}
-		if u.WritesFlags {
-			e.archReady[uop.FLAGS] = done
-		}
-		if u.Op.IsControl() {
+		r := max(ready[o.SrcA], ready[o.SrcB], ready[o.SrcF])
+		done := e.dispatchOp(e.fu[o.Class], uint64(o.Lat), o.Flags, r, fetchAt, addr, hasAddr)
+		ready[o.Dst] = done
+		ready[o.DstF] = done
+		if o.Flags&uop.FlagControl != 0 {
 			brDone = done
-		}
-		if u.Op == uop.LOAD {
-			loads++
 		}
 	}
 	// Every micro-op of a decoded-path instruction executes, so the
 	// retired and baseline counts agree.
-	n := uint64(len(s.UOps))
+	n := uint64(len(s.Ops))
 	e.stats.X86Retired++
 	e.stats.UOpsRetired += n
-	e.stats.LoadsRetired += uint64(loads)
+	e.stats.LoadsRetired += uint64(s.Loads)
 	e.stats.UOpsBaseline += n
-	e.stats.LoadsBaseline += uint64(loads)
+	e.stats.LoadsBaseline += uint64(s.Loads)
 	if fromTrace {
 		e.stats.CoveredBaseline += n
 	}
 	if e.probe != nil {
-		e.probe.SlotRetired(s, fromTrace, len(s.UOps))
+		e.probe.SlotRetired(s, fromTrace, len(s.Ops))
 	}
 	if e.cons != nil {
-		e.cons.Retire(s.PC, s.Inst, s.UOps, s.NextPC, s.MemAddrs)
+		e.cons.Retire(s.Entry, s.NextPC, s.MemAddrs)
 	}
 	if e.fill != nil {
 		e.fillTrace(s)
@@ -655,32 +687,29 @@ func (e *Engine) fetchICache() {
 // inside a committed frame. Frame-internal control needs no prediction,
 // but training at retirement keeps the predictors consistent for the
 // decoded path (as retirement-trained hardware predictors are).
-func (e *Engine) trainPredictors(s *Slot) {
-	switch s.Inst.Op {
-	case x86.OpJCC:
+func (e *Engine) trainPredictors(s *Rec) {
+	switch s.Ctl {
+	case translate.CtlCond:
 		e.gshare.Update(s.PC, s.Taken())
-	case x86.OpCALL:
+	case translate.CtlCall:
 		e.ras.Push(s.PC + uint32(s.Inst.Len))
-		if s.Inst.Dst.Kind != x86.KindImm {
-			e.btb.Update(s.PC, s.NextPC)
-		}
-	case x86.OpJMP:
-		if s.Inst.Dst.Kind != x86.KindImm {
-			e.btb.Update(s.PC, s.NextPC)
-		}
-	case x86.OpRET:
+	case translate.CtlCallInd:
+		e.ras.Push(s.PC + uint32(s.Inst.Len))
+		e.btb.Update(s.PC, s.NextPC)
+	case translate.CtlJumpInd:
+		e.btb.Update(s.PC, s.NextPC)
+	case translate.CtlRet:
 		e.ras.Pop()
 	}
 }
 
 // handleControl models prediction for a decoded-path instruction and
 // returns whether the fetch group must end.
-func (e *Engine) handleControl(s *Slot, resolveAt uint64) bool {
+func (e *Engine) handleControl(s *Rec, resolveAt uint64) bool {
 	e.profAt(s.PC) // mispredict-recovery stalls belong to the branch
-	in := s.Inst
-	actualTaken := s.Taken()
-	switch in.Op {
-	case x86.OpJCC:
+	switch s.Ctl {
+	case translate.CtlCond:
+		actualTaken := s.Taken()
 		e.stats.CondBranches++
 		pred := e.gshare.Predict(s.PC)
 		e.gshare.Update(s.PC, actualTaken)
@@ -700,11 +729,11 @@ func (e *Engine) handleControl(s *Slot, resolveAt uint64) bool {
 			return true // group ends at a taken branch
 		}
 		return false
-	case x86.OpJMP, x86.OpCALL:
-		if in.Op == x86.OpCALL {
-			e.ras.Push(s.PC + uint32(in.Len))
+	case translate.CtlJump, translate.CtlCall, translate.CtlJumpInd, translate.CtlCallInd:
+		if s.Ctl.IsCall() {
+			e.ras.Push(s.PC + uint32(s.Inst.Len))
 		}
-		if in.Dst.Kind == x86.KindImm {
+		if !s.Ctl.IsIndirect() {
 			return true // direct: target known at decode
 		}
 		// Indirect: BTB prediction.
@@ -714,7 +743,7 @@ func (e *Engine) handleControl(s *Slot, resolveAt uint64) bool {
 			e.stallUntil(resolveAt, BinMispred)
 		}
 		return true
-	case x86.OpRET:
+	case translate.CtlRet:
 		if e.ras.Pop() != s.NextPC {
 			e.stats.Mispredicts++
 			e.stallUntil(resolveAt, BinMispred)

@@ -41,15 +41,15 @@ func CheckPrograms(e *Engine, errorf func(format string, args ...any)) *ProgramC
 }
 
 // wantClass, wantLatency and wantControl restate the machine's opcode
-// tables independently of opClass, opLatency and opFlags.
+// tables independently of uop.Op.Class, Latency and DispatchFlags.
 func wantClass(op uop.Op) uint8 {
 	switch op {
 	case uop.MULLO, uop.MULHIU, uop.MULHIS, uop.DIVU, uop.REMU, uop.DIVS, uop.REMS:
-		return classComplex
+		return uop.ClassComplex
 	case uop.LOAD, uop.STORE:
-		return classLSU
+		return uop.ClassLSU
 	}
-	return classSimple
+	return uop.ClassSimple
 }
 
 func wantLatency(op uop.Op) uint8 {
@@ -89,11 +89,11 @@ func checkProgram(c *cachedFrame) error {
 			return fmt.Errorf("op %d: Iterate visits an invalid op", i)
 		}
 		control := o.Op.IsControl() || o.Op.IsAssert()
-		if g.class != wantClass(o.Op) || g.lat != wantLatency(o.Op) || (g.flags&flagControl != 0) != control {
+		if g.class != wantClass(o.Op) || g.lat != wantLatency(o.Op) || (g.flags&uop.FlagControl != 0) != control {
 			return fmt.Errorf("op %d (%v): class/latency/control %d/%d/%v, want %d/%d/%v",
-				i, o.Op, g.class, g.lat, g.flags&flagControl != 0, wantClass(o.Op), wantLatency(o.Op), control)
+				i, o.Op, g.class, g.lat, g.flags&uop.FlagControl != 0, wantClass(o.Op), wantLatency(o.Op), control)
 		}
-		if (g.flags&flagLoad != 0) != (o.Op == uop.LOAD) || (g.flags&flagStore != 0) != (o.Op == uop.STORE) {
+		if (g.flags&uop.FlagLoad != 0) != (o.Op == uop.LOAD) || (g.flags&uop.FlagStore != 0) != (o.Op == uop.STORE) {
 			return fmt.Errorf("op %d (%v): flags %#x", i, o.Op, g.flags)
 		}
 		if g.srcA != slot(o.SrcA) || g.srcB != slot(o.SrcB) || g.srcF != slot(o.SrcF) {

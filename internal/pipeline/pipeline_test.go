@@ -3,6 +3,7 @@ package pipeline
 import (
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/translate"
 	"repro/internal/x86"
 )
@@ -265,5 +266,32 @@ func TestStatsReset(t *testing.T) {
 	}
 	if binned != s.Cycles {
 		t.Errorf("post-reset bins %d != cycles %d", binned, s.Cycles)
+	}
+}
+
+// TestCloseRecyclesFrames: the frames an engine still holds when its run
+// ends — cached, or queued for or in the optimizer — reach the frame
+// pool through Close, which nothing else would hand them to. A pooled
+// frame is one PutFrame cleared.
+func TestCloseRecyclesFrames(t *testing.T) {
+	e := New(DefaultConfig(ModeRePLayOpt), ModeRePLayOpt, loopStream(t, 3000, 7))
+	e.Run(30_000)
+	var held []*frame.Frame
+	for pc := range e.insertedAt {
+		c, _ := e.frames.Lookup(pc)
+		held = append(held, c.of.Source)
+	}
+	if len(held) == 0 {
+		t.Fatal("no frame cached at the end of the run")
+	}
+	for _, p := range e.optPending {
+		held = append(held, p.of.Source)
+	}
+	held = append(held, e.optQueue...)
+	e.Close()
+	for _, f := range held {
+		if f.NumX86 != 0 || len(f.UOps) != 0 || len(f.PCs) != 0 {
+			t.Errorf("frame %s was not returned to the pool", f)
+		}
 	}
 }

@@ -22,8 +22,8 @@ type Probe interface {
 	// line; uopsExecuted is the post-optimization micro-op count retired
 	// with the slot (0 on the frame path, whose optimized body arrives in
 	// bulk via FrameRetired). s points into the engine's storage and is
-	// valid only for the call.
-	SlotRetired(s *Slot, fromFrame bool, uopsExecuted int)
+	// valid only for the call; the entry it points to, for the run.
+	SlotRetired(s *Rec, fromFrame bool, uopsExecuted int)
 	// FrameBuilt fires once per frame the constructor deposits (sums to
 	// Stats.FramesConstructed), with its length in micro-ops.
 	FrameBuilt(cycle, id uint64, pc uint32, uops int)
@@ -75,7 +75,7 @@ type Probe interface {
 // override only the events they fold.
 type NopProbe struct{}
 
-func (NopProbe) SlotRetired(*Slot, bool, int)                        {}
+func (NopProbe) SlotRetired(*Rec, bool, int)                         {}
 func (NopProbe) FrameBuilt(uint64, uint64, uint32, int)              {}
 func (NopProbe) FrameHit(uint64, uint64, uint32)                     {}
 func (NopProbe) FrameRetired(uint64, int, bool)                      {}

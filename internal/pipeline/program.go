@@ -5,66 +5,17 @@ import (
 	"sync"
 
 	"repro/internal/opt"
+	"repro/internal/translate"
 	"repro/internal/uop"
 )
-
-// Functional-unit classes, indexing Engine.fu.
-const (
-	classSimple = iota
-	classComplex
-	classLSU
-	numClasses
-)
-
-// Dispatch flags: the per-µop facts dispatch branches on.
-const (
-	flagControl uint8 = 1 << iota // control or assertion: minimum resolution depth
-	flagLoad
-	flagStore
-)
-
-// opClass returns the functional-unit class that executes op.
-func opClass(op uop.Op) uint8 {
-	switch op {
-	case uop.MULLO, uop.MULHIU, uop.MULHIS, uop.DIVU, uop.REMU, uop.DIVS, uop.REMS:
-		return classComplex
-	case uop.LOAD, uop.STORE:
-		return classLSU
-	}
-	return classSimple
-}
-
-func opLatency(op uop.Op) uint64 {
-	switch op {
-	case uop.MULLO, uop.MULHIU, uop.MULHIS:
-		return 4
-	case uop.DIVU, uop.REMU, uop.DIVS, uop.REMS:
-		return 20
-	}
-	return 1
-}
-
-func opFlags(op uop.Op) uint8 {
-	var f uint8
-	if op.IsControl() || op.IsAssert() {
-		f |= flagControl
-	}
-	switch op {
-	case uop.LOAD:
-		f |= flagLoad
-	case uop.STORE:
-		f |= flagStore
-	}
-	return f
-}
 
 // The ready table a frame fetch reads its sources from: slot 0 is always
 // zero (an absent source, or one produced by an invalid or not yet
 // issued op), the next uop.NumRegs slots hold the live-in architectural
-// registers, and readyOps+p holds the completion time of the program's
-// p-th µop.
+// registers, laid out as in the decoded path's table (Engine.regReady),
+// and readyOps+p holds the completion time of the program's p-th µop.
 const (
-	readyLiveIn = 1
+	readyLiveIn = translate.ReadyRegs
 	readyOps    = readyLiveIn + uop.NumRegs
 )
 
@@ -135,7 +86,7 @@ func (e *Engine) compileFrame(of *opt.OptFrame) *cachedFrame {
 		c.prog = append(c.prog, progOp{
 			srcA: ref(o.SrcA), srcB: ref(o.SrcB), srcF: ref(o.SrcF),
 			instIdx: o.InstIdx, profAddr: o.ProfAddr, memSub: o.MemSub,
-			lat: uint8(opLatency(o.Op)), class: opClass(o.Op), flags: opFlags(o.Op),
+			lat: o.Op.Latency(), class: o.Op.Class(), flags: o.Op.DispatchFlags(),
 		})
 		pos[i] = int32(len(c.prog))
 		if o.Op == uop.LOAD {

@@ -10,19 +10,19 @@ import (
 	"repro/internal/workload"
 )
 
-// recordingStream replays a recording as a pipeline.Stream.
+// recordingStream replays a recording as a pipeline.Source.
 type recordingStream struct {
 	rec *translate.Recording
 	pos int
 }
 
-func (r *recordingStream) Next() (pipeline.Slot, bool) {
+func (r *recordingStream) NextInto(s *pipeline.Rec) bool {
 	if r.pos >= r.rec.Len() {
-		return pipeline.Slot{}, false
+		return false
 	}
-	d, nextPC, addrs := r.rec.At(r.pos)
+	s.Entry, s.NextPC, s.MemAddrs = r.rec.At(r.pos)
 	r.pos++
-	return pipeline.Slot{PC: d.PC, Inst: d.Inst, UOps: d.UOps, NextPC: nextPC, MemAddrs: addrs}, true
+	return true
 }
 
 // TestFramePrograms verifies the dispatch program of every frame that
@@ -45,7 +45,7 @@ func TestFramePrograms(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%v/resched=%v", p.Name, mode, rs), func(t *testing.T) {
 					cfg := pipeline.DefaultConfig(mode)
 					cfg.OptReschedule = rs
-					eng := pipeline.New(cfg, mode, &recordingStream{rec: rec})
+					eng := pipeline.NewFrom(cfg, mode, &recordingStream{rec: rec})
 					check := pipeline.CheckPrograms(eng, t.Errorf)
 					eng.Run(insts)
 					if check.Entries == 0 {

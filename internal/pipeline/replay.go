@@ -3,7 +3,6 @@ package pipeline
 import (
 	"repro/internal/frame"
 	"repro/internal/opt"
-	"repro/internal/uop"
 )
 
 // depositFrame receives completed frames from the constructor. In RPO
@@ -196,13 +195,13 @@ func (e *Engine) runFrame(c *cachedFrame) {
 	if e.probe != nil {
 		e.probe.FrameHit(e.cycle, src.ID, src.StartPC)
 	}
-	savedArch := e.archReady
+	savedArch := e.regReady
 
 	// Dispatch the program, Width micro-ops per fetch cycle. The ready
 	// table (see readyOps) is engine scratch whose slot 0 is never
-	// written. Its live-in section is a copy of archReady taken here,
+	// written. Its live-in section is a copy of regReady taken here,
 	// which stays exact for the whole dispatch loop: nothing writes
-	// archReady while a frame dispatches (commit's live-out updates come
+	// regReady while a frame dispatches (commit's live-out updates come
 	// after). Its op section needs no clearing, since a source only
 	// reads the slot of an op issued earlier in this same loop.
 	n := readyOps + len(c.prog)
@@ -210,7 +209,7 @@ func (e *Engine) runFrame(c *cachedFrame) {
 		e.scratchReady = make([]uint64, n)
 	}
 	ready := e.scratchReady[:n]
-	copy(ready[readyLiveIn:readyOps], e.archReady[:])
+	copy(ready[readyLiveIn:readyOps], e.regReady[readyLiveIn:readyOps])
 	var maxDone uint64
 	fetchAt := e.cycle
 	groupLeft := 0
@@ -297,7 +296,7 @@ func (e *Engine) runFrame(c *cachedFrame) {
 			}
 			e.growCap[src.StartPC] = cap
 		}
-		e.archReady = savedArch
+		e.regReady = savedArch
 		e.pendingLo = lo
 		e.recoverSlots = len(consumed)
 		if e.probe != nil {
@@ -314,17 +313,11 @@ func (e *Engine) runFrame(c *cachedFrame) {
 	}
 	for k := range consumed {
 		s := &consumed[k]
+		n := uint64(len(s.Ops))
 		e.stats.X86Retired++
-		base, loads := 0, 0
-		base = len(s.UOps)
-		for _, u := range s.UOps {
-			if u.Op == uop.LOAD {
-				loads++
-			}
-		}
-		e.stats.UOpsBaseline += uint64(base)
-		e.stats.LoadsBaseline += uint64(loads)
-		e.stats.CoveredBaseline += uint64(base)
+		e.stats.UOpsBaseline += n
+		e.stats.LoadsBaseline += uint64(s.Loads)
+		e.stats.CoveredBaseline += n
 		if e.probe != nil {
 			e.probe.SlotRetired(s, true, 0)
 		}
@@ -360,7 +353,7 @@ func (e *Engine) runFrame(c *cachedFrame) {
 
 	// Live-out scoreboard updates.
 	for _, l := range c.liveOuts {
-		e.archReady[l.reg] = ready[l.ready]
+		e.regReady[readyLiveIn+int(l.reg)] = ready[l.ready]
 	}
 }
 
@@ -368,7 +361,7 @@ func (e *Engine) runFrame(c *cachedFrame) {
 // memSub-th transaction of the instIdx-th consumed instruction, or,
 // beyond the divergence point, the profile address prof. ok is false
 // for an op that accesses no memory (memSub < 0) or has no address.
-func memAddr(consumed []Slot, instIdx int32, memSub int8, prof uint32) (addr uint32, ok bool) {
+func memAddr(consumed []Rec, instIdx int32, memSub int8, prof uint32) (addr uint32, ok bool) {
 	if memSub < 0 {
 		return 0, false
 	}

@@ -1,15 +1,11 @@
 package pipeline
 
-import (
-	"repro/internal/uop"
-	"repro/internal/x86"
-)
+import "repro/internal/translate"
 
 // traceInst is one instruction of a trace-cache entry.
 type traceInst struct {
 	PC     uint32
 	NextPC uint32 // path successor at fill time
-	UOps   []uop.UOp
 }
 
 // traceEntry is a trace-cache line: a decoded instruction sequence with
@@ -32,23 +28,14 @@ type traceFill struct {
 }
 
 // fillTrace offers one retired instruction to the fill unit.
-func (e *Engine) fillTrace(s *Slot) {
+func (e *Engine) fillTrace(s *Rec) {
 	f := e.fill
-	f.insts = append(f.insts, traceInst{PC: s.PC, NextPC: s.NextPC, UOps: s.UOps})
+	f.insts = append(f.insts, traceInst{PC: s.PC, NextPC: s.NextPC})
 	f.nuops += len(s.UOps)
-	terminate := false
-	switch s.Inst.Op {
-	case x86.OpJCC:
+	terminate := s.Ctl.IsIndirect()
+	if s.Ctl == translate.CtlCond {
 		f.branches++
-		if f.branches >= e.cfg.TraceMaxBranches {
-			terminate = true
-		}
-	case x86.OpRET:
-		terminate = true
-	case x86.OpJMP, x86.OpCALL:
-		if s.Inst.Dst.Kind != x86.KindImm {
-			terminate = true
-		}
+		terminate = f.branches >= e.cfg.TraceMaxBranches
 	}
 	if f.nuops >= e.cfg.TraceMaxUOps {
 		terminate = true
@@ -106,8 +93,8 @@ func (e *Engine) fetchTraceEntry(tr *traceEntry) {
 		// predicted taken branch does not end fetch — the target's code is
 		// inline in the trace. Fetch stops at mispredictions and where the
 		// live path leaves the filled path.
-		switch s.Inst.Op {
-		case x86.OpJCC:
+		switch s.Ctl {
+		case translate.CtlCond:
 			e.stats.CondBranches++
 			pred := e.gshare.Predict(s.PC)
 			actual := s.Taken()
@@ -117,17 +104,17 @@ func (e *Engine) fetchTraceEntry(tr *traceEntry) {
 				e.stallUntil(brDone, BinMispred)
 				return
 			}
-		case x86.OpCALL, x86.OpJMP, x86.OpRET:
-			if s.Inst.Op == x86.OpCALL {
+		case translate.CtlJump, translate.CtlCall, translate.CtlJumpInd, translate.CtlCallInd, translate.CtlRet:
+			if s.Ctl.IsCall() {
 				e.ras.Push(s.PC + uint32(s.Inst.Len))
 			}
-			if s.Inst.Op == x86.OpRET {
+			if s.Ctl == translate.CtlRet {
 				if e.ras.Pop() != s.NextPC {
 					e.stats.Mispredicts++
 					e.stallUntil(brDone, BinMispred)
 					return
 				}
-			} else if s.Inst.Dst.Kind != x86.KindImm {
+			} else if s.Ctl.IsIndirect() {
 				if tgt, ok := e.btb.Lookup(s.PC); !ok || tgt != s.NextPC {
 					e.stats.BTBMisses++
 					e.btb.Update(s.PC, s.NextPC)

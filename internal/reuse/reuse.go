@@ -24,8 +24,8 @@ package reuse
 
 import (
 	"repro/internal/pipeline"
+	"repro/internal/translate"
 	"repro/internal/uop"
-	"repro/internal/x86"
 )
 
 // Class buckets micro-ops by what kind of work they do; the class mix
@@ -196,7 +196,7 @@ type LoopStack struct {
 // the loops whose body no longer holds the PC, charges the slot's
 // micro-ops to the innermost live loop, then applies the instruction's
 // control effects.
-func (ls *LoopStack) Retire(s *pipeline.Slot) {
+func (ls *LoopStack) Retire(s *pipeline.Rec) {
 	pc := s.PC
 	// Leave loops whose body no longer contains the PC at the call depth
 	// they were entered at.
@@ -218,10 +218,10 @@ func (ls *LoopStack) Retire(s *pipeline.Slot) {
 	// Control effects happen on the way out: the call depth changes
 	// after the instruction retires, and a taken backward branch closes
 	// an iteration at the depth the instruction executed at.
-	switch s.Inst.Op {
-	case x86.OpCALL:
+	switch {
+	case s.Ctl.IsCall():
 		ls.callDepth++
-	case x86.OpRET:
+	case s.Ctl == translate.CtlRet:
 		if ls.callDepth > 0 {
 			ls.callDepth--
 		}
@@ -321,7 +321,7 @@ func NewDetector(loops *LoopStack) *Detector { return &Detector{LoopStack: loops
 // SlotRetired attributes one retired instruction. fromFrame marks slots
 // retired through a committed frame or trace-cache line; uopsExecuted
 // is the post-optimization micro-op count retired with the slot.
-func (d *Detector) SlotRetired(s *pipeline.Slot, fromFrame bool, uopsExecuted int) {
+func (d *Detector) SlotRetired(s *pipeline.Rec, fromFrame bool, uopsExecuted int) {
 	b := &d.buckets[BucketOf(d.ExecDepth())]
 	b.X86++
 	n := uint64(len(s.UOps))

@@ -4,29 +4,31 @@ import (
 	"testing"
 
 	"repro/internal/pipeline"
+	"repro/internal/translate"
 	"repro/internal/uop"
 	"repro/internal/x86"
 )
 
 // slot builds one synthetic retired instruction: a 4-byte instruction
 // at pc with dynamic successor next and the given micro-op flow.
-func slot(pc, next uint32, op x86.Op, uops ...uop.Op) pipeline.Slot {
+func slot(pc, next uint32, op x86.Op, uops ...uop.Op) pipeline.Rec {
 	us := make([]uop.UOp, len(uops))
 	for i, o := range uops {
 		us[i] = uop.UOp{Op: o}
 	}
-	return pipeline.Slot{PC: pc, Inst: x86.Inst{Op: op, Len: 4}, NextPC: next, UOps: us}
+	in := x86.Inst{Op: op, Len: 4}
+	return pipeline.Rec{Entry: &translate.Entry{PC: pc, Ctl: translate.ControlOf(&in), Inst: in, UOps: us}, NextPC: next}
 }
 
 // retire advances the detector's loop stack past the slot, then hands
 // the slot to the detector: the order an engine's probe fan-out uses.
-func retire(d *Detector, s pipeline.Slot) {
+func retire(d *Detector, s pipeline.Rec) {
 	d.Retire(&s)
 	d.SlotRetired(&s, false, len(s.UOps))
 }
 
 // feed retires the slots through a fresh detector.
-func feed(slots []pipeline.Slot) *Detector {
+func feed(slots []pipeline.Rec) *Detector {
 	d := NewDetector(&LoopStack{})
 	for i := range slots {
 		retire(d, slots[i])
@@ -35,7 +37,7 @@ func feed(slots []pipeline.Slot) *Detector {
 }
 
 // straight appends a run of fall-through ALU instructions [start, end).
-func straight(slots []pipeline.Slot, start, end uint32) []pipeline.Slot {
+func straight(slots []pipeline.Rec, start, end uint32) []pipeline.Rec {
 	for pc := start; pc < end; pc += 4 {
 		slots = append(slots, slot(pc, pc+4, x86.OpADD, uop.ADD))
 	}
@@ -67,7 +69,7 @@ func TestDetectorStraightLine(t *testing.T) {
 // singleLoop builds: 2 straight instructions, then `trips` executions
 // of a 3-instruction body (0x10 alu, 0x14 load, 0x18 jcc back to 0x10;
 // the last execution falls through), then 2 straight instructions.
-func singleLoop(trips int) []pipeline.Slot {
+func singleLoop(trips int) []pipeline.Rec {
 	slots := straight(nil, 0, 8)
 	for i := 0; i < trips; i++ {
 		next := uint32(0x10)
@@ -131,7 +133,7 @@ func TestDetectorSingleLoop(t *testing.T) {
 // activation, with pinned nesting depths and trip counts.
 func TestDetectorNestedLoops(t *testing.T) {
 	const outerTrips, innerTrips = 3, 4
-	var slots []pipeline.Slot
+	var slots []pipeline.Rec
 	for o := 0; o < outerTrips; o++ {
 		slots = append(slots,
 			slot(0x10, 0x14, x86.OpADD, uop.ADD),
@@ -200,7 +202,7 @@ func TestDetectorNestedLoops(t *testing.T) {
 // instructions after the exit attribute as straight-line.
 func TestDetectorEarlyExit(t *testing.T) {
 	const fullTrips = 3
-	var slots []pipeline.Slot
+	var slots []pipeline.Rec
 	for i := 0; i < fullTrips; i++ {
 		slots = append(slots,
 			slot(0x10, 0x14, x86.OpADD, uop.ADD),
@@ -243,7 +245,7 @@ func TestDetectorEarlyExit(t *testing.T) {
 // attributes at the loop's depth.
 func TestDetectorLoopWithCall(t *testing.T) {
 	const trips = 3
-	var slots []pipeline.Slot
+	var slots []pipeline.Rec
 	for i := 0; i < trips; i++ {
 		next := uint32(0x10)
 		if i == trips-1 {

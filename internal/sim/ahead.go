@@ -2,7 +2,6 @@ package sim
 
 import (
 	"repro/internal/pipeline"
-	"repro/internal/translate"
 )
 
 // Run-ahead: the live interpreter stream on a goroutine of its own. The
@@ -19,23 +18,15 @@ const (
 	aheadChunks = 4
 )
 
-// aheadRec is one retired instruction as the producer records it: its
-// decode-table entry, its dynamic successor and its memory addresses.
-// Decode entries are never written once added, so the pointer stays
-// valid (and race-free to read) after the table's backing array grows;
-// the addresses alias the interpreter's never-reused arena.
-type aheadRec struct {
-	d      *translate.Entry
-	nextPC uint32
-	addrs  []uint32
-}
-
-// aheadBatch is one chunk of records. The producer's last batch has end
-// set and carries the interpreter's error (nil at HLT) after its
-// records, so the consumer meets it at the same slot an inline stream
-// would.
+// aheadBatch is one chunk of records, each as cpuStream.step returns
+// it. Decode entries are never written once added, so an entry pointer
+// stays valid (and race-free to read) after the table's backing array
+// grows; the addresses alias the interpreter's never-reused arena. The
+// producer's last batch has end set and carries the interpreter's error
+// (nil at HLT) after its records, so the consumer meets it at the same
+// slot an inline stream would.
 type aheadBatch struct {
-	recs []aheadRec
+	recs []pipeline.Rec
 	end  bool
 	err  error
 }
@@ -69,10 +60,10 @@ func runAhead(s *cpuStream) slotSource {
 		exited: make(chan struct{}),
 	}
 	for range aheadChunks - 1 {
-		a.free <- &aheadBatch{recs: make([]aheadRec, 0, aheadChunk)}
+		a.free <- &aheadBatch{recs: make([]pipeline.Rec, 0, aheadChunk)}
 	}
 	// The consumer starts on an empty batch; its first NextInto recycles it.
-	a.cur = &aheadBatch{recs: make([]aheadRec, 0, aheadChunk)}
+	a.cur = &aheadBatch{recs: make([]pipeline.Rec, 0, aheadChunk)}
 	go func() {
 		defer close(a.exited)
 		defer sem.Release()
@@ -93,27 +84,21 @@ func (a *aheadStream) produce(s *cpuStream) {
 		}
 		b.recs = b.recs[:0]
 		for len(b.recs) < cap(b.recs) {
-			i, nextPC, addrs, ok := s.step()
+			d, nextPC, addrs, ok := s.step()
 			if !ok {
 				b.end, b.err = true, s.err
 				a.full <- b
 				return
 			}
-			b.recs = append(b.recs, aheadRec{d: s.table.Entry(i), nextPC: nextPC, addrs: addrs})
+			b.recs = append(b.recs, pipeline.Rec{Entry: d, NextPC: nextPC, MemAddrs: addrs})
 		}
 		a.full <- b
 	}
 }
 
-// Next retires one instruction.
-func (a *aheadStream) Next() (sl pipeline.Slot, ok bool) {
-	ok = a.NextInto(&sl)
-	return sl, ok
-}
-
-// NextInto fills sl from the next record, exactly as cpuStream.NextInto
-// does from the instruction it retires.
-func (a *aheadStream) NextInto(sl *pipeline.Slot) bool {
+// NextInto copies the next record into r, as cpuStream.NextInto fills
+// it from the instruction it retires.
+func (a *aheadStream) NextInto(r *pipeline.Rec) bool {
 	for a.pos == len(a.cur.recs) {
 		if a.cur.end {
 			a.err = a.cur.err
@@ -122,10 +107,8 @@ func (a *aheadStream) NextInto(sl *pipeline.Slot) bool {
 		a.free <- a.cur
 		a.cur, a.pos = <-a.full, 0
 	}
-	r := &a.cur.recs[a.pos]
+	*r = a.cur.recs[a.pos]
 	a.pos++
-	d := r.d
-	sl.PC, sl.Inst, sl.UOps, sl.NextPC, sl.MemAddrs = d.PC, d.Inst, d.UOps, r.nextPC, r.addrs
 	return true
 }
 

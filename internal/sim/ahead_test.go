@@ -32,7 +32,7 @@ func withParallelism(t testing.TB, n int) {
 
 // fillStream is the engine's in-place view of a live stream.
 type fillStream interface {
-	NextInto(*pipeline.Slot) bool
+	NextInto(*pipeline.Rec) bool
 	Err() error
 }
 
@@ -41,7 +41,7 @@ type fillStream interface {
 // end or their error.
 func compareStreams(t *testing.T, label string, want, got fillStream, n int) {
 	t.Helper()
-	var ws, gs pipeline.Slot
+	var ws, gs pipeline.Rec
 	for i := 0; i < n; i++ {
 		wok, gok := want.NextInto(&ws), got.NextInto(&gs)
 		if wok != gok {
@@ -129,7 +129,7 @@ func TestAheadStreamErrPositional(t *testing.T) {
 	prog := loopProgram(iters, tailFault...)
 	const faultAt = 1 + 2*iters + 1 // slots retired before the div faults
 	a := startAhead(t, prog)
-	var sl pipeline.Slot
+	var sl pipeline.Rec
 	// The whole program fits in the first chunk, so once the first slot
 	// arrives the producer has already faulted.
 	for i := 0; i < faultAt; i++ {
@@ -196,7 +196,7 @@ func TestAheadStreamStops(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	a := startAhead(t, prog)
-	var sl pipeline.Slot
+	var sl pipeline.Rec
 	for i := 0; i < 3*aheadChunk/2; i++ {
 		if !a.NextInto(&sl) {
 			t.Fatalf("stream ended at slot %d", i)

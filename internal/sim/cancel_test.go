@@ -62,7 +62,7 @@ func TestEngineRunContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := pipeline.New(pipeline.DefaultConfig(pipeline.ModeICache), pipeline.ModeICache, newCPUStream(prog))
+	eng := pipeline.NewFrom(pipeline.DefaultConfig(pipeline.ModeICache), pipeline.ModeICache, newCPUStream(prog))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -35,7 +35,7 @@ const captureSlack = 2048
 // slotSource is a correct-path stream that can report a deferred
 // interpreter error once the run is over.
 type slotSource interface {
-	pipeline.Stream
+	pipeline.Source
 	Err() error
 }
 
@@ -44,8 +44,8 @@ func (s *cpuStream) Err() error { return s.err }
 
 // recordedStream is a recording and how its stream ended. A capture's
 // recording shares the interpreter's decode table, so a full-budget
-// capture is a few MB instead of the tens of MB a []pipeline.Slot
-// costs, which is what lets DefaultCaptureEntries cover a whole sweep.
+// capture is a few MB instead of the tens of MB a slice of 112-byte
+// slots costs, which is what lets DefaultCaptureEntries cover a whole sweep.
 // The recording is held by value (copied in empty and appended in
 // place, or copied once complete), so NextInto, which runs once per
 // replayed instruction, reaches the columns through one pointer.
@@ -60,31 +60,23 @@ type recordedStream struct {
 // divergence from a live run, turned into a loud failure.
 var errCaptureExhausted = errors.New("sim: captured slot stream exhausted before the run finished (captureSlack too small)")
 
-// replayStream serves a recordedStream as a pipeline.Stream. Each engine
-// gets its own cursor; the slots themselves are shared read-only.
+// replayStream serves a recordedStream as a pipeline.Source. Each engine
+// gets its own cursor; the records themselves are shared read-only.
 type replayStream struct {
 	rec       *recordedStream
 	pos       int
 	exhausted bool
 }
 
-func (r *replayStream) Next() (s pipeline.Slot, ok bool) {
-	ok = r.NextInto(&s)
-	return s, ok
-}
-
-// NextInto materializes the next recorded slot into s, which the engine
-// passes from its own slot storage. Filling a Slot in place rather than
-// returning one spares the replay hot path a 112-byte zero-and-copy per
-// instruction; MemAddrs aliases the recording, which the engine only
-// reads.
-func (r *replayStream) NextInto(s *pipeline.Slot) bool {
+// NextInto fills s with the next recorded instruction, which the engine
+// passes from its own storage: a pointer to its shared decode entry,
+// its successor, and its addresses, which alias the recording.
+func (r *replayStream) NextInto(s *pipeline.Rec) bool {
 	if r.pos >= r.rec.Len() {
 		r.exhausted = true
 		return false
 	}
-	d, nextPC, addrs := r.rec.At(r.pos)
-	s.PC, s.Inst, s.UOps, s.NextPC, s.MemAddrs = d.PC, d.Inst, d.UOps, nextPC, addrs
+	s.Entry, s.NextPC, s.MemAddrs = r.rec.At(r.pos)
 	r.pos++
 	return true
 }
@@ -111,13 +103,13 @@ func captureRecorded(prog *workload.Program, max int) *recordedStream {
 	src := newCPUStream(prog)
 	rec := &recordedStream{Recording: *translate.NewRecording(src.table, max)}
 	for rec.Len() < max {
-		i, nextPC, addrs, ok := src.step()
+		d, nextPC, addrs, ok := src.step()
 		if !ok {
 			rec.atEnd = true
 			rec.err = src.err
 			return rec
 		}
-		rec.Append(i, nextPC, addrs)
+		rec.Append(d.ID, nextPC, addrs)
 	}
 	return rec
 }

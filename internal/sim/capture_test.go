@@ -2,14 +2,17 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/frame"
 	"repro/internal/pipeline"
+	"repro/internal/translate"
 	"repro/internal/workload"
 )
 
@@ -423,7 +426,7 @@ func TestCaptureSlots(t *testing.T) {
 		}
 		got := &replayStream{rec: &recordedStream{Recording: *rec}}
 		src := newCPUStream(c.prog)
-		var slot, want pipeline.Slot
+		var slot, want pipeline.Rec
 		for i := range rec.Len() {
 			if !got.NextInto(&slot) || !src.NextInto(&want) || !reflect.DeepEqual(slot, want) {
 				t.Fatalf("%s: slot %d = %+v, interpreter gives %+v", c.name, i, slot, want)
@@ -480,53 +483,103 @@ func nilEmptySlices(f *frame.Frame) {
 	}
 }
 
-// nextOnly hides a stream's NextInto, so the engine reads it through
-// Next like any other pipeline.Stream.
-type nextOnly struct{ s pipeline.Stream }
+// slotStream is a Next-only pipeline.Stream over a recording: it builds
+// each Slot the way a stream outside sim does, so the engine reads it
+// through its adapter's own decode table.
+type slotStream struct {
+	rec *translate.Recording
+	pos int
+}
 
-func (n nextOnly) Next() (pipeline.Slot, bool) { return n.s.Next() }
+func (s *slotStream) Next() (pipeline.Slot, bool) {
+	if s.pos >= s.rec.Len() {
+		return pipeline.Slot{}, false
+	}
+	d, nextPC, addrs := s.rec.At(s.pos)
+	s.pos++
+	return pipeline.Slot{PC: d.PC, Inst: d.Inst, UOps: d.UOps, NextPC: nextPC, MemAddrs: addrs}, true
+}
 
-// TestStreamAdapterEquivalence: the engine decodes the sim streams'
-// slots in place through NextInto and reads every other stream through
-// Next; both must give the same Stats, in every mode, for the
-// interpreter and the replayed recording alike. Frame aborts must occur
-// so that re-executing an aborted frame's slots in place is covered.
+// TestStreamAdapterEquivalence: the engine reads the sim streams'
+// records in place and any other stream's slots through its Next
+// adapter; both must give the same Stats on every profile, in every
+// mode and in rescheduled RPO, for the interpreter and the replayed
+// recording alike. Each run covers 40k retirements from a cold engine,
+// compared in two windows as sim runs them: the warmup, where the frame
+// cache fills and the first frames abort, and the measured window after
+// ResetStats. Frame aborts must occur so that re-executing an aborted
+// frame's records in place is covered.
 func TestStreamAdapterEquivalence(t *testing.T) {
-	const insts = 40_000
+	const insts, warm = 40_000, 10_000
 	var aborts uint64
-	for _, name := range []string{"gzip", "bzip2", "excel", "photo"} {
-		p, err := workload.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, p := range workload.Profiles {
 		prog, err := workload.Generate(p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec := captureRecorded(prog, insts+captureSlack)
-		for _, mode := range allModes {
-			run := func(src pipeline.Stream) pipeline.Stats {
-				eng := pipeline.New(pipeline.DefaultConfig(mode), mode, src)
-				eng.Run(insts)
-				return eng.Stats()
+		for i, mode := range append(allModes, pipeline.ModeRePLayOpt) {
+			cfg := pipeline.DefaultConfig(mode)
+			name := fmt.Sprintf("%s/%s", p.Name, mode)
+			if i == len(allModes) {
+				cfg.OptReschedule = true
+				name += " rescheduled"
 			}
-			want := run(nextOnly{&replayStream{rec: rec}})
-			if want.X86Retired < insts {
-				t.Fatalf("%s/%s: retired %d of %d", name, mode, want.X86Retired, insts)
+			run := func(eng *pipeline.Engine) [2]pipeline.Stats {
+				eng.Run(warm)
+				cold := eng.Stats()
+				eng.ResetStats()
+				eng.Run(insts - warm)
+				return [2]pipeline.Stats{cold, eng.Stats()}
 			}
-			aborts += want.FrameAborts
-			for src, got := range map[string]pipeline.Stats{
-				"replayStream":     run(&replayStream{rec: rec}),
-				"cpuStream":        run(newCPUStream(prog)),
-				"cpuStream (Next)": run(nextOnly{newCPUStream(prog)}),
+			want := run(pipeline.NewFrom(cfg, mode, &replayStream{rec: rec}))
+			if want[0].X86Retired < warm || want[1].X86Retired < insts-warm {
+				t.Fatalf("%s: retired %d and %d of %d and %d", name, want[0].X86Retired, want[1].X86Retired, warm, insts-warm)
+			}
+			aborts += want[0].FrameAborts + want[1].FrameAborts
+			for src, got := range map[string][2]pipeline.Stats{
+				"Next-only recording": run(pipeline.New(cfg, mode, &slotStream{rec: &rec.Recording})),
+				"cpuStream":           run(pipeline.NewFrom(cfg, mode, newCPUStream(prog))),
 			} {
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s/%s: %s stats differ from Next-only replay:\n got %+v\nwant %+v", name, mode, src, got, want)
+				for w, window := range []string{"warmup", "measured"} {
+					if got[w] != want[w] {
+						t.Errorf("%s: %s %s stats differ from the replayed records:\n got %+v\nwant %+v", name, src, window, got[w], want[w])
+					}
 				}
 			}
 		}
 	}
 	if aborts == 0 {
 		t.Error("no frame aborted in any run; the in-place re-execution path went untested")
+	}
+}
+
+// TestCaptureSizeBytes: the residency a capture reports, which the
+// capture cache charges against DefaultCaptureBytes, is within an eighth
+// of the heap it keeps live, on trace 0 of every profile: its columns,
+// its decode table and the entries' flows and compiled ops.
+func TestCaptureSizeBytes(t *testing.T) {
+	const insts = 60_000
+	for _, p := range workload.Profiles {
+		prog, err := workload.Generate(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		// Two collections empty every sync.Pool, whose victim
+		// generation would otherwise be freed inside the measurement.
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		rec := captureRecorded(prog, insts)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		size := rec.SizeBytes()
+		runtime.KeepAlive(rec)
+		t.Logf("%s: SizeBytes %d, heap growth %d (%.3f)", p.Name, size, grown, float64(size)/float64(grown))
+		if 8*size < 7*grown || 8*size > 9*grown {
+			t.Errorf("%s: SizeBytes %d, heap growth %d", p.Name, size, grown)
+		}
 	}
 }

@@ -51,13 +51,15 @@ func TestDecodeTableEquivalence(t *testing.T) {
 			ref := prog.NewCPU()
 			for n := 0; n < insts; n++ {
 				want, wok := referenceSlot(t, ref)
-				got, gok := s.Next()
+				var r pipeline.Rec
+				gok := s.NextInto(&r)
 				if gok != wok {
 					t.Fatalf("%s/t%d slot %d: stream ok=%v, reference ok=%v (err %v)", p.Name, tr, n, gok, wok, s.Err())
 				}
 				if !wok {
 					break
 				}
+				got := pipeline.Slot{PC: r.PC, Inst: r.Inst, UOps: r.UOps, NextPC: r.NextPC, MemAddrs: r.MemAddrs}
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s/t%d slot %d:\n got %+v\nwant %+v", p.Name, tr, n, got, want)
 				}
@@ -83,7 +85,7 @@ func BenchmarkCPUStream(b *testing.B) {
 	for _, name := range streamBenchProfiles {
 		prog := benchProgram(b, name)
 		b.Run(name, func(b *testing.B) {
-			benchStream(b, func() pipeline.Stream { return newCPUStream(prog) })
+			benchStream(b, func() pipeline.Source { return newCPUStream(prog) })
 		})
 	}
 }
@@ -93,7 +95,7 @@ func BenchmarkAheadStream(b *testing.B) {
 	for _, name := range streamBenchProfiles {
 		prog := benchProgram(b, name)
 		b.Run(name, func(b *testing.B) {
-			benchStream(b, func() pipeline.Stream { return startAhead(b, prog) })
+			benchStream(b, func() pipeline.Source { return startAhead(b, prog) })
 		})
 	}
 }
@@ -102,7 +104,7 @@ func BenchmarkReplayStream(b *testing.B) {
 	for _, name := range streamBenchProfiles {
 		rec := captureRecorded(benchProgram(b, name), streamBenchInsts)
 		b.Run(name, func(b *testing.B) {
-			benchStream(b, func() pipeline.Stream { return &replayStream{rec: rec} })
+			benchStream(b, func() pipeline.Source { return &replayStream{rec: rec} })
 		})
 	}
 }
@@ -119,20 +121,21 @@ func benchProgram(b *testing.B, name string) *workload.Program {
 	return prog
 }
 
-// benchStream drains streamBenchInsts slots from a fresh stream per
-// iteration and reports ns/inst and B/inst (heap bytes allocated).
-func benchStream(b *testing.B, open func() pipeline.Stream) {
+// benchStream drains streamBenchInsts records from a fresh stream per
+// iteration, filling them in place as the engine does, and reports
+// ns/inst and B/inst (heap bytes allocated).
+func benchStream(b *testing.B, open func() pipeline.Source) {
 	var before, after runtime.MemStats
+	var r pipeline.Rec
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := open()
 		for n := 0; n < streamBenchInsts; n++ {
-			sl, ok := s.Next()
-			if !ok {
-				b.Fatalf("stream ended after %d slots", n)
+			if !s.NextInto(&r) {
+				b.Fatalf("stream ended after %d records", n)
 			}
-			streamSink += sl.NextPC
+			streamSink += r.NextPC
 		}
 		if a, ok := s.(*aheadStream); ok {
 			a.stop()
@@ -157,7 +160,7 @@ func reportPerInst(b *testing.B, alloc uint64) {
 // BenchmarkReplayStream estimates the engine's own cost. The plain
 // profile names run RPO; the _RP and _resched variants run RP and RPO
 // with position-field rescheduling, so every way a frame enters the
-// frame cache is timed.
+// frame cache is timed, and _IC and _TC run the decoded-path machines.
 func BenchmarkEngine(b *testing.B) {
 	variants := []struct {
 		suffix  string
@@ -167,6 +170,8 @@ func BenchmarkEngine(b *testing.B) {
 		{"", pipeline.ModeRePLayOpt, false},
 		{"_RP", pipeline.ModeRePLay, false},
 		{"_resched", pipeline.ModeRePLayOpt, true},
+		{"_IC", pipeline.ModeICache, false},
+		{"_TC", pipeline.ModeTraceCache, false},
 	}
 	for _, name := range streamBenchProfiles {
 		rec := captureRecorded(benchProgram(b, name), streamBenchInsts+captureSlack)
@@ -178,7 +183,7 @@ func BenchmarkEngine(b *testing.B) {
 				cfg.OptReschedule = v.resched
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					eng := pipeline.New(cfg, v.mode, &replayStream{rec: rec})
+					eng := pipeline.NewFrom(cfg, v.mode, &replayStream{rec: rec})
 					if n := eng.Run(streamBenchInsts); n < streamBenchInsts {
 						b.Fatalf("engine retired %d of %d", n, streamBenchInsts)
 					}

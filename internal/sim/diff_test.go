@@ -12,6 +12,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/reuse"
 	"repro/internal/telemetry"
+	"repro/internal/translate"
 	"repro/internal/uop"
 	"repro/internal/workload"
 	"repro/internal/x86"
@@ -469,10 +470,10 @@ func TestProbeFanAdvancesLoopsFirst(t *testing.T) {
 		if trip == 2 {
 			next = 0x1c
 		}
-		for _, s := range []pipeline.Slot{
-			{PC: 0x10, NextPC: 0x14, Inst: x86.Inst{Op: x86.OpADD, Len: 4}, UOps: []uop.UOp{{Op: uop.ADD}}},
-			{PC: 0x14, NextPC: 0x18, Inst: x86.Inst{Op: x86.OpMOV, Len: 4}, UOps: []uop.UOp{{Op: uop.LOAD}}},
-			{PC: 0x18, NextPC: next, Inst: x86.Inst{Op: x86.OpJCC, Len: 4}, UOps: []uop.UOp{{Op: uop.BR}}},
+		for _, s := range []pipeline.Rec{
+			{Entry: &translate.Entry{PC: 0x10, Inst: x86.Inst{Op: x86.OpADD, Len: 4}, UOps: []uop.UOp{{Op: uop.ADD}}}, NextPC: 0x14},
+			{Entry: &translate.Entry{PC: 0x14, Inst: x86.Inst{Op: x86.OpMOV, Len: 4}, UOps: []uop.UOp{{Op: uop.LOAD}}}, NextPC: 0x18},
+			{Entry: &translate.Entry{PC: 0x18, Ctl: translate.CtlCond, Inst: x86.Inst{Op: x86.OpJCC, Len: 4}, UOps: []uop.UOp{{Op: uop.BR}}}, NextPC: next},
 		} {
 			fan.SlotRetired(&s, false, 1)
 		}

@@ -24,8 +24,7 @@ func CollectFrames(p workload.Profile, insts, max int) ([]*frame.Frame, error) {
 		}
 	})
 	for i := range rec.Len() {
-		d, nextPC, addrs := rec.At(i)
-		cons.Retire(d.PC, d.Inst, d.UOps, nextPC, addrs)
+		cons.Retire(rec.At(i))
 	}
 	cons.Flush()
 	return out, nil

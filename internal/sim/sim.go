@@ -17,7 +17,6 @@ import (
 	"repro/internal/tracing"
 	"repro/internal/translate"
 	"repro/internal/workload"
-	"repro/internal/x86"
 )
 
 // addrChunk is the arena-chunk size for per-slot memory addresses: one
@@ -46,42 +45,31 @@ func newCPUStream(prog *workload.Program) *cpuStream {
 	}
 }
 
-// Next retires one instruction on the reference machine.
-func (s *cpuStream) Next() (sl pipeline.Slot, ok bool) {
-	ok = s.NextInto(&sl)
-	return sl, ok
-}
-
-// NextInto retires one instruction into sl, which the engine passes
-// from its own slot storage.
-func (s *cpuStream) NextInto(sl *pipeline.Slot) bool {
-	i, nextPC, addrs, ok := s.step()
-	if !ok {
-		return false
-	}
-	d := s.table.Entry(i)
-	sl.PC, sl.Inst, sl.UOps, sl.NextPC, sl.MemAddrs = d.PC, d.Inst, d.UOps, nextPC, addrs
-	return true
+// NextInto retires one instruction on the reference machine into r,
+// which the engine passes from its own storage.
+func (s *cpuStream) NextInto(r *pipeline.Rec) (ok bool) {
+	r.Entry, r.NextPC, r.MemAddrs, ok = s.step()
+	return ok
 }
 
 // step retires one instruction and returns its decode-table entry, its
 // dynamic successor and the memory addresses it touched, or ok=false at
 // HLT or on an interpreter error (kept in s.err).
-func (s *cpuStream) step() (entry int32, nextPC uint32, addrs []uint32, ok bool) {
+func (s *cpuStream) step() (d *translate.Entry, nextPC uint32, addrs []uint32, ok bool) {
 	if s.c.Halted || s.err != nil {
-		return 0, 0, nil, false
+		return nil, 0, nil, false
 	}
 	i := s.table.Find(s.c.PC)
 	if i < 0 {
 		var err error
 		if i, err = s.table.Decode(s.c.PC, s.c.Mem.ReadBytes(s.c.PC, 15)); err != nil {
 			s.err = err
-			return 0, 0, nil, false
+			return nil, 0, nil, false
 		}
 	}
-	d := s.table.Entry(i)
-	if d.Inst.Op == x86.OpHLT {
-		return 0, 0, nil, false
+	d = s.table.Entry(i)
+	if d.Ctl == translate.CtlHalt {
+		return nil, 0, nil, false
 	}
 	if cap(s.addrs)-len(s.addrs) < maxSlotMemOps {
 		s.addrs = make([]uint32, 0, addrChunk)
@@ -90,7 +78,7 @@ func (s *cpuStream) step() (entry int32, nextPC uint32, addrs []uint32, ok bool)
 	grown, nextPC, err := s.c.StepInst(&d.Inst, s.addrs)
 	if err != nil {
 		s.err = err
-		return 0, 0, nil, false
+		return nil, 0, nil, false
 	}
 	s.addrs = grown
 	// nil (not empty) when the instruction touches no memory, so slots
@@ -100,7 +88,7 @@ func (s *cpuStream) step() (entry int32, nextPC uint32, addrs []uint32, ok bool)
 	if n := len(grown); n > base {
 		addrs = grown[base:n:n]
 	}
-	return i, nextPC, addrs, true
+	return d, nextPC, addrs, true
 }
 
 // Options configures a run beyond the processor mode.
@@ -424,7 +412,8 @@ func runTrace(ctx context.Context, src *source, mode pipeline.Mode, cfg pipeline
 		// Budget reached, cancelled or failed: the producer stops here.
 		defer a.stop()
 	}
-	eng := pipeline.New(cfg, mode, stream)
+	eng := pipeline.NewFrom(cfg, mode, stream)
+	defer eng.Close() // after the returned Stats are read
 
 	warm := uint64(float64(budget) * warmFrac)
 	wctx, wspan := tracing.Start(ctx, "sim.warmup")
@@ -497,7 +486,7 @@ type probeFan struct {
 	probes []pipeline.Probe
 }
 
-func (f *probeFan) SlotRetired(s *pipeline.Slot, fromFrame bool, uopsExecuted int) {
+func (f *probeFan) SlotRetired(s *pipeline.Rec, fromFrame bool, uopsExecuted int) {
 	if f.loops != nil {
 		f.loops.Retire(s)
 	}

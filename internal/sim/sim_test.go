@@ -78,7 +78,7 @@ func TestStreamEndsCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream := newCPUStream(prog)
-	eng := pipeline.New(pipeline.DefaultConfig(pipeline.ModeRePLayOpt), pipeline.ModeRePLayOpt, stream)
+	eng := pipeline.NewFrom(pipeline.DefaultConfig(pipeline.ModeRePLayOpt), pipeline.ModeRePLayOpt, stream)
 	// Ask for more instructions than exist before a reasonable bound; the
 	// generator's programs are effectively unbounded, so cap small and
 	// ensure Run returns exactly the cap.

@@ -149,7 +149,7 @@ func TestResidencyCoversWarmupFrames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := pipeline.New(pipeline.DefaultConfig(pipeline.ModeRePLayOpt), pipeline.ModeRePLayOpt, newCPUStream(prog))
+		eng := pipeline.NewFrom(pipeline.DefaultConfig(pipeline.ModeRePLayOpt), pipeline.ModeRePLayOpt, newCPUStream(prog))
 		truth := &residencyTruth{insertedAt: map[uint32]uint64{}}
 		eng.SetProbe(truth)
 		warm := uint64(float64(budget) * 0.4)

@@ -112,7 +112,7 @@ func TestTableFallback(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := Entry{PC: pc, Inst: in, UOps: us}
-			if got := *tab.Entry(i); !reflect.DeepEqual(got, want) {
+			if got := *tab.Entry(i); !reflect.DeepEqual(Entry{PC: got.PC, Inst: got.Inst, UOps: got.UOps}, want) || got.ID != i {
 				t.Errorf("PC %#x: entry %+v, want %+v", pc, got, want)
 			}
 			entries := len(tab.entries)

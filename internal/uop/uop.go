@@ -151,6 +151,60 @@ func (o Op) IsControl() bool { return o >= JMP && o <= CASSERT }
 // IsAssert reports whether the op is a frame assertion.
 func (o Op) IsAssert() bool { return o == ASSERT || o == CASSERT }
 
+// Functional-unit classes of the timing model.
+const (
+	ClassSimple uint8 = iota
+	ClassComplex
+	ClassLSU
+	NumClasses
+)
+
+// Class returns the functional-unit class that executes the op.
+func (o Op) Class() uint8 {
+	switch o {
+	case MULLO, MULHIU, MULHIS, DIVU, REMU, DIVS, REMS:
+		return ClassComplex
+	case LOAD, STORE:
+		return ClassLSU
+	}
+	return ClassSimple
+}
+
+// Latency returns the op's execution latency in cycles (a memory op's
+// completion is timed by the memory model instead).
+func (o Op) Latency() uint8 {
+	switch o {
+	case MULLO, MULHIU, MULHIS:
+		return 4
+	case DIVU, REMU, DIVS, REMS:
+		return 20
+	}
+	return 1
+}
+
+// Dispatch flags: the per-op facts the timing model's dispatch branches
+// on.
+const (
+	FlagControl uint8 = 1 << iota // control or assertion: minimum resolution depth
+	FlagLoad
+	FlagStore
+)
+
+// DispatchFlags returns the op's dispatch flags.
+func (o Op) DispatchFlags() uint8 {
+	var f uint8
+	if o.IsControl() {
+		f |= FlagControl
+	}
+	switch o {
+	case LOAD:
+		f |= FlagLoad
+	case STORE:
+		f |= FlagStore
+	}
+	return f
+}
+
 // Commutative reports whether srcA and srcB can be exchanged.
 func (o Op) Commutative() bool {
 	switch o {

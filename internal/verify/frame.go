@@ -92,7 +92,7 @@ func checkFrames(prog *workload.Program, maxInsts int, optsFn func() opt.Options
 		for _, m := range rec.MemOps {
 			addrs = append(addrs, m.Addr)
 		}
-		cons.Retire(pc, d.Inst, d.UOps, rec.NextPC, addrs)
+		cons.Retire(d, rec.NextPC, addrs)
 		stats.Insts++
 	}
 	return stats, nil
@@ -142,7 +142,7 @@ func checkOneFrame(ref *cpu.CPU, of *opt.OptFrame, cons *frame.Constructor, tab 
 		for _, m := range rec.MemOps {
 			addrs = append(addrs, m.Addr)
 		}
-		cons.Retire(pc, d.Inst, d.UOps, rec.NextPC, addrs)
+		cons.Retire(d, rec.NextPC, addrs)
 		for _, m := range rec.MemOps {
 			if m.IsStore {
 				refStores = append(refStores, storeRec{m.Addr, m.Data})

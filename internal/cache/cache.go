@@ -4,6 +4,8 @@
 // micro-op-capacity frame cache and trace cache.
 package cache
 
+import "sync"
+
 // Cache is a set-associative cache with true-LRU replacement. It models
 // hit/miss behaviour only (contents are tags, not data).
 //
@@ -43,15 +45,46 @@ func New(sizeBytes, lineBytes, ways int) *Cache {
 	for sets&(sets-1) != 0 {
 		sets &= sets - 1
 	}
-	c := &Cache{ways: ways, setMask: uint32(sets - 1)}
+	c := take(sets * ways)
+	c.ways, c.setMask, c.lineShift = ways, uint32(sets-1), 0
 	for lineBytes > 1 {
 		lineBytes >>= 1
 		c.lineShift++
 	}
 	c.lineShift = max(c.lineShift, 1)
-	c.tags = make([]uint32, sets*ways)
-	c.stamps = make([]uint64, sets*ways)
 	return c
+}
+
+// Caches outlive the engine that filled them: Put clears a cache and
+// pools it by its array length (sets*ways), and the next New of that
+// length takes it instead of allocating and zeroing fresh arrays. An
+// engine's three caches are three lengths, so each length has a pool
+// of its own.
+var pools sync.Map // int -> *sync.Pool
+
+func poolFor(n int) *sync.Pool {
+	if p, ok := pools.Load(n); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := pools.LoadOrStore(n, new(sync.Pool))
+	return p.(*sync.Pool)
+}
+
+// take returns an empty cache with arrays of n ways in all.
+func take(n int) *Cache {
+	if c, _ := poolFor(n).Get().(*Cache); c != nil {
+		return c
+	}
+	return &Cache{tags: make([]uint32, n), stamps: make([]uint64, n)}
+}
+
+// Put clears c and pools it for the next New of its array length. The
+// caller must not use c again.
+func Put(c *Cache) {
+	clear(c.tags)
+	clear(c.stamps)
+	c.clock, c.Accesses, c.Misses = 0, 0, 0
+	poolFor(len(c.tags)).Put(c)
 }
 
 // set returns the tag and stamp windows of line's set.

@@ -122,8 +122,10 @@ func (m *Memory) Store32(addr uint32, v uint32) {
 // WriteBytes copies a byte slice into memory at addr (used to load code
 // images).
 func (m *Memory) WriteBytes(addr uint32, data []byte) {
-	for i, b := range data {
-		m.StoreByte(addr+uint32(i), b)
+	for len(data) > 0 {
+		n := copy(m.pageFor(addr, true)[addr&pageMask:], data)
+		data = data[n:]
+		addr += uint32(n)
 	}
 }
 

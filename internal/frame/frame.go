@@ -7,6 +7,7 @@ package frame
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/translate"
 	"repro/internal/uop"
@@ -124,17 +125,24 @@ type Constructor struct {
 	DroppedSmall uint64 // pending discarded below MinUOps
 }
 
-// NewConstructor returns a Constructor with the given configuration.
+// NewConstructor returns a Constructor with the given configuration,
+// on a branch table a closed constructor left cleared, if any.
 func NewConstructor(cfg Config, deposit func(*Frame)) *Constructor {
-	return &Constructor{cfg: cfg, Deposit: deposit}
+	c := &Constructor{cfg: cfg, Deposit: deposit}
+	if b, _ := branchPool.Get().(*[]branchState); b != nil {
+		c.branches = *b
+	}
+	return c
 }
 
 // branch returns the state of the branch at entry d, by its ID. It
 // panics when the ID already belongs to another PC, which means d comes
 // from a different decode table than earlier entries.
 func (c *Constructor) branch(d *translate.Entry) *branchState {
-	if int(d.ID) >= len(c.branches) {
-		c.branches = append(c.branches, make([]branchState, int(d.ID)+1-len(c.branches))...)
+	if n := int(d.ID) + 1; n > len(c.branches) {
+		// Past its length the table is zero: fresh capacity, or what
+		// Close cleared.
+		c.branches = slices.Grow(c.branches, n-len(c.branches))[:n]
 	}
 	b := &c.branches[d.ID]
 	if !b.seen {

@@ -59,3 +59,18 @@ func PutFrame(f *Frame) {
 	f.BlockEnd = f.BlockEnd[:0]
 	framePool.Put(f)
 }
+
+// branchPool recycles constructors' branch tables (one state per entry
+// ID, up to the largest ID the constructor retired).
+// Close clears a table's used prefix, so a pooled table is zero across
+// its whole capacity and grows in place without zeroing.
+var branchPool sync.Pool // *[]branchState
+
+// Close clears the constructor's branch table and pools it for the next
+// NewConstructor. The constructor must not retire again.
+func (c *Constructor) Close() {
+	clear(c.branches)
+	b := c.branches[:0]
+	c.branches = nil
+	branchPool.Put(&b)
+}

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/frame"
@@ -96,8 +97,14 @@ type Engine struct {
 
 	// In-order retirement: FIFO of retire times of in-flight micro-ops,
 	// plus a ring of the last Width retire times for the width constraint.
-	inflight   []uint64 // monotonic nondecreasing retire times
-	inflightLo int
+	// The FIFO is a ring too, of a power-of-two length no less than
+	// WindowSize+Width: windowStall admits a group of at most Width
+	// micro-ops only while at most WindowSize-Width are in flight. Its
+	// live entries, monotonic nondecreasing, are [inflightLo, inflightHi)
+	// masked by the length.
+	inflight   []uint64
+	inflightLo uint
+	inflightHi uint
 	retireRing []uint64
 	ringPos    int
 	lastRetire uint64
@@ -199,6 +206,7 @@ func NewFrom(cfg Config, mode Mode, src Source) *Engine {
 		btb:        predict.NewBTB(cfg.BTBEntries),
 		ras:        predict.NewRAS(cfg.RASDepth),
 		storeBuf:   newStoreBuffer(),
+		inflight:   make([]uint64, 1<<bits.Len(uint(cfg.WindowSize+cfg.Width-1))),
 		retireRing: make([]uint64, cfg.Width),
 		insertedAt: make(map[uint32]uint64),
 	}
@@ -238,13 +246,28 @@ func (e *Engine) recycleFrame(c *cachedFrame) {
 	putEntry(c)
 }
 
-// Close returns the constructor frames the engine still holds — cached,
-// queued for or in the optimizer — to the frame pool, for the next
-// engine's constructor. Their optimized forms and programs are left to
-// the collector: pooled too, they stayed live across a GC cycle for few
-// reuses. Call Close once the run's Stats are read; the engine must not
-// run again.
+// Close hands the engine's fixed tables to the next engine: the caches,
+// the gshare table and the BTB are cleared into their pools, and so is
+// the frame constructor's branch table. It also returns the constructor
+// frames the engine still holds — cached, queued for or in the
+// optimizer — to the frame pool, for the next engine's constructor.
+// Their optimized forms and programs are left to the collector: pooled
+// too, they stayed live across a GC cycle for few reuses. Call Close once
+// the run's Stats are read; Stats stays readable, but the engine must
+// not run again. A second Close does nothing.
 func (e *Engine) Close() {
+	if e.gshare == nil {
+		return
+	}
+	cache.Put(e.icache)
+	cache.Put(e.l1d)
+	cache.Put(e.l2)
+	predict.PutGshare(e.gshare)
+	predict.PutBTB(e.btb)
+	e.icache, e.l1d, e.l2, e.gshare, e.btb = nil, nil, nil, nil, nil
+	if e.cons != nil {
+		e.cons.Close()
+	}
 	if e.frames == nil {
 		return
 	}
@@ -367,15 +390,9 @@ func (e *Engine) profAt(pc uint32) {
 
 // popRetired drops retired micro-ops from the in-flight window.
 func (e *Engine) popRetired() {
-	for e.inflightLo < len(e.inflight) && e.inflight[e.inflightLo] <= e.cycle {
+	mask := uint(len(e.inflight) - 1)
+	for e.inflightLo != e.inflightHi && e.inflight[e.inflightLo&mask] <= e.cycle {
 		e.inflightLo++
-	}
-	if e.inflightLo > 4096 && e.inflightLo*2 > len(e.inflight) {
-		// Compact in place: the live suffix slides to the front, keeping
-		// the backing array instead of reallocating it every window.
-		n := copy(e.inflight, e.inflight[e.inflightLo:])
-		e.inflight = e.inflight[:n]
-		e.inflightLo = 0
 	}
 }
 
@@ -384,10 +401,14 @@ func (e *Engine) popRetired() {
 func (e *Engine) windowStall() {
 	for {
 		e.popRetired()
-		if len(e.inflight)-e.inflightLo+e.cfg.Width <= e.cfg.WindowSize {
+		n := int(e.inflightHi - e.inflightLo)
+		if n+e.cfg.Width <= e.cfg.WindowSize {
 			return
 		}
-		e.stallUntil(e.inflight[e.inflightLo], BinStall)
+		if n == 0 {
+			panic("pipeline: a fetch group of Width micro-ops does not fit an empty WindowSize window")
+		}
+		e.stallUntil(e.inflight[e.inflightLo&uint(len(e.inflight)-1)], BinStall)
 	}
 }
 
@@ -489,7 +510,8 @@ func (e *Engine) dispatchOp(units []uint64, lat uint64, flags uint8, ready, fetc
 		e.ringPos = 0
 	}
 	e.lastRetire = retireAt
-	e.inflight = append(e.inflight, retireAt)
+	e.inflight[e.inflightHi&uint(len(e.inflight)-1)] = retireAt
+	e.inflightHi++
 	if e.probe != nil {
 		e.probe.FetchRetire(retireAt - fetchAt)
 	}

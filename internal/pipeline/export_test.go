@@ -119,3 +119,7 @@ func checkProgram(c *cachedFrame) error {
 	}
 	return nil
 }
+
+// Gshare returns e's gshare predictor, so a test can tell a recycled
+// table from a fresh one.
+func Gshare(e *Engine) any { return e.gshare }

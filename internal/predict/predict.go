@@ -3,6 +3,15 @@
 // a branch target buffer, and a return address stack.
 package predict
 
+import "sync"
+
+// Predictor tables outlive the engine that trained them: PutGshare and
+// PutBTB clear a table and pool it, and the next NewGshare or NewBTB of
+// the same size takes it instead of allocating and zeroing a fresh one
+// (256 KB of counters at the paper's 18 bits). A pooled table of
+// another size is dropped for a fresh one.
+var gsharePool, btbPool sync.Pool
+
 // Gshare is a global-history XOR-indexed table of 2-bit saturating
 // counters.
 type Gshare struct {
@@ -14,11 +23,22 @@ type Gshare struct {
 
 // NewGshare returns a predictor with 2^bits counters.
 func NewGshare(bits uint) *Gshare {
+	if g, _ := gsharePool.Get().(*Gshare); g != nil && g.bits == bits {
+		return g
+	}
 	return &Gshare{
 		bits:  bits,
 		mask:  (1 << bits) - 1,
 		table: make([]uint8, 1<<bits),
 	}
+}
+
+// PutGshare clears g and pools it for the next NewGshare of its size.
+// The caller must not use g again.
+func PutGshare(g *Gshare) {
+	clear(g.table)
+	g.history = 0
+	gsharePool.Put(g)
 }
 
 func (g *Gshare) index(pc uint32) uint32 {
@@ -63,12 +83,23 @@ func NewBTB(entries int) *BTB {
 	for n < entries {
 		n <<= 1
 	}
+	if b, _ := btbPool.Get().(*BTB); b != nil && len(b.valid) == n {
+		return b
+	}
 	return &BTB{
 		mask:    uint32(n - 1),
 		tags:    make([]uint32, n),
 		targets: make([]uint32, n),
 		valid:   make([]bool, n),
 	}
+}
+
+// PutBTB clears b and pools it for the next NewBTB of its size. Only
+// the valid bits are cleared: an invalid entry's tag and target are
+// never read. The caller must not use b again.
+func PutBTB(b *BTB) {
+	clear(b.valid)
+	btbPool.Put(b)
 }
 
 // Lookup returns the predicted target for the branch at pc, if present.

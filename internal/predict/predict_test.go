@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -94,4 +95,34 @@ func TestRAS(t *testing.T) {
 	if r.Pop() != 9 {
 		t.Error("top after overflow wrong")
 	}
+}
+
+// TestPutGshareClears: a pooled predictor, once taken back, predicts a
+// branch sequence exactly as a fresh one does: PutGshare clears its
+// history as well as its counters.
+func TestPutGshareClears(t *testing.T) {
+	run := func(g *Gshare, salt int) []bool {
+		var preds []bool
+		for i := range 300 {
+			pc := uint32((i*salt)%7) * 4
+			preds = append(preds, g.Predict(pc))
+			g.Update(pc, i%3 != 0 || i == 299)
+		}
+		return preds
+	}
+	want := run(&Gshare{bits: 6, mask: 63, table: make([]uint8, 64)}, 1)
+	for range 10 {
+		g := NewGshare(6)
+		run(g, 5) // ends taken, so the history is not zero
+		PutGshare(g)
+		r := NewGshare(6)
+		if r != g {
+			continue // the pool dropped it (the race detector drops some puts)
+		}
+		if got := run(r, 1); !slices.Equal(got, want) {
+			t.Fatalf("a recycled predictor predicts %v, a fresh one %v", got, want)
+		}
+		return
+	}
+	t.Skip("the pool never handed the predictor back")
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"sync"
+
 	"repro/internal/pipeline"
 )
 
@@ -29,6 +31,12 @@ type aheadBatch struct {
 	recs []pipeline.Rec
 	end  bool
 	err  error
+}
+
+// batchPool recycles the batches of stopped streams, cleared so a pooled
+// batch pins no interpreter arena or decode table.
+var batchPool = sync.Pool{
+	New: func() any { return &aheadBatch{recs: make([]pipeline.Rec, 0, aheadChunk)} },
 }
 
 // aheadStream serves a cpuStream that a producer goroutine runs ahead
@@ -60,10 +68,10 @@ func runAhead(s *cpuStream) slotSource {
 		exited: make(chan struct{}),
 	}
 	for range aheadChunks - 1 {
-		a.free <- &aheadBatch{recs: make([]pipeline.Rec, 0, aheadChunk)}
+		a.free <- batchPool.Get().(*aheadBatch)
 	}
 	// The consumer starts on an empty batch; its first NextInto recycles it.
-	a.cur = &aheadBatch{recs: make([]pipeline.Rec, 0, aheadChunk)}
+	a.cur = batchPool.Get().(*aheadBatch)
 	go func() {
 		defer close(a.exited)
 		defer sem.Release()
@@ -115,9 +123,27 @@ func (a *aheadStream) NextInto(r *pipeline.Rec) bool {
 // Err reports the interpreter error once the consumer has reached it.
 func (a *aheadStream) Err() error { return a.err }
 
-// stop ends the producer, wherever it is, and waits until it has
-// returned its token.
+// stop ends the producer, wherever it is, waits until it has returned
+// its token, and pools the batches, which are then all in the channels
+// or current: the producer holds none once it has exited. The stream
+// must not be read again.
 func (a *aheadStream) stop() {
 	close(a.quit)
 	<-a.exited
+	putBatch(a.cur)
+	a.cur = nil
+	for range aheadChunks - 1 {
+		select {
+		case b := <-a.full:
+			putBatch(b)
+		case b := <-a.free:
+			putBatch(b)
+		}
+	}
+}
+
+func putBatch(b *aheadBatch) {
+	clear(b.recs[:cap(b.recs)])
+	b.recs, b.end, b.err = b.recs[:0], false, nil
+	batchPool.Put(b)
 }

@@ -22,12 +22,11 @@ func Fig6(ctx context.Context, profiles []workload.Profile, o Options) ([]Fig6Ro
 	modes := []pipeline.Mode{pipeline.ModeICache, pipeline.ModeTraceCache, pipeline.ModeRePLay, pipeline.ModeRePLayOpt}
 	results := make([][4]Result, len(profiles))
 	errs := make([][4]error, len(profiles))
-	var jobs []runJob
-	for i, src := range profileSources(profiles) {
-		for m, mode := range modes {
-			jobs = append(jobs, runJob{src: src, mode: mode, opts: o, out: &results[i][m], err: &errs[i][m]})
-		}
+	sides := make([]side, len(modes))
+	for m, mode := range modes {
+		sides[m] = side{mode, o}
 	}
+	jobs := sweepJobs(profileSources(profiles), sides, func(i, m int) (*Result, *error) { return &results[i][m], &errs[i][m] })
 	if err := runAll(ctx, jobs); err != nil {
 		return nil, err
 	}
@@ -57,12 +56,8 @@ type BreakdownRow struct {
 func CycleBreakdown(ctx context.Context, profiles []workload.Profile, o Options) ([]BreakdownRow, error) {
 	results := make([][2]Result, len(profiles))
 	errs := make([][2]error, len(profiles))
-	var jobs []runJob
-	for i, src := range profileSources(profiles) {
-		jobs = append(jobs,
-			runJob{src: src, mode: pipeline.ModeRePLay, opts: o, out: &results[i][0], err: &errs[i][0]},
-			runJob{src: src, mode: pipeline.ModeRePLayOpt, opts: o, out: &results[i][1], err: &errs[i][1]})
-	}
+	jobs := sweepJobs(profileSources(profiles), []side{{pipeline.ModeRePLay, o}, {pipeline.ModeRePLayOpt, o}},
+		func(i, k int) (*Result, *error) { return &results[i][k], &errs[i][k] })
 	if err := runAll(ctx, jobs); err != nil {
 		return nil, err
 	}
@@ -90,12 +85,8 @@ type Table3Row struct {
 func Table3(ctx context.Context, profiles []workload.Profile, o Options) ([]Table3Row, error) {
 	results := make([][2]Result, len(profiles))
 	errs := make([][2]error, len(profiles))
-	var jobs []runJob
-	for i, src := range profileSources(profiles) {
-		jobs = append(jobs,
-			runJob{src: src, mode: pipeline.ModeRePLay, opts: o, out: &results[i][0], err: &errs[i][0]},
-			runJob{src: src, mode: pipeline.ModeRePLayOpt, opts: o, out: &results[i][1], err: &errs[i][1]})
-	}
+	jobs := sweepJobs(profileSources(profiles), []side{{pipeline.ModeRePLay, o}, {pipeline.ModeRePLayOpt, o}},
+		func(i, k int) (*Result, *error) { return &results[i][k], &errs[i][k] })
 	if err := runAll(ctx, jobs); err != nil {
 		return nil, err
 	}
@@ -136,13 +127,8 @@ func Fig9(ctx context.Context, profiles []workload.Profile, o Options) ([]Fig9Ro
 
 	results := make([][3]Result, len(profiles))
 	errs := make([][3]error, len(profiles))
-	var jobs []runJob
-	for i, src := range profileSources(profiles) {
-		jobs = append(jobs,
-			runJob{src: src, mode: pipeline.ModeRePLay, opts: o, out: &results[i][0], err: &errs[i][0]},
-			runJob{src: src, mode: pipeline.ModeRePLayOpt, opts: blockOpts, out: &results[i][1], err: &errs[i][1]},
-			runJob{src: src, mode: pipeline.ModeRePLayOpt, opts: o, out: &results[i][2], err: &errs[i][2]})
-	}
+	sides := []side{{pipeline.ModeRePLay, o}, {pipeline.ModeRePLayOpt, blockOpts}, {pipeline.ModeRePLayOpt, o}}
+	jobs := sweepJobs(profileSources(profiles), sides, func(i, k int) (*Result, *error) { return &results[i][k], &errs[i][k] })
 	if err := runAll(ctx, jobs); err != nil {
 		return nil, err
 	}
@@ -197,20 +183,14 @@ func Fig10(ctx context.Context, o Options) ([]Fig10Row, error) {
 	const variants = 6
 	results := make([][variants + 2]Result, len(profiles))
 	errs := make([][variants + 2]error, len(profiles))
-	var jobs []runJob
-	for i, src := range profileSources(profiles) {
-		jobs = append(jobs,
-			runJob{src: src, mode: pipeline.ModeRePLay, opts: o, out: &results[i][0], err: &errs[i][0]},
-			runJob{src: src, mode: pipeline.ModeRePLayOpt, opts: o, out: &results[i][1], err: &errs[i][1]})
-		for v := range Fig10Variants {
-			mod := Fig10Variants[v].Mod
-			vo := o
-			vo.ConfigMod = chainMod(o.ConfigMod, func(c *pipeline.Config) { mod(&c.OptOptions) })
-			vo.variant = Fig10Variants[v].Name
-			jobs = append(jobs, runJob{src: src, mode: pipeline.ModeRePLayOpt, opts: vo,
-				out: &results[i][2+v], err: &errs[i][2+v]})
-		}
+	sides := []side{{pipeline.ModeRePLay, o}, {pipeline.ModeRePLayOpt, o}}
+	for _, v := range Fig10Variants {
+		vo := o
+		vo.ConfigMod = chainMod(o.ConfigMod, func(c *pipeline.Config) { v.Mod(&c.OptOptions) })
+		vo.variant = v.Name
+		sides = append(sides, side{pipeline.ModeRePLayOpt, vo})
 	}
+	jobs := sweepJobs(profileSources(profiles), sides, func(i, k int) (*Result, *error) { return &results[i][k], &errs[i][k] })
 	if err := runAll(ctx, jobs); err != nil {
 		return nil, err
 	}

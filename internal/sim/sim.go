@@ -597,6 +597,30 @@ type runJob struct {
 	err  *error
 }
 
+// side is one configuration a sweep runs over every source.
+type side struct {
+	mode pipeline.Mode
+	opts Options
+}
+
+// sweepJobs lists the jobs running each side over each source, side
+// by side: every source's first job comes before any source's second.
+// A source's jobs share one capture, which its first job to run
+// records while the others wait on it holding a CPU token, so listed
+// source by source a sweep's second job would sit idle beside the
+// first. out(i, k) gives the result and error slots of source i under
+// side k.
+func sweepJobs(srcs []source, sides []side, out func(i, k int) (*Result, *error)) []runJob {
+	jobs := make([]runJob, 0, len(srcs)*len(sides))
+	for k, sd := range sides {
+		for i, src := range srcs {
+			r, err := out(i, k)
+			jobs = append(jobs, runJob{src: src, mode: sd.mode, opts: sd.opts, out: r, err: err})
+		}
+	}
+	return jobs
+}
+
 // profileSources wraps each profile as a source.
 func profileSources(profiles []workload.Profile) []source {
 	srcs := make([]source, len(profiles))

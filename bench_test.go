@@ -409,7 +409,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 // BenchmarkProbeOverhead pins the cost of the engine probes, mirroring
 // BenchmarkTelemetryOverhead's shape. Probes have no enabled/disabled
 // gate: detached ("off", the default for every non-probe run) each
-// hook site pays one nil check, which must stay within noise of the
+// hook site pays one length check, which must stay within noise of the
 // un-instrumented pipeline. The other variants attach the reuse
 // collector, the guest-cycle profiler, the diff probe, and all three
 // at once over one shared loop stack: the price each experiment pays.

@@ -40,9 +40,11 @@
 // as an alias.
 //
 // -diff fetches a finished diff job's comparison from /debug/diff?job=ID
-// and renders it side by side: significance-gated top-line metrics with
-// the ±2×SEM bound each verdict cleared (or didn't), per-pass removal
-// deltas, and the heaviest per-loop deltas as signed bars. Submit a
+// and renders it side by side: top-line metric deltas, each with its
+// verdict (improved, regressed or unchanged, by the delta's sign and the
+// metric's direction; each side runs once, since the simulator is
+// deterministic), per-pass removal deltas, and the heaviest per-loop
+// deltas as signed bars. Submit a
 // comparison with POST /v1/diff (two run specs or two finished job IDs).
 //
 // -profile fetches a finished cycles job's guest-cycle profile from

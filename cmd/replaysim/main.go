@@ -440,8 +440,8 @@ func fig10(rows []sim.Fig10Row) {
 	fmt.Println("== Figure 10: Relative IPC with individual optimizations disabled ==")
 	fmt.Println("(0 = RP, 1 = RPO with all optimizations)")
 	header := []string{"Workload"}
-	for _, v := range []string{"no ASST", "no CP", "no CSE", "no NOP", "no RA", "no SF"} {
-		header = append(header, v)
+	for _, v := range sim.Fig10Variants {
+		header = append(header, v.Name)
 	}
 	header = append(header, "RP IPC", "RPO IPC")
 	t := stats.NewTable(header...)

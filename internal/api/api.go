@@ -47,9 +47,9 @@ const (
 	// GET /debug/profile.
 	ExpCycles = "cycles"
 	// ExpDiff runs the ablation diff engine: baseline and variant
-	// configurations both run probed, and their per-loop × per-pass
-	// partitions join into a conservation-exact delta report with
-	// significance-gated top-line verdicts. The request's own
+	// configurations each run once, probed, and their per-loop × per-pass
+	// partitions join into a conservation-exact delta report whose
+	// top-line verdicts follow each delta's sign. The request's own
 	// Mode/Config/XTrace describe the baseline side; the Diff spec
 	// describes the variant.
 	ExpDiff = "diff"

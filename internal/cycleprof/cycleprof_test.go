@@ -17,7 +17,7 @@ func slot(pc, next uint32) pipeline.Rec {
 }
 
 // attached is one collector probe over its own loop stack, fed the way
-// an engine's probe fan-out feeds it.
+// an engine's probe list feeds it.
 type attached struct {
 	pipeline.Probe
 	loops reuse.LoopStack

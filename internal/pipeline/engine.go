@@ -145,14 +145,15 @@ type Engine struct {
 	lastSrc fetchSrc
 
 	// insertedAt stamps each frame/trace-cache entry's insertion cycle,
-	// so evictions report true residency whenever the probe attached.
+	// so evictions report true residency whenever probes attached.
 	insertedAt map[uint32]uint64
 
-	// The engine's probe (see SetProbe); nil unless attached, so the
-	// detached cost at every hook site is one nil check.
-	probe Probe
+	// The engine's probes in call order (see SetProbes); empty unless
+	// attached, so the detached cost at every hook site is one length
+	// check.
+	probes []Probe
 	// profPC is the guest PC the next charged fetch cycles are
-	// attributed to; maintained (via profAt) only while a probe is set.
+	// attributed to; maintained (via profAt) only while probes are set.
 	profPC uint32
 
 	// Wall-clock pass timing (see SetPassRecorder); nil unless a span
@@ -365,8 +366,8 @@ func (e *Engine) stallUntil(t uint64, bin Bin) {
 		n := t - e.cycle
 		e.stats.Bins[bin] += n
 		e.cycle = t
-		if e.probe != nil {
-			e.probe.CycleCharge(e.profPC, bin, n)
+		for _, p := range e.probes {
+			p.CycleCharge(e.profPC, bin, n)
 		}
 	}
 }
@@ -375,15 +376,15 @@ func (e *Engine) stallUntil(t uint64, bin Bin) {
 func (e *Engine) tick(bin Bin) {
 	e.stats.Bins[bin]++
 	e.cycle++
-	if e.probe != nil {
-		e.probe.CycleCharge(e.profPC, bin, 1)
+	for _, p := range e.probes {
+		p.CycleCharge(e.profPC, bin, 1)
 	}
 }
 
 // profAt notes the guest PC responsible for subsequently charged fetch
-// cycles. One nil check when no probe is attached.
+// cycles. One length check when no probe is attached.
 func (e *Engine) profAt(pc uint32) {
-	if e.probe != nil {
+	if len(e.probes) != 0 {
 		e.profPC = pc
 	}
 }
@@ -512,8 +513,8 @@ func (e *Engine) dispatchOp(units []uint64, lat uint64, flags uint8, ready, fetc
 	e.lastRetire = retireAt
 	e.inflight[e.inflightHi&uint(len(e.inflight)-1)] = retireAt
 	e.inflightHi++
-	if e.probe != nil {
-		e.probe.FetchRetire(retireAt - fetchAt)
+	for _, p := range e.probes {
+		p.FetchRetire(retireAt - fetchAt)
 	}
 	return doneAt
 }
@@ -522,7 +523,7 @@ func (e *Engine) dispatchOp(units []uint64, lat uint64, flags uint8, ready, fetc
 // in a fetch group that left the front end at fetchAt, pairing memory
 // micro-ops with the record's addresses in order, then retires it: the
 // committed-path accounting (fromTrace marks trace-cache coverage), the
-// probe, and the frame constructor or trace fill unit. It returns the
+// probes, and the frame constructor or trace fill unit. It returns the
 // completion time of the instruction's control micro-op, which is when
 // a misprediction resolves.
 func (e *Engine) issueSlot(s *Rec, fetchAt uint64, fromTrace bool) (brDone uint64) {
@@ -558,8 +559,8 @@ func (e *Engine) issueSlot(s *Rec, fetchAt uint64, fromTrace bool) (brDone uint6
 	if fromTrace {
 		e.stats.CoveredBaseline += n
 	}
-	if e.probe != nil {
-		e.probe.SlotRetired(s, fromTrace, len(s.Ops))
+	for _, p := range e.probes {
+		p.SlotRetired(s, fromTrace, len(s.Ops))
 	}
 	if e.cons != nil {
 		e.cons.Retire(s.Entry, s.NextPC, s.MemAddrs)
@@ -652,7 +653,7 @@ func (e *Engine) fetchICache() {
 	// The group leader owns the group's switch-turnaround, window-stall,
 	// miss, and fetch cycles; mispredict recovery is re-attributed to
 	// the branch by handleControl.
-	if e.probe != nil {
+	if len(e.probes) != 0 {
 		if s := e.peek(); s != nil {
 			e.profPC = s.PC
 		}

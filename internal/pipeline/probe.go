@@ -89,43 +89,44 @@ func (NopProbe) AssertFired(uint64, uint64, uint32, bool)            {}
 func (NopProbe) TraceFetch(uint64, uint64, uint32, int)              {}
 func (NopProbe) CycleCharge(uint32, Bin, uint64)                     {}
 
-// SetProbe attaches the engine's probe, its one observer. The probe
-// lives on the Engine, not Config, so Config, part of the run-memo
-// key, stays a pure value; attach after warmup so the probe covers
-// exactly the measured window ResetStats draws. Replacing or detaching
-// (passing nil) ends the outgoing probe's window: every entry still
-// cached reports its residency to it through Resident. Detached, each
-// hook site pays one nil check.
-func (e *Engine) SetProbe(p Probe) {
-	if e.probe != nil {
+// SetProbes attaches the engine's probes, its only observers, which
+// see every event in the order given; the engine keeps ps as its list.
+// Probes live on the Engine, not Config, so Config, part of the
+// run-memo key, stays a pure value; attach after warmup so the probes
+// cover exactly the measured window ResetStats draws. Replacing or
+// detaching (calling with no probes) ends the outgoing probes' window:
+// every entry still cached reports its residency to each through
+// Resident. Detached, each hook site pays one length check.
+func (e *Engine) SetProbes(ps ...Probe) {
+	for _, p := range e.probes {
 		for _, t0 := range e.insertedAt {
-			e.probe.Resident(e.cycle - t0)
+			p.Resident(e.cycle - t0)
 		}
 	}
-	e.probe = p
+	e.probes = ps
 }
 
 // watchCache installs the UOpCache hooks that stamp every entry's
 // insertion cycle, whether or not a probe is attached, and report
-// insertions and evictions to the probe. A package-level generic
+// insertions and evictions to the probes. A package-level generic
 // function because methods cannot have type parameters.
 func watchCache[T any](e *Engine, c *cache.UOpCache[T]) {
 	c.OnInsert = func(pc uint32, uops int) {
 		e.insertedAt[pc] = e.cycle
-		if e.probe != nil {
-			e.probe.CacheInsert(e.cycle, pc, uops)
+		for _, p := range e.probes {
+			p.CacheInsert(e.cycle, pc, uops)
 		}
 	}
 	c.OnEvict = func(pc uint32, uops int) {
-		if e.probe != nil {
-			e.probe.Evict(e.cycle, pc, uops, e.cycle-e.insertedAt[pc])
+		for _, p := range e.probes {
+			p.Evict(e.cycle, pc, uops, e.cycle-e.insertedAt[pc])
 		}
 		delete(e.insertedAt, pc)
 	}
 }
 
 // SetPassRecorder attaches a wall-clock pass-timing recorder to the
-// optimizer path (see opt.TimedPassRecorder). Like SetProbe it lives on
+// optimizer path (see opt.TimedPassRecorder). Like SetProbes it lives on
 // the Engine, not Config, so the run-memo key stays a value.
 // Detach by passing nil.
 func (e *Engine) SetPassRecorder(r opt.TimedPassRecorder) {
@@ -133,7 +134,7 @@ func (e *Engine) SetPassRecorder(r opt.TimedPassRecorder) {
 }
 
 // passFan is the engine's optimizer pass recorder: it forwards each
-// changed pass invocation to the probe and to the pass-timing recorder
+// changed pass invocation to each probe and to the pass-timing recorder
 // when one is attached. It does not implement opt.TimedPassRecorder, so
 // an untimed run never makes the optimizer pay the two time.Now calls
 // per pass; timedPassFan adds the extension only while a timing
@@ -141,8 +142,8 @@ func (e *Engine) SetPassRecorder(r opt.TimedPassRecorder) {
 type passFan struct{ e *Engine }
 
 func (f passFan) RecordPass(frameID uint64, pass string, killed, rewritten int) {
-	if f.e.probe != nil {
-		f.e.probe.Pass(pass, killed, rewritten)
+	for _, p := range f.e.probes {
+		p.Pass(pass, killed, rewritten)
 	}
 	if f.e.passRec != nil {
 		f.e.passRec.RecordPass(frameID, pass, killed, rewritten)
@@ -161,7 +162,7 @@ func (e *Engine) optRecorder() opt.PassRecorder {
 	switch {
 	case e.passRec != nil:
 		return timedPassFan{passFan{e}}
-	case e.probe != nil:
+	case len(e.probes) != 0:
 		return passFan{e}
 	}
 	return nil

@@ -12,8 +12,8 @@ import (
 // slot is busy are dropped, as in the paper's design discussion.
 func (e *Engine) depositFrame(f *frame.Frame) {
 	e.stats.FramesConstructed++
-	if e.probe != nil {
-		e.probe.FrameBuilt(e.cycle, f.ID, f.StartPC, len(f.UOps))
+	for _, p := range e.probes {
+		p.FrameBuilt(e.cycle, f.ID, f.StartPC, len(f.UOps))
 	}
 	// Skip when a comparable frame is already cached or in flight; a
 	// replacement must grow the frame substantially (50%) to be worth
@@ -92,8 +92,8 @@ func (e *Engine) startOptimizations() {
 		e.accumulateOpt(st)
 		e.stats.FramesOptimized++
 		dwell := uint64(e.cfg.OptCyclesPerUOp * len(f.UOps))
-		if e.probe != nil {
-			e.probe.OptRemoved(e.cycle, f.ID, f.StartPC, st.UOpsIn, st.UOpsOut, dwell)
+		for _, p := range e.probes {
+			p.OptRemoved(e.cycle, f.ID, f.StartPC, st.UOpsIn, st.UOpsOut, dwell)
 		}
 		done := e.cycle + dwell
 		e.optSlots[slot] = done
@@ -192,8 +192,8 @@ func (e *Engine) runFrame(c *cachedFrame) {
 	e.profAt(src.StartPC) // cache-switch turnaround belongs to the frame head
 	e.switchTo(srcFC)
 	e.stats.FrameFetches++
-	if e.probe != nil {
-		e.probe.FrameHit(e.cycle, src.ID, src.StartPC)
+	for _, p := range e.probes {
+		p.FrameHit(e.cycle, src.ID, src.StartPC)
 	}
 	savedArch := e.regReady
 
@@ -218,7 +218,7 @@ func (e *Engine) runFrame(c *cachedFrame) {
 		if groupLeft == 0 {
 			// Per-PC attribution inside the frame: the group's cycles
 			// belong to the instruction leading it.
-			if e.probe != nil && int(o.instIdx) < len(src.PCs) {
+			if len(e.probes) != 0 && int(o.instIdx) < len(src.PCs) {
 				e.profPC = src.PCs[o.instIdx]
 			}
 			e.windowStall()
@@ -267,8 +267,8 @@ func (e *Engine) runFrame(c *cachedFrame) {
 		if unsafeConflict && !diverged {
 			e.stats.UnsafeAborts++
 		}
-		if e.probe != nil {
-			e.probe.AssertFired(e.cycle, src.ID, src.StartPC, unsafeConflict && !diverged)
+		for _, p := range e.probes {
+			p.AssertFired(e.cycle, src.ID, src.StartPC, unsafeConflict && !diverged)
 		}
 		e.profAt(src.StartPC) // recovery wait belongs to the aborting frame
 		e.stallUntil(maxDone, BinAssert)
@@ -299,8 +299,8 @@ func (e *Engine) runFrame(c *cachedFrame) {
 		e.regReady = savedArch
 		e.pendingLo = lo
 		e.recoverSlots = len(consumed)
-		if e.probe != nil {
-			e.probe.FrameRetired(e.cycle, len(c.prog), false)
+		for _, p := range e.probes {
+			p.FrameRetired(e.cycle, len(c.prog), false)
 		}
 		return
 	}
@@ -318,8 +318,8 @@ func (e *Engine) runFrame(c *cachedFrame) {
 		e.stats.UOpsBaseline += n
 		e.stats.LoadsBaseline += uint64(s.Loads)
 		e.stats.CoveredBaseline += n
-		if e.probe != nil {
-			e.probe.SlotRetired(s, true, 0)
+		for _, p := range e.probes {
+			p.SlotRetired(s, true, 0)
 		}
 		e.trainPredictors(s)
 	}
@@ -327,28 +327,23 @@ func (e *Engine) runFrame(c *cachedFrame) {
 	// converted content (frame growth toward the size limit), refreshing
 	// the aliasing profile with this execution's addresses. The deposit
 	// filter (substantial-growth rule) bounds re-optimization churn.
-	if e.cons != nil {
-		// Scratch likewise; RetireFrame copies the addresses out.
-		if cap(e.scratchAddrs) < len(of.Ops) {
-			e.scratchAddrs = make([]uint32, len(of.Ops))
-		}
-		fresh := e.scratchAddrs[:len(of.Ops)]
-		clear(fresh)
-		for i := range of.Ops {
-			if o := &of.Ops[i]; o.MemSub >= 0 {
-				fresh[i], _ = memAddr(consumed, o.InstIdx, o.MemSub, o.ProfAddr)
-			}
-		}
-		e.cons.RetireFrame(src, fresh)
+	// Frames exist only in RP/RPO, which always have a constructor. The
+	// address buffer is engine scratch too; RetireFrame copies it out.
+	if cap(e.scratchAddrs) < len(of.Ops) {
+		e.scratchAddrs = make([]uint32, len(of.Ops))
 	}
-	if e.fill != nil {
-		e.fill.insts = e.fill.insts[:0]
-		e.fill.nuops, e.fill.branches = 0, 0
+	fresh := e.scratchAddrs[:len(of.Ops)]
+	clear(fresh)
+	for i := range of.Ops {
+		if o := &of.Ops[i]; o.MemSub >= 0 {
+			fresh[i], _ = memAddr(consumed, o.InstIdx, o.MemSub, o.ProfAddr)
+		}
 	}
+	e.cons.RetireFrame(src, fresh)
 	e.stats.UOpsRetired += uint64(len(c.prog))
 	e.stats.LoadsRetired += uint64(c.validLoads)
-	if e.probe != nil {
-		e.probe.FrameRetired(e.cycle, len(c.prog), true)
+	for _, p := range e.probes {
+		p.FrameRetired(e.cycle, len(c.prog), true)
 	}
 
 	// Live-out scoreboard updates.

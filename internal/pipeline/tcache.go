@@ -60,10 +60,12 @@ func (e *Engine) fillTrace(s *Rec) {
 func (e *Engine) fetchTraceEntry(tr *traceEntry) {
 	e.profAt(tr.StartPC) // turnaround + first group belong to the line head
 	e.switchTo(srcFC)
-	if e.probe != nil {
+	if len(e.probes) != 0 {
 		start := e.cycle
 		defer func() {
-			e.probe.TraceFetch(start, e.cycle, tr.StartPC, tr.NumUOps)
+			for _, p := range e.probes {
+				p.TraceFetch(start, e.cycle, tr.StartPC, tr.NumUOps)
+			}
 		}()
 	}
 	e.windowStall()

@@ -171,10 +171,11 @@ type activeLoop struct {
 
 // LoopStack is the streaming loop detector for one engine run: the
 // stack of live loop activations, the table of loops seen so far, and
-// the call depth. Its owner advances it once per retired instruction,
-// in retirement order, before any probe sees the slot, so every probe
-// on the engine reads one loop view. The zero value is ready to use;
-// it is single-goroutine, like the engine that drives it.
+// the call depth. It is itself a probe: attached as the engine's first,
+// it advances once per retired instruction, in retirement order, before
+// any other probe sees the slot, so every probe on the engine reads one
+// loop view. The zero value is ready to use; it is single-goroutine,
+// like the engine that drives it.
 //
 // A loop is recognized at its first back edge — a taken control
 // transfer to a lower or equal PC — so an activation's first body
@@ -185,12 +186,16 @@ type activeLoop struct {
 // dynamically inside the loop), and returning below that call depth
 // ends it.
 type LoopStack struct {
+	pipeline.NopProbe
 	stack     []activeLoop
 	loops     map[uint32]*Loop
 	order     []uint32 // header insertion order, for deterministic reports
 	callDepth int
 	execDepth int
 }
+
+// SlotRetired advances the stack past the retired slot.
+func (ls *LoopStack) SlotRetired(s *pipeline.Rec, _ bool, _ int) { ls.Retire(s) }
 
 // Retire advances the stack past one retired instruction: it leaves
 // the loops whose body no longer holds the PC, charges the slot's
@@ -306,9 +311,10 @@ func (ls *LoopStack) Loops() []Loop {
 
 // Detector attributes one engine's retired work and frame-lifecycle
 // events to loop-depth buckets, reading the engine's shared LoopStack
-// (which its owner advances before each slot reaches the Detector).
-// Retired slots land in the bucket of the depth they executed at;
-// lifecycle events in the bucket of the depth live when they fire.
+// (the engine's first probe, so it advances before each slot reaches
+// the Detector). Retired slots land in the bucket of the depth they
+// executed at; lifecycle events in the bucket of the depth live when
+// they fire.
 type Detector struct {
 	pipeline.NopProbe
 	*LoopStack

@@ -21,7 +21,7 @@ func slot(pc, next uint32, op x86.Op, uops ...uop.Op) pipeline.Rec {
 }
 
 // retire advances the detector's loop stack past the slot, then hands
-// the slot to the detector: the order an engine's probe fan-out uses.
+// the slot to the detector: the order an engine's probe list uses.
 func retire(d *Detector, s pipeline.Rec) {
 	d.Retire(&s)
 	d.SlotRetired(&s, false, len(s.UOps))

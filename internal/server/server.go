@@ -31,6 +31,9 @@ import (
 	"repro/internal/xtrace"
 )
 
+// keepFinished bounds how many finished jobs stay queryable.
+const keepFinished = 256
+
 // Runner executes one canonicalized request, reporting progress through
 // events. The default runs it through the api dispatcher, resolving
 // uploaded traces from the spool; tests substitute instrumented
@@ -49,9 +52,6 @@ type Config struct {
 	// MaxInsts caps the per-trace instruction budget a request may ask
 	// for (0 = no cap).
 	MaxInsts int
-	// KeepFinished bounds how many finished jobs stay queryable.
-	// Default 256.
-	KeepFinished int
 	// TraceEvents bounds the per-job trace ring for requests with
 	// Trace set; the ring keeps the newest events. Default 65536.
 	TraceEvents int
@@ -91,9 +91,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.KeepFinished <= 0 {
-		c.KeepFinished = 256
 	}
 	if c.TraceEvents <= 0 {
 		c.TraceEvents = 1 << 16
@@ -233,7 +230,7 @@ type Server struct {
 	mu         sync.Mutex
 	jobs       map[string]*job
 	inflight   map[string]*job // coalescing index: queued or running jobs by key
-	finished   []string        // finish order, for KeepFinished eviction
+	finished   []string        // finish order, for keepFinished eviction
 	nextID     int
 	draining   bool
 	queuedJobs int // accepted but not yet started
@@ -743,7 +740,7 @@ func (s *Server) settle(j *job, res *api.RunResponse, err error) {
 		delete(s.inflight, j.key)
 	}
 	s.finished = append(s.finished, j.id)
-	for len(s.finished) > s.cfg.KeepFinished {
+	for len(s.finished) > keepFinished {
 		delete(s.jobs, s.finished[0])
 		s.finished = s.finished[1:]
 	}

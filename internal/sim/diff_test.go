@@ -352,7 +352,7 @@ func TestAllProbesTogether(t *testing.T) {
 				attached(c)
 			}
 			// The histograms beside the reuse collector: a Sampler sharing
-			// the fan with a loop-stack reader.
+			// the probe list with a loop-stack reader.
 			_, hsetPair, hPair, _ := lifecycle()
 			rPair := reuse.NewCollector()
 			attached(hPair, rPair)
@@ -450,21 +450,22 @@ func TestAllProbesTogether(t *testing.T) {
 	})
 }
 
-// TestProbeFanAdvancesLoopsFirst pins the fan-out's order: the shared
+// TestAttachProbesLoopsFirst pins the probe list's order: the shared
 // loop stack advances before any probe sees a slot, so reuse buckets
 // read the depth the slot executed at and diff rows the loop active
-// after the slot's own back edge. A three-instruction loop body runs
-// three times: its first iteration retires before the loop is known,
-// and its first closing branch already belongs to the loop's row.
-func TestProbeFanAdvancesLoopsFirst(t *testing.T) {
-	rcol, dcol := reuse.NewCollector(), diff.NewCollector()
-	fan := &probeFan{loops: new(reuse.LoopStack)}
-	var folds []func()
-	for _, c := range []Collector{rcol, dcol} {
-		p, done := c.Attach("", 0, fan.loops)
-		fan.probes = append(fan.probes, p)
-		folds = append(folds, done)
+// after the slot's own back edge. The list comes from attachProbes,
+// as in runTrace, and each slot goes to its probes in list order, as
+// the engine calls them. A three-instruction loop body runs three
+// times: its first iteration retires before the loop is known, and its
+// first closing branch already belongs to the loop's row. Samplers
+// alone get no loop stack.
+func TestAttachProbesLoopsFirst(t *testing.T) {
+	hist := telemetry.NewHistograms(telemetry.NewHistogramSet(), "")
+	if probes, _ := attachProbes([]Collector{hist}, "", 0); len(probes) != 1 {
+		t.Fatalf("lone Sampler: %d probes, want its own only", len(probes))
 	}
+	rcol, dcol := reuse.NewCollector(), diff.NewCollector()
+	probes, folds := attachProbes([]Collector{rcol, dcol}, "", 0)
 	for trip := 0; trip < 3; trip++ {
 		next := uint32(0x10)
 		if trip == 2 {
@@ -475,7 +476,9 @@ func TestProbeFanAdvancesLoopsFirst(t *testing.T) {
 			{Entry: &translate.Entry{PC: 0x14, Inst: x86.Inst{Op: x86.OpMOV, Len: 4}, UOps: []uop.UOp{{Op: uop.LOAD}}}, NextPC: 0x18},
 			{Entry: &translate.Entry{PC: 0x18, Ctl: translate.CtlCond, Inst: x86.Inst{Op: x86.OpJCC, Len: 4}, UOps: []uop.UOp{{Op: uop.BR}}}, NextPC: next},
 		} {
-			fan.SlotRetired(&s, false, 1)
+			for _, p := range probes {
+				p.SlotRetired(&s, false, 1)
+			}
 		}
 	}
 	for _, done := range folds {

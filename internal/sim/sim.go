@@ -426,29 +426,15 @@ func runTrace(ctx context.Context, src *source, mode pipeline.Mode, cfg pipeline
 	// Probes attach after warmup, so they cover exactly the measured
 	// window — the same boundary ResetStats draws for the counters.
 	// Attaching per engine keeps a collector shared across parallel runs
-	// race-free. One loop stack per engine, advanced once per retired
-	// slot, feeds every probe's loop view; Samplers read none, so a run
-	// of Samplers alone has none, and one Sampler gets the events
-	// without the fan.
+	// race-free.
 	if len(o.Probes) > 0 {
 		run := fmt.Sprintf("%s/%s/t%d", src.name, mode, t)
 		if o.variant != "" {
 			run = fmt.Sprintf("%s/%s/%s/t%d", src.name, mode, o.variant, t)
 		}
-		fan := &probeFan{}
-		if mustExecute(o.Probes) {
-			fan.loops = new(reuse.LoopStack)
-		}
-		for _, c := range o.Probes {
-			p, done := c.Attach(run, t, fan.loops)
-			folds = append(folds, done)
-			fan.probes = append(fan.probes, p)
-		}
-		if fan.loops == nil && len(fan.probes) == 1 {
-			eng.SetProbe(fan.probes[0])
-		} else {
-			eng.SetProbe(fan)
-		}
+		var probes []pipeline.Probe
+		probes, folds = attachProbes(o.Probes, run, t)
+		eng.SetProbes(probes...)
 	}
 	eng.ResetStats()
 	mctx, mspan := tracing.Start(ctx, "sim.measure")
@@ -461,7 +447,7 @@ func runTrace(ctx context.Context, src *source, mode pipeline.Mode, cfg pipeline
 	_, err = eng.RunContext(mctx, uint64(budget)-warm)
 	// Detaching closes the probes' window: still-cached entries report
 	// their residency before the collectors fold.
-	eng.SetProbe(nil)
+	eng.SetProbes()
 	if err == nil {
 		if serr := stream.Err(); serr != nil {
 			err = fmt.Errorf("sim %s trace %d: %w", src.name, t, serr)
@@ -478,93 +464,24 @@ func runTrace(ctx context.Context, src *source, mode pipeline.Mode, cfg pipeline
 	return eng.Stats(), folds, nil
 }
 
-// probeFan is the engine's probe when collectors attach: it advances
-// the engine's loop stack, if it has one, once per retired slot, then
-// forwards every event to each collector's probe in attach order.
-type probeFan struct {
-	loops  *reuse.LoopStack // nil when every collector is a Sampler
-	probes []pipeline.Probe
-}
-
-func (f *probeFan) SlotRetired(s *pipeline.Rec, fromFrame bool, uopsExecuted int) {
-	if f.loops != nil {
-		f.loops.Retire(s)
+// attachProbes returns one engine run's probe list, in the order the
+// engine calls it, and the collectors' fold funcs in attach order.
+// Unless every collector is a Sampler, the list starts with the run's
+// loop stack, so it advances past each retired slot before any
+// collector's probe reads it; Samplers read none, so a run of Samplers
+// alone has none.
+func attachProbes(cs []Collector, run string, t int) (probes []pipeline.Probe, folds []func()) {
+	var loops *reuse.LoopStack
+	if mustExecute(cs) {
+		loops = new(reuse.LoopStack)
+		probes = append(probes, loops)
 	}
-	for _, p := range f.probes {
-		p.SlotRetired(s, fromFrame, uopsExecuted)
+	for _, c := range cs {
+		p, done := c.Attach(run, t, loops)
+		probes = append(probes, p)
+		folds = append(folds, done)
 	}
-}
-
-func (f *probeFan) FrameBuilt(cycle, id uint64, pc uint32, uops int) {
-	for _, p := range f.probes {
-		p.FrameBuilt(cycle, id, pc, uops)
-	}
-}
-
-func (f *probeFan) FrameHit(cycle, id uint64, pc uint32) {
-	for _, p := range f.probes {
-		p.FrameHit(cycle, id, pc)
-	}
-}
-
-func (f *probeFan) FrameRetired(cycle uint64, uops int, committed bool) {
-	for _, p := range f.probes {
-		p.FrameRetired(cycle, uops, committed)
-	}
-}
-
-func (f *probeFan) OptRemoved(cycle, id uint64, pc uint32, uopsIn, uopsOut int, dwell uint64) {
-	for _, p := range f.probes {
-		p.OptRemoved(cycle, id, pc, uopsIn, uopsOut, dwell)
-	}
-}
-
-func (f *probeFan) Pass(pass string, killed, rewritten int) {
-	for _, p := range f.probes {
-		p.Pass(pass, killed, rewritten)
-	}
-}
-
-func (f *probeFan) CacheInsert(cycle uint64, pc uint32, uops int) {
-	for _, p := range f.probes {
-		p.CacheInsert(cycle, pc, uops)
-	}
-}
-
-func (f *probeFan) Evict(cycle uint64, pc uint32, uops int, residency uint64) {
-	for _, p := range f.probes {
-		p.Evict(cycle, pc, uops, residency)
-	}
-}
-
-func (f *probeFan) Resident(residency uint64) {
-	for _, p := range f.probes {
-		p.Resident(residency)
-	}
-}
-
-func (f *probeFan) FetchRetire(latency uint64) {
-	for _, p := range f.probes {
-		p.FetchRetire(latency)
-	}
-}
-
-func (f *probeFan) AssertFired(cycle, id uint64, pc uint32, unsafe bool) {
-	for _, p := range f.probes {
-		p.AssertFired(cycle, id, pc, unsafe)
-	}
-}
-
-func (f *probeFan) TraceFetch(start, end uint64, pc uint32, uops int) {
-	for _, p := range f.probes {
-		p.TraceFetch(start, end, pc, uops)
-	}
-}
-
-func (f *probeFan) CycleCharge(pc uint32, bin pipeline.Bin, n uint64) {
-	for _, p := range f.probes {
-		p.CycleCharge(pc, bin, n)
-	}
+	return probes, folds
 }
 
 // spanSummaries puts each probe's headline numbers on the sim.run span.

@@ -151,7 +151,7 @@ func TestResidencyCoversWarmupFrames(t *testing.T) {
 		}
 		eng := pipeline.NewFrom(pipeline.DefaultConfig(pipeline.ModeRePLayOpt), pipeline.ModeRePLayOpt, newCPUStream(prog))
 		truth := &residencyTruth{insertedAt: map[uint32]uint64{}}
-		eng.SetProbe(truth)
+		eng.SetProbes(truth)
 		warm := uint64(float64(budget) * 0.4)
 		eng.Run(warm)
 		warmEnd := eng.Stats().Cycles

@@ -155,12 +155,9 @@ type attrProbe struct {
 	a *Attribution
 }
 
+// Pass folds one changed optimizer pass invocation into the table.
 func (p attrProbe) Pass(pass string, killed, rewritten int) {
-	p.a.RecordPass(0, pass, killed, rewritten)
-}
-
-// RecordPass folds one optimizer pass invocation into the table.
-func (a *Attribution) RecordPass(_ uint64, pass string, killed, rewritten int) {
+	a := p.a
 	a.mu.Lock()
 	ps := a.passes[pass]
 	if ps == nil {

@@ -13,8 +13,10 @@ func TestAttributionOrder(t *testing.T) {
 	p.Pass("dce", 5, 0)
 	p.Pass("cp", 1, 2)
 	done()
-	c.RecordPass(2, "cp", 0, 3)
-	c.RecordPass(2, "zz-custom", 1, 0)
+	p2, done2 := c.Attach("r", 1, nil)
+	p2.Pass("cp", 0, 3)
+	p2.Pass("zz-custom", 1, 0)
+	done2()
 	snap := c.Snapshot()
 	if len(snap) != 3 {
 		t.Fatalf("rows: %+v", snap)

@@ -44,10 +44,11 @@ func TestTraceparentValid(t *testing.T) {
 	}
 }
 
-func TestTraceparentRejects(t *testing.T) {
+// traceparentRejects are malformed headers ParseTraceparent must refuse.
+var traceparentRejects = func() []struct{ name, in string } {
 	tid := "0af7651916cd43dd8448eb211c80319c"
 	sid := "b7ad6b7169203331"
-	cases := []struct{ name, in string }{
+	return []struct{ name, in string }{
 		{"empty", ""},
 		{"too few fields", "00-" + tid + "-" + sid},
 		{"too many fields", "00-" + tid + "-" + sid + "-01-extra"},
@@ -64,11 +65,37 @@ func TestTraceparentRejects(t *testing.T) {
 		{"short flags", "00-" + tid + "-" + sid + "-1"},
 		{"non-hex flags", "00-" + tid + "-" + sid + "-xy"},
 	}
-	for _, c := range cases {
+}()
+
+func TestTraceparentRejects(t *testing.T) {
+	for _, c := range traceparentRejects {
 		if _, err := ParseTraceparent(c.in); err == nil {
 			t.Errorf("%s: ParseTraceparent(%q) accepted, want error", c.name, c.in)
 		}
 	}
+}
+
+// FuzzTraceparent: whatever the header, an accepted one renders
+// through String to a header that parses back to the same Traceparent.
+func FuzzTraceparent(f *testing.F) {
+	f.Add("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")
+	f.Add("  00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-00\t")
+	for _, c := range traceparentRejects {
+		f.Add(c.in)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tp, err := ParseTraceparent(s)
+		if err != nil {
+			return
+		}
+		back, err := ParseTraceparent(tp.String())
+		if err != nil {
+			t.Fatalf("ParseTraceparent(%q) accepted, but its String %q fails: %v", s, tp, err)
+		}
+		if back != tp {
+			t.Fatalf("ParseTraceparent(%q) = %+v, String round trip gives %+v", s, tp, back)
+		}
+	})
 }
 
 func TestParseTraceID(t *testing.T) {

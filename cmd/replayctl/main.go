@@ -8,7 +8,7 @@
 //	replayctl -experiment fig6 [-workloads a,b] [-insts N] [-mode RPO]
 //	          [-n 8] [-async] [-json] [-job-trace out.json]
 //	replayctl -upload trace.xut
-//	replayctl -run-trace <id> [-mode RPO] [-insts N]
+//	replayctl -run-trace <id> [-mode RPO] [-insts N] [-job-trace out.json]
 //	replayctl -watch job-000001
 //	replayctl -metrics [-raw]
 //	replayctl -traces
@@ -55,15 +55,17 @@
 // -metrics renders the daemon's Prometheus exposition as tables and
 // per-bucket histogram bars, with OpenMetrics exemplars (the trace IDs
 // sampled into histogram buckets) listed under each histogram; -raw
-// prints the exposition verbatim. -job-trace saves a frame-lifecycle
-// Chrome trace_event file — the micro-op-level view, distinct from the
-// request-level span traces.
+// prints the exposition verbatim. -job-trace saves the finished job's
+// frame-lifecycle Chrome trace_event file (for an experiment or a
+// -run-trace job; it waits for the job, so -async rejects it) — the
+// micro-op-level view, distinct from the request-level span traces.
 package main
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -121,8 +123,9 @@ func main() {
 			Mode:       *mode,
 			Insts:      *insts,
 			WarmupFrac: *warmup,
+			Trace:      *traceOut != "",
 		}
-		if err := run(client, base, req, *n, *async, *jsonOut, ""); err != nil {
+		if err := run(client, base, req, *n, *async, *jsonOut, *traceOut); err != nil {
 			fatal(err)
 		}
 	case *traces:
@@ -529,10 +532,15 @@ func post(client *http.Client, url string, req api.RunRequest) (api.Job, error) 
 }
 
 // run fires n identical requests concurrently and reports what the
-// daemon did with them (how many coalesced, wall time, result).
+// daemon did with them (how many coalesced, wall time, result). A
+// traceOut path saves the finished job's frame-lifecycle trace there,
+// so it cannot be combined with async.
 func run(client *http.Client, base string, req api.RunRequest, n int, async, jsonOut bool, traceOut string) error {
 	path := base + "/v1/run"
 	if async {
+		if traceOut != "" {
+			return errors.New("-job-trace fetches the finished job's trace; it cannot be combined with -async")
+		}
 		path = base + "/v1/jobs"
 	}
 	if n < 1 {
@@ -573,7 +581,7 @@ func run(client *http.Client, base string, req api.RunRequest, n int, async, jso
 		}
 	}
 
-	if traceOut != "" && !async {
+	if traceOut != "" {
 		f, err := os.Create(traceOut)
 		if err != nil {
 			return err

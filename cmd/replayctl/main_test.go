@@ -2,11 +2,15 @@ package main
 
 import (
 	"bytes"
+	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/stats"
 )
 
@@ -53,5 +57,25 @@ func TestPrintMetricsLatencyLabels(t *testing.T) {
 	header, _, _ = strings.Cut(header, "\n")
 	if mean, err := strconv.ParseFloat(header, 64); err != nil || mean != 0.002 {
 		t.Errorf("header mean %q, want 0.002", header)
+	}
+}
+
+// TestJobTraceRejectsAsync: an async submission returns before the job
+// finishes, so there is no trace to save; run refuses the pair before
+// sending anything instead of dropping the flag.
+func TestJobTraceRejectsAsync(t *testing.T) {
+	var hits atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		http.Error(w, "unexpected", http.StatusTeapot)
+	}))
+	defer ts.Close()
+	req := api.RunRequest{Experiment: "cell", Workloads: []string{"gzip"}, Trace: true}
+	err := run(ts.Client(), ts.URL, req, 1, true, false, t.TempDir()+"/job.json")
+	if err == nil || !strings.Contains(err.Error(), "-async") {
+		t.Fatalf("run(-async, -job-trace) = %v, want an error naming -async", err)
+	}
+	if n := hits.Load(); n != 0 {
+		t.Errorf("daemon saw %d request(s), want none", n)
 	}
 }

@@ -160,16 +160,12 @@ func (r RunRequest) Canonical() RunRequest {
 		// the coalescing key.
 		r.Workloads = nil
 	}
-	if len(r.Workloads) > 0 {
-		ws := make([]string, 0, len(r.Workloads))
-		for _, w := range r.Workloads {
-			if w = strings.ToLower(strings.TrimSpace(w)); w != "" {
-				ws = append(ws, w)
-			}
+	// A list of blank names canonicalizes to no list, as an absent one.
+	c.Workloads = nil
+	for _, w := range r.Workloads {
+		if w = strings.ToLower(strings.TrimSpace(w)); w != "" {
+			c.Workloads = append(c.Workloads, w)
 		}
-		c.Workloads = ws
-	} else {
-		c.Workloads = nil
 	}
 	c.Config = canonicalConfig(r.Config)
 	if c.Experiment == ExpDiff {

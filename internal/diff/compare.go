@@ -3,8 +3,8 @@ package diff
 import (
 	"sort"
 
+	"repro/internal/opt"
 	"repro/internal/pipeline"
-	"repro/internal/telemetry"
 )
 
 // RunSide bundles everything one side of a comparison contributes: a
@@ -252,34 +252,13 @@ func sumPasses(rows []Row) map[string]PassCount {
 	return out
 }
 
-// passDeltas joins two per-pass maps into ordered deltas (canonical
-// pass order first, then alphabetically for unknown names), dropping
-// passes absent on both sides.
+// passDeltas joins two per-pass maps into deltas in opt.PassNames
+// order, dropping passes absent on both sides.
 func passDeltas(b, v map[string]PassCount) []PassDelta {
-	names := make(map[string]bool, len(b)+len(v))
-	for n := range b {
-		names[n] = true
-	}
-	for n := range v {
-		names[n] = true
-	}
-	if len(names) == 0 {
+	ordered := opt.PassNames(b, v)
+	if len(ordered) == 0 {
 		return nil
 	}
-	ordered := make([]string, 0, len(names))
-	for _, n := range telemetry.PassOrder {
-		if names[n] {
-			ordered = append(ordered, n)
-			delete(names, n)
-		}
-	}
-	rest := make([]string, 0, len(names))
-	for n := range names {
-		rest = append(rest, n)
-	}
-	sort.Strings(rest)
-	ordered = append(ordered, rest...)
-
 	out := make([]PassDelta, 0, len(ordered))
 	for _, n := range ordered {
 		bp, vp := b[n], v[n]

@@ -122,6 +122,34 @@ func TestDetectorPartition(t *testing.T) {
 	}
 }
 
+// TestAttributionOrder: two engine runs' pass calls, outside any loop,
+// fold into one per-pass total, and opt.PassNames lists those totals in
+// the order Optimize runs the passes, unknown names last. This is the
+// table sim.Attribution renders.
+func TestAttributionOrder(t *testing.T) {
+	c := NewCollector()
+	var loops reuse.LoopStack
+	p, done := c.Attach("r", 0, &loops)
+	p.Pass("dce", 5, 0)
+	p.Pass("cp", 1, 2)
+	done()
+	p2, done2 := c.Attach("r", 1, &loops)
+	p2.Pass("cp", 0, 3)
+	p2.Pass("zz-custom", 1, 0)
+	done2()
+	passes := c.Snapshot().Passes
+	names := opt.PassNames(passes)
+	if len(names) != 3 {
+		t.Fatalf("rows: %v %+v", names, passes)
+	}
+	if names[0] != "cp" || names[1] != "dce" || names[2] != "zz-custom" {
+		t.Errorf("order: %v", names)
+	}
+	if cp := passes["cp"]; cp.Calls != 2 || cp.Killed != 1 || cp.Rewritten != 5 {
+		t.Errorf("cp row: %+v", cp)
+	}
+}
+
 // mkStats builds a pipeline.Stats whose diffed counters match a profile.
 func mkStats(cycles, removed uint64) pipeline.Stats {
 	var s pipeline.Stats

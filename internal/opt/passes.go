@@ -1,6 +1,9 @@
 package opt
 
 import (
+	"cmp"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -51,25 +54,51 @@ func (s Stats) Removed() int { return s.UOpsIn - s.UOpsOut }
 
 // PassRecorder observes individual optimizer pass invocations for
 // attribution. Implementations receive the frame id, the pass name
-// (see telemetry.PassOrder), uops the pass invalidated, and uops it
-// rewrote in place. Only invocations that changed something are
-// reported. telemetry.Attribution satisfies this structurally; opt
-// declares its own interface to stay a leaf package.
+// (see PassNames), uops the pass invalidated, and uops it rewrote in
+// place. Only invocations that changed something are reported. The
+// pipeline engine's recorder forwards each call to its probes' Pass
+// hook; opt declares its own interface to stay a leaf package.
 type PassRecorder interface {
 	RecordPass(frameID uint64, pass string, killed, rewritten int)
 }
 
-// TimedPassRecorder is an optional PassRecorder extension for wall-
-// clock pass timing. When the recorder passed to OptimizeTraced also
-// implements it, RecordPassTimed is called for EVERY pass invocation
-// (changed or not — time is spent either way) in addition to the
-// changed-only RecordPass calls; the combined memory pass reports its
-// timing under the name "mem" since its cse-load/sf split is visible
-// only in the rewrite counters. Span tracing aggregates these into
-// per-pass child spans of the run.
+// TimedPassRecorder observes wall-clock pass timing. When the recorder
+// passed to OptimizeTraced also implements it, RecordPassTimed is called
+// for EVERY pass invocation (changed or not — time is spent either
+// way) in addition to the changed-only RecordPass calls; the combined
+// memory pass reports its timing under the name "mem" since its
+// cse-load/sf split is visible only in the rewrite counters. Span
+// tracing aggregates these into per-pass child spans of the run.
 type TimedPassRecorder interface {
-	PassRecorder
 	RecordPassTimed(frameID uint64, pass string, killed, rewritten int, d time.Duration)
+}
+
+// passOrder is the sequence Optimize first runs the passes in, under
+// the names it reports them by.
+var passOrder = []string{"nop", "cp", "ra", "cse", "cse-load", "sf", "assert", "dce"}
+
+// PassNames returns the pass names keyed in ms, each once, in the order
+// Optimize runs the passes; names it does not know follow
+// alphabetically. Per-pass tables list their rows in this order.
+func PassNames[V any](ms ...map[string]V) []string {
+	var names []string
+	for _, m := range ms {
+		for n := range m {
+			if !slices.Contains(names, n) {
+				names = append(names, n)
+			}
+		}
+	}
+	rank := func(n string) int {
+		if i := slices.Index(passOrder, n); i >= 0 {
+			return i
+		}
+		return len(passOrder)
+	}
+	slices.SortFunc(names, func(a, b string) int {
+		return cmp.Or(cmp.Compare(rank(a), rank(b)), strings.Compare(a, b))
+	})
+	return names
 }
 
 // Optimize runs the configured passes over the frame in place and

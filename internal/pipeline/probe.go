@@ -134,19 +134,15 @@ func (e *Engine) SetPassRecorder(r opt.TimedPassRecorder) {
 }
 
 // passFan is the engine's optimizer pass recorder: it forwards each
-// changed pass invocation to each probe and to the pass-timing recorder
-// when one is attached. It does not implement opt.TimedPassRecorder, so
-// an untimed run never makes the optimizer pay the two time.Now calls
-// per pass; timedPassFan adds the extension only while a timing
-// recorder is attached.
+// changed pass invocation to each probe. It does not implement
+// opt.TimedPassRecorder, so an untimed run never makes the optimizer
+// pay the two time.Now calls per pass; timedPassFan adds the extension
+// only while a timing recorder is attached.
 type passFan struct{ e *Engine }
 
-func (f passFan) RecordPass(frameID uint64, pass string, killed, rewritten int) {
+func (f passFan) RecordPass(_ uint64, pass string, killed, rewritten int) {
 	for _, p := range f.e.probes {
 		p.Pass(pass, killed, rewritten)
-	}
-	if f.e.passRec != nil {
-		f.e.passRec.RecordPass(frameID, pass, killed, rewritten)
 	}
 }
 

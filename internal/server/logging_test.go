@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/logtest"
+	"repro/internal/sim"
 )
 
 // TestRequestScopedLogging: a request travels through submission,
@@ -22,7 +23,7 @@ import (
 // of the NDJSON progress stream — so logs and progress join on it.
 func TestRequestScopedLogging(t *testing.T) {
 	h := logtest.NewHandler()
-	runner := func(ctx context.Context, req api.RunRequest, progress func(api.Event)) (*api.RunResponse, error) {
+	runner := func(ctx context.Context, req api.RunRequest, _ []sim.Collector, progress func(api.Event)) (*api.RunResponse, error) {
 		progress(api.Event{Msg: "halfway", Done: 1, Total: 2})
 		return &api.RunResponse{Experiment: req.Experiment}, nil
 	}
@@ -186,7 +187,7 @@ func TestQueueFullLoggedWithRetryAfter(t *testing.T) {
 // TestMetricsRuntimeAndSLO: /metrics exposes the Go runtime gauges and
 // the request-latency histogram after traffic has flowed.
 func TestMetricsRuntimeAndSLO(t *testing.T) {
-	runner := func(ctx context.Context, req api.RunRequest, progress func(api.Event)) (*api.RunResponse, error) {
+	runner := func(ctx context.Context, req api.RunRequest, _ []sim.Collector, progress func(api.Event)) (*api.RunResponse, error) {
 		return &api.RunResponse{Experiment: req.Experiment}, nil
 	}
 	s := New(Config{Workers: 1, Runner: runner})

@@ -34,11 +34,11 @@ import (
 // keepFinished bounds how many finished jobs stay queryable.
 const keepFinished = 256
 
-// Runner executes one canonicalized request, reporting progress through
-// events. The default runs it through the api dispatcher, resolving
-// uploaded traces from the spool; tests substitute instrumented
-// wrappers.
-type Runner func(ctx context.Context, req api.RunRequest, progress func(api.Event)) (*api.RunResponse, error)
+// Runner executes one canonicalized request under the job's collectors,
+// reporting progress through events. The default runs it through the
+// api dispatcher, resolving uploaded traces from the spool; tests
+// substitute instrumented wrappers.
+type Runner func(ctx context.Context, req api.RunRequest, cols []sim.Collector, progress func(api.Event)) (*api.RunResponse, error)
 
 // Config sizes the service.
 type Config struct {
@@ -242,12 +242,10 @@ type Server struct {
 	met serviceMetrics
 	log *slog.Logger
 
-	// hist backs the /metrics histograms; histCol is the process-wide
-	// collector feeding it, which every job without a span trace runs
-	// under (histogram collection keeps the run memo, so this costs
-	// nothing on memo hits).
-	hist    *telemetry.HistogramSet
-	histCol *telemetry.Histograms
+	// hist backs the /metrics histograms; every job feeds it through a
+	// collector of its own (histogram collection keeps the run memo, so
+	// this costs nothing on memo hits).
+	hist *telemetry.HistogramSet
 
 	// tracer roots one span trace per API request; completed traces
 	// land in traces behind its tail sampler. httpHist is the request
@@ -282,7 +280,6 @@ func New(cfg Config) *Server {
 		log:        cfg.Logger,
 		reports:    newReportMetrics(),
 	}
-	s.histCol = telemetry.NewHistograms(s.hist, "")
 	s.traces = tracing.NewStore(tracing.StoreConfig{
 		Capacity:      cfg.TraceStore,
 		SlowThreshold: cfg.TraceSlow,
@@ -614,17 +611,14 @@ func (s *Server) execute(j *job) {
 	j.log.Info("job started",
 		"queue_wait_ms", float64(time.Since(j.queuedAt))/float64(time.Millisecond),
 		"trace", j.req.Trace)
-	// Every job runs under a histogram collector so its frame-lifecycle
-	// samples feed /metrics. A span-carrying job gets a private one over
-	// the same set, stamping the request's trace ID as bucket exemplars —
-	// histogram-only collection keeps the run memo. Traced jobs add an
-	// event ring (labeled with the coalescing key, tagged with the job ID
-	// so ring events join log lines); it stays on the job so /debug/trace
-	// can serve it during and after the run.
-	cols := []sim.Collector{s.histCol}
-	if j.traceID != "" {
-		cols[0] = telemetry.NewHistograms(s.hist, j.traceID)
-	}
+	// Every job runs under its own histogram collector so its
+	// frame-lifecycle samples feed /metrics, stamped with the request's
+	// trace ID (if any) as bucket exemplars — histogram-only collection
+	// keeps the run memo. Traced jobs add an event ring (labeled with the
+	// coalescing key, tagged with the job ID so ring events join log
+	// lines); it stays on the job so /debug/trace can serve it during and
+	// after the run.
+	cols := []sim.Collector{telemetry.NewHistograms(s.hist, j.traceID)}
 	if j.req.Trace {
 		ring := telemetry.NewRing(s.cfg.TraceEvents, j.key, j.id)
 		j.mu.Lock()
@@ -632,9 +626,8 @@ func (s *Server) execute(j *job) {
 		j.mu.Unlock()
 		cols = append(cols, ring)
 	}
-	ctx := withCollectors(j.ctx, cols)
-	ctx, espan := tracing.Start(ctx, "job.exec")
-	res, err := s.cfg.Runner(ctx, j.req, j.appendEvent)
+	ctx, espan := tracing.Start(j.ctx, "job.exec")
+	res, err := s.cfg.Runner(ctx, j.req, cols, j.appendEvent)
 	espan.SetError(err)
 	espan.End()
 	if err == nil && len(reqTraceIDs(j.req)) > 0 {
@@ -646,22 +639,8 @@ func (s *Server) execute(j *job) {
 
 // run is the default Runner: the api dispatcher under the job's
 // collectors, resolving uploaded traces from the spool.
-func (s *Server) run(ctx context.Context, req api.RunRequest, progress func(api.Event)) (*api.RunResponse, error) {
-	return api.Run(ctx, req, progress, sim.Options{Probes: collectorsFrom(ctx)}, s.externalRun)
-}
-
-type collectorsKey struct{}
-
-// withCollectors attaches a job's collectors to ctx, handing them
-// through the Runner boundary without changing its signature.
-func withCollectors(ctx context.Context, cols []sim.Collector) context.Context {
-	return context.WithValue(ctx, collectorsKey{}, cols)
-}
-
-// collectorsFrom returns the collectors withCollectors attached, or nil.
-func collectorsFrom(ctx context.Context) []sim.Collector {
-	cols, _ := ctx.Value(collectorsKey{}).([]sim.Collector)
-	return cols
+func (s *Server) run(ctx context.Context, req api.RunRequest, cols []sim.Collector, progress func(api.Event)) (*api.RunResponse, error) {
+	return api.Run(ctx, req, progress, sim.Options{Probes: cols}, s.externalRun)
 }
 
 // checkBudget enforces the MaxInsts cap on the per-trace budget the

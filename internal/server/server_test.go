@@ -116,7 +116,7 @@ func newGatedRunner() *gatedRunner {
 	return &gatedRunner{release: make(chan struct{})}
 }
 
-func (g *gatedRunner) run(ctx context.Context, req api.RunRequest, progress func(api.Event)) (*api.RunResponse, error) {
+func (g *gatedRunner) run(ctx context.Context, req api.RunRequest, _ []sim.Collector, progress func(api.Event)) (*api.RunResponse, error) {
 	g.calls.Add(1)
 	select {
 	case <-g.release:
@@ -310,7 +310,7 @@ func TestLastWaiterCancels(t *testing.T) {
 // TestEventsStream: the NDJSON stream replays queued/running/progress/
 // done in order with increasing sequence numbers and then closes.
 func TestEventsStream(t *testing.T) {
-	runner := func(ctx context.Context, req api.RunRequest, progress func(api.Event)) (*api.RunResponse, error) {
+	runner := func(ctx context.Context, req api.RunRequest, _ []sim.Collector, progress func(api.Event)) (*api.RunResponse, error) {
 		progress(api.Event{Msg: "step 1", Done: 1, Total: 2})
 		progress(api.Event{Msg: "step 2", Done: 2, Total: 2})
 		return &api.RunResponse{Experiment: req.Experiment}, nil

@@ -15,19 +15,18 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestRunnerReceivesCollector: the server threads its collectors
-// through the runner context — a histogram one stamping the request's
-// trace ID as exemplars for plain jobs, plus a private event ring
-// (labeled with the coalescing key) when the request asks for an event
-// trace.
+// TestRunnerReceivesCollector: the server hands each job its own
+// collectors — a histogram one stamping the request's trace ID as
+// exemplars, plus a private event ring (labeled with the coalescing key)
+// when the request asks for an event trace.
 func TestRunnerReceivesCollector(t *testing.T) {
 	type seen struct {
 		cols []sim.Collector
 		key  string
 	}
 	got := make(chan seen, 2)
-	s := New(Config{Workers: 1, Runner: func(ctx context.Context, req api.RunRequest, progress func(api.Event)) (*api.RunResponse, error) {
-		got <- seen{collectorsFrom(ctx), req.Key()}
+	s := New(Config{Workers: 1, Runner: func(ctx context.Context, req api.RunRequest, cols []sim.Collector, progress func(api.Event)) (*api.RunResponse, error) {
+		got <- seen{cols, req.Key()}
 		return &api.RunResponse{Experiment: req.Experiment}, nil
 	}})
 	defer s.Shutdown(context.Background())
@@ -52,14 +51,9 @@ func TestRunnerReceivesCollector(t *testing.T) {
 		t.Fatalf("plain run: status %d", code)
 	}
 	g := <-got
-	hist, ring := split(g.cols)
-	if hist == nil {
+	plainHist, ring := split(g.cols)
+	if plainHist == nil {
 		t.Fatal("plain job ran with no histogram collector")
-	}
-	if hist == s.histCol {
-		// The request opened a trace, so the job must not share the
-		// global collector: its histogram samples carry the trace ID.
-		t.Errorf("plain job ran under the global collector, want a per-job exemplar one")
 	}
 	if ring != nil {
 		t.Errorf("plain job's collectors include a trace ring")
@@ -76,9 +70,10 @@ func TestRunnerReceivesCollector(t *testing.T) {
 		t.Fatalf("traced run: status %d", code)
 	}
 	g = <-got
-	hist, ring = split(g.cols)
-	if hist == nil || hist == s.histCol {
-		t.Errorf("traced job's histogram collector = %p, want a private one", hist)
+	hist, ring := split(g.cols)
+	if hist == nil || hist == plainHist {
+		// Each job's histogram samples carry its own request's trace ID.
+		t.Errorf("traced job's histogram collector = %p, want one distinct from the plain job's %p", hist, plainHist)
 	}
 	if ring == nil {
 		t.Fatalf("traced job's collectors have no trace ring")

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/tracing"
@@ -273,7 +274,7 @@ func TestCoalescedFollowerLinksLeader(t *testing.T) {
 // error trace, which the tail sampler must retain even when the
 // probabilistic gate would drop everything.
 func TestFailedJobTraceKeptAsError(t *testing.T) {
-	runner := func(ctx context.Context, req api.RunRequest, progress func(api.Event)) (*api.RunResponse, error) {
+	runner := func(ctx context.Context, req api.RunRequest, _ []sim.Collector, progress func(api.Event)) (*api.RunResponse, error) {
 		if req.Experiment == "fig6" {
 			return nil, context.DeadlineExceeded
 		}
@@ -312,7 +313,7 @@ func TestFailedJobTraceKeptAsError(t *testing.T) {
 
 // TestTraceEndpointErrors pins the /debug/traces error surface.
 func TestTraceEndpointErrors(t *testing.T) {
-	s := New(Config{Workers: 1, Runner: func(ctx context.Context, req api.RunRequest, progress func(api.Event)) (*api.RunResponse, error) {
+	s := New(Config{Workers: 1, Runner: func(ctx context.Context, req api.RunRequest, _ []sim.Collector, progress func(api.Event)) (*api.RunResponse, error) {
 		return &api.RunResponse{Experiment: req.Experiment}, nil
 	}})
 	defer s.Shutdown(context.Background())

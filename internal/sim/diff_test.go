@@ -264,9 +264,9 @@ func TestDiffDoesNotPolluteMemo(t *testing.T) {
 }
 
 // TestAllProbesTogether attaches every observer at once — the reuse
-// collector, the cycle profiler, the diff probe, and telemetry's pass
-// attribution, lifecycle histograms and event ring — on one engine and
-// checks each one's conservation held while the feeds fanned out, and
+// collector, the cycle profiler, the diff probe, and telemetry's
+// lifecycle histograms and event ring — on one engine and checks each
+// one's conservation held while the feeds fanned out, and
 // that each collector's report is identical to the one it produces
 // attached alone: the shared loop stack gives every probe the view its
 // own detector would. The lifecycle histograms, a Sampler, also match
@@ -281,17 +281,17 @@ func TestAllProbesTogether(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// lifecycle builds telemetry's three collectors.
-			lifecycle := func() (*telemetry.Attribution, *telemetry.HistogramSet, *telemetry.Histograms, *telemetry.Ring) {
+			// lifecycle builds telemetry's two collectors.
+			lifecycle := func() (*telemetry.HistogramSet, *telemetry.Histograms, *telemetry.Ring) {
 				set := telemetry.NewHistogramSet()
-				return telemetry.NewAttribution(), set, telemetry.NewHistograms(set, ""), telemetry.NewRing(1<<16, "", "")
+				return set, telemetry.NewHistograms(set, ""), telemetry.NewRing(1<<16, "", "")
 			}
-			tel, hset, hcol, ring := lifecycle()
+			hset, hcol, ring := lifecycle()
 			rcol := reuse.NewCollector()
 			ccol := cycleprof.NewCollector()
 			dcol := diff.NewCollector()
 			res, err := RunWorkload(context.Background(), p, pipeline.ModeRePLayOpt,
-				Options{MaxInsts: 30_000, Probes: []Collector{rcol, ccol, dcol, tel, hcol, ring},
+				Options{MaxInsts: 30_000, Probes: []Collector{rcol, ccol, dcol, hcol, ring},
 					DisableCache: true})
 			if err != nil {
 				t.Fatal(err)
@@ -313,17 +313,14 @@ func TestAllProbesTogether(t *testing.T) {
 					dprof.Cycles, dprof.X86, dprof.OptRemoved,
 					st.Cycles, st.X86Retired, st.Opt.Removed())
 			}
-			// Telemetry's pass attribution and the diff partition fed from the
-			// same recorder fan-out must agree on total kills.
-			var telKilled, diffKilled uint64
-			for _, ps := range tel.Snapshot() {
-				telKilled += uint64(ps.Killed)
-			}
+			// The per-pass kills the attribution table reports, summed,
+			// are the optimizer's net removal.
+			var passKilled uint64
 			for _, pc := range dprof.Passes {
-				diffKilled += pc.Killed
+				passKilled += pc.Killed
 			}
-			if telKilled != diffKilled {
-				t.Errorf("telemetry kills %d != diff partition kills %d", telKilled, diffKilled)
+			if passKilled != uint64(st.Opt.Removed()) {
+				t.Errorf("diff pass kills %d != pipeline removed %d", passKilled, st.Opt.Removed())
 			}
 
 			// No probe set changes an unprobed run's Stats, the
@@ -347,13 +344,13 @@ func TestAllProbesTogether(t *testing.T) {
 				}
 			}
 			rAlone, cAlone, dAlone := reuse.NewCollector(), cycleprof.NewCollector(), diff.NewCollector()
-			tAlone, hsetAlone, hAlone, ringAlone := lifecycle()
-			for _, c := range []Collector{rAlone, cAlone, dAlone, tAlone, hAlone, ringAlone} {
+			hsetAlone, hAlone, ringAlone := lifecycle()
+			for _, c := range []Collector{rAlone, cAlone, dAlone, hAlone, ringAlone} {
 				attached(c)
 			}
 			// The histograms beside the reuse collector: a Sampler sharing
 			// the probe list with a loop-stack reader.
-			_, hsetPair, hPair, _ := lifecycle()
+			hsetPair, hPair, _ := lifecycle()
 			rPair := reuse.NewCollector()
 			attached(hPair, rPair)
 			if got := rAlone.Snapshot(); !reflect.DeepEqual(rrep, got) {
@@ -367,9 +364,6 @@ func TestAllProbesTogether(t *testing.T) {
 			}
 			if got := dAlone.Snapshot(); !reflect.DeepEqual(dprof, got) {
 				t.Errorf("diff profile differs attached alone")
-			}
-			if got, want := tAlone.Snapshot(), tel.Snapshot(); !reflect.DeepEqual(want, got) {
-				t.Errorf("attribution differs attached alone:\n together %+v\n alone    %+v", want, got)
 			}
 			for i, h := range hset.All() {
 				if got, want := hsetAlone.All()[i].Snapshot(), h.Snapshot(); !reflect.DeepEqual(want, got) {
@@ -407,18 +401,17 @@ func TestAllProbesTogether(t *testing.T) {
 			reuse  reuse.Report
 			cycles cycleprof.Report
 			diff   diff.Profile
-			attr   []telemetry.PassStat
 			trace  []byte
 		}
 		runAt := func(parallelism int) reports {
 			old := SetParallelism(parallelism)
 			defer SetParallelism(old)
 			rcol, ccol, dcol := reuse.NewCollector(), cycleprof.NewCollector(), diff.NewCollector()
-			tel, ring := telemetry.NewAttribution(), telemetry.NewRing(1<<11, "", "")
+			ring := telemetry.NewRing(1<<11, "", "")
 			var res Result
 			var runErr error
 			if err := runAll(context.Background(), []runJob{{src: profileSource(p), mode: pipeline.ModeRePLayOpt,
-				opts: Options{MaxInsts: 30_000, DisableCache: true, Probes: []Collector{rcol, ccol, dcol, tel, ring}},
+				opts: Options{MaxInsts: 30_000, DisableCache: true, Probes: []Collector{rcol, ccol, dcol, ring}},
 				out:  &res, err: &runErr}}); err != nil {
 				t.Fatal(err)
 			}
@@ -426,7 +419,7 @@ func TestAllProbesTogether(t *testing.T) {
 			if err := ring.WriteTrace(&buf); err != nil {
 				t.Fatal(err)
 			}
-			return reports{rcol.Snapshot(), ccol.Snapshot(), dcol.Snapshot(), tel.Snapshot(), buf.Bytes()}
+			return reports{rcol.Snapshot(), ccol.Snapshot(), dcol.Snapshot(), buf.Bytes()}
 		}
 		serial, parallel := runAt(1), runAt(4)
 		if bytes.Contains(serial.trace, []byte(`"dropped_events":0`)) {
@@ -440,9 +433,6 @@ func TestAllProbesTogether(t *testing.T) {
 		}
 		if !reflect.DeepEqual(serial.diff, parallel.diff) {
 			t.Errorf("diff profile depends on scheduling")
-		}
-		if !reflect.DeepEqual(serial.attr, parallel.attr) {
-			t.Errorf("attribution depends on scheduling")
 		}
 		if !bytes.Equal(serial.trace, parallel.trace) {
 			t.Errorf("event ring export depends on scheduling (%d vs %d bytes)", len(serial.trace), len(parallel.trace))

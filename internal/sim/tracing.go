@@ -28,10 +28,6 @@ func newPassAgg() *passAgg {
 	return &passAgg{totals: map[string]*passTotal{}}
 }
 
-// RecordPass satisfies opt.PassRecorder; attribution flows through the
-// engine's probe, so nothing to do here.
-func (a *passAgg) RecordPass(frameID uint64, pass string, killed, rewritten int) {}
-
 // RecordPassTimed folds one pass invocation into the totals.
 func (a *passAgg) RecordPassTimed(frameID uint64, pass string, killed, rewritten int, d time.Duration) {
 	a.mu.Lock()

@@ -1,20 +1,18 @@
 // Package telemetry holds the frame-lifecycle consumers that ride the
 // engine's probe bus (pipeline.Probe): fixed-bucket histograms exported
-// from replayd's /metrics, per-pass attribution tables, and an opt-in
-// ring of Chrome trace_event records. Each is a sim.Collector: attach it
-// through sim.Options.Probes and it observes every engine a run creates
-// over exactly the measured window.
+// from replayd's /metrics and an opt-in ring of Chrome trace_event
+// records. Each is a sim.Collector: attach it through
+// sim.Options.Probes and it observes every engine a run creates over
+// exactly the measured window.
 //
 // The layer sits below internal/stats on purpose: stats renders
 // (tables, bars, Prometheus text), telemetry collects. The engine never
-// formats anything; consumers (replaysim -attr, replayd /metrics, trace
-// export) pull snapshots and choose a renderer.
+// formats anything; consumers (replayd /metrics, trace export) pull
+// snapshots and choose a renderer. The per-pass attribution table is
+// the diff collector's (internal/diff), read by sim.Attribution.
 package telemetry
 
 import (
-	"sort"
-	"sync"
-
 	"repro/internal/pipeline"
 	"repro/internal/reuse"
 	"repro/internal/stats"
@@ -118,79 +116,4 @@ func (p *histProbe) Resident(residency uint64) {
 
 func (p *histProbe) FetchRetire(latency uint64) {
 	p.fetchRetire.Observe(latency)
-}
-
-// PassStat is one row of the attribution table: what a named optimizer
-// pass did across all frames it touched.
-type PassStat struct {
-	Pass      string // pass name (nop, cp, ra, cse, cse-load, sf, assert, dce)
-	Calls     uint64 // invocations that changed something
-	Killed    uint64 // uops invalidated by the pass
-	Rewritten uint64 // uops rewritten in place (folds, reassociations, load conversions)
-}
-
-// PassOrder is the canonical display order for attribution rows; it
-// mirrors the sequence Optimize runs the passes in.
-var PassOrder = []string{"nop", "cp", "ra", "cse", "cse-load", "sf", "assert", "dce"}
-
-// Attribution is the collector building the per-pass table.
-type Attribution struct {
-	mu     sync.Mutex
-	passes map[string]*PassStat
-}
-
-// NewAttribution returns an empty attribution table.
-func NewAttribution() *Attribution {
-	return &Attribution{passes: map[string]*PassStat{}}
-}
-
-// Attach returns the probe for one engine run; pass invocations fold
-// into the table as they happen.
-func (a *Attribution) Attach(string, int, *reuse.LoopStack) (pipeline.Probe, func()) {
-	return attrProbe{a: a}, func() {}
-}
-
-type attrProbe struct {
-	pipeline.NopProbe
-	a *Attribution
-}
-
-// Pass folds one changed optimizer pass invocation into the table.
-func (p attrProbe) Pass(pass string, killed, rewritten int) {
-	a := p.a
-	a.mu.Lock()
-	ps := a.passes[pass]
-	if ps == nil {
-		ps = &PassStat{Pass: pass}
-		a.passes[pass] = ps
-	}
-	ps.Calls++
-	ps.Killed += uint64(killed)
-	ps.Rewritten += uint64(rewritten)
-	a.mu.Unlock()
-}
-
-// Snapshot returns the per-pass table in canonical pass order (unknown
-// passes follow alphabetically).
-func (a *Attribution) Snapshot() []PassStat {
-	a.mu.Lock()
-	known := make(map[string]PassStat, len(a.passes))
-	for name, ps := range a.passes {
-		known[name] = *ps
-	}
-	a.mu.Unlock()
-
-	out := make([]PassStat, 0, len(known))
-	for _, name := range PassOrder {
-		if ps, ok := known[name]; ok {
-			out = append(out, ps)
-			delete(known, name)
-		}
-	}
-	rest := make([]PassStat, 0, len(known))
-	for _, ps := range known {
-		rest = append(rest, ps)
-	}
-	sort.Slice(rest, func(i, j int) bool { return rest[i].Pass < rest[j].Pass })
-	return append(out, rest...)
 }

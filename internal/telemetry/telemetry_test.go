@@ -7,28 +7,6 @@ import (
 	"testing"
 )
 
-func TestAttributionOrder(t *testing.T) {
-	c := NewAttribution()
-	p, done := c.Attach("r", 0, nil)
-	p.Pass("dce", 5, 0)
-	p.Pass("cp", 1, 2)
-	done()
-	p2, done2 := c.Attach("r", 1, nil)
-	p2.Pass("cp", 0, 3)
-	p2.Pass("zz-custom", 1, 0)
-	done2()
-	snap := c.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("rows: %+v", snap)
-	}
-	if snap[0].Pass != "cp" || snap[1].Pass != "dce" || snap[2].Pass != "zz-custom" {
-		t.Errorf("order: %+v", snap)
-	}
-	if snap[0].Calls != 2 || snap[0].Killed != 1 || snap[0].Rewritten != 5 {
-		t.Errorf("cp row: %+v", snap[0])
-	}
-}
-
 func TestTraceExportValidates(t *testing.T) {
 	r := NewRing(128, "job-key-1", "j-00000001")
 	p, done := r.Attach("bzip2/RPO/t0", 0, nil)
